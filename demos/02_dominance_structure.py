@@ -37,7 +37,7 @@ print()
 # The relevancy set R(x) is the union of the domain's members; computing it
 # needs far fewer programs than the full domain.
 row = compute_relevancy(mp, 1, 0)
-print(f"MP R(row 1) = {row.members} ({row.complete})")
+print(f"MP R(row 1) = {row.members}")
 print()
 
 # Three graphs.  The strategy-level graph connects x -> y when y is

@@ -70,8 +70,7 @@ def _print_result(result: EquilibriumSet, structured: bool) -> None:
         stats = result.stats
         print(
             f"stats method={result.method} game={result.game_hash} "
-            f"candidates={stats.candidates} fp1_calls={stats.fp1_calls} "
-            f"feasible={stats.feasible}"
+            f"candidates={stats.candidates} feasible={stats.feasible}"
         )
 
 
@@ -86,6 +85,15 @@ def _parse_vector(text: str, owner: int) -> MixedStrategy:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse probability vector {text!r}") from None
     return MixedStrategy(owner, probs)
+
+
+def _caps(args, game: Game) -> tuple[int, int]:
+    """The --k/--l vertex-size caps, defaulting to the game's dimensions."""
+    k = args.k if args.k is not None else game.m
+    l = args.l if args.l is not None else game.n
+    if not (1 <= k <= game.m and 1 <= l <= game.n):
+        raise ValueError(f"caps must satisfy 1 <= k <= {game.m} and 1 <= l <= {game.n}")
+    return k, l
 
 
 def _parse_sizes(text: str) -> tuple[int, int]:
@@ -108,10 +116,7 @@ def _parse_sizes(text: str) -> tuple[int, int]:
 
 def _cmd_solve(args) -> int:
     game = _load_game(args.game)
-    k = args.k if args.k is not None else game.m
-    l = args.l if args.l is not None else game.n
-    if not (1 <= k <= game.m and 1 <= l <= game.n):
-        raise ValueError(f"caps must satisfy 1 <= k <= {game.m} and 1 <= l <= {game.n}")
+    k, l = _caps(args, game)
     start = time.perf_counter()
     if args.method == "supports":
         result = enumerate_by_supports(game, args.budget)
@@ -127,10 +132,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cycles(args) -> int:
     game = _load_game(args.game)
-    k = args.k if args.k is not None else game.m
-    l = args.l if args.l is not None else game.n
-    if not (1 <= k <= game.m and 1 <= l <= game.n):
-        raise ValueError(f"caps must satisfy 1 <= k <= {game.m} and 1 <= l <= {game.n}")
+    k, l = _caps(args, game)
     start = time.perf_counter()
     if args.method == "gr":
         graph = build_gr(game)

@@ -177,37 +177,31 @@ def compute_domain_table(game: Game, player: int, l: int) -> dict[int, tuple[Dom
 class RelevancyRow:
     """The relevancy set of one strategy.
 
-    `complete` records whether the set was fully resolved ("certified") or
-    truncated by the probe budget and widened to the whole opponent set
-    ("assumed").  Every member is backed either by a one-sided dominance
-    certificate (`mod_lp1_members`) or by some harvested best-response
-    witness whose support contains it.
+    Every member is backed either by a one-sided dominance certificate
+    (`mod_lp1_members`) or by some harvested best-response witness whose
+    support contains it.
     """
 
     strategy: int
     members: tuple[int, ...]
-    complete: str
     mod_lp1_members: tuple[int, ...] = ()
     witnesses: tuple[MixedStrategy, ...] = ()
 
 
-def compute_relevancy(game: Game, player: int, x: int, budget: int | None = None) -> RelevancyRow:
+def compute_relevancy(game: Game, player: int, x: int) -> RelevancyRow:
     """Compute R(x): the opponent pure strategies appearing in the support
     of some mixed strategy to which `x` is a best response.
 
     Phase 1 runs the one-sided certificate per opponent strategy and
     harvests the dominance-test witness.  Phase 2 settles each remaining
-    candidate y with a single positive-probability probe, up to `budget`
-    probes (default 2n); if the budget runs out first, the row falls back
-    to the full opponent set, flagged "assumed".
+    candidate y with a single positive-probability probe, so a row costs
+    at most 1 + 2n programs.
     """
     opp_count = game.strategy_count(2 if player == 1 else 1)
-    if budget is None:
-        budget = 2 * opp_count
 
     dominated, lp1_witness = lp1_dominance(game, player, x)
     if dominated:
-        return RelevancyRow(x, (), "certified")
+        return RelevancyRow(x, ())
 
     members: set[int] = set(lp1_witness.support)
     witnesses = [lp1_witness]
@@ -217,42 +211,36 @@ def compute_relevancy(game: Game, player: int, x: int, budget: int | None = None
             certified.append(y)
             members.add(y)
 
-    probes = 0
     for y in range(opp_count):
         if y in members:
             continue
-        if probes >= budget:
-            return RelevancyRow(
-                x, tuple(range(opp_count)), "assumed", tuple(certified), tuple(witnesses)
-            )
-        probes += 1
         member, witness = lp2_domain_check(game, player, x, (y,), ())
         if member:
             members.add(y)
             members.update(witness.support)
             witnesses.append(witness)
 
-    return RelevancyRow(x, tuple(sorted(members)), "certified", tuple(certified), tuple(witnesses))
+    return RelevancyRow(x, tuple(sorted(members)), tuple(certified), tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
 # Graph constructions
 # ---------------------------------------------------------------------------
 
-def build_gr(game: Game, budget: int | None = None) -> BipartiteDigraph:
+def build_gr(game: Game) -> BipartiteDigraph:
     """Strategy-level dominance graph: singleton vertices, arc x -> y iff
     y is in R(x) and arc y -> x iff x is in R(y)."""
     m, n = game.m, game.n
     adj_lr = []
     for x in range(m):
-        row = compute_relevancy(game, 1, x, budget)
+        row = compute_relevancy(game, 1, x)
         mask = [False] * n
         for y in row.members:
             mask[y] = True
         adj_lr.append(tuple(mask))
     adj_rl = []
     for y in range(n):
-        row = compute_relevancy(game, 2, y, budget)
+        row = compute_relevancy(game, 2, y)
         mask = [False] * m
         for x in row.members:
             mask[x] = True
@@ -284,13 +272,17 @@ def _case1_arc(
 
 
 def _domain_tables(game, k, l, row_domains, col_domains):
+    """Check the size caps, fill in missing domain tables, and index each
+    domain row by its support sets."""
+    if not (1 <= k <= game.m and 1 <= l <= game.n):
+        raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
     if row_domains is None:
         row_domains = compute_domain_table(game, 1, l)
     if col_domains is None:
         col_domains = compute_domain_table(game, 2, k)
     row_sets = {x: frozenset(e.support for e in row) for x, row in row_domains.items()}
     col_sets = {y: frozenset(e.support for e in row) for y, row in col_domains.items()}
-    return row_sets, col_sets
+    return row_domains, col_domains, row_sets, col_sets
 
 
 def build_gd(
@@ -303,9 +295,7 @@ def build_gd(
     """Subset-level dominance graph with vertex sizes capped at k (left) and
     l (right) and only common-witness arcs; k=m, l=n gives the full graph."""
     m, n = game.m, game.n
-    if not (1 <= k <= m and 1 <= l <= n):
-        raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
-    row_sets, col_sets = _domain_tables(game, k, l, row_domains, col_domains)
+    _, _, row_sets, col_sets = _domain_tables(game, k, l, row_domains, col_domains)
     left = size_lex_subsets(m, k)
     right = size_lex_subsets(n, l)
     adj_lr = tuple(
@@ -379,14 +369,9 @@ def build_gi(
     to every opposite vertex.  Arcs from cases 2-4 are flagged artificial.
     """
     m, n = game.m, game.n
-    if not (1 <= k <= m and 1 <= l <= n):
-        raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
-    if row_domains is None:
-        row_domains = compute_domain_table(game, 1, l)
-    if col_domains is None:
-        col_domains = compute_domain_table(game, 2, k)
-    row_sets = {x: frozenset(e.support for e in row) for x, row in row_domains.items()}
-    col_sets = {y: frozenset(e.support for e in row) for y, row in col_domains.items()}
+    row_domains, col_domains, row_sets, col_sets = _domain_tables(
+        game, k, l, row_domains, col_domains
+    )
     left = size_lex_subsets(m, k)
     right = size_lex_subsets(n, l)
     adj_lr, art_lr = _gi_out_arcs(game, 1, left, right, row_sets, row_domains, n)

@@ -72,7 +72,6 @@ class Equilibrium:
 @dataclass(frozen=True)
 class PipelineStats:
     candidates: int
-    fp1_calls: int
     feasible: int
 
 
@@ -119,7 +118,7 @@ def _run_checks(
         if feasible:
             entries.append(_lift(red, original, sp, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(len(candidates), len(candidates), len(entries))
+    stats = PipelineStats(len(candidates), len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
 
 

@@ -2,10 +2,20 @@
 
 `solve_lp` is a two-phase tableau simplex over rationals with Bland's
 anti-cycling pivot rule: deterministic, tolerance-free, and terminating
-on degenerate inputs.  On top of it sit the four program builders used
-throughout the library: the strict-dominance test, its single-column
-variant for relevancy certification, the best-response-region check for
-domains, and the support-pair feasibility check.
+on degenerate inputs.  On top of it sit two programs, one per question
+the library asks:
+
+* the dominance program maximizes a strategy's worst payoff gap over the
+  opponent simplex.  It is the strict-dominance test, and with one
+  opponent column dropped the one-sided relevancy certificate;
+* the best-response-region program looks for an opponent mixed strategy
+  against which every given responder is a best response.  Each rival
+  row is a payoff difference with the first responder, so the common
+  payoff is no variable; it is read off the witness after the solve.
+  Domain checks, common-witness arcs and both sides of the support-pair
+  feasibility check `fp1_check` are this one program.
+
+Nothing is cached: every call solves its programs afresh.
 
 Internally the tableau uses ``gmpy2.mpq`` when available (identical
 semantics to `fractions.Fraction`, several times faster); all public
@@ -15,7 +25,6 @@ inputs and outputs are `Fraction`.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -335,6 +344,24 @@ def _opponent(player: int) -> int:
     return 2 if player == 1 else 1
 
 
+def _lp1_program(game: Game, player: int, x: int, keep: range | list[int]) -> LpOutcome:
+    """Maximize the worst payoff gap epsilon of `x` over every rival
+    strategy, across opponent mixed strategies supported inside `keep`."""
+    own_count = game.strategy_count(player)
+    nq = len(keep)
+    constraints = []
+    for other in range(own_count):
+        if other == x:
+            continue
+        coeffs = [_payoff(game, player, other, y) - _payoff(game, player, x, y) for y in keep]
+        coeffs.append(_ONE)
+        constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
+    constraints.append(Constraint(tuple([_ONE] * nq + [_ZERO]), "=", _ONE))
+    bounds = tuple([(_ZERO, None)] * nq + [(None, None)])
+    objective = tuple([_ZERO] * nq + [_ONE])
+    return solve_lp(LinearProgram(nq + 1, objective, tuple(constraints), bounds))
+
+
 def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy | None]:
     """Strict-dominance test for one pure strategy.
 
@@ -351,19 +378,7 @@ def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy 
         # No rival strategies: a lone strategy is never dominated.
         return False, MixedStrategy.uniform(_opponent(player), opp_count)
 
-    nvars = opp_count + 1  # q_0..q_{n-1}, eps
-    constraints = []
-    for other in range(own_count):
-        if other == x:
-            continue
-        coeffs = [_payoff(game, player, other, y) - _payoff(game, player, x, y) for y in range(opp_count)]
-        coeffs.append(_ONE)
-        constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
-    coeffs = [_ONE] * opp_count + [_ZERO]
-    constraints.append(Constraint(tuple(coeffs), "=", _ONE))
-    bounds = tuple([(_ZERO, None)] * opp_count + [(None, None)])
-    objective = tuple([_ZERO] * opp_count + [_ONE])
-    outcome = solve_lp(LinearProgram(nvars, objective, tuple(constraints), bounds))
+    outcome = _lp1_program(game, player, x, range(opp_count))
     if outcome.status is not LpStatus.OPTIMAL:  # pragma: no cover - always bounded
         raise RuntimeError(f"dominance program ended {outcome.status}")
     if outcome.objective_value < 0:
@@ -392,18 +407,7 @@ def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
         return False
 
     keep = [y for y in range(opp_count) if y != y_star]
-    nvars = len(keep) + 1
-    constraints = []
-    for other in range(own_count):
-        if other == x:
-            continue
-        coeffs = [_payoff(game, player, other, y) - _payoff(game, player, x, y) for y in keep]
-        coeffs.append(_ONE)
-        constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
-    constraints.append(Constraint(tuple([_ONE] * len(keep) + [_ZERO]), "=", _ONE))
-    bounds = tuple([(_ZERO, None)] * len(keep) + [(None, None)])
-    objective = tuple([_ZERO] * len(keep) + [_ONE])
-    outcome = solve_lp(LinearProgram(nvars, objective, tuple(constraints), bounds))
+    outcome = _lp1_program(game, player, x, keep)
     return outcome.status is LpStatus.OPTIMAL and outcome.objective_value < 0
 
 
@@ -414,12 +418,14 @@ def _best_response_region(
     s1: tuple[int, ...],
     s0: tuple[int, ...],
 ) -> tuple[bool, tuple[Fraction, ...] | None, Fraction | None]:
-    """Maximize the smallest s1-probability of an opponent mixed strategy
-    (zero outside s0's complement) to which every responder is simultaneously
-    a best response.
+    """Maximize the smallest s1-probability of an opponent mixed strategy q
+    (zero on s0) to which every responder is simultaneously a best response.
 
-    Returns (member, padded opponent vector, common payoff u); member is
-    True exactly when the optimum exists and is positive.
+    Every row compares a rival with the base responder ``responders[0]``:
+    ``(A_other - A_base) . q`` is ``= 0`` for the other responders and
+    ``<= 0`` for the remaining strategies.  Returns (member, padded q, u),
+    where u is the base responder's payoff against q; member is True
+    exactly when the optimum exists and is positive.
     """
     own_count = game.strategy_count(player)
     opp_count = game.strategy_count(_opponent(player))
@@ -429,69 +435,36 @@ def _best_response_region(
         return False, None, None
     col = {y: j for j, y in enumerate(keep)}
     responders_set = frozenset(responders)
-    joint = len(responders) > 1
-
-    # Variables: q over `keep`, then (u when joint), then eps.
-    nq = len(keep)
-    nvars = nq + (2 if joint else 1)
-    u_col = nq if joint else None
-    eps_col = nvars - 1
-
-    constraints = []
     base = responders[0]
+
+    # Variables: q over `keep`, then eps.
+    nq = len(keep)
+    constraints = []
     for other in range(own_count):
-        if other in responders_set and (not joint or other == base):
+        if other == base:
             continue
-        coeffs = [_ZERO] * nvars
-        for y in keep:
-            coeffs[col[y]] = _payoff(game, player, other, y)
-        if joint:
-            coeffs[u_col] = -_ONE
-            relation = "=" if other in responders_set else "<="
-            constraints.append(Constraint(tuple(coeffs), relation, _ZERO))
-        else:
-            for y in keep:
-                coeffs[col[y]] -= _payoff(game, player, base, y)
-            constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
-    if joint:
-        coeffs = [_ZERO] * nvars
-        for y in keep:
-            coeffs[col[y]] = _payoff(game, player, base, y)
-        coeffs[u_col] = -_ONE
-        constraints.append(Constraint(tuple(coeffs), "=", _ZERO))
-    coeffs = [_ZERO] * nvars
-    for y in keep:
-        coeffs[col[y]] = _ONE
-    constraints.append(Constraint(tuple(coeffs), "=", _ONE))
+        coeffs = [_payoff(game, player, other, y) - _payoff(game, player, base, y) for y in keep]
+        coeffs.append(_ZERO)
+        relation = "=" if other in responders_set else "<="
+        constraints.append(Constraint(tuple(coeffs), relation, _ZERO))
+    constraints.append(Constraint(tuple([_ONE] * nq + [_ZERO]), "=", _ONE))
     for j in s1:
         if j in s0_set:
             raise ValueError("s1 and s0 must be disjoint")
-        coeffs = [_ZERO] * nvars
+        coeffs = [_ZERO] * (nq + 1)
         coeffs[col[j]] = -_ONE
-        coeffs[eps_col] = _ONE
+        coeffs[nq] = _ONE
         constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
 
-    bounds = [(_ZERO, None)] * nq
-    if joint:
-        bounds.append((None, None))
-    bounds.append((None, None))
-    objective = [_ZERO] * nvars
-    objective[eps_col] = _ONE
-    outcome = solve_lp(
-        LinearProgram(nvars, tuple(objective), tuple(constraints), tuple(bounds))
-    )
+    bounds = tuple([(_ZERO, None)] * nq + [(None, None)])
+    objective = tuple([_ZERO] * nq + [_ONE])
+    outcome = solve_lp(LinearProgram(nq + 1, objective, tuple(constraints), bounds))
     if outcome.status is not LpStatus.OPTIMAL or outcome.objective_value <= 0:
         return False, None, None
     padded = [_ZERO] * opp_count
     for y in keep:
         padded[y] = outcome.assignment[col[y]]
-    if joint:
-        u = outcome.assignment[u_col]
-    else:
-        u = sum(
-            (_payoff(game, player, base, y) * padded[y] for y in keep if padded[y]),
-            _ZERO,
-        )
+    u = sum((_payoff(game, player, base, y) * padded[y] for y in keep if padded[y]), _ZERO)
     return True, tuple(padded), u
 
 
@@ -509,12 +482,7 @@ def lp2_domain_check(
     With s0 the complement of s1 this decides exactly whether s1 belongs to
     the domain of `x`.
     """
-    if not s1:
-        raise ValueError("s1 must be non-empty")
-    member, padded, _ = _best_response_region(game, player, (x,), tuple(s1), tuple(s0))
-    if not member:
-        return False, None
-    return True, MixedStrategy(_opponent(player), padded)
+    return lp2_joint_domain_check(game, player, (x,), s1, s0)
 
 
 def lp2_joint_domain_check(
@@ -537,23 +505,6 @@ def lp2_joint_domain_check(
     return True, MixedStrategy(_opponent(player), padded)
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def _fp1_cached(game: Game, rows: tuple[int, ...], cols: tuple[int, ...]):
-    all_rows = range(game.m)
-    all_cols = range(game.n)
-    ok_q, q, u1 = _best_response_region(
-        game, 1, rows, cols, tuple(y for y in all_cols if y not in cols)
-    )
-    if not ok_q:
-        return False, None
-    ok_p, p, u2 = _best_response_region(
-        game, 2, cols, rows, tuple(x for x in all_rows if x not in rows)
-    )
-    if not ok_p:
-        return False, None
-    return True, (MixedStrategy(1, p), MixedStrategy(2, q), u1, u2)
-
-
 def fp1_check(
     game: Game, support: SupportPair
 ) -> tuple[bool, tuple[MixedStrategy, MixedStrategy, Fraction, Fraction] | None]:
@@ -565,11 +516,24 @@ def fp1_check(
     earn no more, and every support probability is at least a maximized
     positive epsilon.  The program splits into two independent one-sided
     checks (the p-block and q-block share only epsilon), so each side is
-    solved separately and the verdict is their conjunction.
+    solved separately and the verdict is their conjunction.  Each side is
+    one best-response-region program; the common payoffs u1 and u2 are read
+    off the solved witnesses.
 
     Returns (is_equilibrium, witness) with the witness padded by zeros at
     out-of-support indices.
     """
-    if support.rows[-1] >= game.m or support.cols[-1] >= game.n:
+    rows, cols = support.rows, support.cols
+    if rows[-1] >= game.m or cols[-1] >= game.n:
         raise ValueError("support indices out of range for this game")
-    return _fp1_cached(game, support.rows, support.cols)
+    ok_q, q, u1 = _best_response_region(
+        game, 1, rows, cols, tuple(y for y in range(game.n) if y not in cols)
+    )
+    if not ok_q:
+        return False, None
+    ok_p, p, u2 = _best_response_region(
+        game, 2, cols, rows, tuple(x for x in range(game.m) if x not in rows)
+    )
+    if not ok_p:
+        return False, None
+    return True, (MixedStrategy(1, p), MixedStrategy(2, q), u1, u2)

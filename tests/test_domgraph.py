@@ -61,23 +61,17 @@ class TestComputeRelevancy:
     def test_mp_certified_full(self, mp):
         row = compute_relevancy(mp, 1, 0)
         assert row.members == (0, 1)
-        assert row.complete == "certified"
         # Only the first column is certified by the one-sided test; the other
         # arrives through witness harvesting or the phase-2 probe.
         assert row.mod_lp1_members == (0,)
 
     def test_single_strategy_game(self, one_by_one):
         row = compute_relevancy(one_by_one, 1, 0)
-        assert row.members == (0,) and row.complete == "certified"
+        assert row.members == (0,)
 
     def test_dominated_strategy_empty(self, pd):
         row = compute_relevancy(pd, 1, 0)
-        assert row.members == () and row.complete == "certified"
-
-    def test_budget_fallback_assumed(self, mp):
-        row = compute_relevancy(mp, 1, 0, budget=0)
-        assert row.complete == "assumed"
-        assert row.members == (0, 1)
+        assert row.members == ()
 
     def test_union_of_domain_members(self):
         # R(x) equals the union of the domain's members at full caps.
@@ -89,7 +83,6 @@ class TestComputeRelevancy:
                 for entry in compute_domain(g, 1, x, g.n):
                     union.update(entry.support)
                 row = compute_relevancy(g, 1, x)
-                assert row.complete == "certified"
                 assert set(row.members) == union
 
     def test_backing_witnesses(self):

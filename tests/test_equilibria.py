@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,7 +59,6 @@ class TestOracle:
         result = enumerate_by_supports(bos)
         assert result.method == "supports"
         assert result.stats.candidates == 9
-        assert result.stats.fp1_calls == 9
         assert result.stats.feasible == 3
         assert len(result.game_hash) == 16
 
@@ -196,6 +196,37 @@ class TestDegenerateUnbalanced:
         wide = [e for e in oracle.entries if e.support.cols == (0, 1)]
         assert len(wide) == 1
         assert all(p > 0 for p in wide[0].q.probs)
+
+
+def _degenerate_game(m: int, n: int, seed: int) -> Game:
+    """Payoffs in {0, 1, 2}; row 1 duplicates row 0 for both players and one
+    column pays a constant to each player."""
+    rng = random.Random(seed)
+    a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    b = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    a[1], b[1] = list(a[0]), list(b[0])
+    col, ca, cb = rng.randrange(n), rng.randint(0, 2), rng.randint(0, 2)
+    for x in range(m):
+        a[x][col], b[x][col] = ca, cb
+    return Game.from_rows(a, b)
+
+
+class TestDegenerateRoutes:
+    SIZES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4))
+
+    def test_routes_match_oracle_with_exact_witnesses(self):
+        for index, (m, n) in enumerate(self.SIZES * 2):
+            g = _degenerate_game(m, n, 9100 + index)
+            oracle = enumerate_by_supports(g)
+            routes = (oracle, enumerate_by_gr(g), enumerate_by_gi(g, m, n))
+            for result in routes:
+                assert result.support_pairs() == oracle.support_pairs(), (m, n, index)
+                for e in result.entries:
+                    valid, report = verify_equilibrium(g, e.p, e.q)
+                    assert valid, report
+                    assert e.p.support == e.support.rows
+                    assert e.q.support == e.support.cols
+                    assert expected_payoffs(g, e.p, e.q) == (e.u1, e.u2)
 
 
 class TestIndexMapping:
