@@ -52,6 +52,7 @@ from .games import (
 )
 from .lp import (
     Constraint,
+    InfeasibleSides,
     LinearProgram,
     LpOutcome,
     LpStatus,

@@ -70,7 +70,7 @@ def _print_result(result: EquilibriumSet, structured: bool) -> None:
         stats = result.stats
         print(
             f"stats method={result.method} game={result.game_hash} "
-            f"candidates={stats.candidates} feasible={stats.feasible}"
+            f"candidates={stats.candidates} pruned={stats.pruned} feasible={stats.feasible}"
         )
 
 

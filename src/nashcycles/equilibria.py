@@ -31,7 +31,7 @@ from .games import (
     pure_payoff_against,
     write_game,
 )
-from .lp import fp1_check
+from .lp import InfeasibleSides, fp1_check
 
 __all__ = [
     "BudgetExceededError",
@@ -71,7 +71,11 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class PipelineStats:
+    """Candidates checked, candidates rejected without an LP because a
+    recorded infeasible side ruled them out, and equilibria found."""
+
     candidates: int
+    pruned: int
     feasible: int
 
 
@@ -112,13 +116,16 @@ def _run_checks(
     candidates: Sequence[SupportPair],
     method: str,
 ) -> EquilibriumSet:
+    # Candidates arrive smallest-first, so every infeasible side is recorded
+    # before any candidate it rules out is reached.
+    infeasible = InfeasibleSides()
     entries = []
     for sp in candidates:
-        feasible, witness = fp1_check(red.game, sp)
+        feasible, witness = fp1_check(red.game, sp, infeasible)
         if feasible:
             entries.append(_lift(red, original, sp, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(len(candidates), len(entries))
+    stats = PipelineStats(len(candidates), infeasible.pruned, len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
 
 

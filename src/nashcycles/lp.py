@@ -15,7 +15,15 @@ the library asks:
   Domain checks, common-witness arcs and both sides of the support-pair
   feasibility check `fp1_check` are this one program.
 
-Nothing is cached: every call solves its programs afresh.
+`fp1_check` can take an `InfeasibleSides` record, made fresh for one
+game, of the one-sided programs it has already found infeasible.  Each
+side is monotone in its responders: if no q with support exactly C makes
+every row of R a best response, then none does for any R' containing R,
+because each extra responder turns a `<=` row into an `=` row and only
+shrinks the region.  So a candidate (R, C) is rejected without an LP when
+a recorded row set inside R failed against C, or a recorded column set
+inside C failed against R.  This holds on degenerate games too.  Without
+a record, every call solves its programs afresh.
 
 Internally the tableau uses ``gmpy2.mpq`` when available (identical
 semantics to `fractions.Fraction`, several times faster); all public
@@ -51,6 +59,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 __all__ = [
     "Constraint",
+    "InfeasibleSides",
     "LinearProgram",
     "LpOutcome",
     "LpStatus",
@@ -499,14 +508,56 @@ def lp2_joint_domain_check(
         raise ValueError("xs must be non-empty")
     if not s1:
         raise ValueError("s1 must be non-empty")
+    own_count = game.strategy_count(player)
+    opp_count = game.strategy_count(_opponent(player))
+    for x in xs:
+        if not 0 <= x < own_count:
+            raise ValueError(f"strategy index {x} out of range")
+    for y in (*s1, *s0):
+        if not 0 <= y < opp_count:
+            raise ValueError(f"opponent strategy index {y} out of range")
     member, padded, _ = _best_response_region(game, player, tuple(xs), tuple(s1), tuple(s0))
     if not member:
         return False, None
     return True, MixedStrategy(_opponent(player), padded)
 
 
+def _mask(indices: tuple[int, ...]) -> int:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+class InfeasibleSides:
+    """One game's record of infeasible one-sided programs of `fp1_check`.
+
+    `rows_failed[C]` lists the row bitmasks R for which the q-side (every
+    row of R a best response to some q with support exactly C) is
+    infeasible; `cols_failed[R]` does the same for the p-side, with the
+    players swapped.  Both sides are monotone, so any superset of a
+    recorded set is infeasible against the same fixed side.  `pruned`
+    counts the candidates rejected without an LP.
+    """
+
+    __slots__ = ("rows_failed", "cols_failed", "pruned")
+
+    def __init__(self):
+        self.rows_failed: dict[int, list[int]] = {}
+        self.cols_failed: dict[int, list[int]] = {}
+        self.pruned = 0
+
+    def rules_out(self, rows: int, cols: int) -> bool:
+        """True when a recorded side makes the pair (rows, cols) infeasible."""
+        failed_rows = self.rows_failed.get(cols, ())
+        failed_cols = self.cols_failed.get(rows, ())
+        return any(bad & rows == bad for bad in failed_rows) or any(
+            bad & cols == bad for bad in failed_cols
+        )
+
+
 def fp1_check(
-    game: Game, support: SupportPair
+    game: Game, support: SupportPair, infeasible: InfeasibleSides | None = None
 ) -> tuple[bool, tuple[MixedStrategy, MixedStrategy, Fraction, Fraction] | None]:
     """Feasibility check for a support pair.
 
@@ -520,20 +571,33 @@ def fp1_check(
     one best-response-region program; the common payoffs u1 and u2 are read
     off the solved witnesses.
 
+    With an `infeasible` record (one per game), a pair that a recorded side
+    rules out is rejected without an LP, and every side found infeasible is
+    recorded.  The verdict is the same with or without the record.
+
     Returns (is_equilibrium, witness) with the witness padded by zeros at
     out-of-support indices.
     """
     rows, cols = support.rows, support.cols
     if rows[-1] >= game.m or cols[-1] >= game.n:
         raise ValueError("support indices out of range for this game")
+    if infeasible is not None:
+        row_bits, col_bits = _mask(rows), _mask(cols)
+        if infeasible.rules_out(row_bits, col_bits):
+            infeasible.pruned += 1
+            return False, None
     ok_q, q, u1 = _best_response_region(
         game, 1, rows, cols, tuple(y for y in range(game.n) if y not in cols)
     )
     if not ok_q:
+        if infeasible is not None:
+            infeasible.rows_failed.setdefault(col_bits, []).append(row_bits)
         return False, None
     ok_p, p, u2 = _best_response_region(
         game, 2, cols, rows, tuple(x for x in range(game.m) if x not in rows)
     )
     if not ok_p:
+        if infeasible is not None:
+            infeasible.cols_failed.setdefault(row_bits, []).append(col_bits)
         return False, None
     return True, (MixedStrategy(1, p), MixedStrategy(2, q), u1, u2)

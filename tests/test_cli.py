@@ -59,7 +59,7 @@ class TestSolve:
         second = capsys.readouterr().out
         assert first == second
         assert "stats method=supports" in first
-        assert "candidates=9 feasible=3" in first
+        assert "candidates=9 pruned=2 feasible=3" in first
 
     def test_wall_time_on_stderr_only(self, game_file, capsys):
         assert main(["solve", game_file(PD)]) == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from nashcycles.cycles import (
@@ -121,6 +122,24 @@ class TestJohnson:
 
     def test_self_loops_reported(self):
         assert list(elementary_cycles(1, [[0]])) == [[0]]
+
+    def test_matches_networkx_simple_cycles(self):
+        def canonical(cycle):
+            start = cycle.index(min(cycle))
+            return tuple(cycle[start:] + cycle[:start])
+
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            density = rng.choice((0.15, 0.3, 0.5))
+            adj = [sorted(w for w in range(n) if rng.random() < density) for _ in range(n)]
+            digraph = nx.DiGraph()
+            digraph.add_nodes_from(range(n))
+            digraph.add_edges_from((v, w) for v in range(n) for w in adj[v])
+            expected = sorted(canonical(c) for c in nx.simple_cycles(digraph))
+            found = [tuple(c) for c in elementary_cycles(n, adj)]
+            assert len(found) == len(set(found))
+            assert sorted(found) == expected
 
 
 class TestCycleBasis:

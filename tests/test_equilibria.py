@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashcycles.equilibria import (
     BudgetExceededError,
@@ -18,9 +21,12 @@ from nashcycles.equilibria import (
 from nashcycles.games import (
     Game,
     MixedStrategy,
+    SupportPair,
     expected_payoffs,
     generate_random_game,
+    iterated_elimination,
 )
+from nashcycles.lp import InfeasibleSides, fp1_check
 
 F = Fraction
 
@@ -59,6 +65,7 @@ class TestOracle:
         result = enumerate_by_supports(bos)
         assert result.method == "supports"
         assert result.stats.candidates == 9
+        assert result.stats.pruned == 2
         assert result.stats.feasible == 3
         assert len(result.game_hash) == 16
 
@@ -227,6 +234,61 @@ class TestDegenerateRoutes:
                     assert e.p.support == e.support.rows
                     assert e.q.support == e.support.cols
                     assert expected_payoffs(g, e.p, e.q) == (e.u1, e.u2)
+
+
+@st.composite
+def _tied_games(draw) -> Game:
+    """Payoffs in {0, 1, 2}, 1x1 to 4x4, optionally with a duplicated row
+    (for both players) and an all-zero column (for both players)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    cell = st.integers(0, 2)
+    a = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(m)))[:2]
+        a[dst], b[dst] = list(a[src]), list(b[src])
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for x in range(m):
+            a[x][col] = b[x][col] = 0
+    return Game.from_rows(a, b)
+
+
+def _all_pairs(m: int, n: int) -> list[SupportPair]:
+    return [
+        SupportPair(rows, cols)
+        for r in range(1, m + 1)
+        for rows in itertools.combinations(range(m), r)
+        for c in range(1, n + 1)
+        for cols in itertools.combinations(range(n), c)
+    ]
+
+
+class TestPruningSoundness:
+    """The per-game infeasible-side record never changes a verdict: every
+    route equals the unpruned check run on every pair, and a shared record
+    gives the unpruned verdicts in any checking order."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_tied_games(), st.randoms(use_true_random=False))
+    def test_routes_equal_unpruned_brute_force(self, g, rng):
+        red = iterated_elimination(g)
+        rg = red.game
+        pairs = _all_pairs(rg.m, rg.n)
+        plain = {sp: fp1_check(rg, sp) for sp in pairs}
+        brute = sorted(
+            (red.original_rows(sp.rows), red.original_cols(sp.cols))
+            for sp, (ok, _) in plain.items()
+            if ok
+        )
+        for result in (enumerate_by_supports(g), enumerate_by_gr(g), enumerate_by_gi(g, g.m, g.n)):
+            assert _supports(result) == brute, result.method
+
+        rng.shuffle(pairs)
+        record = InfeasibleSides()
+        for sp in pairs:
+            assert fp1_check(rg, sp, record) == plain[sp], sp
 
 
 class TestIndexMapping:

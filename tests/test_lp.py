@@ -261,6 +261,16 @@ class TestLp2:
         with pytest.raises(ValueError):
             lp2_domain_check(mp, 1, 0, (0,), (0,))
 
+    def test_out_of_range_indices_named(self, mp):
+        with pytest.raises(ValueError, match="opponent strategy index 5"):
+            lp2_domain_check(mp, 1, 0, (5,), ())
+        with pytest.raises(ValueError, match="opponent strategy index 3"):
+            lp2_domain_check(mp, 2, 0, (0,), (3,))
+        with pytest.raises(ValueError, match="strategy index 7"):
+            lp2_domain_check(mp, 1, 7, (0,), ())
+        with pytest.raises(ValueError, match="strategy index -1"):
+            lp2_joint_domain_check(mp, 2, (0, -1), (0,), ())
+
 
 class TestJointLp2:
     def test_mp_rows_share_witness(self, mp):
