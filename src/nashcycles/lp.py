@@ -25,37 +25,28 @@ a recorded row set inside R failed against C, or a recorded column set
 inside C failed against R.  This holds on degenerate games too.  Without
 a record, every call solves its programs afresh.
 
-Internally the tableau uses ``gmpy2.mpq`` when available (identical
-semantics to `fractions.Fraction`, several times faster); all public
-inputs and outputs are `Fraction`.
+The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
+pivoting of Avis's ``lrs``).  After the variable substitutions, every
+constraint row and rhs is multiplied by one common scale per LP, the lcm of
+their denominators, and the phase-2 costs by their own; one scale per row
+would reweight the phase-1 sum of artificials.  The solver keeps integer
+rows T and one denominator det > 0, so that T / det is the rational
+tableau.  A pivot on p = T[r][c] replaces every other row by
+(row * p - row[c] * T[r]) / det, an exact division because every entry is
+a minor of the scaled input, and then sets det = p.  Bland's rule reads
+signs and compares ratios by cross-multiplying, so every pivot is the one
+the rational tableau would choose.  Public inputs and outputs are
+`Fraction` (ints are accepted).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import Game, MixedStrategy, SupportPair
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    # gmpy2's direct Fraction<->mpq conversion paths misdetect Fractions in
-    # some call sequences (SystemError); integer construction is reliable.
-    def _rat(value) -> "_mpq":
-        if isinstance(value, int):
-            return _mpq(value)
-        return _mpq(value.numerator, value.denominator)
-
-    def _to_fraction(value) -> Fraction:
-        return Fraction(int(value.numerator), int(value.denominator))
-
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _rat = Fraction
-
-    def _to_fraction(value) -> Fraction:
-        return value
 
 __all__ = [
     "Constraint",
@@ -137,9 +128,10 @@ class LpOutcome:
 # Simplex core
 # ---------------------------------------------------------------------------
 
-def _run_simplex(rows, row0, basis):
-    """Bland-rule simplex on a tableau with reduced costs in `row0` and the
-    rhs stored in each row's last cell.  Returns "optimal" or "unbounded"."""
+def _run_simplex(rows, row0, basis, det):
+    """Bland-rule simplex on an integer tableau with reduced costs in `row0`
+    and the rhs stored in each row's last cell, all over the denominator
+    `det`.  Returns ("optimal" or "unbounded", the final denominator)."""
     width = len(row0) - 1
     while True:
         enter = -1
@@ -148,40 +140,48 @@ def _run_simplex(rows, row0, basis):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", det
         leave = -1
-        best_ratio = None
         for i, row in enumerate(rows):
             coef = row[enter]
             if coef > 0:
-                ratio = row[-1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                # Compare row[-1] / coef with the best ratio by cross-multiplying.
+                diff = -1 if leave < 0 else row[-1] * best_coef - best_rhs * coef
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    best_rhs, best_coef = row[-1], coef
                     leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(rows, row0, basis, leave, enter)
+            return "unbounded", det
+        det = _pivot(rows, row0, basis, det, leave, enter)
 
 
-def _pivot(rows, row0, basis, r, c):
+def _pivot(rows, row0, basis, det, r, c):
+    """Fraction-free pivot on rows[r][c]; returns the new denominator.
+
+    Every other row becomes (row * p - row[c] * pivot row) / det, which is
+    exact because each entry is a minor of the scaled input.  A negative
+    pivot row is negated first, which leaves its rational value unchanged
+    and keeps the denominator positive."""
     prow = rows[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = 1 / piv
-        rows[r] = prow = [v * inv for v in prow]
+    p = prow[c]
+    if p < 0:
+        rows[r] = prow = [-v for v in prow]
+        p = -p
     for i, row in enumerate(rows):
         if i != r:
-            f = row[c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
-    f = row0[c]
-    if f:
-        row0[:] = [a - f * b for a, b in zip(row0, prow)]
+            rows[i] = _eliminate(row, prow, p, det, c)
+    row0[:] = _eliminate(row0, prow, p, det, c)
     basis[r] = c
+    return p
+
+
+def _eliminate(row, prow, p, det, c):
+    f = row[c]
+    if f:
+        return [(a * p - f * b) // det for a, b in zip(row, prow)]
+    if p != det:
+        return [a * p // det for a in row]
+    return row
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -191,54 +191,53 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     rational equality and attains the reported objective value.
     """
     bounds = lp.effective_bounds()
-    zero = _rat(0)
-    one = _rat(1)
 
-    # Substitute variables so every tableau column is >= 0.
+    # Substitute x = offset + sum of sign * column, with every column >= 0.
     var_map: list[tuple] = []
     upper_rows: list[tuple[int, Fraction]] = []
     ncols = 0
     for lo, hi in bounds:
         if lo is not None:
-            var_map.append(("shift", _rat(lo), ncols))
+            var_map.append((lo, ((ncols, 1),)))
             if hi is not None:
-                upper_rows.append((ncols, _rat(hi) - _rat(lo)))
+                upper_rows.append((ncols, hi - lo))
             ncols += 1
         elif hi is not None:
-            var_map.append(("negshift", _rat(hi), ncols))
+            var_map.append((hi, ((ncols, -1),)))
             ncols += 1
         else:
-            var_map.append(("free", ncols, ncols + 1))
+            var_map.append((0, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
 
-    raw_rows: list[tuple[list, str, object]] = []
+    raw_rows: list[tuple[dict, str, object]] = []
     for con in lp.constraints:
-        row = [zero] * ncols
-        rhs = _rat(con.rhs)
-        for j, coef in enumerate(con.coeffs):
-            if not coef:
-                continue
-            coef = _rat(coef)
-            kind = var_map[j]
-            if kind[0] == "shift":
-                row[kind[2]] += coef
-                rhs -= coef * kind[1]
-            elif kind[0] == "negshift":
-                row[kind[2]] -= coef
-                rhs -= coef * kind[1]
-            else:
-                row[kind[1]] += coef
-                row[kind[2]] -= coef
-        raw_rows.append((row, con.relation, rhs))
+        terms = {}
+        rhs = con.rhs
+        for coef, (offset, cols) in zip(con.coeffs, var_map):
+            if coef:
+                if offset:
+                    rhs -= coef * offset
+                for col, sign in cols:
+                    terms[col] = coef if sign > 0 else -coef
+        raw_rows.append((terms, con.relation, rhs))
     for col, cap in upper_rows:
-        row = [zero] * ncols
-        row[col] = one
-        raw_rows.append((row, "<=", _rat(cap)))
+        raw_rows.append(({col: _ONE}, "<=", cap))
 
-    for idx, (row, rel, rhs) in enumerate(raw_rows):
+    # One common scale for the whole LP (not one per row, which would
+    # reweight the phase-1 sum of artificials) makes every row integral.
+    scale = math.lcm(
+        *(v.denominator for terms, _, rhs in raw_rows for v in (rhs, *terms.values()))
+    )
+    for idx, (terms, rel, rhs) in enumerate(raw_rows):
+        sign = 1
         if rhs < 0:
-            flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            raw_rows[idx] = ([-v for v in row], flipped, -rhs)
+            sign = -1
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        raw_rows[idx] = (
+            {col: sign * v.numerator * (scale // v.denominator) for col, v in terms.items()},
+            rel,
+            sign * rhs.numerator * (scale // rhs.denominator),
+        )
 
     nslack = sum(1 for _, rel, _ in raw_rows if rel != "=")
     nart = sum(1 for _, rel, _ in raw_rows if rel != "<=")
@@ -246,42 +245,41 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     art_start = ncols + nslack
     width = art_start + nart
 
-    rows: list[list] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     slack_at = slack_start
     art_at = art_start
-    for row, rel, rhs in raw_rows:
-        full = row + [zero] * (width - ncols) + [rhs]
+    for terms, rel, rhs in raw_rows:
+        full = [0] * (width + 1)
+        for col, v in terms.items():
+            full[col] = v
+        full[-1] = rhs
         if rel == "<=":
-            full[slack_at] = one
+            full[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         elif rel == ">=":
-            full[slack_at] = -one
+            full[slack_at] = -1
             slack_at += 1
-            full[art_at] = one
+            full[art_at] = 1
             basis.append(art_at)
             art_at += 1
         else:
-            full[art_at] = one
+            full[art_at] = 1
             basis.append(art_at)
             art_at += 1
         rows.append(full)
 
+    # The rational tableau is rows / det; the initial basis is a unit matrix.
+    det = 1
     # Phase 1: maximize minus the sum of artificials.
     if nart:
-        row0 = [zero] * (width + 1)
+        row0 = [0] * (width + 1)
         for i, b in enumerate(basis):
             if b >= art_start:
-                row = rows[i]
-                for j in range(ncols):
-                    if row[j]:
-                        row0[j] -= row[j]
-                for j in range(slack_start, art_start):
-                    if row[j]:
-                        row0[j] -= row[j]
-                row0[-1] -= row[-1]
-        _run_simplex(rows, row0, basis)
+                row0 = [a - v for a, v in zip(row0, rows[i])]
+        row0[art_start:width] = [0] * nart
+        _, det = _run_simplex(rows, row0, basis, det)
         if row0[-1] < 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         # Pivot surviving artificials (at level zero) out of the basis.
@@ -293,48 +291,37 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
                         target = j
                         break
                 if target >= 0:
-                    _pivot(rows, row0, basis, i, target)
+                    det = _pivot(rows, row0, basis, det, i, target)
                 else:
                     del rows[i]
                     del basis[i]
         rows = [row[:art_start] + [row[-1]] for row in rows]
         width = art_start
 
-    # Phase 2: reduced costs for the real objective over the current basis.
-    cost = [zero] * width
-    for j, coef in enumerate(lp.objective):
-        if not coef:
-            continue
-        coef = _rat(coef)
-        kind = var_map[j]
-        if kind[0] == "shift":
-            cost[kind[2]] += coef
-        elif kind[0] == "negshift":
-            cost[kind[2]] -= coef
-        else:
-            cost[kind[1]] += coef
-            cost[kind[2]] -= coef
-    row0 = [-c for c in cost] + [zero]
+    # Phase 2: reduced costs for the real objective, scaled by its own common
+    # denominator, over the current basis and denominator.
+    cost = [0] * width
+    cost_scale = math.lcm(*(coef.denominator for coef in lp.objective))
+    for coef, (_, cols) in zip(lp.objective, var_map):
+        if coef:
+            for col, sign in cols:
+                cost[col] = sign * coef.numerator * (cost_scale // coef.denominator)
+    row0 = [-c * det for c in cost] + [0]
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
-            row = rows[i]
-            row0[:] = [a + cb * v for a, v in zip(row0, row)]
-    if _run_simplex(rows, row0, basis) == "unbounded":
+            row0 = [a + cb * v for a, v in zip(row0, rows[i])]
+    status, det = _run_simplex(rows, row0, basis, det)
+    if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    values = [zero] * width
+    values = [0] * width
     for i, b in enumerate(basis):
         values[b] = rows[i][-1]
     assignment = []
-    for j in range(lp.num_vars):
-        kind = var_map[j]
-        if kind[0] == "shift":
-            assignment.append(_to_fraction(kind[1] + values[kind[2]]))
-        elif kind[0] == "negshift":
-            assignment.append(_to_fraction(kind[1] - values[kind[2]]))
-        else:
-            assignment.append(_to_fraction(values[kind[1]] - values[kind[2]]))
+    for offset, cols in var_map:
+        value = Fraction(sum(sign * values[col] for col, sign in cols), det)
+        assignment.append(value + offset if offset else value)
     objective_value = sum(
         (c * v for c, v in zip(lp.objective, assignment) if c), _ZERO
     )

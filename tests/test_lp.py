@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashcycles.games import (
     Game,
@@ -16,6 +18,7 @@ from nashcycles.games import (
     is_best_response,
 )
 from nashcycles.lp import (
+    RELATIONS,
     Constraint,
     LinearProgram,
     LpStatus,
@@ -30,24 +33,23 @@ from nashcycles.lp import (
 F = Fraction
 
 
+def _feasible(lp: LinearProgram, x) -> bool:
+    for con in lp.constraints:
+        lhs = sum((c * v for c, v in zip(con.coeffs, x)), F(0))
+        if not {"<=": lhs <= con.rhs, "=": lhs == con.rhs, ">=": lhs >= con.rhs}[con.relation]:
+            return False
+    return all(
+        (lo is None or v >= lo) and (hi is None or v <= hi)
+        for v, (lo, hi) in zip(x, lp.effective_bounds())
+    )
+
+
 def _check_assignment(lp: LinearProgram, outcome):
     assert outcome.status is LpStatus.OPTIMAL
     x = outcome.assignment
     value = sum((c * v for c, v in zip(lp.objective, x)), F(0))
     assert value == outcome.objective_value
-    for con in lp.constraints:
-        lhs = sum((c * v for c, v in zip(con.coeffs, x)), F(0))
-        if con.relation == "<=":
-            assert lhs <= con.rhs
-        elif con.relation == ">=":
-            assert lhs >= con.rhs
-        else:
-            assert lhs == con.rhs
-    for v, (lo, hi) in zip(x, lp.effective_bounds()):
-        if lo is not None:
-            assert v >= lo
-        if hi is not None:
-            assert v <= hi
+    assert _feasible(lp, x), x
 
 
 class TestSolveLp:
@@ -161,6 +163,135 @@ class TestSolveLp:
             )
             out = solve_lp(lp)
             _check_assignment(lp, out)
+
+
+class TestSignSensitivePaths:
+    """The pivots whose sign handling matters, reached directly."""
+
+    def test_duplicated_equality_row_deleted_after_phase_one(self):
+        # Both copies of x/2 + y = 2 get an artificial; after phase 1 the
+        # second one sits on an all-zero row and is deleted.
+        row = Constraint((F(1, 2), F(1)), "=", F(2))
+        lp = LinearProgram(2, (F(1), F(-1)), (row, row), ((F(0), None), (F(1), None)))
+        out = solve_lp(lp)
+        _check_assignment(lp, out)
+        assert out.assignment == (F(2), F(1))
+        assert out.objective_value == 1
+
+    def test_negative_rhs_flips_both_relations(self):
+        # -x - y >= -5/2 becomes x + y <= 5/2; -x <= -1 becomes x >= 1.
+        lp = LinearProgram(
+            2,
+            (F(-1), F(1)),
+            (
+                Constraint((F(-1), F(-1)), ">=", F(-5, 2)),
+                Constraint((F(-1), F(0)), "<=", F(-1)),
+            ),
+        )
+        out = solve_lp(lp)
+        _check_assignment(lp, out)
+        assert out.assignment == (F(1), F(3, 2))
+        assert out.objective_value == F(1, 2)
+
+    def test_artificial_pivoted_out_on_negative_entry(self):
+        # The implied row x + y >= 1/2 keeps its artificial at level zero
+        # after phase 1; the only nonzero entry left to pivot it out on is
+        # its surplus column, which is negative.  Phase 2 then moves on.
+        lp = LinearProgram(
+            2,
+            (F(-1), F(1)),
+            (
+                Constraint((F(2), F(2)), "=", F(1)),
+                Constraint((F(1), F(1)), ">=", F(1, 2)),
+            ),
+        )
+        out = solve_lp(lp)
+        _check_assignment(lp, out)
+        assert out.assignment == (F(0), F(1, 2))
+        assert out.objective_value == F(1, 2)
+
+
+_BOX = 4
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _boxed_lps(draw) -> LinearProgram:
+    """1-3 variables, 1-4 constraints with every relation, mixed-sign
+    rational data, and every kind of bound.  A variable that its bounds do
+    not box is boxed by extra (integer) constraints, so the LP is bounded."""
+    nvars = draw(st.integers(1, 3))
+    row = st.tuples(*[_fractions] * nvars)
+    constraints = [
+        Constraint(draw(row), draw(st.sampled_from(RELATIONS)), draw(_fractions))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    bounds = []
+    for j in range(nvars):
+        unit = tuple(int(k == j) for k in range(nvars))
+        minus = tuple(-v for v in unit)
+        kind = draw(st.sampled_from(("lower", "box", "upper", "free")))
+        edge = draw(_fractions.filter(bool))
+        if kind == "lower":
+            bounds.append((edge, None))
+            constraints.append(Constraint(unit, "<=", edge + _BOX))
+        elif kind == "box":
+            bounds.append((edge, edge + draw(st.integers(0, _BOX))))
+        elif kind == "upper":
+            bounds.append((None, edge))
+            constraints.append(Constraint(unit, ">=", edge - _BOX))
+        else:
+            bounds.append((None, None))
+            constraints.append(Constraint(unit, "<=", _BOX))
+            constraints.append(Constraint(minus, "<=", _BOX))
+    return LinearProgram(nvars, draw(row), tuple(constraints), tuple(bounds))
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square system, or None when it is singular."""
+    n = len(rows)
+    m = [list(map(F, r)) + [F(b)] for r, b in zip(rows, rhs)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _best_vertex_value(lp: LinearProgram):
+    """Brute force: the best objective over every feasible vertex, i.e. every
+    feasible point where some num_vars constraints or bounds are tight and
+    independent; None when there is no feasible vertex."""
+    planes = [(con.coeffs, con.rhs) for con in lp.constraints]
+    for j, (lo, hi) in enumerate(lp.effective_bounds()):
+        unit = tuple(int(k == j) for k in range(lp.num_vars))
+        planes += [(unit, edge) for edge in (lo, hi) if edge is not None]
+    best = None
+    for tight in itertools.combinations(planes, lp.num_vars):
+        x = _solve_square([c for c, _ in tight], [b for _, b in tight])
+        if x is None or not _feasible(lp, x):
+            continue
+        value = sum((c * v for c, v in zip(lp.objective, x)), F(0))
+        best = value if best is None else max(best, value)
+    return best
+
+
+class TestSolveLpAgainstVertices:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_boxed_lps())
+    def test_matches_vertex_enumeration(self, lp):
+        best = _best_vertex_value(lp)
+        out = solve_lp(lp)
+        if best is None:
+            assert out.status is LpStatus.INFEASIBLE
+        else:
+            _check_assignment(lp, out)
+            assert out.objective_value == best
 
 
 class TestLp1Dominance:
