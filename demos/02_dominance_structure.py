@@ -34,10 +34,10 @@ for entry in compute_domain(mp, 1, 0, 2):
 print(f"PD domain of row 1: {compute_domain(pd, 1, 0, 2)}  (empty: dominated)")
 print()
 
-# The relevancy set R(x) is the union of the domain's members; computing it
-# needs far fewer programs than the full domain.
+# The relevancy set R(x) is the union of the domain's members.  One program
+# computes it: its optimum is a best-response witness whose support is R(x).
 row = compute_relevancy(mp, 1, 0)
-print(f"MP R(row 1) = {row.members}")
+print(f"MP R(row 1) = {row.members} via witness {row.witnesses[0].probs}")
 print()
 
 # Three graphs.  The strategy-level graph connects x -> y when y is

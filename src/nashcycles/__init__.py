@@ -60,6 +60,7 @@ from .lp import (
     lp1_dominance,
     lp2_domain_check,
     lp2_joint_domain_check,
+    lp3_relevancy,
     mod_lp1_relevancy,
     solve_lp,
 )

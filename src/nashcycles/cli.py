@@ -12,6 +12,7 @@ byte-identical stdout across runs; wall-clock timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -232,7 +233,10 @@ def _cmd_check(args) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and reused: the parser holds no game data, and
+    # each parse_args call returns a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="nashcycles",
         description="Enumerate Nash-equilibrium support pairs of bimatrix games "

@@ -2,7 +2,10 @@
 digraphs built from them.
 
 The strategy-level graph has one singleton vertex per pure strategy and an
-arc x -> y whenever y belongs to the relevancy set R(x).  The subset-level
+arc x -> y whenever y belongs to the relevancy set R(x).  Each R(x) costs
+one program: the opponent strategies to which x responds best form a
+convex cone, closed under sums, so one cone point has the largest support,
+and that support is R(x) (see `lp3_relevancy`).  The subset-level
 graphs have one vertex per strategy subset up to a size cap; an arc from s
 to t certifies a single opponent mixed strategy with support exactly t to
 which every strategy in s is simultaneously a best response.  The capped
@@ -15,7 +18,10 @@ import itertools
 from dataclasses import dataclass
 
 from .games import Game, MixedStrategy
-from .lp import lp1_dominance, lp2_domain_check, lp2_joint_domain_check, mod_lp1_relevancy
+from .lp import lp2_domain_check, lp2_joint_domain_check, lp3_relevancy
+
+# Unused here, but bench/tracing.py wraps these names in this namespace.
+from .lp import lp1_dominance, mod_lp1_relevancy
 
 __all__ = [
     "BipartiteDigraph",
@@ -175,16 +181,11 @@ def compute_domain_table(game: Game, player: int, l: int) -> dict[int, tuple[Dom
 
 @dataclass(frozen=True)
 class RelevancyRow:
-    """The relevancy set of one strategy.
-
-    Every member is backed either by a one-sided dominance certificate
-    (`mod_lp1_members`) or by some harvested best-response witness whose
-    support contains it.
-    """
+    """The relevancy set of one strategy, with one best-response witness
+    whose support is exactly `members` (no witness when it is empty)."""
 
     strategy: int
     members: tuple[int, ...]
-    mod_lp1_members: tuple[int, ...] = ()
     witnesses: tuple[MixedStrategy, ...] = ()
 
 
@@ -192,35 +193,16 @@ def compute_relevancy(game: Game, player: int, x: int) -> RelevancyRow:
     """Compute R(x): the opponent pure strategies appearing in the support
     of some mixed strategy to which `x` is a best response.
 
-    Phase 1 runs the one-sided certificate per opponent strategy and
-    harvests the dominance-test witness.  Phase 2 settles each remaining
-    candidate y with a single positive-probability probe, so a row costs
-    at most 1 + 2n programs.
+    One max-support program settles the whole row.  Best-response
+    witnesses, unnormalized, form a cone closed under sums, so the union of
+    their supports is itself the support of one witness; the program's
+    optimum is such a witness.  R(x) is empty exactly when `x` is strictly
+    dominated.
     """
-    opp_count = game.strategy_count(2 if player == 1 else 1)
-
-    dominated, lp1_witness = lp1_dominance(game, player, x)
-    if dominated:
+    witness = lp3_relevancy(game, player, x)
+    if witness is None:
         return RelevancyRow(x, ())
-
-    members: set[int] = set(lp1_witness.support)
-    witnesses = [lp1_witness]
-    certified = []
-    for y in range(opp_count):
-        if mod_lp1_relevancy(game, player, x, y):
-            certified.append(y)
-            members.add(y)
-
-    for y in range(opp_count):
-        if y in members:
-            continue
-        member, witness = lp2_domain_check(game, player, x, (y,), ())
-        if member:
-            members.add(y)
-            members.update(witness.support)
-            witnesses.append(witness)
-
-    return RelevancyRow(x, tuple(sorted(members)), tuple(certified), tuple(witnesses))
+    return RelevancyRow(x, witness.support, (witness,))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,15 @@ def _all_support_pairs(m: int, n: int) -> Iterable[SupportPair]:
                     yield SupportPair(rows, cols)
 
 
+def _support_space(m: int, n: int, budget: int) -> list[SupportPair]:
+    """Every support pair, unless their (2^m - 1)(2^n - 1) count exceeds
+    `budget`."""
+    total = ((1 << m) - 1) * ((1 << n) - 1)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    return list(_all_support_pairs(m, n))
+
+
 def _collect_tree_candidates(graph, trees, budget: int) -> list[SupportPair]:
     seen: set[SupportPair] = set()
     for tree in trees:
@@ -161,22 +170,26 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     elimination) exceeds `budget`.
     """
     red = iterated_elimination(game)
-    m, n = red.game.m, red.game.n
-    total = ((1 << m) - 1) * ((1 << n) - 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    return _run_checks(game, red, list(_all_support_pairs(m, n)), "supports")
+    return _run_checks(game, red, _support_space(red.game.m, red.game.n, budget), "supports")
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Strategy-graph pipeline: cycle basis of the relevancy graph, support
-    trees, one feasibility check per distinct candidate support pair."""
+    trees, one feasibility check per distinct candidate support pair.
+
+    A complete relevancy graph cannot prune: its basis and trees yield every
+    support pair, so the candidates are then taken directly from the full
+    support space, in the same order.
+    """
     red = iterated_elimination(game)
     rg = red.game
     graph = build_gr(rg)
-    basis = cycle_basis(graph)
-    trees = enumerate_support_trees(graph, basis, "gr", (rg.m, rg.n))
-    candidates = _collect_tree_candidates(graph, trees, budget)
+    if graph.arc_count() == 2 * rg.m * rg.n:
+        candidates = sorted(_support_space(rg.m, rg.n, budget), key=SupportPair.sort_key)
+    else:
+        basis = cycle_basis(graph)
+        trees = enumerate_support_trees(graph, basis, "gr", (rg.m, rg.n))
+        candidates = _collect_tree_candidates(graph, trees, budget)
     return _run_checks(game, red, candidates, "gr")
 
 

@@ -371,35 +371,35 @@ def iterated_elimination(game: Game) -> ReducedGame:
     """Remove strictly dominated strategies (allowing domination by mixed
     strategies) until a fixed point.
 
-    The removal order alternates players, lowest index first; strict
-    domination is path-independent, so the surviving index sets do not
-    depend on this schedule.  A player always keeps at least one strategy.
+    Every strategy is tested once; a survivor keeps the support (in original
+    indices) of the opponent strategy its test found it a best response to,
+    and is tested again only when a strategy in that support is removed.
+    Any other removal leaves the witness valid: dropping a rival of its own
+    only drops a constraint, and an opponent strategy outside the support
+    was never used.  Strict domination is path-independent, so the
+    surviving index sets do not depend on this schedule.  A player always
+    keeps at least one strategy.
     """
     from .lp import lp1_dominance  # deferred: lp builds on the game types
 
-    rows = list(range(game.m))
-    cols = list(range(game.n))
+    kept = {1: list(range(game.m)), 2: list(range(game.n))}
+    witness_support: dict[int, dict[int, frozenset[int]]] = {1: {}, 2: {}}
+    stale = {1: list(kept[1]), 2: list(kept[2])}
     current = game
-    changed = True
-    while changed:
-        changed = False
+    while stale[1] or stale[2]:
         for player in (1, 2):
-            while True:
-                count = current.strategy_count(player)
-                if count == 1:
-                    break
-                victim = None
-                for x in range(count):
-                    dominated, _ = lp1_dominance(current, player, x)
-                    if dominated:
-                        victim = x
-                        break
-                if victim is None:
-                    break
-                if player == 1:
-                    del rows[victim]
-                else:
-                    del cols[victim]
-                current = _subgame(game, rows, cols)
-                changed = True
-    return ReducedGame(current, tuple(rows), tuple(cols))
+            opponent = 2 if player == 1 else 1
+            todo, stale[player] = stale[player], []
+            for s in todo:
+                own, others = kept[player], kept[opponent]
+                dominated, witness = lp1_dominance(current, player, own.index(s))
+                if not dominated:
+                    witness_support[player][s] = frozenset(others[j] for j in witness.support)
+                    continue
+                own.remove(s)
+                current = _subgame(game, kept[1], kept[2])
+                for t, used in list(witness_support[opponent].items()):
+                    if s in used:
+                        del witness_support[opponent][t]
+                        stale[opponent].append(t)
+    return ReducedGame(current, tuple(kept[1]), tuple(kept[2]))

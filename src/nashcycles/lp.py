@@ -2,12 +2,20 @@
 
 `solve_lp` is a two-phase tableau simplex over rationals with Bland's
 anti-cycling pivot rule: deterministic, tolerance-free, and terminating
-on degenerate inputs.  On top of it sit two programs, one per question
+on degenerate inputs.  On top of it sit three programs, one per question
 the library asks:
 
 * the dominance program maximizes a strategy's worst payoff gap over the
   opponent simplex.  It is the strict-dominance test, and with one
   opponent column dropped the one-sided relevancy certificate;
+* the max-support program reads the relevancy set R(x) off one optimum.
+  The opponent strategies q >= 0 (not normalized) to which x responds
+  best form a convex cone, and R(x) is the union of the supports in it.
+  Writing q = t + s with 0 <= t <= 1 and s >= 0 and maximizing the sum of
+  t rewards every coordinate the cone can make positive, and a sum of cone
+  points is a cone point, so every optimum has t = 1 exactly on R(x) and
+  q zero elsewhere (the idea of Freund, Roundy & Todd, 1985, for the
+  always-active constraints of a linear system);
 * the best-response-region program looks for an opponent mixed strategy
   against which every given responder is a best response.  Each rival
   row is a payoff difference with the first responder, so the common
@@ -58,6 +66,7 @@ __all__ = [
     "lp1_dominance",
     "lp2_domain_check",
     "lp2_joint_domain_check",
+    "lp3_relevancy",
     "mod_lp1_relevancy",
     "solve_lp",
 ]
@@ -405,6 +414,44 @@ def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
     keep = [y for y in range(opp_count) if y != y_star]
     outcome = _lp1_program(game, player, x, keep)
     return outcome.status is LpStatus.OPTIMAL and outcome.objective_value < 0
+
+
+def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
+    """Max-support best-response program: an opponent mixed strategy, to
+    which `x` is a best response, whose support is exactly R(x).
+
+    The opponent strategies q >= 0 with (A_other - A_x) . q <= 0 for every
+    rival form a cone C, and R(x) is the union of the supports of its
+    points.  The program writes q = t + s with 0 <= t <= 1 and s >= 0 and
+    maximizes the sum of t.  Since t_y <= q_y, the optimum is at most
+    |R(x)|; adding one cone point per member of R(x), each scaled to put at
+    least 1 on its member, attains it.  So every optimum has t_y = 1 on
+    R(x) and q_y = 0 off it, and q / sum(q) is the witness.  Returns None
+    exactly when C is {0}, which by duality means `x` is strictly dominated.
+    """
+    own_count = game.strategy_count(player)
+    opp_count = game.strategy_count(_opponent(player))
+    if not 0 <= x < own_count:
+        raise ValueError(f"strategy index {x} out of range")
+    # Variables: t over the opponent strategies, then s.
+    constraints = []
+    for other in range(own_count):
+        if other == x:
+            continue
+        diff = tuple(
+            _payoff(game, player, other, y) - _payoff(game, player, x, y) for y in range(opp_count)
+        )
+        constraints.append(Constraint(diff + diff, "<=", _ZERO))
+    bounds = ((_ZERO, _ONE),) * opp_count + ((_ZERO, None),) * opp_count
+    objective = (_ONE,) * opp_count + (_ZERO,) * opp_count
+    outcome = solve_lp(LinearProgram(2 * opp_count, objective, tuple(constraints), bounds))
+    if outcome.status is not LpStatus.OPTIMAL:  # pragma: no cover - q = 0 is feasible, sum t <= n
+        raise RuntimeError(f"max-support program ended {outcome.status}")
+    if outcome.objective_value == 0:
+        return None
+    q = [t + s for t, s in zip(outcome.assignment[:opp_count], outcome.assignment[opp_count:])]
+    total = sum(q)
+    return MixedStrategy(_opponent(player), tuple(v / total for v in q))
 
 
 def _best_response_region(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from nashcycles.games import Game
 
@@ -90,3 +92,35 @@ def brute_force_cycles(n: int, adj: list[list[int]]) -> list[tuple[int, ...]]:
             out.append((s,))
         dfs(s, s, [s], {s})
     return sorted(out)
+
+
+def degenerate_game(m: int, n: int, seed: int) -> Game:
+    """Payoffs in {0, 1, 2}; row 1 duplicates row 0 for both players and one
+    column pays a constant to each player."""
+    rng = random.Random(seed)
+    a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    b = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    a[1], b[1] = list(a[0]), list(b[0])
+    col, ca, cb = rng.randrange(n), rng.randint(0, 2), rng.randint(0, 2)
+    for x in range(m):
+        a[x][col], b[x][col] = ca, cb
+    return Game.from_rows(a, b)
+
+
+@st.composite
+def tied_games(draw) -> Game:
+    """Payoffs in {0, 1, 2}, 1x1 to 4x4, optionally with a duplicated row
+    (for both players) and an all-zero column (for both players)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    cell = st.integers(0, 2)
+    a = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(m)))[:2]
+        a[dst], b[dst] = list(a[src]), list(b[src])
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for x in range(m):
+            a[x][col] = b[x][col] = 0
+    return Game.from_rows(a, b)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+
 from nashcycles.domgraph import (
     BipartiteDigraph,
     build_gd,
@@ -15,8 +17,10 @@ from nashcycles.domgraph import (
     format_graph,
 )
 from nashcycles.games import Game, generate_random_game, is_best_response, iterated_elimination
-from nashcycles.lp import lp2_domain_check
+from nashcycles.lp import lp1_dominance, lp2_domain_check
 from nashcycles.equilibria import enumerate_by_supports
+
+from conftest import tied_games
 
 F = Fraction
 
@@ -61,9 +65,10 @@ class TestComputeRelevancy:
     def test_mp_certified_full(self, mp):
         row = compute_relevancy(mp, 1, 0)
         assert row.members == (0, 1)
-        # Only the first column is certified by the one-sided test; the other
-        # arrives through witness harvesting or the phase-2 probe.
-        assert row.mod_lp1_members == (0,)
+        # One witness certifies the whole row: its support is all of R(x).
+        (witness,) = row.witnesses
+        assert witness.support == (0, 1)
+        assert is_best_response(mp, 1, 0, witness)
 
     def test_single_strategy_game(self, one_by_one):
         row = compute_relevancy(one_by_one, 1, 0)
@@ -91,11 +96,30 @@ class TestComputeRelevancy:
             red = iterated_elimination(g).game
             for x in range(red.m):
                 row = compute_relevancy(red, 1, x)
-                covered = set(row.mod_lp1_members)
-                for witness in row.witnesses:
-                    assert is_best_response(red, 1, x, witness)
-                    covered.update(witness.support)
-                assert set(row.members) <= covered
+                (witness,) = row.witnesses
+                assert is_best_response(red, 1, x, witness)
+                assert witness.support == row.members
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_matches_per_strategy_probes(self, game):
+        # Both the game as drawn and its reduction: R(x) is every y that a
+        # single probe puts in some best-response support, one witness has
+        # exactly that support, and R(x) is empty exactly when x is dominated.
+        for g in (game, iterated_elimination(game).game):
+            for player in (1, 2):
+                opp_count = g.strategy_count(2 if player == 1 else 1)
+                for x in range(g.strategy_count(player)):
+                    row = compute_relevancy(g, player, x)
+                    probed = tuple(
+                        y for y in range(opp_count) if lp2_domain_check(g, player, x, (y,), ())[0]
+                    )
+                    assert row.members == probed
+                    assert len(row.witnesses) == (1 if row.members else 0)
+                    for witness in row.witnesses:
+                        assert is_best_response(g, player, x, witness)
+                        assert witness.support == row.members
+                    assert (row.members == ()) == lp1_dominance(g, player, x)[0]
 
 
 class TestBuildGr:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashcycles.cycles import cycle_basis, enumerate_support_trees
+from nashcycles.domgraph import BipartiteDigraph
 from nashcycles.equilibria import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
+    _all_support_pairs,
+    _collect_tree_candidates,
     eliminable_strategies,
     enumerate_by_gi,
     enumerate_by_gr,
@@ -27,6 +31,8 @@ from nashcycles.games import (
     iterated_elimination,
 )
 from nashcycles.lp import InfeasibleSides, fp1_check
+
+from conftest import degenerate_game, tied_games
 
 F = Fraction
 
@@ -104,6 +110,16 @@ class TestGrPipeline:
     def test_budget_refusal(self, mp):
         with pytest.raises(BudgetExceededError):
             enumerate_by_gr(mp, budget=3)
+
+    def test_complete_graph_trees_are_the_support_space(self):
+        # A complete G_R skips the cycle machinery; that is exact because on
+        # K_{m,n} the basis and trees yield every support pair, in this order.
+        for m in range(1, 7):
+            for n in range(1, 7):
+                graph = BipartiteDigraph.complete(m, n)
+                trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (m, n))
+                expected = sorted(_all_support_pairs(m, n), key=SupportPair.sort_key)
+                assert _collect_tree_candidates(graph, trees, DEFAULT_BUDGET) == expected, (m, n)
 
 
 class TestGiPipeline:
@@ -205,25 +221,12 @@ class TestDegenerateUnbalanced:
         assert all(p > 0 for p in wide[0].q.probs)
 
 
-def _degenerate_game(m: int, n: int, seed: int) -> Game:
-    """Payoffs in {0, 1, 2}; row 1 duplicates row 0 for both players and one
-    column pays a constant to each player."""
-    rng = random.Random(seed)
-    a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
-    b = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
-    a[1], b[1] = list(a[0]), list(b[0])
-    col, ca, cb = rng.randrange(n), rng.randint(0, 2), rng.randint(0, 2)
-    for x in range(m):
-        a[x][col], b[x][col] = ca, cb
-    return Game.from_rows(a, b)
-
-
 class TestDegenerateRoutes:
     SIZES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4))
 
     def test_routes_match_oracle_with_exact_witnesses(self):
         for index, (m, n) in enumerate(self.SIZES * 2):
-            g = _degenerate_game(m, n, 9100 + index)
+            g = degenerate_game(m, n, 9100 + index)
             oracle = enumerate_by_supports(g)
             routes = (oracle, enumerate_by_gr(g), enumerate_by_gi(g, m, n))
             for result in routes:
@@ -234,25 +237,6 @@ class TestDegenerateRoutes:
                     assert e.p.support == e.support.rows
                     assert e.q.support == e.support.cols
                     assert expected_payoffs(g, e.p, e.q) == (e.u1, e.u2)
-
-
-@st.composite
-def _tied_games(draw) -> Game:
-    """Payoffs in {0, 1, 2}, 1x1 to 4x4, optionally with a duplicated row
-    (for both players) and an all-zero column (for both players)."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
-    cell = st.integers(0, 2)
-    a = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
-    b = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
-    if m > 1 and draw(st.booleans()):
-        src, dst = draw(st.permutations(range(m)))[:2]
-        a[dst], b[dst] = list(a[src]), list(b[src])
-    if draw(st.booleans()):
-        col = draw(st.integers(0, n - 1))
-        for x in range(m):
-            a[x][col] = b[x][col] = 0
-    return Game.from_rows(a, b)
 
 
 def _all_pairs(m: int, n: int) -> list[SupportPair]:
@@ -271,7 +255,7 @@ class TestPruningSoundness:
     gives the unpruned verdicts in any checking order."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(_tied_games(), st.randoms(use_true_random=False))
+    @given(tied_games(), st.randoms(use_true_random=False))
     def test_routes_equal_unpruned_brute_force(self, g, rng):
         red = iterated_elimination(g)
         rg = red.game

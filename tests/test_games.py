@@ -20,6 +20,8 @@ from nashcycles.games import (
 )
 from nashcycles.lp import lp1_dominance
 
+from conftest import degenerate_game
+
 F = Fraction
 
 
@@ -245,6 +247,8 @@ class TestIteratedElimination:
         rng = random.Random(17)
         games = [Game.from_rows([[3, 0], [5, 1]], [[3, 5], [0, 1]])]
         games += [generate_random_game(4, 4, 5000 + k) for k in range(4)]
+        sizes = ((3, 3), (4, 3), (4, 4), (5, 5))
+        games += [degenerate_game(*sizes[k % 4], 5100 + k) for k in range(40)]
         for g in games:
             red = iterated_elimination(g)
             expected = (red.row_map, red.col_map)

@@ -26,6 +26,7 @@ from nashcycles.lp import (
     lp1_dominance,
     lp2_domain_check,
     lp2_joint_domain_check,
+    lp3_relevancy,
     mod_lp1_relevancy,
     solve_lp,
 )
@@ -360,6 +361,22 @@ class TestModLp1:
     def test_single_opponent_strategy(self):
         g = Game.from_rows([[1], [0]], [[0], [0]])
         assert mod_lp1_relevancy(g, 1, 0, 0) is True
+
+
+class TestLp3:
+    def test_mixture_dominated_row_has_no_witness(self):
+        g = Game.from_rows(
+            [[4, 0], [0, 4], [1, 1]],
+            [[0, 0], [0, 0], [0, 0]],
+        )
+        assert lp3_relevancy(g, 1, 2) is None
+        witness = lp3_relevancy(g, 1, 0)
+        assert witness.support == (0, 1)
+        assert is_best_response(g, 1, 0, witness)
+
+    def test_out_of_range_index(self, mp):
+        with pytest.raises(ValueError, match="index 2"):
+            lp3_relevancy(mp, 1, 2)
 
 
 class TestLp2:
