@@ -43,14 +43,16 @@ for sp in supports:
     print(f"  rows={sp.rows} cols={sp.cols}")
 print()
 
-# A degenerate game where the equilibrium supports are unbalanced: only a
-# main 3-cycle plus one leaf reaches the support ({1}, {1,2}).
+# A degenerate game where the equilibrium supports are unbalanced: among the
+# trees, only a main 3-cycle plus one leaf reaches the support ({1}, {1,2}).
+# The gr route checks the bicliques of G_R, a subset of the tree supports
+# that still holds every equilibrium support.
 flat = Game.from_rows([[1, 1], [0, 0]], [[1, 1], [0, 0]])
 oracle = enumerate_by_supports(flat)
-via_cycles = enumerate_by_gr(flat)
-print("Degenerate game equilibrium supports (oracle == cycle pipeline):",
-      oracle.support_pairs() == via_cycles.support_pairs())
-for eq in via_cycles.entries:
+via_gr = enumerate_by_gr(flat)
+print("Degenerate game equilibrium supports (oracle == gr route):",
+      oracle.support_pairs() == via_gr.support_pairs())
+for eq in via_gr.entries:
     print(f"  rows={eq.support.rows} cols={eq.support.cols} q={eq.q.probs}")
 print()
 

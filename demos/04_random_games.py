@@ -34,7 +34,7 @@ for seed in range(5):
              == via_gi.support_pairs())
     print(f"seed {seed}: {len(oracle.entries)} equilibria, "
           f"oracle candidates {oracle.stats.candidates}, "
-          f"cycle candidates {via_gr.stats.candidates}, agree={agree}")
+          f"gr candidates {via_gr.stats.candidates}, agree={agree}")
 print()
 
 # Basis statistics in the style of a benchmark table: average class count

@@ -177,6 +177,8 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_stats(args) -> int:
     lo, hi = _parse_sizes(args.sizes)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     structured = args.output == "structured"
     for size in range(lo, hi + 1):
         basis_sizes = []
@@ -259,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cycles.add_argument("--k", type=int, default=None)
     cycles.add_argument("--l", type=int, default=None)
     cycles.add_argument("--dump-graph", action="store_true")
-    cycles.add_argument("--output", choices=("text", "structured"), default="text")
     cycles.set_defaults(func=_cmd_cycles)
 
     stats = sub.add_parser("stats", help="average cycle-basis size over random games")

@@ -1,11 +1,17 @@
 """Equilibrium pipelines.
 
 Three routes to the same set: exhaustive support enumeration (the
-correctness oracle), support trees of the strategy-level dominance graph,
-and support trees of the capped subset-level graph.  Every candidate
+correctness oracle), the bicliques of the strategy-level relevancy graph
+G_R, and support trees of the capped subset-level graph.  Every candidate
 support pair faces the same feasibility check, so the pipelines differ
 only in how they generate candidates; at full caps all three must agree
 exactly.
+
+The `gr` candidates are sound because of what an arc of G_R means.  If
+(p, q) is an equilibrium with supports (R, C), every row x in R is a best
+response to q, whose support is C, so C is a subset of R(x); likewise R is a
+subset of R(y) for every column y in C.  So the arcs of an equilibrium
+support pair run both ways between R and C, and no other pair needs a check.
 
 All results are reported in the coordinates of the game as given:
 pipelines run iterated elimination internally and map supports and
@@ -21,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cycles import CycleClassLimit, cycle_basis, enumerate_support_trees
-from .domgraph import build_gi, build_gr, compute_domain_table
+from .domgraph import BipartiteDigraph, build_gi, build_gr, compute_domain_table
 from .games import (
     Game,
     MixedStrategy,
@@ -138,15 +144,6 @@ def _all_support_pairs(m: int, n: int) -> Iterable[SupportPair]:
                     yield SupportPair(rows, cols)
 
 
-def _support_space(m: int, n: int, budget: int) -> list[SupportPair]:
-    """Every support pair, unless their (2^m - 1)(2^n - 1) count exceeds
-    `budget`."""
-    total = ((1 << m) - 1) * ((1 << n) - 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    return list(_all_support_pairs(m, n))
-
-
 def _collect_tree_candidates(graph, trees, budget: int) -> list[SupportPair]:
     seen: set[SupportPair] = set()
     for tree in trees:
@@ -156,6 +153,41 @@ def _collect_tree_candidates(graph, trees, budget: int) -> list[SupportPair]:
             if len(seen) > budget:
                 raise BudgetExceededError(len(seen), budget)
     return sorted(seen, key=SupportPair.sort_key)
+
+
+def _bicliques(graph: BipartiteDigraph, budget: int = DEFAULT_BUDGET) -> list[SupportPair]:
+    """Every support pair (R, C) of a strategy-level graph with all arcs of
+    R x C and of C x R present, in `SupportPair.sort_key` order.
+
+    Row sets are walked depth-first by increasing index, keeping the columns
+    joined both ways to every row so far; that set only shrinks as R grows,
+    so the walk stops where it empties and every row set it visits yields at
+    least one pair.  Raises BudgetExceededError once more than `budget`
+    pairs are found.
+    """
+    m, n = len(graph.left), len(graph.right)
+    mutual = [
+        sum(1 << y for y in range(n) if graph.adj_lr[x][y] and graph.adj_rl[y][x])
+        for x in range(m)
+    ]
+    pairs: list[SupportPair] = []
+
+    def walk(rows: tuple[int, ...], allowed: int, start: int) -> None:
+        for x in range(start, m):
+            narrowed = allowed & mutual[x]
+            if not narrowed:
+                continue
+            grown = rows + (x,)
+            cols = [y for y in range(n) if narrowed >> y & 1]
+            for size in range(1, len(cols) + 1):
+                for chosen in itertools.combinations(cols, size):
+                    pairs.append(SupportPair(grown, chosen))
+                    if len(pairs) > budget:
+                        raise BudgetExceededError(len(pairs), budget)
+            walk(grown, narrowed, x + 1)
+
+    walk((), (1 << n) - 1, 0)
+    return sorted(pairs, key=SupportPair.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -170,27 +202,25 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     elimination) exceeds `budget`.
     """
     red = iterated_elimination(game)
-    return _run_checks(game, red, _support_space(red.game.m, red.game.n, budget), "supports")
+    m, n = red.game.m, red.game.n
+    total = ((1 << m) - 1) * ((1 << n) - 1)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    return _run_checks(game, red, list(_all_support_pairs(m, n)), "supports")
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
-    """Strategy-graph pipeline: cycle basis of the relevancy graph, support
-    trees, one feasibility check per distinct candidate support pair.
+    """Strategy-graph pipeline: one feasibility check per biclique of the
+    relevancy graph G_R, smallest supports first.
 
-    A complete relevancy graph cannot prune: its basis and trees yield every
-    support pair, so the candidates are then taken directly from the full
-    support space, in the same order.
+    The bicliques are the support pairs (R, C) with C a subset of R(x) for
+    every row x in R and R a subset of R(y) for every column y in C; every
+    equilibrium support pair is one (see the module docstring), and on a
+    complete G_R every support pair is one.  Refuses games with more than
+    `budget` bicliques.
     """
     red = iterated_elimination(game)
-    rg = red.game
-    graph = build_gr(rg)
-    if graph.arc_count() == 2 * rg.m * rg.n:
-        candidates = sorted(_support_space(rg.m, rg.n, budget), key=SupportPair.sort_key)
-    else:
-        basis = cycle_basis(graph)
-        trees = enumerate_support_trees(graph, basis, "gr", (rg.m, rg.n))
-        candidates = _collect_tree_candidates(graph, trees, budget)
-    return _run_checks(game, red, candidates, "gr")
+    return _run_checks(game, red, _bicliques(build_gr(red.game), budget), "gr")
 
 
 def enumerate_by_gi(

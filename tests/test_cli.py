@@ -150,6 +150,13 @@ class TestStats:
     def test_bad_range_exit_2(self, capsys):
         assert main(["stats", "--sizes", "x..y"]) == 2
 
+    def test_non_positive_trials_exit_2(self, capsys):
+        for trials in ("0", "-1"):
+            assert main(["stats", "--sizes", "2..2", "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
 
 class TestGen:
     def test_round_trip(self, tmp_path, capsys):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashcycles.cycles import cycle_basis, enumerate_support_trees
-from nashcycles.domgraph import BipartiteDigraph
+from nashcycles.domgraph import BipartiteDigraph, build_gr
 from nashcycles.equilibria import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     _all_support_pairs,
+    _bicliques,
     _collect_tree_candidates,
     eliminable_strategies,
     enumerate_by_gi,
@@ -112,14 +113,46 @@ class TestGrPipeline:
             enumerate_by_gr(mp, budget=3)
 
     def test_complete_graph_trees_are_the_support_space(self):
-        # A complete G_R skips the cycle machinery; that is exact because on
-        # K_{m,n} the basis and trees yield every support pair, in this order.
+        # On K_{m,n} the basis and trees yield every support pair, and so do
+        # the bicliques the route checks, in the same order.
         for m in range(1, 7):
             for n in range(1, 7):
                 graph = BipartiteDigraph.complete(m, n)
                 trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (m, n))
                 expected = sorted(_all_support_pairs(m, n), key=SupportPair.sort_key)
                 assert _collect_tree_candidates(graph, trees, DEFAULT_BUDGET) == expected, (m, n)
+                assert _bicliques(graph) == expected, (m, n)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_candidates_are_bicliques(self, g):
+        # Oracle pairs <= bicliques <= the paper's support-tree candidates.
+        rg = iterated_elimination(g).game
+        graph = build_gr(rg)
+        brute = [
+            sp
+            for sp in sorted(_all_support_pairs(rg.m, rg.n), key=SupportPair.sort_key)
+            if all(graph.adj_lr[x][y] and graph.adj_rl[y][x] for x in sp.rows for y in sp.cols)
+        ]
+        bicliques = _bicliques(graph)
+        assert bicliques == brute
+        trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (rg.m, rg.n))
+        assert set(bicliques) <= set(_collect_tree_candidates(graph, trees, DEFAULT_BUDGET))
+        assert set(enumerate_by_supports(rg).support_pairs()) <= set(bicliques)
+
+    def test_biclique_walk_is_pruned(self):
+        # Only the mutual arcs i <-> i: a scan of all 2^40 row sets would
+        # never finish.
+        size = 40
+        vertices = tuple(frozenset([i]) for i in range(size))
+        diagonal = tuple(tuple(x == y for y in range(size)) for x in range(size))
+        graph = BipartiteDigraph(vertices, vertices, diagonal, diagonal)
+        assert _bicliques(graph) == [SupportPair((i,), (i,)) for i in range(size)]
+
+    def test_budget_counts_bicliques(self):
+        with pytest.raises(BudgetExceededError) as err:
+            _bicliques(BipartiteDigraph.complete(2, 2), budget=3)
+        assert err.value.candidates == 4
 
 
 class TestGiPipeline:
