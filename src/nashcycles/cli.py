@@ -116,6 +116,8 @@ def _parse_sizes(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     game = _load_game(args.game)
     k, l = _caps(args, game)
     start = time.perf_counter()

@@ -187,20 +187,10 @@ class Cycle:
     def length(self) -> int:
         return len(self.vertices)
 
-    @property
-    def distinct_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices[:-1]))
-
     def sides(self, graph: BipartiteDigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         left = tuple(sorted(v for v in self.vertices[:-1] if graph.side(v) == 1))
         right = tuple(sorted(v for v in self.vertices[:-1] if graph.side(v) == 2))
         return left, right
-
-    def uses_artificial_arc(self, graph: BipartiteDigraph) -> bool:
-        return any(
-            graph.arc_artificial(u, w)
-            for u, w in zip(self.vertices, self.vertices[1:])
-        )
 
 
 def tarjan_scc(graph: BipartiteDigraph) -> list[tuple[int, ...]]:
@@ -388,10 +378,6 @@ class SupportTree:
     @property
     def members(self) -> tuple[CycleBasisEntry, ...]:
         return (self.main, *self.leaves)
-
-    @property
-    def artificial(self) -> bool:
-        return any(e.artificial for e in self.members)
 
     def support_pair(self, graph: BipartiteDigraph) -> SupportPair:
         rows: set[int] = set()

@@ -2,26 +2,27 @@
 
 `solve_lp` is a two-phase tableau simplex over rationals with Bland's
 anti-cycling pivot rule: deterministic, tolerance-free, and terminating
-on degenerate inputs.  On top of it sit three programs, one per question
-the library asks:
+on degenerate inputs.  On top of it sit two programs.  Both work on the
+cone of unnormalized opponent strategies q >= 0 to which given strategies
+are best responses:
 
-* the dominance program maximizes a strategy's worst payoff gap over the
-  opponent simplex.  It is the strict-dominance test, and with one
-  opponent column dropped the one-sided relevancy certificate;
+* the best-response-region program asks whether that cone has a point
+  positive on a given set s1 and zero on a given set s0, against which
+  every given responder is a best response.  Each rival row is a payoff
+  difference with the first responder, so the common payoff is no
+  variable; it is read off the witness after the solve.  The program has
+  no objective, and every "no" is a phase-1 infeasibility.  It is the
+  strict-dominance test (a strategy is strictly dominated exactly when it
+  is never a best response, Pearce 1984), the one-sided relevancy
+  certificate, the domain checks, the common-witness arcs and both sides
+  of the support-pair feasibility check `fp1_check`;
 * the max-support program reads the relevancy set R(x) off one optimum.
-  The opponent strategies q >= 0 (not normalized) to which x responds
-  best form a convex cone, and R(x) is the union of the supports in it.
-  Writing q = t + s with 0 <= t <= 1 and s >= 0 and maximizing the sum of
-  t rewards every coordinate the cone can make positive, and a sum of cone
-  points is a cone point, so every optimum has t = 1 exactly on R(x) and
-  q zero elsewhere (the idea of Freund, Roundy & Todd, 1985, for the
-  always-active constraints of a linear system);
-* the best-response-region program looks for an opponent mixed strategy
-  against which every given responder is a best response.  Each rival
-  row is a payoff difference with the first responder, so the common
-  payoff is no variable; it is read off the witness after the solve.
-  Domain checks, common-witness arcs and both sides of the support-pair
-  feasibility check `fp1_check` are this one program.
+  R(x) is the union of the supports in the cone of x.  Writing q = t + s
+  with 0 <= t <= 1 and s >= 0 and maximizing the sum of t rewards every
+  coordinate the cone can make positive, and a sum of cone points is a
+  cone point, so every optimum has t = 1 exactly on R(x) and q zero
+  elsewhere (the idea of Freund, Roundy & Todd, 1985, for the
+  always-active constraints of a linear system).
 
 `fp1_check` can take an `InfeasibleSides` record, made fresh for one
 game, of the one-sided programs it has already found infeasible.  Each
@@ -349,71 +350,39 @@ def _opponent(player: int) -> int:
     return 2 if player == 1 else 1
 
 
-def _lp1_program(game: Game, player: int, x: int, keep: range | list[int]) -> LpOutcome:
-    """Maximize the worst payoff gap epsilon of `x` over every rival
-    strategy, across opponent mixed strategies supported inside `keep`."""
-    own_count = game.strategy_count(player)
-    nq = len(keep)
-    constraints = []
-    for other in range(own_count):
-        if other == x:
-            continue
-        coeffs = [_payoff(game, player, other, y) - _payoff(game, player, x, y) for y in keep]
-        coeffs.append(_ONE)
-        constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
-    constraints.append(Constraint(tuple([_ONE] * nq + [_ZERO]), "=", _ONE))
-    bounds = tuple([(_ZERO, None)] * nq + [(None, None)])
-    objective = tuple([_ZERO] * nq + [_ONE])
-    return solve_lp(LinearProgram(nq + 1, objective, tuple(constraints), bounds))
-
-
 def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy | None]:
     """Strict-dominance test for one pure strategy.
 
-    Maximizes the worst payoff gap epsilon over the opponent simplex; the
-    strategy is strictly dominated (by a mixed strategy) exactly when the
-    optimum is negative.  When not dominated, returns an opponent mixed
-    strategy to which `x` is a best response.
+    A strategy is strictly dominated by a mixed strategy exactly when it is
+    never a best response (Pearce 1984), so this is the best-response-region
+    program for `x` alone with no support floor: `x` is dominated exactly
+    when that program is infeasible.  When not dominated, returns an
+    opponent mixed strategy to which `x` is a best response.
     """
     own_count = game.strategy_count(player)
-    opp_count = game.strategy_count(_opponent(player))
     if not 0 <= x < own_count:
         raise ValueError(f"strategy index {x} out of range")
-    if own_count == 1:
-        # No rival strategies: a lone strategy is never dominated.
-        return False, MixedStrategy.uniform(_opponent(player), opp_count)
-
-    outcome = _lp1_program(game, player, x, range(opp_count))
-    if outcome.status is not LpStatus.OPTIMAL:  # pragma: no cover - always bounded
-        raise RuntimeError(f"dominance program ended {outcome.status}")
-    if outcome.objective_value < 0:
+    member, padded, _ = _best_response_region(game, player, (x,), (), ())
+    if not member:
         return True, None
-    witness = MixedStrategy(_opponent(player), outcome.assignment[:opp_count])
-    return False, witness
+    return False, MixedStrategy(_opponent(player), padded)
 
 
 def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
     """One-sided relevancy certificate: True means y_star is certainly in
     R(x); False is inconclusive.
 
-    Re-runs the dominance program with the opponent forbidden from playing
-    `y_star`.  If `x` (not dominated in the full game) becomes dominated,
-    the only explanation is that every best-response witness needs
-    `y_star` in its support.
+    Asks the dominance question with the opponent forbidden from playing
+    `y_star`.  If `x` (not dominated in the full game) is then never a
+    best response, every best-response witness needs `y_star` in its
+    support.  With `y_star` the only opponent strategy, nothing is left to
+    respond to and the answer is True.
     """
-    own_count = game.strategy_count(player)
     opp_count = game.strategy_count(_opponent(player))
     if not 0 <= y_star < opp_count:
         raise ValueError(f"opponent strategy index {y_star} out of range")
-    if opp_count == 1:
-        # Forbidding the only opponent strategy empties the simplex.
-        return True
-    if own_count == 1:
-        return False
-
-    keep = [y for y in range(opp_count) if y != y_star]
-    outcome = _lp1_program(game, player, x, keep)
-    return outcome.status is LpStatus.OPTIMAL and outcome.objective_value < 0
+    member, _, _ = _best_response_region(game, player, (x,), (), (y_star,))
+    return not member
 
 
 def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
@@ -461,52 +430,50 @@ def _best_response_region(
     s1: tuple[int, ...],
     s0: tuple[int, ...],
 ) -> tuple[bool, tuple[Fraction, ...] | None, Fraction | None]:
-    """Maximize the smallest s1-probability of an opponent mixed strategy q
-    (zero on s0) to which every responder is simultaneously a best response.
+    """Is there an opponent mixed strategy, positive on s1 and zero on s0,
+    to which every responder is simultaneously a best response?
 
-    Every row compares a rival with the base responder ``responders[0]``:
-    ``(A_other - A_base) . q`` is ``= 0`` for the other responders and
-    ``<= 0`` for the remaining strategies.  Returns (member, padded q, u),
-    where u is the base responder's payoff against q; member is True
-    exactly when the optimum exists and is positive.
+    The variables are an unnormalized q >= 0 over the strategies outside
+    s0.  Every row compares a rival with the base responder
+    ``responders[0]``: ``(A_other - A_base) . q`` is ``= 0`` for the other
+    responders and ``<= 0`` for the remaining strategies.  These q form a
+    cone, so a point positive on s1 scales to one with q_j >= 1 there (a
+    bound, not a row), and when s1 is empty any non-zero point scales to
+    one with sum(q) >= 1 (one row).  The objective is zero: the answer is
+    yes exactly when phase 1 finds a feasible point.  Returns (member,
+    padded q / sum(q), u), where u is the base responder's payoff against
+    that witness.
     """
     own_count = game.strategy_count(player)
     opp_count = game.strategy_count(_opponent(player))
     s0_set = frozenset(s0)
+    s1_set = frozenset(s1)
+    if s1_set & s0_set:
+        raise ValueError("s1 and s0 must be disjoint")
     keep = [y for y in range(opp_count) if y not in s0_set]
     if not keep:
         return False, None, None
-    col = {y: j for j, y in enumerate(keep)}
     responders_set = frozenset(responders)
     base = responders[0]
 
-    # Variables: q over `keep`, then eps.
     nq = len(keep)
     constraints = []
     for other in range(own_count):
         if other == base:
             continue
-        coeffs = [_payoff(game, player, other, y) - _payoff(game, player, base, y) for y in keep]
-        coeffs.append(_ZERO)
+        coeffs = tuple(_payoff(game, player, other, y) - _payoff(game, player, base, y) for y in keep)
         relation = "=" if other in responders_set else "<="
-        constraints.append(Constraint(tuple(coeffs), relation, _ZERO))
-    constraints.append(Constraint(tuple([_ONE] * nq + [_ZERO]), "=", _ONE))
-    for j in s1:
-        if j in s0_set:
-            raise ValueError("s1 and s0 must be disjoint")
-        coeffs = [_ZERO] * (nq + 1)
-        coeffs[col[j]] = -_ONE
-        coeffs[nq] = _ONE
-        constraints.append(Constraint(tuple(coeffs), "<=", _ZERO))
-
-    bounds = tuple([(_ZERO, None)] * nq + [(None, None)])
-    objective = tuple([_ZERO] * nq + [_ONE])
-    outcome = solve_lp(LinearProgram(nq + 1, objective, tuple(constraints), bounds))
-    if outcome.status is not LpStatus.OPTIMAL or outcome.objective_value <= 0:
+        constraints.append(Constraint(coeffs, relation, _ZERO))
+    if not s1_set:
+        constraints.append(Constraint((_ONE,) * nq, ">=", _ONE))
+    bounds = tuple((_ONE if y in s1_set else _ZERO, None) for y in keep)
+    outcome = solve_lp(LinearProgram(nq, (_ZERO,) * nq, tuple(constraints), bounds))
+    if outcome.status is not LpStatus.OPTIMAL:
         return False, None, None
+    total = sum(outcome.assignment)
     padded = [_ZERO] * opp_count
-    for y in keep:
-        padded[y] = outcome.assignment[col[y]]
+    for y, v in zip(keep, outcome.assignment):
+        padded[y] = v / total
     u = sum((_payoff(game, player, base, y) * padded[y] for y in keep if padded[y]), _ZERO)
     return True, tuple(padded), u
 
@@ -522,8 +489,10 @@ def lp2_domain_check(
     with positive probability on all of s1, zero on all of s0, to which `x`
     is a best response?
 
-    With s0 the complement of s1 this decides exactly whether s1 belongs to
-    the domain of `x`.
+    This is the best-response-region program for `x`: the witness is the
+    feasible point phase 1 finds, normalized, not the optimum of any
+    objective.  With s0 the complement of s1 this decides exactly whether
+    s1 belongs to the domain of `x`.
     """
     return lp2_joint_domain_check(game, player, (x,), s1, s0)
 
@@ -598,12 +567,10 @@ def fp1_check(
     Searches for mixed strategies with supports exactly `support.rows` and
     `support.cols` satisfying the equilibrium equalities and inequalities:
     in-support pure strategies earn the common payoff, out-of-support ones
-    earn no more, and every support probability is at least a maximized
-    positive epsilon.  The program splits into two independent one-sided
-    checks (the p-block and q-block share only epsilon), so each side is
-    solved separately and the verdict is their conjunction.  Each side is
-    one best-response-region program; the common payoffs u1 and u2 are read
-    off the solved witnesses.
+    earn no more, and every support probability is positive.  The p-block
+    and the q-block share no variable, so each side is one
+    best-response-region program and the verdict is their conjunction; the
+    common payoffs u1 and u2 are read off the solved witnesses.
 
     With an `infeasible` record (one per game), a pair that a recorded side
     rules out is rejected without an LP, and every side found infeasible is

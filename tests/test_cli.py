@@ -77,6 +77,14 @@ class TestSolve:
     def test_budget_exit_3(self, game_file, capsys):
         assert main(["solve", game_file(MP), "--method", "supports", "--budget", "2"]) == 3
 
+    def test_non_positive_budget_exit_2(self, game_file, capsys):
+        path = game_file(MP)
+        for budget in ("0", "-1"):
+            assert main(["solve", path, "--method", "supports", "--budget", budget]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
+
     def test_bad_caps_exit_2(self, game_file, capsys):
         assert main(["solve", game_file(MP), "--method", "gi", "--k", "9"]) == 2
 

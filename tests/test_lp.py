@@ -31,6 +31,8 @@ from nashcycles.lp import (
     solve_lp,
 )
 
+from conftest import tied_games
+
 F = Fraction
 
 
@@ -299,7 +301,8 @@ class TestLp1Dominance:
     def test_pd_cooperate_dominated_with_eps_minus_one(self, pd):
         dominated, witness = lp1_dominance(pd, 1, 0)
         assert dominated and witness is None
-        # The documented optimum: the smallest payoff gap over the simplex is 1.
+        # The max-gap program by hand: cooperate's worst payoff gap,
+        # maximized over the simplex, is -1.
         lp = LinearProgram(
             3,
             (F(0), F(0), F(1)),
@@ -350,6 +353,62 @@ class TestLp1Dominance:
                     assert gap > 0
 
 
+def _never_best_response(game: Game, player: int, x: int, keep) -> bool:
+    """The max-gap program, independent of the library's programs: maximize
+    the worst payoff gap eps of `x` over every rival strategy, across the
+    opponent mixed strategies supported inside `keep` (variables: q over
+    `keep`, then eps, free).  `x` is a best response to none of them when
+    the optimum is negative, or when `keep` is empty and the program is
+    INFEASIBLE.  With no rival strategy eps is UNBOUNDED and `x` is always
+    a best response."""
+
+    def pay(own: int, opp: int):
+        return game.a[own][opp] if player == 1 else game.b[opp][own]
+
+    nq = len(keep)
+    rows = [
+        Constraint(tuple(pay(other, y) - pay(x, y) for y in keep) + (F(1),), "<=", F(0))
+        for other in range(game.strategy_count(player))
+        if other != x
+    ]
+    rows.append(Constraint((F(1),) * nq + (F(0),), "=", F(1)))
+    bounds = ((F(0), None),) * nq + ((None, None),)
+    outcome = solve_lp(LinearProgram(nq + 1, (F(0),) * nq + (F(1),), tuple(rows), bounds))
+    if outcome.status is LpStatus.INFEASIBLE:
+        return True
+    return outcome.status is LpStatus.OPTIMAL and outcome.objective_value < 0
+
+
+@st.composite
+def _thin_games(draw) -> Game:
+    """1xn and mx1 games with payoffs in {0, 1, 2}: one player has a lone
+    strategy, the other one to five."""
+    k = draw(st.integers(1, 5))
+    m, n = draw(st.sampled_from(((1, k), (k, 1))))
+    rows = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=m, max_size=m)
+    return Game.from_rows(draw(rows), draw(rows))
+
+
+class TestAgainstMaxGap:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(tied_games(), _thin_games()))
+    def test_dominance_and_certificate_match(self, game):
+        for player in (1, 2):
+            opp_count = game.strategy_count(2 if player == 1 else 1)
+            for x in range(game.strategy_count(player)):
+                dominated, witness = lp1_dominance(game, player, x)
+                assert dominated == _never_best_response(game, player, x, range(opp_count))
+                if dominated:
+                    assert witness is None
+                else:
+                    assert is_best_response(game, player, x, witness)
+                for y in range(opp_count):
+                    keep = [c for c in range(opp_count) if c != y]
+                    assert mod_lp1_relevancy(game, player, x, y) == _never_best_response(
+                        game, player, x, keep
+                    )
+
+
 class TestModLp1:
     def test_mp_examples(self, mp):
         assert mod_lp1_relevancy(mp, 1, 0, 0) is True
@@ -391,7 +450,7 @@ class TestLp2:
     def test_mp_full_support_witness(self, mp):
         member, witness = lp2_domain_check(mp, 1, 0, (0, 1), ())
         assert member
-        assert witness.probs == (F(1, 2), F(1, 2))  # unique optimum of max min(q)
+        assert witness.probs == (F(1, 2), F(1, 2))  # the floor q = (1, 1) is feasible
 
     def test_witness_properties(self):
         for seed in range(3):
