@@ -282,14 +282,20 @@ def cycle_basis(
     max_len: int | None = None,
     max_classes: int | None = None,
 ) -> list[CycleBasisEntry]:
-    """Deduplicated cycle classes: every distinct (left vertex set, right
-    vertex set) pair realized by at least one elementary cycle, with a
-    witness representative each.
+    """Deduplicated cycle classes grown one vertex per side from the
+    3-cycles: distinct (left vertex set, right vertex set) pairs, each with
+    a witness elementary cycle through exactly its vertices.
 
-    Classes are built incrementally: all 3-cycles (mutual arc pairs) seed
-    level one, and a level-k class spawns level-(k+1) candidates by adding
-    one new vertex per side; a candidate joins the basis only when a
-    witness cycle through exactly its vertex set is found.  `max_len` caps
+    All 3-cycles (mutual arc pairs) seed level one, and a level-k class
+    spawns level-(k+1) candidates by adding one new vertex per side; a
+    candidate joins the basis only when a witness cycle through exactly its
+    vertex set is found.  So an elementary cycle whose vertex sets no such
+    chain reaches is left out: x0 -> y0 -> x1 -> y1 -> x0 with no mutual arc
+    is a cycle, and its graph's basis is empty.  That loses no equilibrium.
+    Every equilibrium support (R, C) is a biclique of G_R, so each x in R
+    and y in C form a 3-cycle there; at full caps the vertices R and C of
+    G_I form one too, since the equilibrium's own strategies are common
+    witnesses both ways.  `max_len` caps
     the representative sequence length (2k+1 for k vertices per side); the
     default is the longest possible cycle.  `max_classes` aborts runaway
     enumerations with :class:`CycleClassLimit`.

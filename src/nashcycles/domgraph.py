@@ -9,7 +9,8 @@ and that support is R(x) (see `lp3_relevancy`).  The subset-level
 graphs have one vertex per strategy subset up to a size cap; an arc from s
 to t certifies a single opponent mixed strategy with support exactly t to
 which every strategy in s is simultaneously a best response.  The capped
-variant adds flagged artificial arcs to keep every vertex connected.
+graph G_I is that graph, G_D, plus flagged artificial arcs that keep every
+vertex connected.
 """
 
 from __future__ import annotations
@@ -213,25 +214,19 @@ def build_gr(game: Game) -> BipartiteDigraph:
     """Strategy-level dominance graph: singleton vertices, arc x -> y iff
     y is in R(x) and arc y -> x iff x is in R(y)."""
     m, n = game.m, game.n
-    adj_lr = []
-    for x in range(m):
-        row = compute_relevancy(game, 1, x)
-        mask = [False] * n
-        for y in row.members:
-            mask[y] = True
-        adj_lr.append(tuple(mask))
-    adj_rl = []
-    for y in range(n):
-        row = compute_relevancy(game, 2, y)
-        mask = [False] * m
-        for x in row.members:
-            mask[x] = True
-        adj_rl.append(tuple(mask))
+    sides = []
+    for player, own_count, opp_count in ((1, m, n), (2, n, m)):
+        side = []
+        for x in range(own_count):
+            mask = [False] * opp_count
+            for y in compute_relevancy(game, player, x).members:
+                mask[y] = True
+            side.append(tuple(mask))
+        sides.append(tuple(side))
     return BipartiteDigraph(
         tuple(frozenset([x]) for x in range(m)),
         tuple(frozenset([y]) for y in range(n)),
-        tuple(adj_lr),
-        tuple(adj_rl),
+        *sides,
     )
 
 
@@ -254,17 +249,14 @@ def _case1_arc(
 
 
 def _domain_tables(game, k, l, row_domains, col_domains):
-    """Check the size caps, fill in missing domain tables, and index each
-    domain row by its support sets."""
+    """Check the size caps and fill in missing domain tables."""
     if not (1 <= k <= game.m and 1 <= l <= game.n):
         raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
     if row_domains is None:
         row_domains = compute_domain_table(game, 1, l)
     if col_domains is None:
         col_domains = compute_domain_table(game, 2, k)
-    row_sets = {x: frozenset(e.support for e in row) for x, row in row_domains.items()}
-    col_sets = {y: frozenset(e.support for e in row) for y, row in col_domains.items()}
-    return row_domains, col_domains, row_sets, col_sets
+    return row_domains, col_domains
 
 
 def build_gd(
@@ -277,7 +269,9 @@ def build_gd(
     """Subset-level dominance graph with vertex sizes capped at k (left) and
     l (right) and only common-witness arcs; k=m, l=n gives the full graph."""
     m, n = game.m, game.n
-    _, _, row_sets, col_sets = _domain_tables(game, k, l, row_domains, col_domains)
+    row_domains, col_domains = _domain_tables(game, k, l, row_domains, col_domains)
+    row_sets = {x: frozenset(e.support for e in row) for x, row in row_domains.items()}
+    col_sets = {y: frozenset(e.support for e in row) for y, row in col_domains.items()}
     left = size_lex_subsets(m, k)
     right = size_lex_subsets(n, l)
     adj_lr = tuple(
@@ -294,45 +288,35 @@ def build_gd(
     )
 
 
-def _gi_out_arcs(game, player, sources, targets, domain_sets, domains, opp_count):
-    adj = []
-    art = []
-    target_index = {t: j for j, t in enumerate(targets)}
-    for s in sources:
-        mask = [False] * len(targets)
-        flags = [False] * len(targets)
-        hits = [j for j, t in enumerate(targets) if _case1_arc(game, player, s, t, domain_sets, opp_count)]
-        if hits:
-            for j in hits:
-                mask[j] = True
+def _fallback_arcs(adj, sources, targets, domains):
+    """Add the artificial arcs of cases 2-4 (see `build_gi`) to every source
+    with no common-witness arc; returns the adjacency and the flags."""
+    out_adj = []
+    out_art = []
+    for s, row in zip(sources, adj):
+        if any(row):
+            out_adj.append(row)
+            out_art.append((False,) * len(targets))
+            continue
+        # Case 2: the largest targets inside the common relevant-strategy pool.
+        pool = frozenset.intersection(
+            *(frozenset(y for entry in domains[x] for y in entry.support) for x in s)
+        )
+        fits = [len(t) for t in targets if t <= pool]
+        if fits:
+            best = max(fits)
+            flags = tuple(t <= pool and len(t) == best for t in targets)
         else:
-            # Case 2: largest targets inside the common relevant-strategy pool.
-            pool: set[int] | None = None
-            for x in s:
-                union = set()
-                for entry in domains[x]:
-                    union.update(entry.support)
-                pool = union if pool is None else pool & union
-            candidates = [j for j, t in enumerate(targets) if pool and set(t) <= pool]
-            if candidates:
-                best = max(len(targets[j]) for j in candidates)
-                for j in candidates:
-                    if len(targets[j]) == best:
-                        mask[j] = flags[j] = True
+            # Case 3: every set in any member's domain; case 4: an isolated
+            # pure strategy connects everywhere.
+            members = {frozenset(entry.support) for x in s for entry in domains[x]}
+            if members:
+                flags = tuple(t in members for t in targets)
             else:
-                # Case 3: anything appearing in any member's domain.
-                any_members = {entry.support for x in s for entry in domains[x]}
-                if any_members:
-                    for t in any_members:
-                        j = target_index[t]
-                        mask[j] = flags[j] = True
-                elif len(s) == 1:
-                    # Case 4: an isolated pure strategy connects everywhere.
-                    mask = [True] * len(targets)
-                    flags = [True] * len(targets)
-        adj.append(tuple(mask))
-        art.append(tuple(flags))
-    return tuple(adj), tuple(art)
+                flags = (len(s) == 1,) * len(targets)
+        out_adj.append(flags)
+        out_art.append(flags)
+    return tuple(out_adj), tuple(out_art)
 
 
 def build_gi(
@@ -342,27 +326,17 @@ def build_gi(
     row_domains: dict[int, tuple[DomainEntry, ...]] | None = None,
     col_domains: dict[int, tuple[DomainEntry, ...]] | None = None,
 ) -> BipartiteDigraph:
-    """Capped subset-level graph with artificial fallback arcs.
+    """Capped subset-level graph: `build_gd` plus artificial fallback arcs.
 
-    Per source vertex the first applicable case wins: (1) common-witness
-    arcs as in the uncapped graph; (2) arcs to the largest capped subsets
-    of the strategies relevant to every member; (3) arcs to every set in
-    any member's domain; (4) a pure strategy with an empty domain gets arcs
-    to every opposite vertex.  Arcs from cases 2-4 are flagged artificial.
+    A source vertex with a common-witness arc (case 1) keeps exactly its
+    arcs of G_D.  Any other source takes the first applicable case: (2) arcs
+    to the largest capped subsets of the strategies relevant to every
+    member; (3) arcs to every set in any member's domain; (4) a pure
+    strategy with an empty domain gets arcs to every opposite vertex.  Arcs
+    from cases 2-4 are flagged artificial.
     """
-    m, n = game.m, game.n
-    row_domains, col_domains, row_sets, col_sets = _domain_tables(
-        game, k, l, row_domains, col_domains
-    )
-    left = size_lex_subsets(m, k)
-    right = size_lex_subsets(n, l)
-    adj_lr, art_lr = _gi_out_arcs(game, 1, left, right, row_sets, row_domains, n)
-    adj_rl, art_rl = _gi_out_arcs(game, 2, right, left, col_sets, col_domains, m)
-    return BipartiteDigraph(
-        tuple(frozenset(s) for s in left),
-        tuple(frozenset(t) for t in right),
-        adj_lr,
-        adj_rl,
-        art_lr,
-        art_rl,
-    )
+    row_domains, col_domains = _domain_tables(game, k, l, row_domains, col_domains)
+    gd = build_gd(game, k, l, row_domains, col_domains)
+    adj_lr, art_lr = _fallback_arcs(gd.adj_lr, gd.left, gd.right, row_domains)
+    adj_rl, art_rl = _fallback_arcs(gd.adj_rl, gd.right, gd.left, col_domains)
+    return BipartiteDigraph(gd.left, gd.right, adj_lr, adj_rl, art_lr, art_rl)

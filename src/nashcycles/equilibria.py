@@ -24,7 +24,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .cycles import CycleClassLimit, cycle_basis, enumerate_support_trees
 from .domgraph import BipartiteDigraph, build_gi, build_gr, compute_domain_table
@@ -119,23 +119,36 @@ def _lift(red: ReducedGame, original: Game, support: SupportPair, witness) -> Eq
 def _run_checks(
     original: Game,
     red: ReducedGame,
-    candidates: Sequence[SupportPair],
+    candidates: Iterable[SupportPair],
     method: str,
+    budget: int,
 ) -> EquilibriumSet:
-    # Candidates arrive smallest-first, so every infeasible side is recorded
-    # before any candidate it rules out is reached.
+    """Check every candidate, smallest supports first.
+
+    Raises BudgetExceededError as soon as the candidates, drawn lazily,
+    number more than `budget`, so no generator runs further than that.
+    Candidates must be distinct.  Checking them in `SupportPair.sort_key`
+    order (Porter, Nudelman & Shoham 2004) records every infeasible side
+    before any candidate it rules out is reached.
+    """
+    pending: list[SupportPair] = []
+    for sp in candidates:
+        pending.append(sp)
+        if len(pending) > budget:
+            raise BudgetExceededError(len(pending), budget)
+    pending.sort(key=SupportPair.sort_key)
     infeasible = InfeasibleSides()
     entries = []
-    for sp in candidates:
+    for sp in pending:
         feasible, witness = fp1_check(red.game, sp, infeasible)
         if feasible:
             entries.append(_lift(red, original, sp, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(len(candidates), infeasible.pruned, len(entries))
+    stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
 
 
-def _all_support_pairs(m: int, n: int) -> Iterable[SupportPair]:
+def _all_support_pairs(m: int, n: int) -> Iterator[SupportPair]:
     # Smallest total support size first, then lexicographic per side.
     for total in range(2, m + n + 1):
         for r in range(max(1, total - n), min(m, total - 1) + 1):
@@ -144,35 +157,22 @@ def _all_support_pairs(m: int, n: int) -> Iterable[SupportPair]:
                     yield SupportPair(rows, cols)
 
 
-def _collect_tree_candidates(graph, trees, budget: int) -> list[SupportPair]:
-    seen: set[SupportPair] = set()
-    for tree in trees:
-        sp = tree.support_pair(graph)
-        if sp not in seen:
-            seen.add(sp)
-            if len(seen) > budget:
-                raise BudgetExceededError(len(seen), budget)
-    return sorted(seen, key=SupportPair.sort_key)
-
-
-def _bicliques(graph: BipartiteDigraph, budget: int = DEFAULT_BUDGET) -> list[SupportPair]:
-    """Every support pair (R, C) of a strategy-level graph with all arcs of
-    R x C and of C x R present, in `SupportPair.sort_key` order.
+def _bicliques(graph: BipartiteDigraph) -> Iterator[SupportPair]:
+    """Lazily yield every support pair (R, C) of a strategy-level graph with
+    all arcs of R x C and of C x R present, each once.
 
     Row sets are walked depth-first by increasing index, keeping the columns
     joined both ways to every row so far; that set only shrinks as R grows,
     so the walk stops where it empties and every row set it visits yields at
-    least one pair.  Raises BudgetExceededError once more than `budget`
-    pairs are found.
+    least one pair.
     """
     m, n = len(graph.left), len(graph.right)
     mutual = [
         sum(1 << y for y in range(n) if graph.adj_lr[x][y] and graph.adj_rl[y][x])
         for x in range(m)
     ]
-    pairs: list[SupportPair] = []
 
-    def walk(rows: tuple[int, ...], allowed: int, start: int) -> None:
+    def walk(rows: tuple[int, ...], allowed: int, start: int) -> Iterator[SupportPair]:
         for x in range(start, m):
             narrowed = allowed & mutual[x]
             if not narrowed:
@@ -181,13 +181,10 @@ def _bicliques(graph: BipartiteDigraph, budget: int = DEFAULT_BUDGET) -> list[Su
             cols = [y for y in range(n) if narrowed >> y & 1]
             for size in range(1, len(cols) + 1):
                 for chosen in itertools.combinations(cols, size):
-                    pairs.append(SupportPair(grown, chosen))
-                    if len(pairs) > budget:
-                        raise BudgetExceededError(len(pairs), budget)
-            walk(grown, narrowed, x + 1)
+                    yield SupportPair(grown, chosen)
+            yield from walk(grown, narrowed, x + 1)
 
-    walk((), (1 << n) - 1, 0)
-    return sorted(pairs, key=SupportPair.sort_key)
+    return walk((), (1 << n) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,7 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    return _run_checks(game, red, list(_all_support_pairs(m, n)), "supports")
+    return _run_checks(game, red, _all_support_pairs(m, n), "supports", budget)
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -220,7 +217,7 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     `budget` bicliques.
     """
     red = iterated_elimination(game)
-    return _run_checks(game, red, _bicliques(build_gr(red.game), budget), "gr")
+    return _run_checks(game, red, _bicliques(build_gr(red.game)), "gr", budget)
 
 
 def enumerate_by_gi(
@@ -248,8 +245,8 @@ def enumerate_by_gi(
     except CycleClassLimit as exc:
         raise BudgetExceededError(exc.count, budget) from None
     trees = enumerate_support_trees(graph, basis, "gi", (rg.m, rg.n))
-    candidates = _collect_tree_candidates(graph, trees, budget)
-    return _run_checks(game, red, candidates, f"gi(k={k},l={l})")
+    candidates = {tree.support_pair(graph) for tree in trees}
+    return _run_checks(game, red, candidates, f"gi(k={k},l={l})", budget)
 
 
 # ---------------------------------------------------------------------------

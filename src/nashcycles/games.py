@@ -61,13 +61,10 @@ class Game:
     ----------
     a : player 1's m-by-n payoff matrix.
     b : player 2's m-by-n payoff matrix.
-    row_labels, col_labels : optional display names for pure strategies.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[tuple[Fraction, ...], ...]
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.a or not self.a[0]:
@@ -82,26 +79,11 @@ class Game:
                 for entry in row:
                     if not isinstance(entry, Fraction):
                         raise TypeError("payoffs must be Fractions; use Game.from_rows")
-        if self.row_labels is not None and len(self.row_labels) != m:
-            raise ValueError("row_labels length must equal m")
-        if self.col_labels is not None and len(self.col_labels) != n:
-            raise ValueError("col_labels length must equal n")
 
     @classmethod
-    def from_rows(
-        cls,
-        a: Iterable[Iterable[Rational]],
-        b: Iterable[Iterable[Rational]],
-        row_labels: Sequence[str] | None = None,
-        col_labels: Sequence[str] | None = None,
-    ) -> "Game":
+    def from_rows(cls, a: Iterable[Iterable[Rational]], b: Iterable[Iterable[Rational]]) -> "Game":
         """Build a game from any nested iterables of ints/strings/Fractions."""
-        return cls(
-            _freeze_matrix(a),
-            _freeze_matrix(b),
-            tuple(row_labels) if row_labels is not None else None,
-            tuple(col_labels) if col_labels is not None else None,
-        )
+        return cls(_freeze_matrix(a), _freeze_matrix(b))
 
     @property
     def m(self) -> int:
@@ -110,13 +92,6 @@ class Game:
     @property
     def n(self) -> int:
         return len(self.a[0])
-
-    def payoff_matrix(self, player: int) -> tuple[tuple[Fraction, ...], ...]:
-        if player == 1:
-            return self.a
-        if player == 2:
-            return self.b
-        raise ValueError(f"player must be 1 or 2, got {player}")
 
     def strategy_count(self, player: int) -> int:
         return self.m if player == 1 else self.n
@@ -173,10 +148,6 @@ class SupportPair:
             raise ValueError("supports must be non-empty on both sides")
         if self.rows[0] < 0 or self.cols[0] < 0:
             raise ValueError("strategy indices must be non-negative")
-
-    @property
-    def size(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
 
     def sort_key(self) -> tuple:
         return (len(self.rows) + len(self.cols), self.rows, self.cols)
@@ -362,9 +333,7 @@ def is_best_response(game: Game, player: int, strategy: int, opponent: MixedStra
 def _subgame(game: Game, rows: Sequence[int], cols: Sequence[int]) -> Game:
     a = tuple(tuple(game.a[x][y] for y in cols) for x in rows)
     b = tuple(tuple(game.b[x][y] for y in cols) for x in rows)
-    row_labels = tuple(game.row_labels[x] for x in rows) if game.row_labels else None
-    col_labels = tuple(game.col_labels[y] for y in cols) if game.col_labels else None
-    return Game(a, b, row_labels, col_labels)
+    return Game(a, b)
 
 
 def iterated_elimination(game: Game) -> ReducedGame:

@@ -350,6 +350,25 @@ def _opponent(player: int) -> int:
     return 2 if player == 1 else 1
 
 
+def _check_index(game: Game, player: int, i: int, label: str) -> None:
+    if not 0 <= i < game.strategy_count(player):
+        raise ValueError(f"{label} index {i} out of range")
+
+
+def _rival_rows(game: Game, player: int, responders, keep) -> list[Constraint]:
+    """One row ``(A_other - A_base) . q`` over the opponent strategies in
+    `keep` for every rival of the base responder ``responders[0]``: ``= 0``
+    for the other responders and ``<= 0`` for the remaining strategies."""
+    base = responders[0]
+    rows = []
+    for other in range(game.strategy_count(player)):
+        if other == base:
+            continue
+        coeffs = tuple(_payoff(game, player, other, y) - _payoff(game, player, base, y) for y in keep)
+        rows.append(Constraint(coeffs, "=" if other in responders else "<=", _ZERO))
+    return rows
+
+
 def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy | None]:
     """Strict-dominance test for one pure strategy.
 
@@ -359,9 +378,7 @@ def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy 
     when that program is infeasible.  When not dominated, returns an
     opponent mixed strategy to which `x` is a best response.
     """
-    own_count = game.strategy_count(player)
-    if not 0 <= x < own_count:
-        raise ValueError(f"strategy index {x} out of range")
+    _check_index(game, player, x, "strategy")
     member, padded, _ = _best_response_region(game, player, (x,), (), ())
     if not member:
         return True, None
@@ -378,9 +395,8 @@ def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
     support.  With `y_star` the only opponent strategy, nothing is left to
     respond to and the answer is True.
     """
-    opp_count = game.strategy_count(_opponent(player))
-    if not 0 <= y_star < opp_count:
-        raise ValueError(f"opponent strategy index {y_star} out of range")
+    _check_index(game, player, x, "strategy")
+    _check_index(game, _opponent(player), y_star, "opponent strategy")
     member, _, _ = _best_response_region(game, player, (x,), (), (y_star,))
     return not member
 
@@ -398,19 +414,14 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
     R(x) and q_y = 0 off it, and q / sum(q) is the witness.  Returns None
     exactly when C is {0}, which by duality means `x` is strictly dominated.
     """
-    own_count = game.strategy_count(player)
+    _check_index(game, player, x, "strategy")
     opp_count = game.strategy_count(_opponent(player))
-    if not 0 <= x < own_count:
-        raise ValueError(f"strategy index {x} out of range")
-    # Variables: t over the opponent strategies, then s.
-    constraints = []
-    for other in range(own_count):
-        if other == x:
-            continue
-        diff = tuple(
-            _payoff(game, player, other, y) - _payoff(game, player, x, y) for y in range(opp_count)
-        )
-        constraints.append(Constraint(diff + diff, "<=", _ZERO))
+    # Variables: t over the opponent strategies, then s; q = t + s, so each
+    # rival row repeats its coefficients.
+    constraints = [
+        Constraint(row.coeffs * 2, "<=", _ZERO)
+        for row in _rival_rows(game, player, (x,), range(opp_count))
+    ]
     bounds = ((_ZERO, _ONE),) * opp_count + ((_ZERO, None),) * opp_count
     objective = (_ONE,) * opp_count + (_ZERO,) * opp_count
     outcome = solve_lp(LinearProgram(2 * opp_count, objective, tuple(constraints), bounds))
@@ -444,7 +455,6 @@ def _best_response_region(
     padded q / sum(q), u), where u is the base responder's payoff against
     that witness.
     """
-    own_count = game.strategy_count(player)
     opp_count = game.strategy_count(_opponent(player))
     s0_set = frozenset(s0)
     s1_set = frozenset(s1)
@@ -453,17 +463,10 @@ def _best_response_region(
     keep = [y for y in range(opp_count) if y not in s0_set]
     if not keep:
         return False, None, None
-    responders_set = frozenset(responders)
     base = responders[0]
 
     nq = len(keep)
-    constraints = []
-    for other in range(own_count):
-        if other == base:
-            continue
-        coeffs = tuple(_payoff(game, player, other, y) - _payoff(game, player, base, y) for y in keep)
-        relation = "=" if other in responders_set else "<="
-        constraints.append(Constraint(coeffs, relation, _ZERO))
+    constraints = _rival_rows(game, player, responders, keep)
     if not s1_set:
         constraints.append(Constraint((_ONE,) * nq, ">=", _ONE))
     bounds = tuple((_ONE if y in s1_set else _ZERO, None) for y in keep)
@@ -511,14 +514,10 @@ def lp2_joint_domain_check(
         raise ValueError("xs must be non-empty")
     if not s1:
         raise ValueError("s1 must be non-empty")
-    own_count = game.strategy_count(player)
-    opp_count = game.strategy_count(_opponent(player))
     for x in xs:
-        if not 0 <= x < own_count:
-            raise ValueError(f"strategy index {x} out of range")
+        _check_index(game, player, x, "strategy")
     for y in (*s1, *s0):
-        if not 0 <= y < opp_count:
-            raise ValueError(f"opponent strategy index {y} out of range")
+        _check_index(game, _opponent(player), y, "opponent strategy")
     member, padded, _ = _best_response_region(game, player, tuple(xs), tuple(s1), tuple(s0))
     if not member:
         return False, None

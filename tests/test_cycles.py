@@ -189,6 +189,18 @@ class TestCycleBasis:
                     entry.left + entry.right
                 )
 
+    def test_cycle_without_mutual_arc_has_no_class(self):
+        # x0 -> y0 -> x1 -> y1 -> x0: one elementary cycle but no 3-cycle to
+        # grow a class from.
+        graph = BipartiteDigraph(
+            (frozenset([0]), frozenset([1])),
+            (frozenset([0]), frozenset([1])),
+            ((True, False), (False, True)),
+            ((False, True), (True, False)),
+        )
+        assert [c.vertices for c in johnson_cycles(graph)] == [(0, 2, 1, 3, 0)]
+        assert cycle_basis(graph) == []
+
     def test_entries_sorted_and_distinct(self):
         basis = cycle_basis(BipartiteDigraph.complete(3, 3))
         keys = [e.sort_key() for e in basis]

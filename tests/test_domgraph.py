@@ -229,6 +229,28 @@ class TestBuildGi:
         assert graph.arc_count() == 2
         assert graph.artificial_arc_count() == 0
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_gd_plus_fallback_arcs(self, g):
+        # At every cap pair, G_I without its artificial arcs is G_D, and a
+        # source with a common-witness arc gets no artificial arc.
+        rows = {l: compute_domain_table(g, 1, l) for l in range(1, g.n + 1)}
+        cols = {k: compute_domain_table(g, 2, k) for k in range(1, g.m + 1)}
+        for k in range(1, g.m + 1):
+            for l in range(1, g.n + 1):
+                gd = build_gd(g, k, l, rows[l], cols[k])
+                gi = build_gi(g, k, l, rows[l], cols[k])
+                assert (gi.left, gi.right) == (gd.left, gd.right)
+                for adj_i, art, adj_d in (
+                    (gi.adj_lr, gi.artificial_lr, gd.adj_lr),
+                    (gi.adj_rl, gi.artificial_rl, gd.adj_rl),
+                ):
+                    for row_i, flags, row_d in zip(adj_i, art, adj_d):
+                        assert tuple(a and not f for a, f in zip(row_i, flags)) == row_d
+                        assert all(a or not f for a, f in zip(row_i, flags))
+                        if any(row_d):
+                            assert not any(flags)
+
     def test_dominated_never_case_1_source(self, pd):
         graph = build_gi(pd, 2, 2)
         dead_vertices = [

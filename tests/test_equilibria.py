@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 from nashcycles.cycles import cycle_basis, enumerate_support_trees
 from nashcycles.domgraph import BipartiteDigraph, build_gr
 from nashcycles.equilibria import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     _all_support_pairs,
     _bicliques,
-    _collect_tree_candidates,
     eliminable_strategies,
     enumerate_by_gi,
     enumerate_by_gr,
@@ -120,8 +119,9 @@ class TestGrPipeline:
                 graph = BipartiteDigraph.complete(m, n)
                 trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (m, n))
                 expected = sorted(_all_support_pairs(m, n), key=SupportPair.sort_key)
-                assert _collect_tree_candidates(graph, trees, DEFAULT_BUDGET) == expected, (m, n)
-                assert _bicliques(graph) == expected, (m, n)
+                tree_pairs = {tree.support_pair(graph) for tree in trees}
+                assert sorted(tree_pairs, key=SupportPair.sort_key) == expected, (m, n)
+                assert sorted(_bicliques(graph), key=SupportPair.sort_key) == expected, (m, n)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(tied_games())
@@ -134,10 +134,10 @@ class TestGrPipeline:
             for sp in sorted(_all_support_pairs(rg.m, rg.n), key=SupportPair.sort_key)
             if all(graph.adj_lr[x][y] and graph.adj_rl[y][x] for x in sp.rows for y in sp.cols)
         ]
-        bicliques = _bicliques(graph)
+        bicliques = sorted(_bicliques(graph), key=SupportPair.sort_key)
         assert bicliques == brute
         trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (rg.m, rg.n))
-        assert set(bicliques) <= set(_collect_tree_candidates(graph, trees, DEFAULT_BUDGET))
+        assert set(bicliques) <= {tree.support_pair(graph) for tree in trees}
         assert set(enumerate_by_supports(rg).support_pairs()) <= set(bicliques)
 
     def test_biclique_walk_is_pruned(self):
@@ -147,12 +147,22 @@ class TestGrPipeline:
         vertices = tuple(frozenset([i]) for i in range(size))
         diagonal = tuple(tuple(x == y for y in range(size)) for x in range(size))
         graph = BipartiteDigraph(vertices, vertices, diagonal, diagonal)
-        assert _bicliques(graph) == [SupportPair((i,), (i,)) for i in range(size)]
+        assert list(_bicliques(graph)) == [SupportPair((i,), (i,)) for i in range(size)]
 
-    def test_budget_counts_bicliques(self):
+    def test_budget_counts_bicliques(self, mp):
         with pytest.raises(BudgetExceededError) as err:
-            _bicliques(BipartiteDigraph.complete(2, 2), budget=3)
+            enumerate_by_gr(mp, budget=3)
         assert err.value.candidates == 4
+
+    def test_budget_stops_the_walk(self):
+        # G_R is complete on 20 x 20, so the walk could yield (2^20 - 1)^2
+        # bicliques; the budget must stop it at the eleventh.
+        zero = [[0] * 20 for _ in range(20)]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_by_gr(Game.from_rows(zero, zero), budget=10)
+        assert err.value.candidates == 11
+        assert time.perf_counter() - start < 10
 
 
 class TestGiPipeline:

@@ -421,6 +421,15 @@ class TestModLp1:
         g = Game.from_rows([[1], [0]], [[0], [0]])
         assert mod_lp1_relevancy(g, 1, 0, 0) is True
 
+    @pytest.mark.parametrize("x", [-1, 5])
+    def test_out_of_range_strategy(self, pd, x):
+        with pytest.raises(ValueError, match=f"^strategy index {x} out of range"):
+            mod_lp1_relevancy(pd, 1, x, 0)
+
+    def test_out_of_range_opponent_strategy(self, pd):
+        with pytest.raises(ValueError, match="opponent strategy index 2 out of range"):
+            mod_lp1_relevancy(pd, 1, 0, 2)
+
 
 class TestLp3:
     def test_mixture_dominated_row_has_no_witness(self):
