@@ -119,14 +119,13 @@ def _cmd_solve(args) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     game = _load_game(args.game)
-    k, l = _caps(args, game)
     start = time.perf_counter()
     if args.method == "supports":
         result = enumerate_by_supports(game, args.budget)
     elif args.method == "gr":
         result = enumerate_by_gr(game, args.budget)
     else:
-        result = enumerate_by_gi(game, k, l, args.budget)
+        result = enumerate_by_gi(game, *_caps(args, game), args.budget)
     elapsed = time.perf_counter() - start
     _print_result(result, args.output == "structured")
     print(f"wall_seconds={elapsed:.3f}", file=sys.stderr)

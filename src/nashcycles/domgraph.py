@@ -19,7 +19,13 @@ import itertools
 from dataclasses import dataclass
 
 from .games import Game, MixedStrategy
-from .lp import lp2_domain_check, lp2_joint_domain_check, lp3_relevancy
+from .lp import (
+    dominated_on,
+    lp2_domain_check,
+    lp2_joint_domain_check,
+    lp3_relevancy,
+    rival_masks,
+)
 
 # Unused here, but bench/tracing.py wraps these names in this namespace.
 from .lp import lp1_dominance, mod_lp1_relevancy
@@ -157,12 +163,20 @@ class DomainEntry:
 
 def compute_domain(game: Game, player: int, x: int, l: int) -> tuple[DomainEntry, ...]:
     """All opponent support sets of size <= l to which `x` can respond best,
-    each with its witness.  Strictly dominated strategies get an empty row."""
+    each with its witness.  Strictly dominated strategies get an empty row.
+
+    A support on which a pure rival beats `x` (at least as much everywhere
+    on it, strictly more somewhere; see `dominated_on`) is left out with no
+    LP; every other support costs one domain check.
+    """
     opp_count = game.strategy_count(2 if player == 1 else 1)
     if not 1 <= l <= opp_count:
         raise ValueError(f"support cap must be in [1, {opp_count}], got {l}")
+    masks = rival_masks(game, player, x)
     entries = []
     for support in size_lex_subsets(opp_count, l):
+        if dominated_on(masks, sum(1 << y for y in support)):
+            continue
         complement = tuple(y for y in range(opp_count) if y not in support)
         member, witness = lp2_domain_check(game, player, x, support, complement)
         if member:

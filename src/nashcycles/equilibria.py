@@ -77,8 +77,8 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class PipelineStats:
-    """Candidates checked, candidates rejected without an LP because a
-    recorded infeasible side ruled them out, and equilibria found."""
+    """Candidates checked, candidates rejected without an LP (by pure
+    dominance or a recorded infeasible side), and equilibria found."""
 
     candidates: int
     pruned: int
@@ -137,7 +137,7 @@ def _run_checks(
         if len(pending) > budget:
             raise BudgetExceededError(len(pending), budget)
     pending.sort(key=SupportPair.sort_key)
-    infeasible = InfeasibleSides()
+    infeasible = InfeasibleSides(red.game)
     entries = []
     for sp in pending:
         feasible, witness = fp1_check(red.game, sp, infeasible)

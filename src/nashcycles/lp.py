@@ -24,15 +24,27 @@ are best responses:
   elsewhere (the idea of Freund, Roundy & Todd, 1985, for the
   always-active constraints of a linear system).
 
+Some sides need no LP.  If a rival row o earns at least as much as a row
+x on every column of C and strictly more on one, then o earns strictly
+more than x against every q with support exactly C, because q weights
+that column; so x is no best response to any such q.  This is the
+conditional dominance of Porter, Nudelman & Shoham (2004); exact supports
+let a weak dominator with one strict column decide it.  A twin of x has no
+strict column, so it never rules x out, and the test holds on degenerate
+games.  `rival_masks` and `dominated_on` apply it to one strategy; the
+domain tables use them to skip their LPs.
+
 `fp1_check` can take an `InfeasibleSides` record, made fresh for one
-game, of the one-sided programs it has already found infeasible.  Each
-side is monotone in its responders: if no q with support exactly C makes
-every row of R a best response, then none does for any R' containing R,
-because each extra responder turns a `<=` row into an `=` row and only
-shrinks the region.  So a candidate (R, C) is rejected without an LP when
-a recorded row set inside R failed against C, or a recorded column set
-inside C failed against R.  This holds on degenerate games too.  Without
-a record, every call solves its programs afresh.
+game.  It holds the pure-dominance masks of that game and the one-sided
+programs already found infeasible.  Each side is monotone in its
+responders: if no q with support exactly C makes every row of R a best
+response, then none does for any R' containing R, because each extra
+responder turns a `<=` row into an `=` row and only shrinks the region.
+So a candidate (R, C) is rejected without an LP when a row of R is
+dominated by a pure rival on C, a column of C likewise on R, a recorded
+row set inside R failed against C, or a recorded column set inside C
+failed against R.  Without a record, every call solves its programs
+afresh.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``).  After the variable substitutions, every
@@ -63,12 +75,14 @@ __all__ = [
     "LinearProgram",
     "LpOutcome",
     "LpStatus",
+    "dominated_on",
     "fp1_check",
     "lp1_dominance",
     "lp2_domain_check",
     "lp2_joint_domain_check",
     "lp3_relevancy",
     "mod_lp1_relevancy",
+    "rival_masks",
     "solve_lp",
 ]
 
@@ -531,26 +545,107 @@ def _mask(indices: tuple[int, ...]) -> int:
     return bits
 
 
+def _payoff_vectors(game: Game, player: int) -> tuple[tuple[int, ...], ...]:
+    """Each own strategy's payoffs against every opponent strategy, made
+    ints by one positive scale (the lcm of the denominators), which keeps
+    every comparison."""
+    matrix = game.a if player == 1 else tuple(zip(*game.b))
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix)
+
+
+def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
+    """For every rival that earns more than `x` somewhere, the opponent
+    strategies where it earns at least as much and where it earns more, as
+    the bitmask pair (at_least, more).  A twin of `x` gets no pair."""
+    own = vectors[x]
+    out = []
+    for rival in vectors:
+        at_least = more = 0
+        bit = 1
+        for r, v in zip(rival, own):
+            if r > v:
+                at_least |= bit
+                more |= bit
+            elif r == v:
+                at_least |= bit
+            bit <<= 1
+        if more:
+            out.append((at_least, more))
+    return tuple(out)
+
+
+def rival_masks(game: Game, player: int, x: int) -> tuple[tuple[int, int], ...]:
+    """The pure-dominance masks of strategy `x`, for `dominated_on`."""
+    _check_index(game, player, x, "strategy")
+    return _rival_masks(_payoff_vectors(game, player), x)
+
+
+def dominated_on(masks: tuple[tuple[int, int], ...], support: int) -> bool:
+    """True when one pure rival beats the strategy of these `rival_masks`
+    on the exact opponent support `support`, a bitmask: at least as much on
+    all of it and strictly more somewhere.  The strategy is then a best
+    response to no opponent strategy with that support (see the module
+    docstring); dominance by a mixed rival is left to the LP."""
+    for at_least, more in masks:
+        if support & more and support & at_least == support:
+            return True
+    return False
+
+
 class InfeasibleSides:
     """One game's record of infeasible one-sided programs of `fp1_check`.
 
-    `rows_failed[C]` lists the row bitmasks R for which the q-side (every
-    row of R a best response to some q with support exactly C) is
-    infeasible; `cols_failed[R]` does the same for the p-side, with the
-    players swapped.  Both sides are monotone, so any superset of a
-    recorded set is infeasible against the same fixed side.  `pruned`
-    counts the candidates rejected without an LP.
+    It holds the pure-dominance masks of every strategy of the game it
+    serves and caches, per fixed side, the bitmask of the responders a pure
+    rival dominates there: `dominated_rows(C)` for the q-side of a column
+    support C, `dominated_cols(R)` for the p-side.  `rows_failed[C]` lists
+    the row bitmasks R for which the q-side (every row of R a best response
+    to some q with support exactly C) was found infeasible; `cols_failed[R]`
+    does the same for the p-side, with the players swapped.  Both sides are
+    monotone, so any superset of a recorded set is infeasible against the
+    same fixed side.  `pruned` counts the candidates rejected without an
+    LP, for either reason.
     """
 
-    __slots__ = ("rows_failed", "cols_failed", "pruned")
+    __slots__ = ("_masks", "_dominated", "rows_failed", "cols_failed", "pruned")
 
-    def __init__(self):
+    def __init__(self, game: Game):
+        self._masks = tuple(
+            tuple(_rival_masks(vectors, x) for x in range(len(vectors)))
+            for vectors in (_payoff_vectors(game, 1), _payoff_vectors(game, 2))
+        )
+        self._dominated: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.rows_failed: dict[int, list[int]] = {}
         self.cols_failed: dict[int, list[int]] = {}
         self.pruned = 0
 
+    def _responders_dominated(self, side: int, fixed: int) -> int:
+        cache = self._dominated[side]
+        bits = cache.get(fixed)
+        if bits is None:
+            bits = 0
+            bit = 1
+            for masks in self._masks[side]:
+                if dominated_on(masks, fixed):
+                    bits |= bit
+                bit <<= 1
+            cache[fixed] = bits
+        return bits
+
+    def dominated_rows(self, cols: int) -> int:
+        """Bitmask of the rows a pure rival row dominates on the columns `cols`."""
+        return self._responders_dominated(0, cols)
+
+    def dominated_cols(self, rows: int) -> int:
+        """Bitmask of the columns a pure rival column dominates on the rows `rows`."""
+        return self._responders_dominated(1, rows)
+
     def rules_out(self, rows: int, cols: int) -> bool:
-        """True when a recorded side makes the pair (rows, cols) infeasible."""
+        """True when pure dominance or a recorded side makes the pair
+        (rows, cols) infeasible."""
+        if rows & self.dominated_rows(cols) or cols & self.dominated_cols(rows):
+            return True
         failed_rows = self.rows_failed.get(cols, ())
         failed_cols = self.cols_failed.get(rows, ())
         return any(bad & rows == bad for bad in failed_rows) or any(
@@ -571,9 +666,12 @@ def fp1_check(
     best-response-region program and the verdict is their conjunction; the
     common payoffs u1 and u2 are read off the solved witnesses.
 
-    With an `infeasible` record (one per game), a pair that a recorded side
-    rules out is rejected without an LP, and every side found infeasible is
-    recorded.  The verdict is the same with or without the record.
+    With an `infeasible` record built for this game, a pair is rejected
+    without an LP when a support strategy is dominated by a pure rival on
+    the opposite support or when a recorded side rules it out, and every
+    side an LP finds infeasible is recorded.  The verdict is the same with
+    or without the record; without one, both sides are solved afresh, which
+    makes the call the unpruned reference.
 
     Returns (is_equilibrium, witness) with the witness padded by zeros at
     out-of-support indices.

@@ -109,8 +109,8 @@ def degenerate_game(m: int, n: int, seed: int) -> Game:
 
 @st.composite
 def tied_games(draw) -> Game:
-    """Payoffs in {0, 1, 2}, 1x1 to 4x4, optionally with a duplicated row
-    (for both players) and an all-zero column (for both players)."""
+    """Payoffs in {0, 1, 2}, 1x1 to 4x4, optionally with a duplicated row,
+    a duplicated column and an all-zero column (each for both players)."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
     cell = st.integers(0, 2)
@@ -119,6 +119,10 @@ def tied_games(draw) -> Game:
     if m > 1 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(m)))[:2]
         a[dst], b[dst] = list(a[src]), list(b[src])
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        for x in range(m):
+            a[x][dst], b[x][dst] = a[x][src], b[x][src]
     if draw(st.booleans()):
         col = draw(st.integers(0, n - 1))
         for x in range(m):

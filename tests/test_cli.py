@@ -59,7 +59,7 @@ class TestSolve:
         second = capsys.readouterr().out
         assert first == second
         assert "stats method=supports" in first
-        assert "candidates=9 pruned=2 feasible=3" in first
+        assert "candidates=9 pruned=6 feasible=3" in first
 
     def test_wall_time_on_stderr_only(self, game_file, capsys):
         assert main(["solve", game_file(PD)]) == 0
@@ -87,6 +87,12 @@ class TestSolve:
 
     def test_bad_caps_exit_2(self, game_file, capsys):
         assert main(["solve", game_file(MP), "--method", "gi", "--k", "9"]) == 2
+
+    def test_caps_ignored_off_gi(self, game_file, capsys):
+        path = game_file(PD)
+        for method in ("supports", "gr"):
+            assert main(["solve", path, "--method", method, "--k", "9", "--l", "9"]) == 0
+            assert capsys.readouterr().out == "rows={2} cols={2} p=(0,1) q=(0,1) u1=1 u2=1\n"
 
     def test_usage_error_exit_2(self, capsys):
         assert main(["solve"]) == 2

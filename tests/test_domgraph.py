@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from nashcycles.domgraph import (
     BipartiteDigraph,
+    DomainEntry,
     build_gd,
     build_gi,
     build_gr,
@@ -15,6 +16,7 @@ from nashcycles.domgraph import (
     compute_domain_table,
     compute_relevancy,
     format_graph,
+    size_lex_subsets,
 )
 from nashcycles.games import Game, generate_random_game, is_best_response, iterated_elimination
 from nashcycles.lp import lp1_dominance, lp2_domain_check
@@ -59,6 +61,24 @@ class TestComputeDomain:
                     assert member
                     assert entry.witness.support == entry.support
                     assert is_best_response(g, 1, x, entry.witness)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_matches_per_subset_checks(self, g):
+        # Skipping the supports a pure rival dominates on drops no member and
+        # changes no witness: the row equals one domain check per subset.
+        for player in (1, 2):
+            opp_count = g.strategy_count(2 if player == 1 else 1)
+            for x in range(g.strategy_count(player)):
+                full = []
+                for support in size_lex_subsets(opp_count, opp_count):
+                    complement = tuple(y for y in range(opp_count) if y not in support)
+                    member, witness = lp2_domain_check(g, player, x, support, complement)
+                    if member:
+                        full.append(DomainEntry(support, witness))
+                for l in range(1, opp_count + 1):
+                    expected = tuple(e for e in full if len(e.support) <= l)
+                    assert compute_domain(g, player, x, l) == expected, (player, x, l)
 
 
 class TestComputeRelevancy:

@@ -71,7 +71,7 @@ class TestOracle:
         result = enumerate_by_supports(bos)
         assert result.method == "supports"
         assert result.stats.candidates == 9
-        assert result.stats.pruned == 2
+        assert result.stats.pruned == 6
         assert result.stats.feasible == 3
         assert len(result.game_hash) == 16
 
@@ -313,9 +313,23 @@ class TestPruningSoundness:
             assert _supports(result) == brute, result.method
 
         rng.shuffle(pairs)
-        record = InfeasibleSides()
+        record = InfeasibleSides(rg)
         for sp in pairs:
             assert fp1_check(rg, sp, record) == plain[sp], sp
+
+    def test_twins_never_rule_each_other_out(self):
+        # Rows 0 and 1 are twins, and so are the columns of the mirror game:
+        # a twin earns no more anywhere, so the pairs holding both survive.
+        g = Game.from_rows([[1, 0], [1, 0]], [[1, 2], [2, 1]])
+        mirror = Game.from_rows(list(zip(*g.b)), list(zip(*g.a)))
+        expected = [((0,), (1,)), ((0, 1), (0,)), ((0, 1), (0, 1)), ((0, 1), (1,)), ((1,), (0,))]
+        for result in (enumerate_by_supports(g), enumerate_by_gr(g), enumerate_by_gi(g, 2, 2)):
+            assert _supports(result) == expected, result.method
+        mirrored = sorted((cols, rows) for rows, cols in expected)
+        for result in (enumerate_by_supports(mirror), enumerate_by_gr(mirror), enumerate_by_gi(mirror, 2, 2)):
+            assert _supports(result) == mirrored, result.method
+        assert InfeasibleSides(g).dominated_rows(0b11) == 0
+        assert InfeasibleSides(mirror).dominated_cols(0b11) == 0
 
 
 class TestIndexMapping:
