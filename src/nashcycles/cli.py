@@ -134,14 +134,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cycles(args) -> int:
     game = _load_game(args.game)
-    k, l = _caps(args, game)
     start = time.perf_counter()
     if args.method == "gr":
         graph = build_gr(game)
     elif args.method == "gd":
-        graph = build_gd(game, k, l)
+        graph = build_gd(game, *_caps(args, game))
     else:
-        graph = build_gi(game, k, l)
+        graph = build_gi(game, *_caps(args, game))
     if args.dump_graph:
         dump = format_graph(graph)
         if dump:

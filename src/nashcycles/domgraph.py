@@ -11,6 +11,11 @@ to t certifies a single opponent mixed strategy with support exactly t to
 which every strategy in s is simultaneously a best response.  The capped
 graph G_I is that graph, G_D, plus flagged artificial arcs that keep every
 vertex connected.
+
+A domain entry is the arc question for a single strategy.  Entries and
+arcs are asked of one game's `InfeasibleSides` record, so a record shared
+by the domain tables, the graph build and the candidate checks solves
+each side at most once.
 """
 
 from __future__ import annotations
@@ -19,16 +24,10 @@ import itertools
 from dataclasses import dataclass
 
 from .games import Game, MixedStrategy
-from .lp import (
-    dominated_on,
-    lp2_domain_check,
-    lp2_joint_domain_check,
-    lp3_relevancy,
-    rival_masks,
-)
+from .lp import InfeasibleSides, lp3_relevancy
 
 # Unused here, but bench/tracing.py wraps these names in this namespace.
-from .lp import lp1_dominance, mod_lp1_relevancy
+from .lp import lp1_dominance, lp2_domain_check, lp2_joint_domain_check, mod_lp1_relevancy
 
 __all__ = [
     "BipartiteDigraph",
@@ -161,33 +160,46 @@ class DomainEntry:
     witness: MixedStrategy
 
 
-def compute_domain(game: Game, player: int, x: int, l: int) -> tuple[DomainEntry, ...]:
+def _record(game: Game, infeasible: InfeasibleSides | None) -> InfeasibleSides:
+    """The given record, checked against `game`, or a fresh one."""
+    if infeasible is None:
+        return InfeasibleSides(game)
+    infeasible.require(game)
+    return infeasible
+
+
+def compute_domain(
+    game: Game, player: int, x: int, l: int, infeasible: InfeasibleSides | None = None
+) -> tuple[DomainEntry, ...]:
     """All opponent support sets of size <= l to which `x` can respond best,
     each with its witness.  Strictly dominated strategies get an empty row.
 
-    A support on which a pure rival beats `x` (at least as much everywhere
-    on it, strictly more somewhere; see `dominated_on`) is left out with no
-    LP; every other support costs one domain check.
+    Each support is one side question of the record `infeasible` (made for
+    `game`; a fresh one when None), with `x` the only responder and the
+    complement of the support forbidden.
     """
-    opp_count = game.strategy_count(2 if player == 1 else 1)
+    opponent = 2 if player == 1 else 1
+    opp_count = game.strategy_count(opponent)
+    if not 0 <= x < game.strategy_count(player):
+        raise ValueError(f"strategy index {x} out of range")
     if not 1 <= l <= opp_count:
         raise ValueError(f"support cap must be in [1, {opp_count}], got {l}")
-    masks = rival_masks(game, player, x)
+    record = _record(game, infeasible)
     entries = []
     for support in size_lex_subsets(opp_count, l):
-        if dominated_on(masks, sum(1 << y for y in support)):
-            continue
-        complement = tuple(y for y in range(opp_count) if y not in support)
-        member, witness = lp2_domain_check(game, player, x, support, complement)
+        member, probs = record.check_side(player, (x,), support)
         if member:
-            entries.append(DomainEntry(support, witness))
+            entries.append(DomainEntry(support, MixedStrategy(opponent, probs)))
     return tuple(entries)
 
 
-def compute_domain_table(game: Game, player: int, l: int) -> dict[int, tuple[DomainEntry, ...]]:
-    """Domain rows for every pure strategy of `player`."""
+def compute_domain_table(
+    game: Game, player: int, l: int, infeasible: InfeasibleSides | None = None
+) -> dict[int, tuple[DomainEntry, ...]]:
+    """Domain rows for every pure strategy of `player`, asked of one record."""
+    record = _record(game, infeasible)
     count = game.strategy_count(player)
-    return {x: compute_domain(game, player, x, l) for x in range(count)}
+    return {x: compute_domain(game, player, x, l, record) for x in range(count)}
 
 
 # ---------------------------------------------------------------------------
@@ -244,56 +256,24 @@ def build_gr(game: Game) -> BipartiteDigraph:
     )
 
 
-def _case1_arc(
-    game: Game,
-    player: int,
-    source: tuple[int, ...],
-    target: tuple[int, ...],
-    domain_sets: dict[int, frozenset[tuple[int, ...]]],
-    opp_count: int,
-) -> bool:
-    # Per-strategy membership is necessary for a common witness; screen first.
-    if any(target not in domain_sets[x] for x in source):
-        return False
-    if len(source) == 1:
-        return True
-    complement = tuple(y for y in range(opp_count) if y not in target)
-    member, _ = lp2_joint_domain_check(game, player, source, target, complement)
-    return member
-
-
-def _domain_tables(game, k, l, row_domains, col_domains):
-    """Check the size caps and fill in missing domain tables."""
-    if not (1 <= k <= game.m and 1 <= l <= game.n):
-        raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
-    if row_domains is None:
-        row_domains = compute_domain_table(game, 1, l)
-    if col_domains is None:
-        col_domains = compute_domain_table(game, 2, k)
-    return row_domains, col_domains
-
-
 def build_gd(
-    game: Game,
-    k: int,
-    l: int,
-    row_domains: dict[int, tuple[DomainEntry, ...]] | None = None,
-    col_domains: dict[int, tuple[DomainEntry, ...]] | None = None,
+    game: Game, k: int, l: int, infeasible: InfeasibleSides | None = None
 ) -> BipartiteDigraph:
     """Subset-level dominance graph with vertex sizes capped at k (left) and
-    l (right) and only common-witness arcs; k=m, l=n gives the full graph."""
-    m, n = game.m, game.n
-    row_domains, col_domains = _domain_tables(game, k, l, row_domains, col_domains)
-    row_sets = {x: frozenset(e.support for e in row) for x, row in row_domains.items()}
-    col_sets = {y: frozenset(e.support for e in row) for y, row in col_domains.items()}
-    left = size_lex_subsets(m, k)
-    right = size_lex_subsets(n, l)
-    adj_lr = tuple(
-        tuple(_case1_arc(game, 1, s, t, row_sets, n) for t in right) for s in left
-    )
-    adj_rl = tuple(
-        tuple(_case1_arc(game, 2, t, s, col_sets, m) for s in left) for t in right
-    )
+    l (right) and only common-witness arcs; k=m, l=n gives the full graph.
+
+    Every arc is one side question of the record `infeasible` (made for
+    `game`; a fresh one when None).  Singleton sources come first, so a
+    source set holding a strategy whose domain lacks the target is ruled
+    out with no LP, by pure dominance or by that strategy's recorded side.
+    """
+    if not (1 <= k <= game.m and 1 <= l <= game.n):
+        raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
+    record = _record(game, infeasible)
+    left = size_lex_subsets(game.m, k)
+    right = size_lex_subsets(game.n, l)
+    adj_lr = tuple(tuple(record.check_side(1, s, t)[0] for t in right) for s in left)
+    adj_rl = tuple(tuple(record.check_side(2, t, s)[0] for s in left) for t in right)
     return BipartiteDigraph(
         tuple(frozenset(s) for s in left),
         tuple(frozenset(t) for t in right),
@@ -334,11 +314,7 @@ def _fallback_arcs(adj, sources, targets, domains):
 
 
 def build_gi(
-    game: Game,
-    k: int,
-    l: int,
-    row_domains: dict[int, tuple[DomainEntry, ...]] | None = None,
-    col_domains: dict[int, tuple[DomainEntry, ...]] | None = None,
+    game: Game, k: int, l: int, infeasible: InfeasibleSides | None = None
 ) -> BipartiteDigraph:
     """Capped subset-level graph: `build_gd` plus artificial fallback arcs.
 
@@ -347,10 +323,14 @@ def build_gi(
     to the largest capped subsets of the strategies relevant to every
     member; (3) arcs to every set in any member's domain; (4) a pure
     strategy with an empty domain gets arcs to every opposite vertex.  Arcs
-    from cases 2-4 are flagged artificial.
+    from cases 2-4 are flagged artificial.  The graph and the domain tables
+    ask one record (`infeasible`, or a fresh one), so each domain entry is
+    solved once.
     """
-    row_domains, col_domains = _domain_tables(game, k, l, row_domains, col_domains)
-    gd = build_gd(game, k, l, row_domains, col_domains)
+    record = _record(game, infeasible)
+    gd = build_gd(game, k, l, record)
+    row_domains = compute_domain_table(game, 1, l, record)
+    col_domains = compute_domain_table(game, 2, k, record)
     adj_lr, art_lr = _fallback_arcs(gd.adj_lr, gd.left, gd.right, row_domains)
     adj_rl, art_rl = _fallback_arcs(gd.adj_rl, gd.right, gd.left, col_domains)
     return BipartiteDigraph(gd.left, gd.right, adj_lr, adj_rl, art_lr, art_rl)

@@ -122,8 +122,10 @@ def _run_checks(
     candidates: Iterable[SupportPair],
     method: str,
     budget: int,
+    infeasible: InfeasibleSides,
 ) -> EquilibriumSet:
-    """Check every candidate, smallest supports first.
+    """Check every candidate, smallest supports first, asking the run's
+    record `infeasible` (made for `red.game`).
 
     Raises BudgetExceededError as soon as the candidates, drawn lazily,
     number more than `budget`, so no generator runs further than that.
@@ -137,7 +139,6 @@ def _run_checks(
         if len(pending) > budget:
             raise BudgetExceededError(len(pending), budget)
     pending.sort(key=SupportPair.sort_key)
-    infeasible = InfeasibleSides(red.game)
     entries = []
     for sp in pending:
         feasible, witness = fp1_check(red.game, sp, infeasible)
@@ -146,15 +147,6 @@ def _run_checks(
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
     stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
-
-
-def _all_support_pairs(m: int, n: int) -> Iterator[SupportPair]:
-    # Smallest total support size first, then lexicographic per side.
-    for total in range(2, m + n + 1):
-        for r in range(max(1, total - n), min(m, total - 1) + 1):
-            for rows in itertools.combinations(range(m), r):
-                for cols in itertools.combinations(range(n), total - r):
-                    yield SupportPair(rows, cols)
 
 
 def _bicliques(graph: BipartiteDigraph) -> Iterator[SupportPair]:
@@ -193,7 +185,8 @@ def _bicliques(graph: BipartiteDigraph) -> Iterator[SupportPair]:
 
 def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Exhaustive oracle: runs the feasibility check on every support pair
-    of the eliminated game, smallest supports first.
+    of the eliminated game (the bicliques of the complete graph), smallest
+    supports first.
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`.
@@ -203,7 +196,8 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    return _run_checks(game, red, _all_support_pairs(m, n), "supports", budget)
+    candidates = _bicliques(BipartiteDigraph.complete(m, n))
+    return _run_checks(game, red, candidates, "supports", budget, InfeasibleSides(red.game))
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -217,7 +211,8 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     `budget` bicliques.
     """
     red = iterated_elimination(game)
-    return _run_checks(game, red, _bicliques(build_gr(red.game)), "gr", budget)
+    candidates = _bicliques(build_gr(red.game))
+    return _run_checks(game, red, candidates, "gr", budget, InfeasibleSides(red.game))
 
 
 def enumerate_by_gi(
@@ -236,9 +231,12 @@ def enumerate_by_gi(
     rg = red.game
     k = min(k, rg.m)
     l = min(l, rg.n)
-    row_domains = compute_domain_table(rg, 1, l)
-    col_domains = compute_domain_table(rg, 2, k)
-    graph = build_gi(rg, k, l, row_domains, col_domains)
+    record = InfeasibleSides(rg)
+    # The domain tables solve their LPs here; build_gi reads them back from
+    # the record, and the checks reuse every side the graph has solved.
+    compute_domain_table(rg, 1, l, record)
+    compute_domain_table(rg, 2, k, record)
+    graph = build_gi(rg, k, l, record)
     full_caps = k == rg.m and l == rg.n
     try:
         basis = cycle_basis(graph, max_len=3 if full_caps else None, max_classes=budget)
@@ -246,7 +244,7 @@ def enumerate_by_gi(
         raise BudgetExceededError(exc.count, budget) from None
     trees = enumerate_support_trees(graph, basis, "gi", (rg.m, rg.n))
     candidates = {tree.support_pair(graph) for tree in trees}
-    return _run_checks(game, red, candidates, f"gi(k={k},l={l})", budget)
+    return _run_checks(game, red, candidates, f"gi(k={k},l={l})", budget, record)
 
 
 # ---------------------------------------------------------------------------

@@ -31,20 +31,18 @@ that column; so x is no best response to any such q.  This is the
 conditional dominance of Porter, Nudelman & Shoham (2004); exact supports
 let a weak dominator with one strict column decide it.  A twin of x has no
 strict column, so it never rules x out, and the test holds on degenerate
-games.  `rival_masks` and `dominated_on` apply it to one strategy; the
-domain tables use them to skip their LPs.
+games.
 
-`fp1_check` can take an `InfeasibleSides` record, made fresh for one
-game.  It holds the pure-dominance masks of that game and the one-sided
-programs already found infeasible.  Each side is monotone in its
-responders: if no q with support exactly C makes every row of R a best
-response, then none does for any R' containing R, because each extra
-responder turns a `<=` row into an `=` row and only shrinks the region.
-So a candidate (R, C) is rejected without an LP when a row of R is
-dominated by a pure rival on C, a column of C likewise on R, a recorded
-row set inside R failed against C, or a recorded column set inside C
-failed against R.  Without a record, every call solves its programs
-afresh.
+One game's `InfeasibleSides` record is the place where such a side
+question is asked: the domain tables, the common-witness arcs and
+`fp1_check` all ask it.  It applies pure dominance first, then the sides
+already found infeasible.  Each side is monotone in its responders: if no
+q with support exactly C makes every row of R a best response, then none
+does for any R' containing R, because each extra responder turns a `<=`
+row into an `=` row and only shrinks the region.  It then reuses the
+answer to a feasible side it has solved before, witness included, and
+solves an LP only for a side it has not seen.  Without a record,
+`fp1_check` solves both sides afresh.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``).  After the variable substitutions, every
@@ -63,6 +61,7 @@ the rational tableau would choose.  Public inputs and outputs are
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,14 +74,12 @@ __all__ = [
     "LinearProgram",
     "LpOutcome",
     "LpStatus",
-    "dominated_on",
     "fp1_check",
     "lp1_dominance",
     "lp2_domain_check",
     "lp2_joint_domain_check",
     "lp3_relevancy",
     "mod_lp1_relevancy",
-    "rival_masks",
     "solve_lp",
 ]
 
@@ -575,61 +572,56 @@ def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def rival_masks(game: Game, player: int, x: int) -> tuple[tuple[int, int], ...]:
-    """The pure-dominance masks of strategy `x`, for `dominated_on`."""
-    _check_index(game, player, x, "strategy")
-    return _rival_masks(_payoff_vectors(game, player), x)
-
-
-def dominated_on(masks: tuple[tuple[int, int], ...], support: int) -> bool:
-    """True when one pure rival beats the strategy of these `rival_masks`
-    on the exact opponent support `support`, a bitmask: at least as much on
-    all of it and strictly more somewhere.  The strategy is then a best
-    response to no opponent strategy with that support (see the module
-    docstring); dominance by a mixed rival is left to the LP."""
-    for at_least, more in masks:
-        if support & more and support & at_least == support:
-            return True
-    return False
+def _exact_region(game: Game, player: int, responders: tuple[int, ...], support: tuple[int, ...]):
+    """The best-response-region program with opposite support exactly `support`."""
+    count = game.strategy_count(_opponent(player))
+    return _best_response_region(
+        game, player, responders, support, tuple(y for y in range(count) if y not in support)
+    )
 
 
 class InfeasibleSides:
-    """One game's record of infeasible one-sided programs of `fp1_check`.
+    """One game's record of side questions: is there an opponent strategy
+    with support exactly S to which every strategy of a responder set is a
+    best response?
 
-    It holds the pure-dominance masks of every strategy of the game it
-    serves and caches, per fixed side, the bitmask of the responders a pure
-    rival dominates there: `dominated_rows(C)` for the q-side of a column
-    support C, `dominated_cols(R)` for the p-side.  `rows_failed[C]` lists
-    the row bitmasks R for which the q-side (every row of R a best response
-    to some q with support exactly C) was found infeasible; `cols_failed[R]`
-    does the same for the p-side, with the players swapped.  Both sides are
-    monotone, so any superset of a recorded set is infeasible against the
-    same fixed side.  `pruned` counts the candidates rejected without an
-    LP, for either reason.
+    The domain tables, the common-witness arcs and `fp1_check` all ask it
+    (see the module docstring for the order of its answers); `fp1_check`'s
+    sides of (R, C) are the arc questions R -> C and C -> R.  A feasible
+    answer is reused for the same question only: a subset of a feasible
+    responder set is feasible too, but its own LP may find another witness.
+    `pruned` counts the `fp1_check` candidates rejected without an LP.
     """
 
-    __slots__ = ("_masks", "_dominated", "rows_failed", "cols_failed", "pruned")
+    __slots__ = ("game", "_masks", "_dominated", "_failed", "_feasible", "pruned")
 
     def __init__(self, game: Game):
+        self.game = game
         self._masks = tuple(
             tuple(_rival_masks(vectors, x) for x in range(len(vectors)))
             for vectors in (_payoff_vectors(game, 1), _payoff_vectors(game, 2))
         )
         self._dominated: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        self.rows_failed: dict[int, list[int]] = {}
-        self.cols_failed: dict[int, list[int]] = {}
+        # Per player: opposite support bits -> the infeasible responder bits.
+        self._failed: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+        self._feasible: dict[tuple[int, int, int], tuple] = {}
         self.pruned = 0
+
+    def require(self, game: Game) -> None:
+        """Raise ValueError unless this record was made for `game`."""
+        if self.game is not game and self.game != game:
+            raise ValueError("the infeasible-side record was made for another game")
 
     def _responders_dominated(self, side: int, fixed: int) -> int:
         cache = self._dominated[side]
         bits = cache.get(fixed)
         if bits is None:
             bits = 0
-            bit = 1
-            for masks in self._masks[side]:
-                if dominated_on(masks, fixed):
-                    bits |= bit
-                bit <<= 1
+            for x, masks in enumerate(self._masks[side]):
+                for at_least, more in masks:
+                    if fixed & more and fixed & at_least == fixed:
+                        bits |= 1 << x
+                        break
             cache[fixed] = bits
         return bits
 
@@ -641,16 +633,41 @@ class InfeasibleSides:
         """Bitmask of the columns a pure rival column dominates on the rows `rows`."""
         return self._responders_dominated(1, rows)
 
+    def _failed_inside(self, side: int, fixed: int, responders: int) -> bool:
+        return any(bad & responders == bad for bad in self._failed[side].get(fixed, ()))
+
     def rules_out(self, rows: int, cols: int) -> bool:
         """True when pure dominance or a recorded side makes the pair
         (rows, cols) infeasible."""
-        if rows & self.dominated_rows(cols) or cols & self.dominated_cols(rows):
+        if rows & self._responders_dominated(0, cols) or cols & self._responders_dominated(1, rows):
             return True
-        failed_rows = self.rows_failed.get(cols, ())
-        failed_cols = self.cols_failed.get(rows, ())
-        return any(bad & rows == bad for bad in failed_rows) or any(
-            bad & cols == bad for bad in failed_cols
-        )
+        return self._failed_inside(0, cols, rows) or self._failed_inside(1, rows, cols)
+
+    def _region(self, player: int, responders: tuple[int, ...], support: tuple[int, ...]):
+        """The region program on the exact support, past the cheap tests:
+        a remembered feasible answer, else an LP whose answer is kept."""
+        key = (player, _mask(responders), _mask(support))
+        found = self._feasible.get(key)
+        if found is None:
+            found = _exact_region(self.game, player, responders, support)
+            if found[0]:
+                self._feasible[key] = found
+            else:
+                self._failed[player - 1].setdefault(key[2], []).append(key[1])
+        return found
+
+    def check_side(
+        self, player: int, responders: tuple[int, ...], support: tuple[int, ...]
+    ) -> tuple[bool, tuple[Fraction, ...] | None]:
+        """Is there an opponent mixed strategy with support exactly `support`
+        to which every strategy in `responders` is a best response?  Both are
+        sorted index tuples.  Returns the verdict and, when yes, the
+        probabilities of the witness `lp2_joint_domain_check` finds for the
+        same question."""
+        side, bits, fixed = player - 1, _mask(responders), _mask(support)
+        if bits & self._responders_dominated(side, fixed) or self._failed_inside(side, fixed, bits):
+            return False, None
+        return self._region(player, responders, support)[:2]
 
 
 def fp1_check(
@@ -666,10 +683,11 @@ def fp1_check(
     best-response-region program and the verdict is their conjunction; the
     common payoffs u1 and u2 are read off the solved witnesses.
 
-    With an `infeasible` record built for this game, a pair is rejected
-    without an LP when a support strategy is dominated by a pure rival on
-    the opposite support or when a recorded side rules it out, and every
-    side an LP finds infeasible is recorded.  The verdict is the same with
+    With an `infeasible` record made for this game, both sides are asked
+    of the record: the pair is rejected without an LP when pure dominance
+    or a recorded side rules out either side (tested for both before any
+    LP), a side the record has already solved costs no LP, and every other
+    side is solved and recorded.  The verdict and witness are the same with
     or without the record; without one, both sides are solved afresh, which
     makes the call the unpruned reference.
 
@@ -679,23 +697,18 @@ def fp1_check(
     rows, cols = support.rows, support.cols
     if rows[-1] >= game.m or cols[-1] >= game.n:
         raise ValueError("support indices out of range for this game")
-    if infeasible is not None:
-        row_bits, col_bits = _mask(rows), _mask(cols)
-        if infeasible.rules_out(row_bits, col_bits):
+    if infeasible is None:
+        region = functools.partial(_exact_region, game)
+    else:
+        infeasible.require(game)
+        if infeasible.rules_out(_mask(rows), _mask(cols)):
             infeasible.pruned += 1
             return False, None
-    ok_q, q, u1 = _best_response_region(
-        game, 1, rows, cols, tuple(y for y in range(game.n) if y not in cols)
-    )
+        region = infeasible._region
+    ok_q, q, u1 = region(1, rows, cols)
     if not ok_q:
-        if infeasible is not None:
-            infeasible.rows_failed.setdefault(col_bits, []).append(row_bits)
         return False, None
-    ok_p, p, u2 = _best_response_region(
-        game, 2, cols, rows, tuple(x for x in range(game.m) if x not in rows)
-    )
+    ok_p, p, u2 = region(2, cols, rows)
     if not ok_p:
-        if infeasible is not None:
-            infeasible.cols_failed.setdefault(row_bits, []).append(col_bits)
         return False, None
     return True, (MixedStrategy(1, p), MixedStrategy(2, q), u1, u2)

@@ -124,6 +124,18 @@ class TestCycles:
         assert out[0] == "k=2 left={{2}} right={{2}}"
         assert out[1].startswith("basis=1")
 
+    def test_caps_ignored_on_gr(self, game_file, capsys):
+        path = game_file(MP)
+        assert main(["cycles", path]) == 0
+        plain = capsys.readouterr().out
+        assert main(["cycles", path, "--method", "gr", "--k", "9", "--l", "9"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_bad_caps_exit_2(self, game_file, capsys):
+        for method in ("gd", "gi"):
+            assert main(["cycles", game_file(MP), "--method", method, "--k", "9"]) == 2
+            assert "caps must satisfy" in capsys.readouterr().err
+
     def test_dump_graph_format(self, game_file, capsys):
         assert main(["cycles", game_file(MP), "--dump-graph"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from nashcycles.domgraph import (
@@ -18,9 +20,15 @@ from nashcycles.domgraph import (
     format_graph,
     size_lex_subsets,
 )
-from nashcycles.games import Game, generate_random_game, is_best_response, iterated_elimination
-from nashcycles.lp import lp1_dominance, lp2_domain_check
-from nashcycles.equilibria import enumerate_by_supports
+from nashcycles.games import (
+    Game,
+    SupportPair,
+    generate_random_game,
+    is_best_response,
+    iterated_elimination,
+)
+from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check
+from nashcycles.equilibria import enumerate_by_gi, enumerate_by_supports
 
 from conftest import tied_games
 
@@ -203,6 +211,28 @@ class TestBuildGd:
     def test_no_artificial_arcs(self, mp):
         assert build_gd(mp, 2, 2).artificial_arc_count() == 0
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_within_cap_equilibria_are_mutual_arcs(self, g):
+        # Every row of an equilibrium's R is a best response to its q, whose
+        # support is exactly C, and likewise for the columns: so at every
+        # cap pair holding (R, C) the arcs R -> C and C -> R are in G_D.
+        # On games up to 3x3 the capped gi route also finds (R, C); on 4x4
+        # tied games a capped run can take too long to exhaust its cycle
+        # basis, so gi is not run there.
+        oracle = enumerate_by_supports(g).support_pairs()
+        for k in range(1, g.m + 1):
+            for l in range(1, g.n + 1):
+                within = [sp for sp in oracle if len(sp.rows) <= k and len(sp.cols) <= l]
+                graph = build_gd(g, k, l)
+                for sp in within:
+                    u = _vertex(graph, 1, sp.rows)
+                    w = _vertex(graph, 2, sp.cols)
+                    assert graph.has_arc(u, w) and graph.has_arc(w, u), (k, l, sp)
+                if g.m <= 3 and g.n <= 3:
+                    found = set(enumerate_by_gi(g, k, l).support_pairs())
+                    assert set(within) <= found, (k, l)
+
 
 class TestBuildGi:
     def test_mp_matches_gd(self, mp):
@@ -254,12 +284,11 @@ class TestBuildGi:
     def test_gd_plus_fallback_arcs(self, g):
         # At every cap pair, G_I without its artificial arcs is G_D, and a
         # source with a common-witness arc gets no artificial arc.
-        rows = {l: compute_domain_table(g, 1, l) for l in range(1, g.n + 1)}
-        cols = {k: compute_domain_table(g, 2, k) for k in range(1, g.m + 1)}
+        record = InfeasibleSides(g)
         for k in range(1, g.m + 1):
             for l in range(1, g.n + 1):
-                gd = build_gd(g, k, l, rows[l], cols[k])
-                gi = build_gi(g, k, l, rows[l], cols[k])
+                gd = build_gd(g, k, l, record)
+                gi = build_gi(g, k, l, record)
                 assert (gi.left, gi.right) == (gd.left, gd.right)
                 for adj_i, art, adj_d in (
                     (gi.adj_lr, gi.artificial_lr, gd.adj_lr),
@@ -290,9 +319,34 @@ class TestGraphExport:
         dump = format_graph(build_gi(flat_top, 1, 1))
         assert "1:{2} -> 2:{1} artificial" in dump
 
-    def test_reused_domain_tables(self, mp):
-        rows = compute_domain_table(mp, 1, 2)
-        cols = compute_domain_table(mp, 2, 2)
-        direct = build_gd(mp, 2, 2)
-        reused = build_gd(mp, 2, 2, rows, cols)
-        assert direct == reused
+
+class TestSharedRecord:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_sharing_changes_nothing(self, g):
+        # One record asked by the domain tables, both graph builds at every
+        # cap pair and then the checks of every support pair: each answer,
+        # witness included, is the one a fresh record or no record gives.
+        record = InfeasibleSides(g)
+        for k in range(1, g.m + 1):
+            for l in range(1, g.n + 1):
+                assert compute_domain_table(g, 1, l, record) == compute_domain_table(g, 1, l)
+                assert compute_domain_table(g, 2, k, record) == compute_domain_table(g, 2, k)
+                assert build_gd(g, k, l, record) == build_gd(g, k, l)
+                assert build_gi(g, k, l, record) == build_gi(g, k, l)
+        every = itertools.product(size_lex_subsets(g.m, g.m), size_lex_subsets(g.n, g.n))
+        for sp in itertools.starmap(SupportPair, every):
+            assert fp1_check(g, sp, record) == fp1_check(g, sp), sp
+
+    def test_record_of_another_game_refused(self, mp, bos):
+        record = InfeasibleSides(bos)
+        with pytest.raises(ValueError):
+            compute_domain(mp, 1, 0, 2, record)
+        with pytest.raises(ValueError):
+            compute_domain_table(mp, 1, 2, record)
+        with pytest.raises(ValueError):
+            build_gd(mp, 2, 2, record)
+        with pytest.raises(ValueError):
+            build_gi(mp, 2, 2, record)
+        with pytest.raises(ValueError):
+            fp1_check(mp, SupportPair((0,), (0,)), record)

@@ -14,7 +14,6 @@ from nashcycles.cycles import cycle_basis, enumerate_support_trees
 from nashcycles.domgraph import BipartiteDigraph, build_gr
 from nashcycles.equilibria import (
     BudgetExceededError,
-    _all_support_pairs,
     _bicliques,
     eliminable_strategies,
     enumerate_by_gi,
@@ -118,7 +117,7 @@ class TestGrPipeline:
             for n in range(1, 7):
                 graph = BipartiteDigraph.complete(m, n)
                 trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (m, n))
-                expected = sorted(_all_support_pairs(m, n), key=SupportPair.sort_key)
+                expected = sorted(_all_pairs(m, n), key=SupportPair.sort_key)
                 tree_pairs = {tree.support_pair(graph) for tree in trees}
                 assert sorted(tree_pairs, key=SupportPair.sort_key) == expected, (m, n)
                 assert sorted(_bicliques(graph), key=SupportPair.sort_key) == expected, (m, n)
@@ -131,7 +130,7 @@ class TestGrPipeline:
         graph = build_gr(rg)
         brute = [
             sp
-            for sp in sorted(_all_support_pairs(rg.m, rg.n), key=SupportPair.sort_key)
+            for sp in sorted(_all_pairs(rg.m, rg.n), key=SupportPair.sort_key)
             if all(graph.adj_lr[x][y] and graph.adj_rl[y][x] for x in sp.rows for y in sp.cols)
         ]
         bicliques = sorted(_bicliques(graph), key=SupportPair.sort_key)
