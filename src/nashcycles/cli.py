@@ -5,8 +5,10 @@ inspection), ``stats`` (random-game basis statistics), ``gen`` (seeded
 game generation), and ``check`` (equilibrium verification).
 
 Exit codes: 0 success, 1 invalid verdict from ``check``, 2 usage or parse
-error, 3 candidate budget exceeded.  Structured output mode produces
-byte-identical stdout across runs; wall-clock timings go to stderr.
+error, 3 candidate budget exceeded (for ``cycles`` and ``stats``: a cycle
+basis of more classes than the default budget).  Structured output mode
+produces byte-identical stdout across runs; wall-clock timings go to
+stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .cycles import cycle_basis
+from .cycles import CycleClassLimit, cycle_basis
 from .domgraph import build_gd, build_gi, build_gr, format_graph
 from .equilibria import (
     DEFAULT_BUDGET,
@@ -145,7 +147,7 @@ def _cmd_cycles(args) -> int:
         dump = format_graph(graph)
         if dump:
             print(dump)
-    basis = cycle_basis(graph)
+    basis = cycle_basis(graph, max_classes=DEFAULT_BUDGET)
     flat = all(len(graph.strategy_set(v)) == 1 for v in range(graph.order))
 
     def side_label(vertex_ids) -> str:
@@ -193,7 +195,7 @@ def _cmd_stats(args) -> int:
             start = time.perf_counter()
             reduced = iterated_elimination(game).game
             graph = build_gr(reduced)
-            basis = cycle_basis(graph)
+            basis = cycle_basis(graph, max_classes=DEFAULT_BUDGET)
             elapsed += time.perf_counter() - start
             basis_sizes.append(len(basis))
             ratios.append(Fraction(len(basis), space))
@@ -294,7 +296,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, CycleClassLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GameFormatError as exc:

@@ -3,11 +3,12 @@
 Strongly connected components and elementary-cycle enumeration follow the
 classic linear-time / output-linear algorithms (iterative, so deep graphs
 cannot hit the recursion limit).  The cycle basis deduplicates cycles by
-vertex set: classes are seeded from mutual arc pairs and grown one vertex
-per side, and a class is admitted only once an explicit witness cycle
-through exactly its vertex set has been constructed.  Support trees bundle
-a main cycle with 3-cycles hanging off it; they generate the unbalanced
-support candidates that single cycles cannot.
+vertex set, one bitmask per class: classes are seeded from mutual arc
+pairs and grown one vertex per side, and a class is admitted only once an
+explicit witness cycle through exactly its vertex set has been
+constructed.  Support trees bundle a main cycle with other classes (3-cycles
+hanging off it, or a star of classes through one vertex); they generate
+the unbalanced support candidates that single cycles cannot.
 """
 
 from __future__ import annotations
@@ -225,10 +226,6 @@ class CycleBasisEntry:
     def distinct_count(self) -> int:
         return len(self.left) + len(self.right)
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.left) | frozenset(self.right)
-
     def sort_key(self) -> tuple:
         return (self.distinct_count, self.left, self.right)
 
@@ -242,39 +239,45 @@ class CycleBasisEntry:
         return frozenset(rows), frozenset(cols)
 
 
-def _witness_cycle(
-    lefts: tuple[int, ...],
-    rights: tuple[int, ...],
-    succ: dict[int, frozenset[int]],
-) -> tuple[int, ...] | None:
-    # Alternating elementary cycle through exactly lefts | rights, anchored
-    # at the smallest left vertex; first found in ascending neighbor order.
-    start = lefts[0]
-    k = len(lefts)
-    left_set = set(lefts)
-    right_set = set(rights)
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def extend(current: int, used_l: set[int], used_r: set[int], path: list[int]):
-        if len(used_l) == k and len(used_r) == k:
-            if start in succ[current]:
-                return path + [start]
+
+def _witness_cycle(mask: int, succ: Sequence[int]) -> tuple[int, ...] | None:
+    # Alternating elementary cycle through exactly the vertices of `mask`,
+    # anchored at its smallest (left) vertex; first found in ascending
+    # successor order (the graph is bipartite, so successors alternate
+    # sides).  A vertex with no successor or predecessor inside the mask
+    # rules the cycle out before any search.
+    reach = 0
+    for v in _bits(mask):
+        outs = succ[v] & mask
+        if not outs:
             return None
-        if current in left_set:
-            pool, used = right_set, used_r
-        else:
-            pool, used = left_set, used_l
-        for nxt in sorted(succ[current] & pool):
-            if nxt in used:
-                continue
-            used.add(nxt)
-            found = extend(nxt, used_l, used_r, path + [nxt])
-            if found:
-                return found
-            used.remove(nxt)
+        reach |= outs
+    if reach != mask:
         return None
+    start = mask & -mask
+    path = [start.bit_length() - 1]
 
-    return_path = extend(start, {start}, set(), [start])
-    return tuple(return_path) if return_path else None
+    def extend(v: int, rest: int) -> bool:
+        if not rest:
+            return bool(succ[v] & start)
+        options = succ[v] & rest
+        while options:
+            bit = options & -options
+            options ^= bit
+            path.append(bit.bit_length() - 1)
+            if extend(path[-1], rest ^ bit):
+                return True
+            path.pop()
+        return False
+
+    return (*path, path[0]) if extend(path[0], mask ^ start) else None
 
 
 def cycle_basis(
@@ -286,19 +289,20 @@ def cycle_basis(
     3-cycles: distinct (left vertex set, right vertex set) pairs, each with
     a witness elementary cycle through exactly its vertices.
 
-    All 3-cycles (mutual arc pairs) seed level one, and a level-k class
+    The mutual arc pairs (3-cycles) form level one, and a level-k class
     spawns level-(k+1) candidates by adding one new vertex per side; a
     candidate joins the basis only when a witness cycle through exactly its
-    vertex set is found.  So an elementary cycle whose vertex sets no such
-    chain reaches is left out: x0 -> y0 -> x1 -> y1 -> x0 with no mutual arc
-    is a cycle, and its graph's basis is empty.  That loses no equilibrium.
-    Every equilibrium support (R, C) is a biclique of G_R, so each x in R
-    and y in C form a 3-cycle there; at full caps the vertices R and C of
-    G_I form one too, since the equilibrium's own strategies are common
-    witnesses both ways.  `max_len` caps
-    the representative sequence length (2k+1 for k vertices per side); the
-    default is the longest possible cycle.  `max_classes` aborts runaway
-    enumerations with :class:`CycleClassLimit`.
+    vertex set is found, over plain arcs if possible and else over all arcs,
+    which marks the class artificial.  Candidates are vertex bitmasks.  So
+    an elementary cycle whose vertex sets no such chain reaches is left
+    out: x0 -> y0 -> x1 -> y1 -> x0 with no mutual arc is a cycle, and its
+    graph's basis is empty.  That loses no equilibrium.  Every equilibrium
+    support (R, C) is a biclique of G_R, so each x in R and y in C form a
+    3-cycle there; at full caps the vertices R and C of G_I form one too,
+    since the equilibrium's own strategies are common witnesses both ways.
+    `max_len` caps the representative sequence length (2k+1 for k vertices
+    per side); the default is the longest possible cycle.  `max_classes`
+    aborts runaway enumerations with :class:`CycleClassLimit`.
     """
     L = len(graph.left)
     R = len(graph.right)
@@ -306,64 +310,48 @@ def cycle_basis(
     if max_len is not None:
         cap = min(cap, max(0, (max_len - 1) // 2))
 
-    left_ids = list(range(L))
-    right_ids = list(range(L, L + R))
-    succ_plain: dict[int, frozenset[int]] = {}
-    succ_all: dict[int, frozenset[int]] = {}
+    succ_plain: list[int] = []  # successor bitmasks over plain arcs
+    succ_all: list[int] = []
     for v in range(graph.order):
         outs = graph.successors(v)
-        succ_all[v] = frozenset(outs)
-        succ_plain[v] = frozenset(w for w in outs if not graph.arc_artificial(v, w))
+        succ_all.append(sum(1 << w for w in outs))
+        succ_plain.append(sum(1 << w for w in outs if not graph.arc_artificial(v, w)))
+    left_ids = (1 << L) - 1
+    right_ids = ((1 << R) - 1) << L
 
     entries: list[CycleBasisEntry] = []
-    frontier: list[CycleBasisEntry] = []
-    for u in left_ids:
-        for w in right_ids:
-            if w in succ_all[u] and u in succ_all[w]:
-                artificial = not (w in succ_plain[u] and u in succ_plain[w])
-                entry = CycleBasisEntry((u,), (w,), Cycle((u, w, u)), artificial)
-                entries.append(entry)
-                frontier.append(entry)
-                if max_classes is not None and len(entries) > max_classes:
-                    raise CycleClassLimit(len(entries))
+    admitted: list[int] = []
 
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = {
-        (e.left, e.right) for e in frontier
-    }
-    level = 1
-    while frontier and level < cap:
-        next_frontier: list[CycleBasisEntry] = []
-        for entry in frontier:
-            left_used = set(entry.left)
-            right_used = set(entry.right)
-            for u in left_ids:
-                if u in left_used:
-                    continue
-                for w in right_ids:
-                    if w in right_used:
-                        continue
-                    key = (
-                        tuple(sorted(left_used | {u})),
-                        tuple(sorted(right_used | {w})),
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    lefts, rights = key
-                    witness = _witness_cycle(lefts, rights, succ_plain)
-                    artificial = False
-                    if witness is None:
-                        witness = _witness_cycle(lefts, rights, succ_all)
-                        artificial = True
-                    if witness is None:
-                        continue
-                    new_entry = CycleBasisEntry(lefts, rights, Cycle(witness), artificial)
-                    entries.append(new_entry)
-                    next_frontier.append(new_entry)
-                    if max_classes is not None and len(entries) > max_classes:
-                        raise CycleClassLimit(len(entries))
-        frontier = next_frontier
-        level += 1
+    def admit(mask: int) -> None:
+        witness = _witness_cycle(mask, succ_plain)
+        artificial = witness is None
+        if artificial:
+            witness = _witness_cycle(mask, succ_all)
+            if witness is None:
+                return
+        left = tuple(_bits(mask & left_ids))
+        right = tuple(_bits(mask & right_ids))
+        entries.append(CycleBasisEntry(left, right, Cycle(witness), artificial))
+        admitted.append(mask)
+        if max_classes is not None and len(entries) > max_classes:
+            raise CycleClassLimit(len(entries))
+
+    for u in range(L):
+        for w in _bits(succ_all[u]):
+            if succ_all[w] >> u & 1:
+                admit(1 << u | 1 << w)
+    seen: set[int] = set()
+    done = 0
+    for _ in range(1, cap):
+        frontier, done = admitted[done:], len(admitted)
+        for mask in frontier:
+            for u in _bits(left_ids & ~mask):
+                grown = mask | 1 << u
+                for w in _bits(right_ids & ~mask):
+                    candidate = grown | 1 << w
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        admit(candidate)
 
     entries.sort(key=CycleBasisEntry.sort_key)
     return entries
@@ -432,35 +420,34 @@ def _gi_trees(
     basis: Sequence[CycleBasisEntry],
     caps: tuple[int, int],
 ) -> Iterator[SupportTree]:
-    strategy_cache = {e.sort_key(): e.strategy_sets(graph) for e in basis}
-
-    def within_caps(members: Sequence[CycleBasisEntry]) -> bool:
-        rows: set[int] = set()
-        cols: set[int] = set()
-        for e in members:
-            r, c = strategy_cache[e.sort_key()]
-            rows |= r
-            cols |= c
-        return len(rows) <= caps[0] and len(cols) <= caps[1]
-
     for entry in basis:
         yield SupportTree(entry)
-    emitted: set[tuple] = set()
+    spans = []  # per class: its vertex, row and column bitmasks
+    for entry in basis:
+        sets = (entry.left + entry.right, *entry.strategy_sets(graph))
+        spans.append(tuple(sum(1 << i for i in items) for items in sets))
+    emitted: set[tuple[int, ...]] = set()
     for v in range(graph.order):
-        star = [e for e in basis if v in e.vertex_set]
+        star = [i for i, span in enumerate(spans) if span[0] >> v & 1]
         if len(star) < 2:
             continue
-        trimmed: list[CycleBasisEntry] = []
-        for e in star:
-            if within_caps(trimmed + [e]):
-                trimmed.append(e)
+        # Greedy in basis order: keep each class whose rows and columns,
+        # added to the running unions, stay within the caps.
+        trimmed: list[int] = []
+        rows = cols = 0
+        for i in star:
+            grown_rows = rows | spans[i][1]
+            grown_cols = cols | spans[i][2]
+            if grown_rows.bit_count() <= caps[0] and grown_cols.bit_count() <= caps[1]:
+                trimmed.append(i)
+                rows, cols = grown_rows, grown_cols
         if len(trimmed) < 2:
             continue
-        key = tuple(e.sort_key() for e in trimmed)
+        key = tuple(trimmed)
         if key in emitted:
             continue
         emitted.add(key)
-        yield SupportTree(trimmed[0], tuple(trimmed[1:]))
+        yield SupportTree(basis[trimmed[0]], tuple(basis[i] for i in trimmed[1:]))
 
 
 def enumerate_support_trees(

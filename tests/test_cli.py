@@ -7,7 +7,7 @@ import re
 import pytest
 
 from nashcycles.cli import main
-from nashcycles.games import parse_game
+from nashcycles.games import generate_random_game, parse_game, write_game
 
 PD = "2 2\n3 0\n5 1\n3 5\n0 1\n"
 MP = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
@@ -135,6 +135,15 @@ class TestCycles:
         for method in ("gd", "gi"):
             assert main(["cycles", game_file(MP), "--method", method, "--k", "9"]) == 2
             assert "caps must satisfy" in capsys.readouterr().err
+
+    def test_basis_past_budget_exit_3(self, game_file, capsys, monkeypatch):
+        # The G_R basis of this generic 4x4 game has 34 classes.
+        monkeypatch.setattr("nashcycles.cli.DEFAULT_BUDGET", 10)
+        path = game_file(write_game(generate_random_game(4, 4, 7)))
+        assert main(["cycles", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: cycle basis exceeded 10 classes\n"
+        assert "basis=" not in captured.out
 
     def test_dump_graph_format(self, game_file, capsys):
         assert main(["cycles", game_file(MP), "--dump-graph"]) == 0

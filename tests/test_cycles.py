@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from nashcycles.cycles import (
     Cycle,
@@ -18,10 +20,10 @@ from nashcycles.cycles import (
     strongly_connected_components,
     tarjan_scc,
 )
-from nashcycles.domgraph import BipartiteDigraph, build_gr
+from nashcycles.domgraph import BipartiteDigraph, build_gi, build_gr
 from nashcycles.games import generate_random_game, iterated_elimination
 
-from conftest import brute_force_cycles
+from conftest import brute_force_cycles, tied_games
 
 
 def _mutual_pairs_graph() -> BipartiteDigraph:
@@ -43,19 +45,107 @@ def _one_way_graph() -> BipartiteDigraph:
     )
 
 
-def _random_bipartite(rng: random.Random, m: int, n: int, density: float) -> BipartiteDigraph:
+def _random_bipartite(
+    rng: random.Random, m: int, n: int, density: float, artificial: float = 0.0
+) -> BipartiteDigraph:
+    # Each arc is present with probability `density`, and each present arc
+    # is flagged artificial with probability `artificial`.
     adj_lr = tuple(
         tuple(rng.random() < density for _ in range(n)) for _ in range(m)
     )
     adj_rl = tuple(
         tuple(rng.random() < density for _ in range(m)) for _ in range(n)
     )
+    flags = ()
+    if artificial:
+        flags = tuple(
+            tuple(tuple(on and rng.random() < artificial for on in row) for row in adj)
+            for adj in (adj_lr, adj_rl)
+        )
     return BipartiteDigraph(
         tuple(frozenset([x]) for x in range(m)),
         tuple(frozenset([y]) for y in range(n)),
         adj_lr,
         adj_rl,
+        *flags,
     )
+
+
+def _brute_force_basis(graph: BipartiteDigraph) -> list[tuple]:
+    """The cycle basis from plain-DFS cycles grouped by vertex set: the
+    chain closure of the 2-vertex sets, each class with its least cycle
+    (plain cycles first) and flagged artificial when no plain cycle runs
+    through exactly its vertices."""
+    L = len(graph.left)
+    adj_all = graph.adjacency()
+    adj_plain = [
+        [w for w in adj_all[v] if not graph.arc_artificial(v, w)] for v in range(graph.order)
+    ]
+    least_plain: dict[frozenset[int], tuple[int, ...]] = {}
+    least_any: dict[frozenset[int], tuple[int, ...]] = {}
+    for least, adj in ((least_plain, adj_plain), (least_any, adj_all)):
+        for cycle in brute_force_cycles(graph.order, adj):
+            least.setdefault(frozenset(cycle), cycle)
+    admitted: set[frozenset[int]] = set()
+    for vertices in sorted(least_any, key=len):
+        if len(vertices) == 2 or any(
+            vertices - {u, w} in admitted
+            for u in vertices
+            if u < L
+            for w in vertices
+            if w >= L
+        ):
+            admitted.add(vertices)
+    out = []
+    for vertices in admitted:
+        cycle = least_plain.get(vertices, least_any[vertices])
+        left = tuple(sorted(v for v in vertices if v < L))
+        right = tuple(sorted(v for v in vertices if v >= L))
+        out.append((left, right, cycle + cycle[:1], vertices not in least_plain))
+    return sorted(out, key=lambda e: (len(e[0]) + len(e[1]), e[0], e[1]))
+
+
+def _basis_rows(graph: BipartiteDigraph) -> list[tuple]:
+    return [
+        (e.left, e.right, e.representative.vertices, e.artificial) for e in cycle_basis(graph)
+    ]
+
+
+def _check_gi_trim(graph: BipartiteDigraph, basis, caps) -> bool:
+    """Assert that `gi` mode emits what the star trim's reference
+    formulation gives, members and order; True when some star dropped a
+    class to meet the caps."""
+
+    # Each class of a star is kept when the whole trimmed family plus it
+    # stays within the caps, the union taken afresh every time.
+    strategy_sets = [e.strategy_sets(graph) for e in basis]
+
+    def within_caps(members) -> bool:
+        rows: set[int] = set()
+        cols: set[int] = set()
+        for i in members:
+            rows |= strategy_sets[i][0]
+            cols |= strategy_sets[i][1]
+        return len(rows) <= caps[0] and len(cols) <= caps[1]
+
+    expected = [(e,) for e in basis]
+    emitted: set[tuple[int, ...]] = set()
+    dropped = False
+    for v in range(graph.order):
+        star = [i for i, e in enumerate(basis) if v in e.left + e.right]
+        if len(star) < 2:
+            continue
+        trimmed: list[int] = []
+        for i in star:
+            if within_caps(trimmed + [i]):
+                trimmed.append(i)
+        dropped |= len(trimmed) < len(star)
+        if len(trimmed) >= 2 and tuple(trimmed) not in emitted:
+            emitted.add(tuple(trimmed))
+            expected.append(tuple(basis[i] for i in trimmed))
+    trees = enumerate_support_trees(graph, basis, "gi", caps)
+    assert [t.members for t in trees] == expected, caps
+    return dropped
 
 
 def _validate_cycle(graph: BipartiteDigraph, cycle: Cycle):
@@ -216,6 +306,27 @@ class TestCycleBasis:
         with pytest.raises(CycleClassLimit):
             cycle_basis(BipartiteDigraph.complete(4, 4), max_classes=10)
 
+    def test_matches_brute_force_with_artificial_arcs(self):
+        rng = random.Random(57)
+        flagged = 0
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            graph = _random_bipartite(rng, m, n, rng.choice((0.3, 0.6, 0.9)), artificial=0.3)
+            rows = _basis_rows(graph)
+            assert rows == _brute_force_basis(graph)
+            flagged += sum(row[3] for row in rows)
+        assert flagged
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_matches_brute_force_on_gi_graphs(self, game):
+        for k in range(1, game.m + 1):
+            for l in range(1, game.n + 1):
+                graph = build_gi(game, k, l)
+                # Larger graphs have too many elementary cycles to list.
+                if graph.order <= 10:
+                    assert _basis_rows(graph) == _brute_force_basis(graph), (k, l)
+
 
 class TestSupportTrees:
     def test_gr_mode_covers_all_support_pairs_on_complete_graph(self):
@@ -273,6 +384,31 @@ class TestSupportTrees:
                 *(set(e.left + e.right) for e in tree.members)
             )
             assert common  # pairwise intersection via a shared vertex
+
+    def test_gi_star_trim_drops_classes_to_fit_caps(self):
+        for m, n in [(2, 2), (2, 3), (3, 3)]:
+            graph = BipartiteDigraph.complete(m, n)
+            basis = cycle_basis(graph)
+            dropped = [
+                caps
+                for caps in itertools.product(range(1, m + 1), range(1, n + 1))
+                if _check_gi_trim(graph, basis, caps)
+            ]
+            assert (m, n) not in dropped and (1, 1) in dropped
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_gi_star_trim_matches_reference(self, game):
+        # Every graph cap pair, and every tree cap pair on each graph.
+        for k in range(1, game.m + 1):
+            for l in range(1, game.n + 1):
+                graph = build_gi(game, k, l)
+                try:
+                    basis = cycle_basis(graph, max_classes=150)
+                except CycleClassLimit:
+                    continue
+                for caps in itertools.product(range(1, game.m + 1), range(1, game.n + 1)):
+                    _check_gi_trim(graph, basis, caps)
 
     def test_caps_respected(self):
         graph = BipartiteDigraph.complete(2, 3)
