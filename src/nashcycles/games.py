@@ -9,6 +9,8 @@ anywhere in the model.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +97,20 @@ class Game:
 
     def strategy_count(self, player: int) -> int:
         return self.m if player == 1 else self.n
+
+    @functools.cached_property
+    def int_payoffs(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """Per player, (S, rows): rows[x][y] is S times the payoff of own
+        strategy x against opponent strategy y, S > 0 the lcm of that
+        matrix's denominators.  Made on first use; not compared."""
+        view = []
+        for matrix in (self.a, tuple(zip(*self.b))):
+            scale = math.lcm(*(v.denominator for row in matrix for v in row))
+            rows = tuple(
+                tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix
+            )
+            view.append((scale, rows))
+        return tuple(view)
 
 
 @dataclass(frozen=True)

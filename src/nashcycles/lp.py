@@ -45,17 +45,24 @@ solves an LP only for a side it has not seen.  Without a record,
 `fp1_check` solves both sides afresh.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
-pivoting of Avis's ``lrs``).  After the variable substitutions, every
-constraint row and rhs is multiplied by one common scale per LP, the lcm of
-their denominators, and the phase-2 costs by their own; one scale per row
-would reweight the phase-1 sum of artificials.  The solver keeps integer
-rows T and one denominator det > 0, so that T / det is the rational
-tableau.  A pivot on p = T[r][c] replaces every other row by
-(row * p - row[c] * T[r]) / det, an exact division because every entry is
-a minor of the scaled input, and then sets det = p.  Bland's rule reads
-signs and compares ratios by cross-multiplying, so every pivot is the one
-the rational tableau would choose.  Public inputs and outputs are
-`Fraction` (ints are accepted).
+pivoting of Avis's ``lrs``).  Every LP goes through one integer entry
+whose rows carry one common positive scale per LP (one scale per row
+would reweight the phase-1 sum of artificials).  The game programs build
+their rows from `Game.int_payoffs`, each payoff matrix scaled to ints once
+by the lcm S of its denominators: rival rows are differences of scaled
+payoff vectors, the q >= 1 floor on s1 is shifted into the rhs, and the
+sum(q) >= 1 and t <= 1 rows are written at S.  Such a program is the
+rational one times S, which only rescales slacks and artificials: no
+sign, ratio order or value of x changes, so no pivot does.  `solve_lp`
+substitutes the bounds of a `LinearProgram`, scales its rows by the lcm
+of their denominators and its costs by theirs, and calls the same entry.
+The solver keeps integer rows T and one denominator det > 0, so that
+T / det is the rational tableau.  A pivot on p = T[r][c] replaces every
+other row by (row * p - row[c] * T[r]) / det, an exact division because
+every entry is a minor of the scaled input, and then sets det = p.
+Bland's rule reads signs and compares ratios by cross-multiplying.
+`Fraction`s are made once, from the final basic values; public inputs
+and outputs are `Fraction` (ints are accepted).
 """
 
 from __future__ import annotations
@@ -84,9 +91,9 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 RELATIONS = ("<=", "=", ">=")
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class LpStatus(enum.Enum):
@@ -205,6 +212,86 @@ def _eliminate(row, prow, p, det, c):
     return row
 
 
+def _solve_rows(rows, cost) -> tuple[LpStatus, list[int] | None, int]:
+    """Maximize cost . x over ints x >= 0 subject to `rows`, each
+    (coefficients, relation, rhs) in ints.  Returns (status, values, det);
+    when OPTIMAL, x = values / det."""
+    ncols = len(cost)
+    normalized = [
+        ([-v for v in coeffs], _FLIPPED[rel], -rhs) if rhs < 0 else (coeffs, rel, rhs)
+        for coeffs, rel, rhs in rows
+    ]
+    nslack = sum(1 for _, rel, _ in normalized if rel != "=")
+    nart = sum(1 for _, rel, _ in normalized if rel != "<=")
+    slack_at = ncols
+    art_at = art_start = ncols + nslack
+    width = art_start + nart
+
+    rows = []
+    basis: list[int] = []
+    for coeffs, rel, rhs in normalized:
+        full = [*coeffs, *[0] * (nslack + nart), rhs]
+        if rel != "=":
+            full[slack_at] = 1 if rel == "<=" else -1
+            slack_at += 1
+        if rel == "<=":
+            basis.append(slack_at - 1)
+        else:
+            full[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
+        rows.append(full)
+
+    # The rational tableau is rows / det; the initial basis is a unit matrix.
+    det = 1
+    # Phase 1: maximize minus the sum of artificials.
+    if nart:
+        row0 = [0] * (width + 1)
+        for i, b in enumerate(basis):
+            if b >= art_start:
+                row0 = [a - v for a, v in zip(row0, rows[i])]
+        row0[art_start:width] = [0] * nart
+        _, det = _run_simplex(rows, row0, basis, det)
+        if row0[-1] < 0:
+            return LpStatus.INFEASIBLE, None, det
+        # Pivot surviving artificials (at level zero) out of the basis.
+        for i in range(len(rows) - 1, -1, -1):
+            if basis[i] >= art_start:
+                target = -1
+                for j in range(art_start):
+                    if rows[i][j]:
+                        target = j
+                        break
+                if target >= 0:
+                    det = _pivot(rows, row0, basis, det, i, target)
+                else:
+                    del rows[i]
+                    del basis[i]
+        rows = [row[:art_start] + [row[-1]] for row in rows]
+        width = art_start
+
+    # Phase 2: reduced costs for the real objective over the current basis
+    # and denominator.
+    cost = [*cost, *[0] * (width - ncols)]
+    row0 = [-c * det for c in cost] + [0]
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            row0 = [a + cb * v for a, v in zip(row0, rows[i])]
+    status, det = _run_simplex(rows, row0, basis, det)
+    if status == "unbounded":
+        return LpStatus.UNBOUNDED, None, det
+
+    values = [0] * width
+    for i, b in enumerate(basis):
+        values[b] = rows[i][-1]
+    return LpStatus.OPTIMAL, values[:ncols], det
+
+
+def _times(v, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
+
+
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; status is Optimal, Infeasible, or Unbounded.
 
@@ -230,115 +317,33 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             var_map.append((0, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
 
-    raw_rows: list[tuple[dict, str, object]] = []
-    for con in lp.constraints:
-        terms = {}
-        rhs = con.rhs
-        for coef, (offset, cols) in zip(con.coeffs, var_map):
-            if coef:
-                if offset:
-                    rhs -= coef * offset
-                for col, sign in cols:
-                    terms[col] = coef if sign > 0 else -coef
-        raw_rows.append((terms, con.relation, rhs))
-    for col, cap in upper_rows:
-        raw_rows.append(({col: _ONE}, "<=", cap))
-
-    # One common scale for the whole LP (not one per row, which would
-    # reweight the phase-1 sum of artificials) makes every row integral.
-    scale = math.lcm(
-        *(v.denominator for terms, _, rhs in raw_rows for v in (rhs, *terms.values()))
-    )
-    for idx, (terms, rel, rhs) in enumerate(raw_rows):
-        sign = 1
-        if rhs < 0:
-            sign = -1
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        raw_rows[idx] = (
-            {col: sign * v.numerator * (scale // v.denominator) for col, v in terms.items()},
-            rel,
-            sign * rhs.numerator * (scale // rhs.denominator),
-        )
-
-    nslack = sum(1 for _, rel, _ in raw_rows if rel != "=")
-    nart = sum(1 for _, rel, _ in raw_rows if rel != "<=")
-    slack_start = ncols
-    art_start = ncols + nslack
-    width = art_start + nart
-
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    slack_at = slack_start
-    art_at = art_start
-    for terms, rel, rhs in raw_rows:
-        full = [0] * (width + 1)
-        for col, v in terms.items():
-            full[col] = v
-        full[-1] = rhs
-        if rel == "<=":
-            full[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            full[slack_at] = -1
-            slack_at += 1
-            full[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        else:
-            full[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        rows.append(full)
-
-    # The rational tableau is rows / det; the initial basis is a unit matrix.
-    det = 1
-    # Phase 1: maximize minus the sum of artificials.
-    if nart:
-        row0 = [0] * (width + 1)
-        for i, b in enumerate(basis):
-            if b >= art_start:
-                row0 = [a - v for a, v in zip(row0, rows[i])]
-        row0[art_start:width] = [0] * nart
-        _, det = _run_simplex(rows, row0, basis, det)
-        if row0[-1] < 0:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        # Pivot surviving artificials (at level zero) out of the basis.
-        for i in range(len(rows) - 1, -1, -1):
-            if basis[i] >= art_start:
-                target = -1
-                for j in range(art_start):
-                    if rows[i][j]:
-                        target = j
-                        break
-                if target >= 0:
-                    det = _pivot(rows, row0, basis, det, i, target)
-                else:
-                    del rows[i]
-                    del basis[i]
-        rows = [row[:art_start] + [row[-1]] for row in rows]
-        width = art_start
-
-    # Phase 2: reduced costs for the real objective, scaled by its own common
-    # denominator, over the current basis and denominator.
-    cost = [0] * width
-    cost_scale = math.lcm(*(coef.denominator for coef in lp.objective))
-    for coef, (_, cols) in zip(lp.objective, var_map):
-        if coef:
+    def columns(coeffs):
+        out = [0] * ncols
+        for coef, (_, cols) in zip(coeffs, var_map):
             for col, sign in cols:
-                cost[col] = sign * coef.numerator * (cost_scale // coef.denominator)
-    row0 = [-c * det for c in cost] + [0]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row0 = [a + cb * v for a, v in zip(row0, rows[i])]
-    status, det = _run_simplex(rows, row0, basis, det)
-    if status == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
+                out[col] = sign * coef
+        return out
 
-    values = [0] * width
-    for i, b in enumerate(basis):
-        values[b] = rows[i][-1]
+    raw_rows = []
+    for con in lp.constraints:
+        shift = sum(coef * offset for coef, (offset, _) in zip(con.coeffs, var_map))
+        raw_rows.append((columns(con.coeffs), con.relation, con.rhs - shift))
+    for col, cap in upper_rows:
+        coeffs = [0] * ncols
+        coeffs[col] = 1
+        raw_rows.append((coeffs, "<=", cap))
+
+    # One common scale for the whole LP makes every row integral.
+    scale = math.lcm(*(v.denominator for coeffs, _, rhs in raw_rows for v in (rhs, *coeffs)))
+    rows = [
+        ([_times(v, scale) for v in coeffs], rel, _times(rhs, scale))
+        for coeffs, rel, rhs in raw_rows
+    ]
+    cost = columns(lp.objective)
+    cost_scale = math.lcm(*(v.denominator for v in cost))
+    status, values, det = _solve_rows(rows, [_times(v, cost_scale) for v in cost])
+    if status is not LpStatus.OPTIMAL:
+        return LpOutcome(status)
     assignment = []
     for offset, cols in var_map:
         value = Fraction(sum(sign * values[col] for col, sign in cols), det)
@@ -353,10 +358,6 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 # Program builders
 # ---------------------------------------------------------------------------
 
-def _payoff(game: Game, player: int, own: int, opp: int) -> Fraction:
-    return game.a[own][opp] if player == 1 else game.b[opp][own]
-
-
 def _opponent(player: int) -> int:
     return 2 if player == 1 else 1
 
@@ -364,20 +365,6 @@ def _opponent(player: int) -> int:
 def _check_index(game: Game, player: int, i: int, label: str) -> None:
     if not 0 <= i < game.strategy_count(player):
         raise ValueError(f"{label} index {i} out of range")
-
-
-def _rival_rows(game: Game, player: int, responders, keep) -> list[Constraint]:
-    """One row ``(A_other - A_base) . q`` over the opponent strategies in
-    `keep` for every rival of the base responder ``responders[0]``: ``= 0``
-    for the other responders and ``<= 0`` for the remaining strategies."""
-    base = responders[0]
-    rows = []
-    for other in range(game.strategy_count(player)):
-        if other == base:
-            continue
-        coeffs = tuple(_payoff(game, player, other, y) - _payoff(game, player, base, y) for y in keep)
-        rows.append(Constraint(coeffs, "=" if other in responders else "<=", _ZERO))
-    return rows
 
 
 def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy | None]:
@@ -426,23 +413,25 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
     exactly when C is {0}, which by duality means `x` is strictly dominated.
     """
     _check_index(game, player, x, "strategy")
-    opp_count = game.strategy_count(_opponent(player))
-    # Variables: t over the opponent strategies, then s; q = t + s, so each
-    # rival row repeats its coefficients.
-    constraints = [
-        Constraint(row.coeffs * 2, "<=", _ZERO)
-        for row in _rival_rows(game, player, (x,), range(opp_count))
+    scale, vectors = game.int_payoffs[player - 1]
+    own = vectors[x]
+    n = len(own)
+    # Columns: t over the opponent strategies, then s; q = t + s, so each
+    # rival row repeats its coefficients.  The t <= 1 rows follow, at scale.
+    rows = [
+        (2 * [r - v for r, v in zip(rival, own)], "<=", 0)
+        for other, rival in enumerate(vectors)
+        if other != x
     ]
-    bounds = ((_ZERO, _ONE),) * opp_count + ((_ZERO, None),) * opp_count
-    objective = (_ONE,) * opp_count + (_ZERO,) * opp_count
-    outcome = solve_lp(LinearProgram(2 * opp_count, objective, tuple(constraints), bounds))
-    if outcome.status is not LpStatus.OPTIMAL:  # pragma: no cover - q = 0 is feasible, sum t <= n
-        raise RuntimeError(f"max-support program ended {outcome.status}")
-    if outcome.objective_value == 0:
+    rows += [([0] * y + [scale] + [0] * (2 * n - y - 1), "<=", scale) for y in range(n)]
+    status, values, _ = _solve_rows(rows, [1] * n + [0] * n)
+    if status is not LpStatus.OPTIMAL:  # pragma: no cover - q = 0 is feasible, sum t <= n
+        raise RuntimeError(f"max-support program ended {status}")
+    if not any(values[:n]):
         return None
-    q = [t + s for t, s in zip(outcome.assignment[:opp_count], outcome.assignment[opp_count:])]
+    q = [t + s for t, s in zip(values[:n], values[n:])]
     total = sum(q)
-    return MixedStrategy(_opponent(player), tuple(v / total for v in q))
+    return MixedStrategy(_opponent(player), tuple(Fraction(v, total) for v in q))
 
 
 def _best_response_region(
@@ -460,11 +449,11 @@ def _best_response_region(
     ``responders[0]``: ``(A_other - A_base) . q`` is ``= 0`` for the other
     responders and ``<= 0`` for the remaining strategies.  These q form a
     cone, so a point positive on s1 scales to one with q_j >= 1 there (a
-    bound, not a row), and when s1 is empty any non-zero point scales to
-    one with sum(q) >= 1 (one row).  The objective is zero: the answer is
-    yes exactly when phase 1 finds a feasible point.  Returns (member,
-    padded q / sum(q), u), where u is the base responder's payoff against
-    that witness.
+    column shift into the rhs, not a row), and when s1 is empty any
+    non-zero point scales to one with sum(q) >= 1 (one row).  The
+    objective is zero: the answer is yes exactly when phase 1 finds a
+    feasible point.  Returns (member, padded q / sum(q), u), where u is
+    the base responder's payoff against that witness.
     """
     opp_count = game.strategy_count(_opponent(player))
     s0_set = frozenset(s0)
@@ -474,21 +463,28 @@ def _best_response_region(
     keep = [y for y in range(opp_count) if y not in s0_set]
     if not keep:
         return False, None, None
-    base = responders[0]
+    scale, vectors = game.int_payoffs[player - 1]
+    base = [vectors[responders[0]][y] for y in keep]
+    floor = [y in s1_set for y in keep]
 
-    nq = len(keep)
-    constraints = _rival_rows(game, player, responders, keep)
+    # Columns: q - floor >= 0, rows at the matrix's scale.
+    rows = []
+    for other, rival in enumerate(vectors):
+        if other != responders[0]:
+            coeffs = [rival[y] - v for y, v in zip(keep, base)]
+            rhs = -sum(c for c, f in zip(coeffs, floor) if f)
+            rows.append((coeffs, "=" if other in responders else "<=", rhs))
     if not s1_set:
-        constraints.append(Constraint((_ONE,) * nq, ">=", _ONE))
-    bounds = tuple((_ONE if y in s1_set else _ZERO, None) for y in keep)
-    outcome = solve_lp(LinearProgram(nq, (_ZERO,) * nq, tuple(constraints), bounds))
-    if outcome.status is not LpStatus.OPTIMAL:
+        rows.append(([scale] * len(keep), ">=", scale))
+    status, values, det = _solve_rows(rows, [0] * len(keep))
+    if status is not LpStatus.OPTIMAL:
         return False, None, None
-    total = sum(outcome.assignment)
+    q = [v + det if f else v for v, f in zip(values, floor)]
+    total = sum(q)
     padded = [_ZERO] * opp_count
-    for y, v in zip(keep, outcome.assignment):
-        padded[y] = v / total
-    u = sum((_payoff(game, player, base, y) * padded[y] for y in keep if padded[y]), _ZERO)
+    for y, v in zip(keep, q):
+        padded[y] = Fraction(v, total)
+    u = Fraction(sum(c * v for c, v in zip(base, q)), scale * total)
     return True, tuple(padded), u
 
 
@@ -542,15 +538,6 @@ def _mask(indices: tuple[int, ...]) -> int:
     return bits
 
 
-def _payoff_vectors(game: Game, player: int) -> tuple[tuple[int, ...], ...]:
-    """Each own strategy's payoffs against every opponent strategy, made
-    ints by one positive scale (the lcm of the denominators), which keeps
-    every comparison."""
-    matrix = game.a if player == 1 else tuple(zip(*game.b))
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix)
-
-
 def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
     """For every rival that earns more than `x` somewhere, the opponent
     strategies where it earns at least as much and where it earns more, as
@@ -599,7 +586,7 @@ class InfeasibleSides:
         self.game = game
         self._masks = tuple(
             tuple(_rival_masks(vectors, x) for x in range(len(vectors)))
-            for vectors in (_payoff_vectors(game, 1), _payoff_vectors(game, 2))
+            for _, vectors in game.int_payoffs
         )
         self._dominated: tuple[dict[int, int], dict[int, int]] = ({}, {})
         # Per player: opposite support bits -> the infeasible responder bits.

@@ -128,3 +128,19 @@ def tied_games(draw) -> Game:
         for x in range(m):
             a[x][col] = b[x][col] = 0
     return Game.from_rows(a, b)
+
+
+@st.composite
+def scaled_games(draw) -> Game:
+    """Tied games with A and B divided by different positive denominators
+    and shifted by a negative constant, so the two payoff matrices have
+    different integer scales."""
+    game = draw(tied_games())
+    da = draw(st.integers(2, 9))
+    db = draw(st.integers(2, 9).filter(lambda d: d != da))
+    shift_a = Fraction(-draw(st.integers(1, 9)), draw(st.integers(1, 7)))
+    shift_b = Fraction(-draw(st.integers(1, 9)), draw(st.integers(1, 7)))
+    return Game.from_rows(
+        [[v / da + shift_a for v in row] for row in game.a],
+        [[v / db + shift_b for v in row] for row in game.b],
+    )

@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nashcycles.lp as lp_module
 from nashcycles.games import (
     Game,
     MixedStrategy,
     SupportPair,
+    expected_payoffs,
     generate_random_game,
     is_best_response,
 )
 from nashcycles.lp import (
     RELATIONS,
     Constraint,
+    InfeasibleSides,
     LinearProgram,
     LpStatus,
     fp1_check,
@@ -31,7 +34,7 @@ from nashcycles.lp import (
     solve_lp,
 )
 
-from conftest import tied_games
+from conftest import scaled_games, tied_games
 
 F = Fraction
 
@@ -407,6 +410,135 @@ class TestAgainstMaxGap:
                     assert mod_lp1_relevancy(game, player, x, y) == _never_best_response(
                         game, player, x, keep
                     )
+
+
+def _reference_region(game: Game, player: int, responders, s1, s0):
+    """The best-response-region program as a `Fraction` `LinearProgram`
+    (variables: q over the opponent strategies outside s0, with the bound
+    q >= 1 on s1), the form the library solved before it built its rows
+    from `Game.int_payoffs`.  Returns the kept strategies and the program."""
+
+    def pay(own: int, opp: int):
+        return game.a[own][opp] if player == 1 else game.b[opp][own]
+
+    keep = [y for y in range(game.strategy_count(2 if player == 1 else 1)) if y not in s0]
+    base = responders[0]
+    rows = [
+        Constraint(
+            tuple(pay(other, y) - pay(base, y) for y in keep),
+            "=" if other in responders else "<=",
+            F(0),
+        )
+        for other in range(game.strategy_count(player))
+        if other != base
+    ]
+    if not s1:
+        rows.append(Constraint((F(1),) * len(keep), ">=", F(1)))
+    bounds = tuple((F(1) if y in s1 else F(0), None) for y in keep)
+    return keep, LinearProgram(len(keep), (F(0),) * len(keep), tuple(rows), bounds)
+
+
+def _reference_lp3(game: Game, player: int, x: int) -> LinearProgram:
+    """The max-support program as a `Fraction` `LinearProgram`: q = t + s
+    with 0 <= t <= 1 and s >= 0, maximizing the sum of t."""
+    n = game.strategy_count(2 if player == 1 else 1)
+    own = game.a[x] if player == 1 else tuple(row[x] for row in game.b)
+    rows = []
+    for other in range(game.strategy_count(player)):
+        if other != x:
+            rival = game.a[other] if player == 1 else tuple(row[other] for row in game.b)
+            rows.append(Constraint(tuple(r - v for r, v in zip(rival, own)) * 2, "<=", F(0)))
+    bounds = ((F(0), F(1)),) * n + ((F(0), None),) * n
+    return LinearProgram(2 * n, (F(1),) * n + (F(0),) * n, tuple(rows), bounds)
+
+
+class TestAgainstFractionPrograms:
+    """The programs built from the integer view against the same programs
+    built as `Fraction` `LinearProgram`s and run through public `solve_lp`:
+    the same status, the same witness and the same pivots, on games whose
+    two payoff matrices have different scales."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(scaled_games(), st.data())
+    def test_same_status_witness_and_pivots(self, game, data):
+        pivots, solves = [], []
+        pivot, solve_rows = lp_module._pivot, lp_module._solve_rows
+
+        def recording_pivot(rows, row0, basis, det, r, c):
+            pivots.append((r, c, basis[r]))
+            return pivot(rows, row0, basis, det, r, c)
+
+        def counting_solve(*args):
+            solves.append(None)
+            return solve_rows(*args)
+
+        def run(call):
+            pivots.clear()
+            solves.clear()
+            return call(), list(pivots), len(solves)
+
+        def reference(player, responders, s1, s0):
+            keep, program = _reference_region(game, player, responders, s1, s0)
+            outcome, trace, _ = run(lambda: solve_lp(program))
+            if outcome.status is not LpStatus.OPTIMAL:
+                return None, trace
+            total = sum(outcome.assignment)
+            padded = [F(0)] * game.strategy_count(2 if player == 1 else 1)
+            for y, v in zip(keep, outcome.assignment):
+                padded[y] = v / total
+            return tuple(padded), trace
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_pivot", recording_pivot)
+            patch.setattr(lp_module, "_solve_rows", counting_solve)
+            for player in (1, 2):
+                own, opp = game.strategy_count(player), game.strategy_count(2 if player == 1 else 1)
+                for x in range(own):
+                    (dominated, witness), trace, _ = run(lambda: lp1_dominance(game, player, x))
+                    assert (None if dominated else witness.probs, trace) == reference(
+                        player, (x,), (), ()
+                    )
+                    witness, trace, _ = run(lambda: lp3_relevancy(game, player, x))
+                    outcome, ref_trace, _ = run(lambda: solve_lp(_reference_lp3(game, player, x)))
+                    assert trace == ref_trace
+                    if outcome.objective_value == 0:
+                        assert witness is None
+                    else:
+                        t, s = outcome.assignment[:opp], outcome.assignment[opp:]
+                        q = [a + b for a, b in zip(t, s)]
+                        assert witness.probs == tuple(v / sum(q) for v in q)
+
+                def subset(pool, least):
+                    drawn = st.lists(st.sampled_from(pool), min_size=least, unique=True)
+                    return tuple(sorted(data.draw(drawn))) if pool else ()
+
+                # Several responders where the player has them; s1 and s0 non-empty.
+                responders = subset(range(own), min(2, own))
+                s1 = subset(range(opp), 1)
+                rest = [y for y in range(opp) if y not in s1]
+                s0 = subset(rest, 1)
+                (member, witness), trace, _ = run(
+                    lambda: lp2_joint_domain_check(game, player, responders, s1, s0)
+                )
+                expected = reference(player, responders, s1, s0)
+                assert (witness.probs if member else None, trace) == expected
+
+                (member, probs), trace, solved = run(
+                    lambda: InfeasibleSides(game).check_side(player, responders, s1)
+                )
+                expected, ref_trace = reference(player, responders, s1, tuple(rest))
+                assert probs == expected
+                if solved:
+                    assert trace == ref_trace
+                else:
+                    assert expected is None  # rejected by pure dominance, no LP
+
+                # The common payoffs are read off the witnesses at each matrix's scale.
+                pair = SupportPair(responders, s1) if player == 1 else SupportPair(s1, responders)
+                ok, witness = fp1_check(game, pair)
+                if ok:
+                    p, q, u1, u2 = witness
+                    assert (u1, u2) == expected_payoffs(game, p, q)
 
 
 class TestModLp1:
