@@ -18,8 +18,9 @@ from nashcycles import (
 mp = Game.from_rows([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
 pd = Game.from_rows([[3, 0], [5, 1]], [[3, 5], [0, 1]])
 
-# The strict-dominance test maximizes the worst payoff gap over the
-# opponent simplex; a negative optimum certifies domination.
+# The strict-dominance test is the best-response-region feasibility
+# program: is there an opponent strategy to which the row responds best?
+# The row is strictly dominated exactly when that program is infeasible.
 dominated, witness = lp1_dominance(pd, 1, 0)
 print(f"PD row 1 strictly dominated: {dominated}")
 dominated, witness = lp1_dominance(mp, 1, 0)

@@ -309,6 +309,8 @@ def cycle_basis(
     cap = min(L, R)
     if max_len is not None:
         cap = min(cap, max(0, (max_len - 1) // 2))
+    if cap < 1:
+        return []
 
     succ_plain: list[int] = []  # successor bitmasks over plain arcs
     succ_all: list[int] = []

@@ -12,10 +12,10 @@ which every strategy in s is simultaneously a best response.  The capped
 graph G_I is that graph, G_D, plus flagged artificial arcs that keep every
 vertex connected.
 
-A domain entry is the arc question for a single strategy.  Entries and
-arcs are asked of one game's `InfeasibleSides` record, so a record shared
-by the domain tables, the graph build and the candidate checks solves
-each side at most once.
+A strategy's domain, the opponent subsets it can respond best to, is its
+singleton row of G_D.  Domains and arcs are asked of one game's
+`InfeasibleSides` record, so a record shared by the graph build and the
+candidate checks solves each side at most once.
 """
 
 from __future__ import annotations
@@ -282,9 +282,10 @@ def build_gd(
     )
 
 
-def _fallback_arcs(adj, sources, targets, domains):
+def _fallback_arcs(adj, sources, targets):
     """Add the artificial arcs of cases 2-4 (see `build_gi`) to every source
-    with no common-witness arc; returns the adjacency and the flags."""
+    with no common-witness arc; member x's domain is G_D's singleton row
+    adj[x].  Returns the adjacency and the flags."""
     out_adj = []
     out_art = []
     for s, row in zip(sources, adj):
@@ -292,9 +293,10 @@ def _fallback_arcs(adj, sources, targets, domains):
             out_adj.append(row)
             out_art.append((False,) * len(targets))
             continue
+        domains = [adj[x] for x in s]
         # Case 2: the largest targets inside the common relevant-strategy pool.
         pool = frozenset.intersection(
-            *(frozenset(y for entry in domains[x] for y in entry.support) for x in s)
+            *(frozenset().union(*itertools.compress(targets, dom)) for dom in domains)
         )
         fits = [len(t) for t in targets if t <= pool]
         if fits:
@@ -303,10 +305,8 @@ def _fallback_arcs(adj, sources, targets, domains):
         else:
             # Case 3: every set in any member's domain; case 4: an isolated
             # pure strategy connects everywhere.
-            members = {frozenset(entry.support) for x in s for entry in domains[x]}
-            if members:
-                flags = tuple(t in members for t in targets)
-            else:
+            flags = tuple(map(any, zip(*domains)))
+            if not any(flags):
                 flags = (len(s) == 1,) * len(targets)
         out_adj.append(flags)
         out_art.append(flags)
@@ -323,14 +323,11 @@ def build_gi(
     to the largest capped subsets of the strategies relevant to every
     member; (3) arcs to every set in any member's domain; (4) a pure
     strategy with an empty domain gets arcs to every opposite vertex.  Arcs
-    from cases 2-4 are flagged artificial.  The graph and the domain tables
-    ask one record (`infeasible`, or a fresh one), so each domain entry is
-    solved once.
+    from cases 2-4 are flagged artificial.  Domains are G_D's singleton
+    rows, so each side of the record `infeasible` (or a fresh one) is asked
+    once.
     """
-    record = _record(game, infeasible)
-    gd = build_gd(game, k, l, record)
-    row_domains = compute_domain_table(game, 1, l, record)
-    col_domains = compute_domain_table(game, 2, k, record)
-    adj_lr, art_lr = _fallback_arcs(gd.adj_lr, gd.left, gd.right, row_domains)
-    adj_rl, art_rl = _fallback_arcs(gd.adj_rl, gd.right, gd.left, col_domains)
+    gd = build_gd(game, k, l, infeasible)
+    adj_lr, art_lr = _fallback_arcs(gd.adj_lr, gd.left, gd.right)
+    adj_rl, art_rl = _fallback_arcs(gd.adj_rl, gd.right, gd.left)
     return BipartiteDigraph(gd.left, gd.right, adj_lr, adj_rl, art_lr, art_rl)

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .cycles import CycleClassLimit, cycle_basis, enumerate_support_trees
+# compute_domain_table is unused here, but bench/tracing.py wraps it in this namespace.
 from .domgraph import BipartiteDigraph, build_gi, build_gr, compute_domain_table
 from .games import (
     Game,
@@ -232,10 +233,6 @@ def enumerate_by_gi(
     k = min(k, rg.m)
     l = min(l, rg.n)
     record = InfeasibleSides(rg)
-    # The domain tables solve their LPs here; build_gi reads them back from
-    # the record, and the checks reuse every side the graph has solved.
-    compute_domain_table(rg, 1, l, record)
-    compute_domain_table(rg, 2, k, record)
     graph = build_gi(rg, k, l, record)
     full_caps = k == rg.m and l == rg.n
     try:

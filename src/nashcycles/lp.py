@@ -34,7 +34,7 @@ strict column, so it never rules x out, and the test holds on degenerate
 games.
 
 One game's `InfeasibleSides` record is the place where such a side
-question is asked: the domain tables, the common-witness arcs and
+question is asked: `compute_domain`, the common-witness arcs and
 `fp1_check` all ask it.  It applies pure dominance first, then the sides
 already found infeasible.  Each side is monotone in its responders: if no
 q with support exactly C makes every row of R a best response, then none
@@ -572,7 +572,7 @@ class InfeasibleSides:
     with support exactly S to which every strategy of a responder set is a
     best response?
 
-    The domain tables, the common-witness arcs and `fp1_check` all ask it
+    The domains, the common-witness arcs and `fp1_check` all ask it
     (see the module docstring for the order of its answers); `fp1_check`'s
     sides of (R, C) are the arc questions R -> C and C -> R.  A feasible
     answer is reused for the same question only: a subset of a feasible

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nashcycles
 from nashcycles.cli import main
 from nashcycles.games import generate_random_game, parse_game, write_game
 
@@ -236,3 +241,29 @@ class TestCheck:
 
     def test_bad_sum_exit_2(self, game_file, capsys):
         assert main(["check", game_file(MP), "--p", "1/2,1/3", "--q", "1/2,1/2"]) == 2
+
+
+class TestDeterminismAcrossProcesses:
+    def test_hash_seed_changes_no_output(self, tmp_path):
+        # Runs within one process share a hash seed; G_I's fallback pools and
+        # the gi candidates are built from sets, so compare two processes.
+        game = tmp_path / "g.game"
+        game.write_text(write_game(generate_random_game(3, 3, 8)))
+        path = str(game)
+        solve = ["solve", path, "--output", "structured", "--method"]
+        commands = [solve + ["supports"], solve + ["gr"], solve + ["gi"]]
+        commands.append(solve + ["gi", "--k", "2", "--l", "2"])
+        commands.append(["cycles", path, "--method", "gi", "--k", "2", "--l", "2", "--dump-graph"])
+        src = str(Path(nashcycles.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        for argv in commands:
+            outputs = []
+            for seed in ("1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+                run = subprocess.run(
+                    [sys.executable, "-m", "nashcycles.cli", *argv],
+                    capture_output=True, text=True, env=env, check=True,
+                )
+                outputs.append(run.stdout)
+            assert outputs[0] == outputs[1], argv
+            assert outputs[0]

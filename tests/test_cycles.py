@@ -301,6 +301,9 @@ class TestCycleBasis:
         basis = cycle_basis(BipartiteDigraph.complete(3, 3), max_len=3)
         assert len(basis) == 9
         assert all(e.distinct_count == 2 for e in basis)
+        # A 3-cycle is the shortest representative, so no class fits below.
+        for max_len in (0, 1, 2):
+            assert cycle_basis(BipartiteDigraph.complete(2, 2), max_len=max_len) == []
 
     def test_class_budget(self):
         with pytest.raises(CycleClassLimit):

@@ -27,8 +27,9 @@ from nashcycles.games import (
     is_best_response,
     iterated_elimination,
 )
+from nashcycles import equilibria, lp
 from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check
-from nashcycles.equilibria import enumerate_by_gi, enumerate_by_supports
+from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi, enumerate_by_supports
 
 from conftest import tied_games
 
@@ -308,6 +309,113 @@ class TestBuildGi:
         for v in dead_vertices:
             for w in graph.successors(v):
                 assert graph.arc_artificial(v, w)
+
+
+def _reference_fallback_arcs(adj, sources, targets, domains):
+    # Cases 2-4 over each member's domain entries, as computed by
+    # `compute_domain_table`.
+    out_adj = []
+    out_art = []
+    for s, row in zip(sources, adj):
+        if any(row):
+            out_adj.append(row)
+            out_art.append((False,) * len(targets))
+            continue
+        pool = frozenset.intersection(
+            *(frozenset(y for entry in domains[x] for y in entry.support) for x in s)
+        )
+        fits = [len(t) for t in targets if t <= pool]
+        if fits:
+            best = max(fits)
+            flags = tuple(t <= pool and len(t) == best for t in targets)
+        else:
+            members = {frozenset(entry.support) for x in s for entry in domains[x]}
+            if members:
+                flags = tuple(t in members for t in targets)
+            else:
+                flags = (len(s) == 1,) * len(targets)
+        out_adj.append(flags)
+        out_art.append(flags)
+    return tuple(out_adj), tuple(out_art)
+
+
+def _reference_gi(g, k, l, record=None):
+    """G_I with the domains taken from the domain tables, not from G_D's
+    singleton rows: the tables first, then G_D, then the fallback arcs."""
+    record = record or InfeasibleSides(g)
+    row_domains = compute_domain_table(g, 1, l, record)
+    col_domains = compute_domain_table(g, 2, k, record)
+    gd = build_gd(g, k, l, record)
+    adj_lr, art_lr = _reference_fallback_arcs(gd.adj_lr, gd.left, gd.right, row_domains)
+    adj_rl, art_rl = _reference_fallback_arcs(gd.adj_rl, gd.right, gd.left, col_domains)
+    return BipartiteDigraph(gd.left, gd.right, adj_lr, adj_rl, art_lr, art_rl)
+
+
+def _zero_game(size: int) -> Game:
+    zeros = [[0] * size for _ in range(size)]
+    return Game.from_rows(zeros, zeros)
+
+
+# The all-zero games (every strategy's domain is every subset) and the
+# generic 4x4 game of the CLI smoke test, run at k = l = 2.
+_FIXED_GI_GAMES = (_zero_game(3), _zero_game(4), generate_random_game(4, 4, 7))
+
+
+def _side_lps(run):
+    """Per player, the (responders, support) of every side LP `run` solves."""
+    solved = {1: [], 2: []}
+    region = lp._exact_region
+
+    def recording(game, player, responders, support):
+        solved[player].append((responders, support))
+        return region(game, player, responders, support)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_exact_region", recording)
+        try:
+            result = run()
+        except BudgetExceededError as exc:
+            result = exc.candidates
+    return solved, result
+
+
+def _check_lp_order(g, k, l):
+    # The pipeline against the one whose domain tables solve their sides
+    # before G_D is built: each player's side LPs come in the same order.
+    def run():
+        return enumerate_by_gi(g, k, l, budget=200)
+
+    solved, result = _side_lps(run)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibria, "build_gi", _reference_gi)
+        expected, expected_result = _side_lps(run)
+    assert solved == expected, (k, l)
+    assert result == expected_result, (k, l)
+
+
+class TestGiAgainstDomainTables:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_same_graph_at_every_cap(self, g):
+        for game in (g, iterated_elimination(g).game):
+            for k in range(1, game.m + 1):
+                for l in range(1, game.n + 1):
+                    assert build_gi(game, k, l) == _reference_gi(game, k, l), (k, l)
+
+    def test_same_graph_on_fixed_games(self):
+        for g in _FIXED_GI_GAMES:
+            assert build_gi(g, 2, 2) == _reference_gi(g, 2, 2)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_same_side_lps_per_player(self, g):
+        for k in range(1, g.m + 1):
+            for l in range(1, g.n + 1):
+                _check_lp_order(g, k, l)
+
+    def test_same_side_lps_on_fixed_games(self):
+        for g in _FIXED_GI_GAMES:
+            _check_lp_order(g, 2, 2)
 
 
 class TestGraphExport:
