@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .domgraph import BipartiteDigraph
+from .domgraph import BipartiteDigraph, _bits
 from .games import SupportPair
 
 __all__ = [
@@ -239,14 +239,6 @@ class CycleBasisEntry:
         return frozenset(rows), frozenset(cols)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _witness_cycle(mask: int, succ: Sequence[int]) -> tuple[int, ...] | None:
     # Alternating elementary cycle through exactly the vertices of `mask`,
     # anchored at its smallest (left) vertex; first found in ascending
@@ -312,12 +304,8 @@ def cycle_basis(
     if cap < 1:
         return []
 
-    succ_plain: list[int] = []  # successor bitmasks over plain arcs
-    succ_all: list[int] = []
-    for v in range(graph.order):
-        outs = graph.successors(v)
-        succ_all.append(sum(1 << w for w in outs))
-        succ_plain.append(sum(1 << w for w in outs if not graph.arc_artificial(v, w)))
+    succ_all = graph.succ
+    succ_plain = [outs & ~flags for outs, flags in zip(graph.succ, graph.artificial)]
     left_ids = (1 << L) - 1
     right_ids = ((1 << R) - 1) << L
 

@@ -12,6 +12,11 @@ which every strategy in s is simultaneously a best response.  The capped
 graph G_I is that graph, G_D, plus flagged artificial arcs that keep every
 vertex connected.
 
+Every graph stores one successor bitmask per vertex over unified ids (left
+vertices first, then right) and, per vertex, the mask of its artificial
+arcs, a subset of its successors.  Builders write these masks and readers
+use them as they are.
+
 A strategy's domain, the opponent subsets it can respond best to, is its
 singleton row of G_D.  Domains and arcs are asked of one game's
 `InfeasibleSides` record, so a record shared by the graph build and the
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .games import Game, MixedStrategy
 from .lp import InfeasibleSides, lp3_relevancy
@@ -52,36 +58,53 @@ def size_lex_subsets(count: int, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class BipartiteDigraph:
-    """Two ordered vertex lists (strategy subsets) plus boolean adjacency in
-    both directions.  Vertices are addressed by unified ids: left vertices
-    first, then right."""
+    """Two ordered vertex lists (strategy subsets) and one successor bitmask
+    per vertex.  Vertices are addressed by unified ids: left vertices
+    0..L-1 first, then right vertices L..L+R-1; bit w of `succ[v]` is the
+    arc v -> w, which always crosses sides.  `artificial[v]` flags the
+    subset of `succ[v]` that no common witness certifies (all zero when
+    omitted)."""
 
     left: tuple[frozenset[int], ...]
     right: tuple[frozenset[int], ...]
-    adj_lr: tuple[tuple[bool, ...], ...]
-    adj_rl: tuple[tuple[bool, ...], ...]
-    artificial_lr: tuple[tuple[bool, ...], ...] | None = None
-    artificial_rl: tuple[tuple[bool, ...], ...] | None = None
+    succ: tuple[int, ...]
+    artificial: tuple[int, ...] = ()
 
     def __post_init__(self):
         L, R = len(self.left), len(self.right)
-        if len(self.adj_lr) != L or any(len(row) != R for row in self.adj_lr):
-            raise ValueError("adj_lr must be |left| x |right|")
-        if len(self.adj_rl) != R or any(len(row) != L for row in self.adj_rl):
-            raise ValueError("adj_rl must be |right| x |left|")
+        if not self.artificial:
+            object.__setattr__(self, "artificial", (0,) * len(self.succ))
+        if len(self.succ) != L + R or len(self.artificial) != L + R:
+            raise ValueError("succ and artificial need one mask per vertex")
         if len(set(self.left)) != L or len(set(self.right)) != R:
             raise ValueError("vertex sets within a side must be distinct")
+        left_ids = (1 << L) - 1
+        for v, (outs, flags) in enumerate(zip(self.succ, self.artificial)):
+            if outs >> (L + R):
+                raise ValueError(f"vertex {v} has an arc past the last vertex")
+            if outs & (left_ids if v < L else ~left_ids):
+                raise ValueError(f"vertex {v} has an arc within its own side")
+            if flags & ~outs:
+                raise ValueError(f"vertex {v} flags an artificial arc it lacks")
 
     @classmethod
     def complete(cls, m: int, n: int) -> "BipartiteDigraph":
         """Completely connected graph on singleton vertices (m left, n right)."""
+        left_ids, right_ids = (1 << m) - 1, ((1 << n) - 1) << m
         return cls(
             tuple(frozenset([x]) for x in range(m)),
             tuple(frozenset([y]) for y in range(n)),
-            tuple(tuple(True for _ in range(n)) for _ in range(m)),
-            tuple(tuple(True for _ in range(m)) for _ in range(n)),
+            (right_ids,) * m + (left_ids,) * n,
         )
 
     @property
@@ -96,39 +119,22 @@ class BipartiteDigraph:
         return self.left[v] if v < L else self.right[v - L]
 
     def has_arc(self, u: int, v: int) -> bool:
-        L = len(self.left)
-        if u < L <= v:
-            return self.adj_lr[u][v - L]
-        if v < L <= u:
-            return self.adj_rl[u - L][v]
-        return False
+        return bool(self.succ[u] >> v & 1)
 
     def arc_artificial(self, u: int, v: int) -> bool:
-        L = len(self.left)
-        if u < L <= v:
-            return bool(self.artificial_lr and self.artificial_lr[u][v - L])
-        if v < L <= u:
-            return bool(self.artificial_rl and self.artificial_rl[u - L][v])
-        return False
+        return bool(self.artificial[u] >> v & 1)
 
     def successors(self, v: int) -> tuple[int, ...]:
-        L = len(self.left)
-        if v < L:
-            return tuple(L + j for j, on in enumerate(self.adj_lr[v]) if on)
-        return tuple(i for i, on in enumerate(self.adj_rl[v - L]) if on)
+        return tuple(_bits(self.succ[v]))
 
     def adjacency(self) -> list[list[int]]:
-        return [list(self.successors(v)) for v in range(self.order)]
+        return [list(_bits(outs)) for outs in self.succ]
 
     def arc_count(self) -> int:
-        return sum(sum(row) for row in self.adj_lr) + sum(sum(row) for row in self.adj_rl)
+        return sum(outs.bit_count() for outs in self.succ)
 
     def artificial_arc_count(self) -> int:
-        total = 0
-        for matrix in (self.artificial_lr, self.artificial_rl):
-            if matrix:
-                total += sum(sum(row) for row in matrix)
-        return total
+        return sum(flags.bit_count() for flags in self.artificial)
 
     def vertex_label(self, v: int) -> str:
         members = ",".join(str(i + 1) for i in sorted(self.strategy_set(v)))
@@ -240,19 +246,14 @@ def build_gr(game: Game) -> BipartiteDigraph:
     """Strategy-level dominance graph: singleton vertices, arc x -> y iff
     y is in R(x) and arc y -> x iff x is in R(y)."""
     m, n = game.m, game.n
-    sides = []
-    for player, own_count, opp_count in ((1, m, n), (2, n, m)):
-        side = []
-        for x in range(own_count):
-            mask = [False] * opp_count
-            for y in compute_relevancy(game, player, x).members:
-                mask[y] = True
-            side.append(tuple(mask))
-        sides.append(tuple(side))
+    succ = []
+    for player, count, offset in ((1, m, m), (2, n, 0)):
+        for x in range(count):
+            succ.append(sum(1 << offset + y for y in compute_relevancy(game, player, x).members))
     return BipartiteDigraph(
         tuple(frozenset([x]) for x in range(m)),
         tuple(frozenset([y]) for y in range(n)),
-        *sides,
+        tuple(succ),
     )
 
 
@@ -272,45 +273,39 @@ def build_gd(
     record = _record(game, infeasible)
     left = size_lex_subsets(game.m, k)
     right = size_lex_subsets(game.n, l)
-    adj_lr = tuple(tuple(record.check_side(1, s, t)[0] for t in right) for s in left)
-    adj_rl = tuple(tuple(record.check_side(2, t, s)[0] for s in left) for t in right)
+    L = len(left)
+    succ = [sum(1 << L + j for j, t in enumerate(right) if record.check_side(1, s, t)[0]) for s in left]
+    succ += [sum(1 << i for i, s in enumerate(left) if record.check_side(2, t, s)[0]) for t in right]
     return BipartiteDigraph(
         tuple(frozenset(s) for s in left),
         tuple(frozenset(t) for t in right),
-        adj_lr,
-        adj_rl,
+        tuple(succ),
     )
 
 
-def _fallback_arcs(adj, sources, targets):
-    """Add the artificial arcs of cases 2-4 (see `build_gi`) to every source
-    with no common-witness arc; member x's domain is G_D's singleton row
-    adj[x].  Returns the adjacency and the flags."""
-    out_adj = []
-    out_art = []
-    for s, row in zip(sources, adj):
-        if any(row):
-            out_adj.append(row)
-            out_art.append((False,) * len(targets))
-            continue
-        domains = [adj[x] for x in s]
-        # Case 2: the largest targets inside the common relevant-strategy pool.
-        pool = frozenset.intersection(
-            *(frozenset().union(*itertools.compress(targets, dom)) for dom in domains)
-        )
-        fits = [len(t) for t in targets if t <= pool]
-        if fits:
-            best = max(fits)
-            flags = tuple(t <= pool and len(t) == best for t in targets)
-        else:
-            # Case 3: every set in any member's domain; case 4: an isolated
-            # pure strategy connects everywhere.
-            flags = tuple(map(any, zip(*domains)))
-            if not any(flags):
-                flags = (len(s) == 1,) * len(targets)
-        out_adj.append(flags)
-        out_art.append(flags)
-    return tuple(out_adj), tuple(out_art)
+def _fallback_arcs(gd: BipartiteDigraph, v: int) -> int:
+    """The artificial arcs of cases 2-4 (see `build_gi`) from a vertex `v`
+    with no arc in G_D, as a mask.  Member x's domain is G_D's singleton
+    row: vertex x on the left, L + x on the right."""
+    L = len(gd.left)
+    base, targets = (0, range(L, gd.order)) if v < L else (L, range(L))
+    domains = [gd.succ[base + x] for x in gd.strategy_set(v)]
+    # Case 2: the largest targets inside the common relevant-strategy pool.
+    pool = frozenset.intersection(
+        *(frozenset().union(*map(gd.strategy_set, _bits(dom))) for dom in domains)
+    )
+    fits = [w for w in targets if gd.strategy_set(w) <= pool]
+    if fits:
+        best = max(len(gd.strategy_set(w)) for w in fits)
+        return sum(1 << w for w in fits if len(gd.strategy_set(w)) == best)
+    # Case 3: every set in any member's domain; case 4: an isolated pure
+    # strategy connects everywhere.
+    union = 0
+    for dom in domains:
+        union |= dom
+    if not union and len(domains) == 1:
+        union = sum(1 << w for w in targets)
+    return union
 
 
 def build_gi(
@@ -328,6 +323,6 @@ def build_gi(
     once.
     """
     gd = build_gd(game, k, l, infeasible)
-    adj_lr, art_lr = _fallback_arcs(gd.adj_lr, gd.left, gd.right)
-    adj_rl, art_rl = _fallback_arcs(gd.adj_rl, gd.right, gd.left)
-    return BipartiteDigraph(gd.left, gd.right, adj_lr, adj_rl, art_lr, art_rl)
+    artificial = tuple(0 if outs else _fallback_arcs(gd, v) for v, outs in enumerate(gd.succ))
+    succ = tuple(outs | flags for outs, flags in zip(gd.succ, artificial))
+    return BipartiteDigraph(gd.left, gd.right, succ, artificial)

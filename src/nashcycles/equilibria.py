@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .cycles import CycleClassLimit, cycle_basis, enumerate_support_trees
 # compute_domain_table is unused here, but bench/tracing.py wraps it in this namespace.
-from .domgraph import BipartiteDigraph, build_gi, build_gr, compute_domain_table
+from .domgraph import BipartiteDigraph, _bits, build_gi, build_gr, compute_domain_table
 from .games import (
     Game,
     MixedStrategy,
@@ -161,8 +161,7 @@ def _bicliques(graph: BipartiteDigraph) -> Iterator[SupportPair]:
     """
     m, n = len(graph.left), len(graph.right)
     mutual = [
-        sum(1 << y for y in range(n) if graph.adj_lr[x][y] and graph.adj_rl[y][x])
-        for x in range(m)
+        sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
     ]
 
     def walk(rows: tuple[int, ...], allowed: int, start: int) -> Iterator[SupportPair]:
@@ -171,7 +170,7 @@ def _bicliques(graph: BipartiteDigraph) -> Iterator[SupportPair]:
             if not narrowed:
                 continue
             grown = rows + (x,)
-            cols = [y for y in range(n) if narrowed >> y & 1]
+            cols = list(_bits(narrowed))
             for size in range(1, len(cols) + 1):
                 for chosen in itertools.combinations(cols, size):
                     yield SupportPair(grown, chosen)

@@ -27,12 +27,12 @@ from conftest import brute_force_cycles, tied_games
 
 
 def _mutual_pairs_graph() -> BipartiteDigraph:
-    # Two disjoint mutual pairs: x1 <-> y1, x2 <-> y2.
+    # Two disjoint mutual pairs: x1 <-> y1, x2 <-> y2 (unified ids 0 <-> 2,
+    # 1 <-> 3).
     return BipartiteDigraph(
         (frozenset([0]), frozenset([1])),
         (frozenset([0]), frozenset([1])),
-        ((True, False), (False, True)),
-        ((True, False), (False, True)),
+        (1 << 2, 1 << 3, 1 << 0, 1 << 1),
     )
 
 
@@ -40,8 +40,7 @@ def _one_way_graph() -> BipartiteDigraph:
     return BipartiteDigraph(
         (frozenset([0]), frozenset([1])),
         (frozenset([0]), frozenset([1])),
-        ((True, True), (True, True)),
-        ((False, False), (False, False)),
+        (0b1100, 0b1100, 0, 0),
     )
 
 
@@ -50,24 +49,21 @@ def _random_bipartite(
 ) -> BipartiteDigraph:
     # Each arc is present with probability `density`, and each present arc
     # is flagged artificial with probability `artificial`.
-    adj_lr = tuple(
-        tuple(rng.random() < density for _ in range(n)) for _ in range(m)
-    )
-    adj_rl = tuple(
-        tuple(rng.random() < density for _ in range(m)) for _ in range(n)
+    succ = tuple(
+        sum(1 << w for w in (range(m, m + n) if v < m else range(m)) if rng.random() < density)
+        for v in range(m + n)
     )
     flags = ()
     if artificial:
         flags = tuple(
-            tuple(tuple(on and rng.random() < artificial for on in row) for row in adj)
-            for adj in (adj_lr, adj_rl)
+            sum(1 << w for w in range(m + n) if outs >> w & 1 and rng.random() < artificial)
+            for outs in succ
         )
     return BipartiteDigraph(
         tuple(frozenset([x]) for x in range(m)),
         tuple(frozenset([y]) for y in range(n)),
-        adj_lr,
-        adj_rl,
-        *flags,
+        succ,
+        flags,
     )
 
 
@@ -280,13 +276,12 @@ class TestCycleBasis:
                 )
 
     def test_cycle_without_mutual_arc_has_no_class(self):
-        # x0 -> y0 -> x1 -> y1 -> x0: one elementary cycle but no 3-cycle to
-        # grow a class from.
+        # x0 -> y0 -> x1 -> y1 -> x0 (unified ids 0 -> 2 -> 1 -> 3 -> 0): one
+        # elementary cycle but no 3-cycle to grow a class from.
         graph = BipartiteDigraph(
             (frozenset([0]), frozenset([1])),
             (frozenset([0]), frozenset([1])),
-            ((True, False), (False, True)),
-            ((False, True), (True, False)),
+            (1 << 2, 1 << 3, 1 << 1, 1 << 0),
         )
         assert [c.vertices for c in johnson_cycles(graph)] == [(0, 2, 1, 3, 0)]
         assert cycle_basis(graph) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -151,6 +152,46 @@ class TestComputeRelevancy:
                     assert (row.members == ()) == lp1_dominance(g, player, x)[0]
 
 
+_PAIR = (frozenset([0]), frozenset([1]))
+
+
+class TestBipartiteDigraph:
+    def test_complete_masks(self):
+        graph = BipartiteDigraph.complete(2, 3)
+        assert graph.succ == (0b11100, 0b11100, 0b00011, 0b00011, 0b00011)
+        assert graph.arc_count() == 12 and graph.artificial_arc_count() == 0
+        assert graph.successors(0) == (2, 3, 4) and graph.successors(4) == (0, 1)
+        assert graph.has_arc(1, 3) and graph.has_arc(3, 1) and not graph.has_arc(0, 1)
+
+    def test_flags_read_per_arc(self):
+        graph = BipartiteDigraph(_PAIR, _PAIR, (0b1100, 0b1000, 0b01, 0b11), (0b0100, 0, 0, 0b10))
+        assert graph.adjacency() == [[2, 3], [3], [0], [0, 1]]
+        assert graph.arc_count() == 6 and graph.artificial_arc_count() == 2
+        assert [(u, w) for u in range(4) for w in range(4) if graph.arc_artificial(u, w)] == [
+            (0, 2),
+            (3, 1),
+        ]
+
+    def test_mask_count_must_match_vertices(self):
+        with pytest.raises(ValueError):
+            BipartiteDigraph(_PAIR, _PAIR, (0b1100, 0b1100, 0b11))
+
+    def test_arc_within_a_side_refused(self):
+        with pytest.raises(ValueError):
+            BipartiteDigraph(_PAIR, _PAIR, (0b0010, 0, 0, 0))
+        with pytest.raises(ValueError):
+            BipartiteDigraph(_PAIR, _PAIR, (0, 0, 0b1000, 0))
+
+    def test_arc_past_last_vertex_refused(self):
+        with pytest.raises(ValueError):
+            BipartiteDigraph(_PAIR, _PAIR, (0b10000, 0, 0, 0))
+
+    def test_flag_on_non_arc_refused(self):
+        # A flag without its arc would count an artificial arc of no arc.
+        with pytest.raises(ValueError):
+            BipartiteDigraph(_PAIR, _PAIR, (0, 0, 0, 0), (0b0100, 0, 0, 0))
+
+
 class TestBuildGr:
     def test_mp_completely_connected(self, mp):
         graph = build_gr(mp)
@@ -239,7 +280,7 @@ class TestBuildGi:
     def test_mp_matches_gd(self, mp):
         gd = build_gd(mp, 2, 2)
         gi = build_gi(mp, 2, 2)
-        assert gi.adj_lr == gd.adj_lr and gi.adj_rl == gd.adj_rl
+        assert gi.succ == gd.succ
         assert gi.artificial_arc_count() == 0
 
     def test_case_4_dominated_row(self, flat_top):
@@ -291,15 +332,11 @@ class TestBuildGi:
                 gd = build_gd(g, k, l, record)
                 gi = build_gi(g, k, l, record)
                 assert (gi.left, gi.right) == (gd.left, gd.right)
-                for adj_i, art, adj_d in (
-                    (gi.adj_lr, gi.artificial_lr, gd.adj_lr),
-                    (gi.adj_rl, gi.artificial_rl, gd.adj_rl),
-                ):
-                    for row_i, flags, row_d in zip(adj_i, art, adj_d):
-                        assert tuple(a and not f for a, f in zip(row_i, flags)) == row_d
-                        assert all(a or not f for a, f in zip(row_i, flags))
-                        if any(row_d):
-                            assert not any(flags)
+                for v in range(gi.order):
+                    assert gi.succ[v] & ~gi.artificial[v] == gd.succ[v]
+                    assert gi.artificial[v] & ~gi.succ[v] == 0
+                    if gd.succ[v]:
+                        assert gi.artificial[v] == 0
 
     def test_dominated_never_case_1_source(self, pd):
         graph = build_gi(pd, 2, 2)
@@ -311,32 +348,38 @@ class TestBuildGi:
                 assert graph.arc_artificial(v, w)
 
 
-def _reference_fallback_arcs(adj, sources, targets, domains):
+def _reference_fallback_arcs(gd, side, domains):
     # Cases 2-4 over each member's domain entries, as computed by
-    # `compute_domain_table`.
-    out_adj = []
+    # `compute_domain_table`: the successor and flag masks of every vertex
+    # on `side` of G_D.
+    L = len(gd.left)
+    sources, targets = (range(L), range(L, gd.order)) if side == 1 else (range(L, gd.order), range(L))
+    out_succ = []
     out_art = []
-    for s, row in zip(sources, adj):
-        if any(row):
-            out_adj.append(row)
-            out_art.append((False,) * len(targets))
+    for v in sources:
+        s = gd.strategy_set(v)
+        if gd.succ[v]:
+            out_succ.append(gd.succ[v])
+            out_art.append(0)
             continue
         pool = frozenset.intersection(
             *(frozenset(y for entry in domains[x] for y in entry.support) for x in s)
         )
-        fits = [len(t) for t in targets if t <= pool]
+        sets = [gd.strategy_set(w) for w in targets]
+        fits = [len(t) for t in sets if t <= pool]
         if fits:
             best = max(fits)
-            flags = tuple(t <= pool and len(t) == best for t in targets)
+            flags = [t <= pool and len(t) == best for t in sets]
         else:
             members = {frozenset(entry.support) for x in s for entry in domains[x]}
             if members:
-                flags = tuple(t in members for t in targets)
+                flags = [t in members for t in sets]
             else:
-                flags = (len(s) == 1,) * len(targets)
-        out_adj.append(flags)
-        out_art.append(flags)
-    return tuple(out_adj), tuple(out_art)
+                flags = [len(s) == 1] * len(sets)
+        mask = sum(1 << w for w, on in zip(targets, flags) if on)
+        out_succ.append(mask)
+        out_art.append(mask)
+    return out_succ, out_art
 
 
 def _reference_gi(g, k, l, record=None):
@@ -346,9 +389,9 @@ def _reference_gi(g, k, l, record=None):
     row_domains = compute_domain_table(g, 1, l, record)
     col_domains = compute_domain_table(g, 2, k, record)
     gd = build_gd(g, k, l, record)
-    adj_lr, art_lr = _reference_fallback_arcs(gd.adj_lr, gd.left, gd.right, row_domains)
-    adj_rl, art_rl = _reference_fallback_arcs(gd.adj_rl, gd.right, gd.left, col_domains)
-    return BipartiteDigraph(gd.left, gd.right, adj_lr, adj_rl, art_lr, art_rl)
+    succ_l, art_l = _reference_fallback_arcs(gd, 1, row_domains)
+    succ_r, art_r = _reference_fallback_arcs(gd, 2, col_domains)
+    return BipartiteDigraph(gd.left, gd.right, tuple(succ_l + succ_r), tuple(art_l + art_r))
 
 
 def _zero_game(size: int) -> Game:
@@ -426,6 +469,15 @@ class TestGraphExport:
     def test_artificial_flag_present(self, flat_top):
         dump = format_graph(build_gi(flat_top, 1, 1))
         assert "1:{2} -> 2:{1} artificial" in dump
+
+    def test_gi_of_smoke_game_pinned(self):
+        # The 4x4 game of the CLI smoke test (`gen -m 4 -n 4 --seed 7`) at
+        # k = l = 2: 20 vertices, 90 arcs, 42 of them artificial.
+        dump = format_graph(build_gi(generate_random_game(4, 4, 7), 2, 2))
+        lines = dump.split("\n")
+        assert len(lines) == 90
+        assert sum(line.endswith(" artificial") for line in lines) == 42
+        assert hashlib.sha256(dump.encode()).hexdigest()[:16] == "180639df4a168ab6"
 
 
 class TestSharedRecord:

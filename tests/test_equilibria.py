@@ -131,7 +131,11 @@ class TestGrPipeline:
         brute = [
             sp
             for sp in sorted(_all_pairs(rg.m, rg.n), key=SupportPair.sort_key)
-            if all(graph.adj_lr[x][y] and graph.adj_rl[y][x] for x in sp.rows for y in sp.cols)
+            if all(
+                graph.succ[x] >> rg.m + y & 1 and graph.succ[rg.m + y] >> x & 1
+                for x in sp.rows
+                for y in sp.cols
+            )
         ]
         bicliques = sorted(_bicliques(graph), key=SupportPair.sort_key)
         assert bicliques == brute
@@ -144,8 +148,8 @@ class TestGrPipeline:
         # never finish.
         size = 40
         vertices = tuple(frozenset([i]) for i in range(size))
-        diagonal = tuple(tuple(x == y for y in range(size)) for x in range(size))
-        graph = BipartiteDigraph(vertices, vertices, diagonal, diagonal)
+        succ = tuple(1 << size + i for i in range(size)) + tuple(1 << i for i in range(size))
+        graph = BipartiteDigraph(vertices, vertices, succ)
         assert list(_bicliques(graph)) == [SupportPair((i,), (i,)) for i in range(size)]
 
     def test_budget_counts_bicliques(self, mp):
