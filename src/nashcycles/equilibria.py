@@ -21,7 +21,6 @@ witnesses back through the index maps.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -78,8 +77,9 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class PipelineStats:
-    """Candidates checked, candidates rejected without an LP (by pure
-    dominance or a recorded infeasible side), and equilibria found."""
+    """Candidates, candidates rejected without an LP (by pure dominance,
+    in the biclique walk or in the check, or by a recorded infeasible side),
+    and equilibria found."""
 
     candidates: int
     pruned: int
@@ -130,15 +130,18 @@ def _run_checks(
 
     Raises BudgetExceededError as soon as the candidates, drawn lazily,
     number more than `budget`, so no generator runs further than that.
-    Candidates must be distinct.  Checking them in `SupportPair.sort_key`
-    order (Porter, Nudelman & Shoham 2004) records every infeasible side
-    before any candidate it rules out is reached.
+    Candidates must be distinct.  Pairs a generator dropped and added to
+    `infeasible.pruned` before the checks count as candidates too.  Checking
+    them in `SupportPair.sort_key` order (Porter, Nudelman & Shoham 2004)
+    records every infeasible side before any candidate it rules out is
+    reached.
     """
     pending: list[SupportPair] = []
     for sp in candidates:
         pending.append(sp)
         if len(pending) > budget:
             raise BudgetExceededError(len(pending), budget)
+    drawn = len(pending) + infeasible.pruned
     pending.sort(key=SupportPair.sort_key)
     entries = []
     for sp in pending:
@@ -146,37 +149,60 @@ def _run_checks(
         if feasible:
             entries.append(_lift(red, original, sp, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
+    stats = PipelineStats(drawn, infeasible.pruned, len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
 
 
-def _bicliques(graph: BipartiteDigraph) -> Iterator[SupportPair]:
+def _bicliques(
+    graph: BipartiteDigraph, record: InfeasibleSides, budget: int
+) -> Iterator[SupportPair]:
     """Lazily yield every support pair (R, C) of a strategy-level graph with
-    all arcs of R x C and of C x R present, each once.
+    all arcs of R x C and of C x R present, each once, except the pairs the
+    pure conditional-dominance test of `record` rules out.
 
     Row sets are walked depth-first by increasing index, keeping the columns
     joined both ways to every row so far; that set only shrinks as R grows,
-    so the walk stops where it empties and every row set it visits yields at
-    least one pair.
+    so the walk stops where it empties.  On reaching R it counts R's
+    2^k - 1 bicliques, k the joined columns, in closed form, and raises
+    BudgetExceededError(budget + 1, budget) once the count passes `budget`,
+    before building any of them.  It then drops the columns a pure rival
+    column dominates on R, skips every column set C on which a pure rival
+    row dominates a row of R, and adds the dropped pairs to `record.pruned`,
+    so a visited row set may yield nothing.  `fp1_check` rejects exactly
+    these pairs by the same test, which records no side, so the checks of
+    the pairs yielded see the same record and solve the same LPs.
     """
     m, n = len(graph.left), len(graph.right)
     mutual = [
         sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
     ]
+    count = 0
 
-    def walk(rows: tuple[int, ...], allowed: int, start: int) -> Iterator[SupportPair]:
+    def walk(
+        rows: tuple[int, ...], row_bits: int, allowed: int, start: int
+    ) -> Iterator[SupportPair]:
+        nonlocal count
         for x in range(start, m):
             narrowed = allowed & mutual[x]
             if not narrowed:
                 continue
-            grown = rows + (x,)
-            cols = list(_bits(narrowed))
-            for size in range(1, len(cols) + 1):
-                for chosen in itertools.combinations(cols, size):
-                    yield SupportPair(grown, chosen)
-            yield from walk(grown, narrowed, x + 1)
+            grown, grown_bits = rows + (x,), row_bits | 1 << x
+            total = (1 << narrowed.bit_count()) - 1
+            count += total
+            if count > budget:
+                raise BudgetExceededError(budget + 1, budget)
+            free = narrowed & ~record.dominated_cols(grown_bits)
+            kept = 0
+            cols = free
+            while cols:
+                if not grown_bits & record.dominated_rows(cols):
+                    kept += 1
+                    yield SupportPair(grown, tuple(_bits(cols)))
+                cols = cols - 1 & free
+            record.pruned += total - kept
+            yield from walk(grown, grown_bits, narrowed, x + 1)
 
-    return walk((), (1 << n) - 1, 0)
+    return walk((), 0, (1 << n) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +222,9 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    candidates = _bicliques(BipartiteDigraph.complete(m, n))
-    return _run_checks(game, red, candidates, "supports", budget, InfeasibleSides(red.game))
+    record = InfeasibleSides(red.game)
+    candidates = _bicliques(BipartiteDigraph.complete(m, n), record, budget)
+    return _run_checks(game, red, candidates, "supports", budget, record)
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -211,8 +238,9 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     `budget` bicliques.
     """
     red = iterated_elimination(game)
-    candidates = _bicliques(build_gr(red.game))
-    return _run_checks(game, red, candidates, "gr", budget, InfeasibleSides(red.game))
+    record = InfeasibleSides(red.game)
+    candidates = _bicliques(build_gr(red.game), record, budget)
+    return _run_checks(game, red, candidates, "gr", budget, record)
 
 
 def enumerate_by_gi(

@@ -356,6 +356,16 @@ def iterated_elimination(game: Game) -> ReducedGame:
     """Remove strictly dominated strategies (allowing domination by mixed
     strategies) until a fixed point.
 
+    Each test of a strategy x reads the current subgame's `int_payoffs` and
+    answers with the first of:
+
+    1. x earns its column maximum against some opponent pure strategy y
+       (ties count): x is a best response to y, so not dominated, and its
+       witness support is {y} for the first such y;
+    2. some rival earns strictly more than x against every opponent
+       strategy: x is dominated;
+    3. `lp1_dominance`, whose witness support is kept when x survives.
+
     Every strategy is tested once; a survivor keeps the support (in original
     indices) of the opponent strategy its test found it a best response to,
     and is tested again only when a strategy in that support is removed.
@@ -377,10 +387,20 @@ def iterated_elimination(game: Game) -> ReducedGame:
             todo, stale[player] = stale[player], []
             for s in todo:
                 own, others = kept[player], kept[opponent]
-                dominated, witness = lp1_dominance(current, player, own.index(s))
-                if not dominated:
-                    witness_support[player][s] = frozenset(others[j] for j in witness.support)
+                i = own.index(s)
+                vectors = current.int_payoffs[player - 1][1]
+                mine = vectors[i]
+                reply = next(
+                    (y for y, v in enumerate(mine) if all(r[y] <= v for r in vectors)), None
+                )
+                if reply is not None:
+                    witness_support[player][s] = frozenset((others[reply],))
                     continue
+                if not any(all(r > v for r, v in zip(rival, mine)) for rival in vectors):
+                    dominated, witness = lp1_dominance(current, player, i)
+                    if not dominated:
+                        witness_support[player][s] = frozenset(others[j] for j in witness.support)
+                        continue
                 own.remove(s)
                 current = _subgame(game, kept[1], kept[2])
                 for t, used in list(witness_support[opponent].items()):

@@ -31,7 +31,10 @@ that column; so x is no best response to any such q.  This is the
 conditional dominance of Porter, Nudelman & Shoham (2004); exact supports
 let a weak dominator with one strict column decide it.  A twin of x has no
 strict column, so it never rules x out, and the test holds on degenerate
-games.
+games.  The `gr` and `supports` routes apply the same test while they walk
+the support pairs, so most pairs it rules out never reach `fp1_check`; and
+iterated elimination answers most strategies with pure tests too (a pure
+best response, a pure strict dominator) before it asks `lp1_dominance`.
 
 One game's `InfeasibleSides` record is the place where such a side
 question is asked: `compute_domain`, the common-witness arcs and
@@ -577,7 +580,8 @@ class InfeasibleSides:
     sides of (R, C) are the arc questions R -> C and C -> R.  A feasible
     answer is reused for the same question only: a subset of a feasible
     responder set is feasible too, but its own LP may find another witness.
-    `pruned` counts the `fp1_check` candidates rejected without an LP.
+    `pruned` counts the `fp1_check` candidates rejected without an LP, and
+    the pairs the biclique walk drops by the same pure test before any check.
     """
 
     __slots__ = ("game", "_masks", "_dominated", "_failed", "_feasible", "pruned")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from nashcycles.cycles import cycle_basis, enumerate_support_trees
 from nashcycles.domgraph import BipartiteDigraph, build_gr
 from nashcycles.equilibria import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     _bicliques,
     eliminable_strategies,
@@ -29,7 +30,7 @@ from nashcycles.games import (
     generate_random_game,
     iterated_elimination,
 )
-from nashcycles.lp import InfeasibleSides, fp1_check
+from nashcycles.lp import InfeasibleSides, _mask, fp1_check
 
 from conftest import degenerate_game, tied_games
 
@@ -38,6 +39,13 @@ F = Fraction
 
 def _supports(result):
     return [(e.support.rows, e.support.cols) for e in result.entries]
+
+
+def _every_biclique(graph):
+    """The walk with the record of an all-zero game, where no pure rival
+    dominates anything, so nothing is dropped."""
+    zero = [[0] * len(graph.right) for _ in graph.left]
+    return _bicliques(graph, InfeasibleSides(Game.from_rows(zero, zero)), DEFAULT_BUDGET)
 
 
 class TestOracle:
@@ -120,7 +128,7 @@ class TestGrPipeline:
                 expected = sorted(_all_pairs(m, n), key=SupportPair.sort_key)
                 tree_pairs = {tree.support_pair(graph) for tree in trees}
                 assert sorted(tree_pairs, key=SupportPair.sort_key) == expected, (m, n)
-                assert sorted(_bicliques(graph), key=SupportPair.sort_key) == expected, (m, n)
+                assert sorted(_every_biclique(graph), key=SupportPair.sort_key) == expected, (m, n)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(tied_games())
@@ -137,11 +145,27 @@ class TestGrPipeline:
                 for y in sp.cols
             )
         ]
-        bicliques = sorted(_bicliques(graph), key=SupportPair.sort_key)
+        bicliques = sorted(_every_biclique(graph), key=SupportPair.sort_key)
         assert bicliques == brute
         trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (rg.m, rg.n))
         assert set(bicliques) <= {tree.support_pair(graph) for tree in trees}
         assert set(enumerate_by_supports(rg).support_pairs()) <= set(bicliques)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_walk_drops_exactly_the_pure_rejections(self, g):
+        # A fresh record rules out by pure conditional dominance alone; the
+        # walk yields the bicliques it lets through and counts the rest.
+        rg = iterated_elimination(g).game
+        graph = build_gr(rg)
+        every = sorted(_every_biclique(graph), key=SupportPair.sort_key)
+        pure = InfeasibleSides(rg)
+        expected = [sp for sp in every if not pure.rules_out(_mask(sp.rows), _mask(sp.cols))]
+        record = InfeasibleSides(rg)
+        walked = sorted(_bicliques(graph, record, DEFAULT_BUDGET), key=SupportPair.sort_key)
+        assert walked == expected
+        assert len(walked) + record.pruned == len(every)
+        assert set(enumerate_by_supports(rg).support_pairs()) <= set(walked)
 
     def test_biclique_walk_is_pruned(self):
         # Only the mutual arcs i <-> i: a scan of all 2^40 row sets would
@@ -150,12 +174,28 @@ class TestGrPipeline:
         vertices = tuple(frozenset([i]) for i in range(size))
         succ = tuple(1 << size + i for i in range(size)) + tuple(1 << i for i in range(size))
         graph = BipartiteDigraph(vertices, vertices, succ)
-        assert list(_bicliques(graph)) == [SupportPair((i,), (i,)) for i in range(size)]
+        assert list(_every_biclique(graph)) == [SupportPair((i,), (i,)) for i in range(size)]
 
     def test_budget_counts_bicliques(self, mp):
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(mp, budget=3)
         assert err.value.candidates == 4
+
+    def test_budget_counts_dropped_bicliques(self):
+        # G_R of this game is complete on 4 x 5 after elimination: 465
+        # bicliques, of which pure dominance lets the walk build only 52.
+        # The budget counts all 465, so one between the two still refuses.
+        g = generate_random_game(5, 5, 0)
+        rg = iterated_elimination(g).game
+        record = InfeasibleSides(rg)
+        assert len(list(_bicliques(build_gr(rg), record, DEFAULT_BUDGET))) == 52
+        assert record.pruned == 465 - 52
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_by_gr(g, budget=100)
+        assert (err.value.candidates, err.value.budget) == (101, 100)
+        result = enumerate_by_gr(g, budget=465)
+        assert result.stats.candidates == 465
+        assert result.stats == enumerate_by_supports(g).stats
 
     def test_budget_stops_the_walk(self):
         # G_R is complete on 20 x 20, so the walk could yield (2^20 - 1)^2

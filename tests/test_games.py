@@ -18,6 +18,7 @@ from nashcycles.games import (
     parse_game,
     write_game,
 )
+from nashcycles import lp
 from nashcycles.lp import lp1_dominance
 
 from conftest import degenerate_game
@@ -218,6 +219,19 @@ class TestIteratedElimination:
             for y in range(red.n):
                 assert not lp1_dominance(red, 2, y)[0]
 
+    def test_pure_answers_need_no_lp(self, pd, mp, bos, monkeypatch):
+        # Every strategy of bos and mp is a best response to a pure one, and
+        # in pd the defect row and column dominate the others pointwise.
+        def no_lp(*args):
+            raise AssertionError("elimination solved an LP")
+
+        monkeypatch.setattr(lp, "lp1_dominance", no_lp)
+        for game in (bos, mp):
+            red = iterated_elimination(game)
+            assert (red.game, red.row_map, red.col_map) == (game, (0, 1), (0, 1))
+        red = iterated_elimination(pd)
+        assert (red.row_map, red.col_map) == ((1,), (1,))
+
     def test_order_independence(self):
         # Randomized removal schedules must land on the same index sets.
         def eliminate_shuffled(game, rng):
@@ -246,6 +260,11 @@ class TestIteratedElimination:
 
         rng = random.Random(17)
         games = [Game.from_rows([[3, 0], [5, 1]], [[3, 5], [0, 1]])]
+        # Row 1 weakly dominates row 0, yet row 0 is a best response to
+        # (1/2, 1/2, 0) and must survive.
+        weak = Game.from_rows([[2, 2, 0], [2, 2, 1], [3, 0, 0], [0, 3, 0]], [[0] * 3] * 4)
+        assert iterated_elimination(weak).row_map == (0, 1, 2, 3)
+        games.append(weak)
         games += [generate_random_game(4, 4, 5000 + k) for k in range(4)]
         sizes = ((3, 3), (4, 3), (4, 4), (5, 5))
         games += [degenerate_game(*sizes[k % 4], 5100 + k) for k in range(40)]
