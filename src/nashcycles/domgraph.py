@@ -2,15 +2,17 @@
 digraphs built from them.
 
 The strategy-level graph has one singleton vertex per pure strategy and an
-arc x -> y whenever y belongs to the relevancy set R(x).  Each R(x) costs
-one program: the opponent strategies to which x responds best form a
-convex cone, closed under sums, so one cone point has the largest support,
-and that support is R(x) (see `lp3_relevancy`).  The subset-level
-graphs have one vertex per strategy subset up to a size cap; an arc from s
-to t certifies a single opponent mixed strategy with support exactly t to
-which every strategy in s is simultaneously a best response.  The capped
-graph G_I is that graph, G_D, plus flagged artificial arcs that keep every
-vertex connected.
+arc x -> y whenever y belongs to the relevancy set R(x).  The opponent
+strategies to which x responds best form a convex cone, closed under sums,
+so one cone point has the largest support, and that support is R(x).  R(x)
+is therefore the whole opponent set exactly when x responds best to some
+full-support opponent strategy, one side question of the run's record;
+only a row that fails it costs the max-support program (see
+`lp3_relevancy`).  The subset-level graphs have one vertex per strategy
+subset up to a size cap; an arc from s to t certifies a single opponent
+mixed strategy with support exactly t to which every strategy in s is
+simultaneously a best response.  The capped graph G_I is that graph, G_D,
+plus flagged artificial arcs that keep every vertex connected.
 
 Every graph stores one successor bitmask per vertex over unified ids (left
 vertices first, then right) and, per vertex, the mask of its artificial
@@ -242,14 +244,30 @@ def compute_relevancy(game: Game, player: int, x: int) -> RelevancyRow:
 # Graph constructions
 # ---------------------------------------------------------------------------
 
-def build_gr(game: Game) -> BipartiteDigraph:
+def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> BipartiteDigraph:
     """Strategy-level dominance graph: singleton vertices, arc x -> y iff
-    y is in R(x) and arc y -> x iff x is in R(y)."""
+    y is in R(x) and arc y -> x iff x is in R(y).
+
+    Each row first asks the record `infeasible` (made for `game`; a fresh
+    one when None) the full-support side: is `x` a best response to some
+    opponent strategy with every strategy in its support?  Best-response
+    witnesses form a cone closed under sums, so that holds exactly when
+    R(x) is the whole opponent set, and the row is full with no
+    max-support program.  Only the other rows come from
+    `compute_relevancy`.  The record keeps the side's answer for the check
+    of the pair ({x}, all).
+    """
+    record = _record(game, infeasible)
     m, n = game.m, game.n
     succ = []
-    for player, count, offset in ((1, m, m), (2, n, 0)):
+    for player, count, opp_count, offset in ((1, m, n, m), (2, n, m, 0)):
+        everyone = tuple(range(opp_count))
         for x in range(count):
-            succ.append(sum(1 << offset + y for y in compute_relevancy(game, player, x).members))
+            if record.check_side(player, (x,), everyone)[0]:
+                members = everyone
+            else:
+                members = compute_relevancy(game, player, x).members
+            succ.append(sum(1 << offset + y for y in members))
     return BipartiteDigraph(
         tuple(frozenset([x]) for x in range(m)),
         tuple(frozenset([y]) for y in range(n)),

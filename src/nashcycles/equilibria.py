@@ -234,12 +234,13 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     The bicliques are the support pairs (R, C) with C a subset of R(x) for
     every row x in R and R a subset of R(y) for every column y in C; every
     equilibrium support pair is one (see the module docstring), and on a
-    complete G_R every support pair is one.  Refuses games with more than
-    `budget` bicliques.
+    complete G_R every support pair is one.  G_R's build and the checks
+    share one record, so a full row's side is solved once.  Refuses games
+    with more than `budget` bicliques.
     """
     red = iterated_elimination(game)
     record = InfeasibleSides(red.game)
-    candidates = _bicliques(build_gr(red.game), record, budget)
+    candidates = _bicliques(build_gr(red.game, record), record, budget)
     return _run_checks(game, red, candidates, "gr", budget, record)
 
 

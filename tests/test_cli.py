@@ -218,6 +218,16 @@ class TestGen:
         for matrix in (game.a, game.b):
             assert 0 <= matrix[0][0] <= 1
 
+    def test_runs_as_module(self):
+        # `python -m nashcycles` with the package on PYTHONPATH, not installed.
+        src = str(Path(nashcycles.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-m", "nashcycles", "gen", "-m", "2", "-n", "2", "--seed", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
+        )
+        assert parse_game(run.stdout) == generate_random_game(2, 2, 1)
+
 
 class TestCheck:
     def test_mp_valid(self, game_file, capsys):

@@ -28,11 +28,11 @@ from nashcycles.games import (
     is_best_response,
     iterated_elimination,
 )
-from nashcycles import equilibria, lp
-from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check
+from nashcycles import domgraph, equilibria, lp
+from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check, lp3_relevancy
 from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi, enumerate_by_supports
 
-from conftest import tied_games
+from conftest import degenerate_game, tied_games
 
 F = Fraction
 
@@ -45,6 +45,11 @@ def _vertex(graph: BipartiteDigraph, side: int, members) -> int:
         if vs == wanted:
             return offset + i
     raise AssertionError(f"vertex {wanted} not found on side {side}")
+
+
+def _zero_game(size: int) -> Game:
+    zeros = [[0] * size for _ in range(size)]
+    return Game.from_rows(zeros, zeros)
 
 
 class TestComputeDomain:
@@ -212,6 +217,39 @@ class TestBuildGr:
             for v in range(graph.order):
                 assert len(graph.successors(v)) >= 1
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_same_graph_as_max_support_rows(self, g):
+        for game in (g, iterated_elimination(g).game):
+            _check_gr_rows(game)
+
+    def test_same_graph_on_fixed_games(self, pd):
+        for g in (*_FIXED_GR_GAMES, pd):
+            _check_gr_rows(g)
+
+    def test_full_rows_need_no_max_support_lp(self, pd, mp, bos, monkeypatch):
+        # Every row of mp, bos and the generic games is full; in pd the
+        # dominated row and column are empty and the others full.
+        calls = []
+
+        def counting(game, player, x):
+            calls.append((player, x))
+            return lp3_relevancy(game, player, x)
+
+        monkeypatch.setattr(domgraph, "lp3_relevancy", counting)
+        games = [mp, bos]
+        games += [iterated_elimination(generate_random_game(4, 4, 4400 + t)).game for t in range(15)]
+        for g in games:
+            build_gr(g)
+        assert calls == []
+        graph = build_gr(pd)
+        partial = [
+            (graph.side(v), min(graph.strategy_set(v)))
+            for v in range(graph.order)
+            if graph.succ[v].bit_count() < 2
+        ]
+        assert calls == partial == [(1, 0), (2, 0)]
+
     def test_corollary_2(self):
         # Every oracle equilibrium's supports sit inside each other's
         # relevancy sets.
@@ -225,6 +263,43 @@ class TestBuildGr:
                     assert set(eq.support.cols) <= rows_relevancy[x]
                 for y in eq.support.cols:
                     assert set(eq.support.rows) <= cols_relevancy[y]
+
+
+def _reference_gr(g: Game) -> BipartiteDigraph:
+    """G_R with every row from `compute_relevancy`'s max-support program."""
+    succ = []
+    for player, count, offset in ((1, g.m, g.m), (2, g.n, 0)):
+        for x in range(count):
+            succ.append(sum(1 << offset + y for y in compute_relevancy(g, player, x).members))
+    return BipartiteDigraph(
+        tuple(frozenset([x]) for x in range(g.m)),
+        tuple(frozenset([y]) for y in range(g.n)),
+        tuple(succ),
+    )
+
+
+def _check_gr_rows(g: Game) -> None:
+    # Both builds equal the reference, and a row is full exactly when the
+    # full-support side is feasible.
+    expected = _reference_gr(g)
+    assert build_gr(g) == expected
+    assert build_gr(g, InfeasibleSides(g)) == expected
+    for player, count, opp_count, offset in ((1, g.m, g.n, 0), (2, g.n, g.m, g.m)):
+        everyone = tuple(range(opp_count))
+        for x in range(count):
+            full = expected.succ[offset + x].bit_count() == opp_count
+            assert InfeasibleSides(g).check_side(player, (x,), everyone)[0] == full, (player, x)
+
+
+# The all-zero 3x3 (every row full), a 1x4 and a 4x1 game, and a 4x4 game
+# with a constant column and a duplicated row whose rows are full, partial
+# and empty.
+_FIXED_GR_GAMES = (
+    _zero_game(3),
+    Game.from_rows([[1, 2, 0, 2]], [[0, 1, 1, 2]]),
+    Game.from_rows([[0], [2], [1], [2]], [[1], [0], [2], [2]]),
+    degenerate_game(4, 4, 4),
+)
 
 
 class TestBuildGd:
@@ -394,11 +469,6 @@ def _reference_gi(g, k, l, record=None):
     return BipartiteDigraph(gd.left, gd.right, tuple(succ_l + succ_r), tuple(art_l + art_r))
 
 
-def _zero_game(size: int) -> Game:
-    zeros = [[0] * size for _ in range(size)]
-    return Game.from_rows(zeros, zeros)
-
-
 # The all-zero games (every strategy's domain is every subset) and the
 # generic 4x4 game of the CLI smoke test, run at k = l = 2.
 _FIXED_GI_GAMES = (_zero_game(3), _zero_game(4), generate_random_game(4, 4, 7))
@@ -484,10 +554,12 @@ class TestSharedRecord:
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(tied_games())
     def test_sharing_changes_nothing(self, g):
-        # One record asked by the domain tables, both graph builds at every
-        # cap pair and then the checks of every support pair: each answer,
-        # witness included, is the one a fresh record or no record gives.
+        # One record asked by G_R's build, the domain tables, both subset
+        # graph builds at every cap pair and then the checks of every
+        # support pair: each answer, witness included, is the one a fresh
+        # record or no record gives.
         record = InfeasibleSides(g)
+        assert build_gr(g, record) == build_gr(g)
         for k in range(1, g.m + 1):
             for l in range(1, g.n + 1):
                 assert compute_domain_table(g, 1, l, record) == compute_domain_table(g, 1, l)
@@ -504,6 +576,8 @@ class TestSharedRecord:
             compute_domain(mp, 1, 0, 2, record)
         with pytest.raises(ValueError):
             compute_domain_table(mp, 1, 2, record)
+        with pytest.raises(ValueError):
+            build_gr(mp, record)
         with pytest.raises(ValueError):
             build_gd(mp, 2, 2, record)
         with pytest.raises(ValueError):
