@@ -34,13 +34,15 @@ for entry in basis:
 print()
 
 # Support trees attach 3-cycles to a main cycle to reach unbalanced
-# supports; on this graph they generate all nine support pairs.
+# supports; on this graph they generate all nine support pairs.  A tree's
+# support pair is two bitmasks: bit i of `rows` is row i.
 trees = list(enumerate_support_trees(graph, basis, "gr", (2, 2)))
 supports = sorted({t.support_pair(graph) for t in trees},
-                  key=lambda sp: sp.sort_key())
+                  key=lambda pair: (pair[0].bit_count() + pair[1].bit_count(), pair))
 print(f"{len(trees)} trees generating {len(supports)} distinct supports:")
-for sp in supports:
-    print(f"  rows={sp.rows} cols={sp.cols}")
+for rows, cols in supports:
+    print(f"  rows={[i for i in range(2) if rows >> i & 1]} "
+          f"cols={[j for j in range(2) if cols >> j & 1]}")
 print()
 
 # A degenerate game where the equilibrium supports are unbalanced: among the

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from .cycles import CycleClassLimit, cycle_basis
-from .domgraph import build_gd, build_gi, build_gr, format_graph
+from .domgraph import _bits, build_gd, build_gi, build_gr, format_graph
 from .equilibria import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -32,7 +32,6 @@ from .equilibria import (
 )
 from .games import (
     Game,
-    GameFormatError,
     MixedStrategy,
     generate_random_game,
     iterated_elimination,
@@ -43,12 +42,8 @@ from .games import (
 __all__ = ["main"]
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 def _fmt_vector(probs) -> str:
-    return "(" + ",".join(_fmt(p) for p in probs) + ")"
+    return "(" + ",".join(str(p) for p in probs) + ")"
 
 
 def _fmt_indices(indices) -> str:
@@ -59,7 +54,7 @@ def _equilibrium_line(entry) -> str:
     return (
         f"rows={_fmt_indices(entry.support.rows)} cols={_fmt_indices(entry.support.cols)} "
         f"p={_fmt_vector(entry.p.probs)} q={_fmt_vector(entry.q.probs)} "
-        f"u1={_fmt(entry.u1)} u2={_fmt(entry.u2)}"
+        f"u1={entry.u1} u2={entry.u2}"
     )
 
 
@@ -148,15 +143,13 @@ def _cmd_cycles(args) -> int:
         if dump:
             print(dump)
     basis = cycle_basis(graph, max_classes=DEFAULT_BUDGET)
-    flat = all(len(graph.strategy_set(v)) == 1 for v in range(graph.order))
+    flat = all(graph.strategy_set(v).bit_count() == 1 for v in range(graph.order))
 
     def side_label(vertex_ids) -> str:
         if flat:
-            strategies = sorted(i for v in vertex_ids for i in graph.strategy_set(v))
-            return _fmt_indices(strategies)
-        parts = [
-            _fmt_indices(sorted(graph.strategy_set(v))) for v in vertex_ids
-        ]
+            # Distinct singletons: their sum is their union.
+            return _fmt_indices(_bits(sum(map(graph.strategy_set, vertex_ids))))
+        parts = [_fmt_indices(_bits(graph.strategy_set(v))) for v in vertex_ids]
         return "{" + ",".join(parts) + "}"
 
     for entry in basis:
@@ -299,12 +292,6 @@ def main(argv=None) -> int:
     except (BudgetExceededError, CycleClassLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GameFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

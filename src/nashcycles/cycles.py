@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .domgraph import BipartiteDigraph, _bits
-from .games import SupportPair
 
 __all__ = [
     "Cycle",
@@ -229,14 +228,15 @@ class CycleBasisEntry:
     def sort_key(self) -> tuple:
         return (self.distinct_count, self.left, self.right)
 
-    def strategy_sets(self, graph: BipartiteDigraph) -> tuple[frozenset[int], frozenset[int]]:
-        rows: set[int] = set()
+    def strategy_sets(self, graph: BipartiteDigraph) -> tuple[int, int]:
+        """The union of the left and of the right vertex labels, as the
+        bitmask pair (rows, cols)."""
+        rows = cols = 0
         for v in self.left:
             rows |= graph.strategy_set(v)
-        cols: set[int] = set()
         for v in self.right:
             cols |= graph.strategy_set(v)
-        return frozenset(rows), frozenset(cols)
+        return rows, cols
 
 
 def _witness_cycle(mask: int, succ: Sequence[int]) -> tuple[int, ...] | None:
@@ -363,14 +363,14 @@ class SupportTree:
     def members(self) -> tuple[CycleBasisEntry, ...]:
         return (self.main, *self.leaves)
 
-    def support_pair(self, graph: BipartiteDigraph) -> SupportPair:
-        rows: set[int] = set()
-        cols: set[int] = set()
+    def support_pair(self, graph: BipartiteDigraph) -> tuple[int, int]:
+        """The candidate support as the bitmask pair (rows, cols)."""
+        rows = cols = 0
         for entry in self.members:
             r, c = entry.strategy_sets(graph)
             rows |= r
             cols |= c
-        return SupportPair(tuple(rows), tuple(cols))
+        return rows, cols
 
 
 def _gr_trees(
@@ -412,10 +412,11 @@ def _gi_trees(
 ) -> Iterator[SupportTree]:
     for entry in basis:
         yield SupportTree(entry)
-    spans = []  # per class: its vertex, row and column bitmasks
-    for entry in basis:
-        sets = (entry.left + entry.right, *entry.strategy_sets(graph))
-        spans.append(tuple(sum(1 << i for i in items) for items in sets))
+    # Per class: its vertex, row and column bitmasks.
+    spans = [
+        (sum(1 << v for v in entry.left + entry.right), *entry.strategy_sets(graph))
+        for entry in basis
+    ]
     emitted: set[tuple[int, ...]] = set()
     for v in range(graph.order):
         star = [i for i, span in enumerate(spans) if span[0] >> v & 1]

@@ -14,10 +14,11 @@ mixed strategy with support exactly t to which every strategy in s is
 simultaneously a best response.  The capped graph G_I is that graph, G_D,
 plus flagged artificial arcs that keep every vertex connected.
 
-Every graph stores one successor bitmask per vertex over unified ids (left
-vertices first, then right) and, per vertex, the mask of its artificial
-arcs, a subset of its successors.  Builders write these masks and readers
-use them as they are.
+Every graph labels each vertex with its strategy subset as a bitmask, and
+stores one successor bitmask per vertex over unified ids (left vertices
+first, then right) and, per vertex, the mask of its artificial arcs, a
+subset of its successors.  Builders write these masks and readers use them
+as they are.
 
 A strategy's domain, the opponent subsets it can respond best to, is its
 singleton row of G_D.  Domains and arcs are asked of one game's
@@ -51,13 +52,14 @@ __all__ = [
 ]
 
 
-def size_lex_subsets(count: int, cap: int) -> list[tuple[int, ...]]:
-    """All non-empty subsets of range(count) with size <= cap, ordered by
-    (size, lexicographic)."""
-    out: list[tuple[int, ...]] = []
-    for k in range(1, cap + 1):
-        out.extend(itertools.combinations(range(count), k))
-    return out
+def size_lex_subsets(count: int, cap: int) -> list[int]:
+    """All non-empty subsets of range(count) with size <= cap, as bitmasks
+    ordered by (size, lexicographic order of the members)."""
+    return [
+        sum(1 << i for i in members)
+        for k in range(1, cap + 1)
+        for members in itertools.combinations(range(count), k)
+    ]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -70,15 +72,15 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class BipartiteDigraph:
-    """Two ordered vertex lists (strategy subsets) and one successor bitmask
-    per vertex.  Vertices are addressed by unified ids: left vertices
-    0..L-1 first, then right vertices L..L+R-1; bit w of `succ[v]` is the
-    arc v -> w, which always crosses sides.  `artificial[v]` flags the
-    subset of `succ[v]` that no common witness certifies (all zero when
-    omitted)."""
+    """Two ordered vertex lists, each vertex labelled by its non-empty
+    strategy subset as a bitmask, and one successor bitmask per vertex.
+    Vertices are addressed by unified ids: left vertices 0..L-1 first, then
+    right vertices L..L+R-1; bit w of `succ[v]` is the arc v -> w, which
+    always crosses sides.  `artificial[v]` flags the subset of `succ[v]`
+    that no common witness certifies (all zero when omitted)."""
 
-    left: tuple[frozenset[int], ...]
-    right: tuple[frozenset[int], ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
     succ: tuple[int, ...]
     artificial: tuple[int, ...] = ()
 
@@ -90,6 +92,8 @@ class BipartiteDigraph:
             raise ValueError("succ and artificial need one mask per vertex")
         if len(set(self.left)) != L or len(set(self.right)) != R:
             raise ValueError("vertex sets within a side must be distinct")
+        if min(self.left + self.right, default=1) < 1:
+            raise ValueError("vertex labels must be non-empty strategy bitmasks")
         left_ids = (1 << L) - 1
         for v, (outs, flags) in enumerate(zip(self.succ, self.artificial)):
             if outs >> (L + R):
@@ -104,8 +108,8 @@ class BipartiteDigraph:
         """Completely connected graph on singleton vertices (m left, n right)."""
         left_ids, right_ids = (1 << m) - 1, ((1 << n) - 1) << m
         return cls(
-            tuple(frozenset([x]) for x in range(m)),
-            tuple(frozenset([y]) for y in range(n)),
+            tuple(1 << x for x in range(m)),
+            tuple(1 << y for y in range(n)),
             (right_ids,) * m + (left_ids,) * n,
         )
 
@@ -116,7 +120,7 @@ class BipartiteDigraph:
     def side(self, v: int) -> int:
         return 1 if v < len(self.left) else 2
 
-    def strategy_set(self, v: int) -> frozenset[int]:
+    def strategy_set(self, v: int) -> int:
         L = len(self.left)
         return self.left[v] if v < L else self.right[v - L]
 
@@ -139,7 +143,7 @@ class BipartiteDigraph:
         return sum(flags.bit_count() for flags in self.artificial)
 
     def vertex_label(self, v: int) -> str:
-        members = ",".join(str(i + 1) for i in sorted(self.strategy_set(v)))
+        members = ",".join(str(i + 1) for i in _bits(self.strategy_set(v)))
         return f"{self.side(v)}:{{{members}}}"
 
 
@@ -195,9 +199,9 @@ def compute_domain(
     record = _record(game, infeasible)
     entries = []
     for support in size_lex_subsets(opp_count, l):
-        member, probs = record.check_side(player, (x,), support)
+        member, probs = record.check_side(player, 1 << x, support)
         if member:
-            entries.append(DomainEntry(support, MixedStrategy(opponent, probs)))
+            entries.append(DomainEntry(tuple(_bits(support)), MixedStrategy(opponent, probs)))
     return tuple(entries)
 
 
@@ -261,18 +265,15 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     m, n = game.m, game.n
     succ = []
     for player, count, opp_count, offset in ((1, m, n, m), (2, n, m, 0)):
-        everyone = tuple(range(opp_count))
+        everyone = (1 << opp_count) - 1
         for x in range(count):
-            if record.check_side(player, (x,), everyone)[0]:
-                members = everyone
+            if record.check_side(player, 1 << x, everyone)[0]:
+                succ.append(everyone << offset)
             else:
                 members = compute_relevancy(game, player, x).members
-            succ.append(sum(1 << offset + y for y in members))
-    return BipartiteDigraph(
-        tuple(frozenset([x]) for x in range(m)),
-        tuple(frozenset([y]) for y in range(n)),
-        tuple(succ),
-    )
+                succ.append(sum(1 << offset + y for y in members))
+    singletons = tuple(1 << x for x in range(m)), tuple(1 << y for y in range(n))
+    return BipartiteDigraph(*singletons, tuple(succ))
 
 
 def build_gd(
@@ -289,16 +290,12 @@ def build_gd(
     if not (1 <= k <= game.m and 1 <= l <= game.n):
         raise ValueError("size caps must satisfy 1 <= k <= m and 1 <= l <= n")
     record = _record(game, infeasible)
-    left = size_lex_subsets(game.m, k)
-    right = size_lex_subsets(game.n, l)
+    left = tuple(size_lex_subsets(game.m, k))
+    right = tuple(size_lex_subsets(game.n, l))
     L = len(left)
     succ = [sum(1 << L + j for j, t in enumerate(right) if record.check_side(1, s, t)[0]) for s in left]
     succ += [sum(1 << i for i, s in enumerate(left) if record.check_side(2, t, s)[0]) for t in right]
-    return BipartiteDigraph(
-        tuple(frozenset(s) for s in left),
-        tuple(frozenset(t) for t in right),
-        tuple(succ),
-    )
+    return BipartiteDigraph(left, right, tuple(succ))
 
 
 def _fallback_arcs(gd: BipartiteDigraph, v: int) -> int:
@@ -307,20 +304,21 @@ def _fallback_arcs(gd: BipartiteDigraph, v: int) -> int:
     row: vertex x on the left, L + x on the right."""
     L = len(gd.left)
     base, targets = (0, range(L, gd.order)) if v < L else (L, range(L))
-    domains = [gd.succ[base + x] for x in gd.strategy_set(v)]
+    domains = [gd.succ[base + x] for x in _bits(gd.strategy_set(v))]
     # Case 2: the largest targets inside the common relevant-strategy pool.
-    pool = frozenset.intersection(
-        *(frozenset().union(*map(gd.strategy_set, _bits(dom))) for dom in domains)
-    )
-    fits = [w for w in targets if gd.strategy_set(w) <= pool]
-    if fits:
-        best = max(len(gd.strategy_set(w)) for w in fits)
-        return sum(1 << w for w in fits if len(gd.strategy_set(w)) == best)
-    # Case 3: every set in any member's domain; case 4: an isolated pure
-    # strategy connects everywhere.
-    union = 0
+    pool, union = -1, 0
     for dom in domains:
         union |= dom
+        relevant = 0
+        for w in _bits(dom):
+            relevant |= gd.strategy_set(w)
+        pool &= relevant
+    fits = [w for w in targets if not gd.strategy_set(w) & ~pool]
+    if fits:
+        best = max(gd.strategy_set(w).bit_count() for w in fits)
+        return sum(1 << w for w in fits if gd.strategy_set(w).bit_count() == best)
+    # Case 3: every set in any member's domain; case 4: an isolated pure
+    # strategy connects everywhere.
     if not union and len(domains) == 1:
         union = sum(1 << w for w in targets)
     return union

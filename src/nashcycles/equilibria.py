@@ -13,8 +13,10 @@ response to q, whose support is C, so C is a subset of R(x); likewise R is a
 subset of R(y) for every column y in C.  So the arcs of an equilibrium
 support pair run both ways between R and C, and no other pair needs a check.
 
-All results are reported in the coordinates of the game as given:
-pipelines run iterated elimination internally and map supports and
+A candidate is two bitmasks (rows, cols) over the eliminated game from
+the generator to the check.  All results are reported in the coordinates
+of the game as given: pipelines run iterated elimination internally and
+map the supports of each equilibrium found, as a `SupportPair`, and its
 witnesses back through the index maps.
 """
 
@@ -105,7 +107,7 @@ def game_hash(game: Game) -> str:
 # Shared pipeline plumbing
 # ---------------------------------------------------------------------------
 
-def _lift(red: ReducedGame, original: Game, support: SupportPair, witness) -> Equilibrium:
+def _lift(red: ReducedGame, original: Game, rows: int, cols: int, witness) -> Equilibrium:
     p_red, q_red, u1, u2 = witness
     p_full = [Fraction(0)] * original.m
     for i, prob in enumerate(p_red.probs):
@@ -113,41 +115,44 @@ def _lift(red: ReducedGame, original: Game, support: SupportPair, witness) -> Eq
     q_full = [Fraction(0)] * original.n
     for j, prob in enumerate(q_red.probs):
         q_full[red.col_map[j]] = prob
-    lifted = SupportPair(red.original_rows(support.rows), red.original_cols(support.cols))
+    lifted = SupportPair(red.original_rows(_bits(rows)), red.original_cols(_bits(cols)))
     return Equilibrium(lifted, MixedStrategy(1, tuple(p_full)), MixedStrategy(2, tuple(q_full)), u1, u2)
 
 
 def _run_checks(
     original: Game,
     red: ReducedGame,
-    candidates: Iterable[SupportPair],
+    candidates: Iterable[tuple[int, int]],
     method: str,
     budget: int,
     infeasible: InfeasibleSides,
 ) -> EquilibriumSet:
-    """Check every candidate, smallest supports first, asking the run's
-    record `infeasible` (made for `red.game`).
+    """Check every candidate (rows, cols), a pair of bitmasks over
+    `red.game`, smallest total support first, asking the run's record
+    `infeasible` (made for `red.game`).
 
     Raises BudgetExceededError as soon as the candidates, drawn lazily,
     number more than `budget`, so no generator runs further than that.
     Candidates must be distinct.  Pairs a generator dropped and added to
-    `infeasible.pruned` before the checks count as candidates too.  Checking
-    them in `SupportPair.sort_key` order (Porter, Nudelman & Shoham 2004)
-    records every infeasible side before any candidate it rules out is
-    reached.
+    `infeasible.pruned` before the checks count as candidates too.  A side
+    recorded infeasible for (R, C) rules out only pairs (R', C) with R'
+    containing R, or (R, C') with C' containing C: larger pairs, unless it
+    is the same one.  So checking by size alone (Porter, Nudelman & Shoham
+    2004) records every infeasible side before any candidate it rules out
+    is reached, and the order within a size changes no answer.
     """
-    pending: list[SupportPair] = []
-    for sp in candidates:
-        pending.append(sp)
+    pending: list[tuple[int, int]] = []
+    for pair in candidates:
+        pending.append(pair)
         if len(pending) > budget:
             raise BudgetExceededError(len(pending), budget)
     drawn = len(pending) + infeasible.pruned
-    pending.sort(key=SupportPair.sort_key)
+    pending.sort(key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
     entries = []
-    for sp in pending:
-        feasible, witness = fp1_check(red.game, sp, infeasible)
+    for rows, cols in pending:
+        feasible, witness = fp1_check(red.game, rows, cols, infeasible)
         if feasible:
-            entries.append(_lift(red, original, sp, witness))
+            entries.append(_lift(red, original, rows, cols, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
     stats = PipelineStats(drawn, infeasible.pruned, len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
@@ -155,10 +160,11 @@ def _run_checks(
 
 def _bicliques(
     graph: BipartiteDigraph, record: InfeasibleSides, budget: int
-) -> Iterator[SupportPair]:
+) -> Iterator[tuple[int, int]]:
     """Lazily yield every support pair (R, C) of a strategy-level graph with
-    all arcs of R x C and of C x R present, each once, except the pairs the
-    pure conditional-dominance test of `record` rules out.
+    all arcs of R x C and of C x R present, each once as the bitmask pair
+    (rows, cols), except the pairs the pure conditional-dominance test of
+    `record` rules out.
 
     Row sets are walked depth-first by increasing index, keeping the columns
     joined both ways to every row so far; that set only shrinks as R grows,
@@ -178,31 +184,29 @@ def _bicliques(
     ]
     count = 0
 
-    def walk(
-        rows: tuple[int, ...], row_bits: int, allowed: int, start: int
-    ) -> Iterator[SupportPair]:
+    def walk(rows: int, allowed: int, start: int) -> Iterator[tuple[int, int]]:
         nonlocal count
         for x in range(start, m):
             narrowed = allowed & mutual[x]
             if not narrowed:
                 continue
-            grown, grown_bits = rows + (x,), row_bits | 1 << x
+            grown = rows | 1 << x
             total = (1 << narrowed.bit_count()) - 1
             count += total
             if count > budget:
                 raise BudgetExceededError(budget + 1, budget)
-            free = narrowed & ~record.dominated_cols(grown_bits)
+            free = narrowed & ~record.dominated_cols(grown)
             kept = 0
             cols = free
             while cols:
-                if not grown_bits & record.dominated_rows(cols):
+                if not grown & record.dominated_rows(cols):
                     kept += 1
-                    yield SupportPair(grown, tuple(_bits(cols)))
+                    yield grown, cols
                 cols = cols - 1 & free
             record.pruned += total - kept
-            yield from walk(grown, grown_bits, narrowed, x + 1)
+            yield from walk(grown, narrowed, x + 1)
 
-    return walk((), 0, (1 << n) - 1, 0)
+    return walk(0, (1 << n) - 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,6 @@ class SupportPair:
         if self.rows[0] < 0 or self.cols[0] < 0:
             raise ValueError("strategy indices must be non-negative")
 
-    def sort_key(self) -> tuple:
-        return (len(self.rows) + len(self.cols), self.rows, self.cols)
-
 
 @dataclass(frozen=True)
 class ReducedGame:

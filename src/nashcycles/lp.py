@@ -36,6 +36,11 @@ the support pairs, so most pairs it rules out never reach `fp1_check`; and
 iterated elimination answers most strategies with pure tests too (a pure
 best response, a pure strict dominator) before it asks `lp1_dominance`.
 
+Strategy sets are bitmasks, bit i for strategy i: `fp1_check(game, rows,
+cols)`, `InfeasibleSides.check_side(player, responders, support)` and the
+region program all take masks, and the programs that take index tuples
+(`lp1_dominance`, `mod_lp1_relevancy`, `lp2_*`) turn them into masks once.
+
 One game's `InfeasibleSides` record is the place where such a side
 question is asked: `compute_domain`, the common-witness arcs and
 `fp1_check` all ask it.  It applies pure dominance first, then the sides
@@ -76,7 +81,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Game, MixedStrategy, SupportPair
+from .games import Game, MixedStrategy
 
 __all__ = [
     "Constraint",
@@ -380,7 +385,7 @@ def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy 
     opponent mixed strategy to which `x` is a best response.
     """
     _check_index(game, player, x, "strategy")
-    member, padded, _ = _best_response_region(game, player, (x,), (), ())
+    member, padded, _ = _best_response_region(game, player, 1 << x, 0, 0)
     if not member:
         return True, None
     return False, MixedStrategy(_opponent(player), padded)
@@ -398,7 +403,7 @@ def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
     """
     _check_index(game, player, x, "strategy")
     _check_index(game, _opponent(player), y_star, "opponent strategy")
-    member, _, _ = _best_response_region(game, player, (x,), (), (y_star,))
+    member, _, _ = _best_response_region(game, player, 1 << x, 0, 1 << y_star)
     return not member
 
 
@@ -438,46 +443,42 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
 
 
 def _best_response_region(
-    game: Game,
-    player: int,
-    responders: tuple[int, ...],
-    s1: tuple[int, ...],
-    s0: tuple[int, ...],
+    game: Game, player: int, responders: int, s1: int, s0: int
 ) -> tuple[bool, tuple[Fraction, ...] | None, Fraction | None]:
     """Is there an opponent mixed strategy, positive on s1 and zero on s0,
-    to which every responder is simultaneously a best response?
+    to which every responder is simultaneously a best response?  All three
+    sets are bitmasks.
 
     The variables are an unnormalized q >= 0 over the strategies outside
-    s0.  Every row compares a rival with the base responder
-    ``responders[0]``: ``(A_other - A_base) . q`` is ``= 0`` for the other
-    responders and ``<= 0`` for the remaining strategies.  These q form a
-    cone, so a point positive on s1 scales to one with q_j >= 1 there (a
-    column shift into the rhs, not a row), and when s1 is empty any
-    non-zero point scales to one with sum(q) >= 1 (one row).  The
-    objective is zero: the answer is yes exactly when phase 1 finds a
-    feasible point.  Returns (member, padded q / sum(q), u), where u is
-    the base responder's payoff against that witness.
+    s0.  Every row compares a rival with the base responder, the lowest
+    one: ``(A_other - A_base) . q`` is ``= 0`` for the other responders and
+    ``<= 0`` for the remaining strategies.  These q form a cone, so a point
+    positive on s1 scales to one with q_j >= 1 there (a column shift into
+    the rhs, not a row), and when s1 is empty any non-zero point scales to
+    one with sum(q) >= 1 (one row).  The objective is zero: the answer is
+    yes exactly when phase 1 finds a feasible point.  Returns (member,
+    padded q / sum(q), u), where u is the base responder's payoff against
+    that witness.
     """
-    opp_count = game.strategy_count(_opponent(player))
-    s0_set = frozenset(s0)
-    s1_set = frozenset(s1)
-    if s1_set & s0_set:
+    if s1 & s0:
         raise ValueError("s1 and s0 must be disjoint")
-    keep = [y for y in range(opp_count) if y not in s0_set]
+    opp_count = game.strategy_count(_opponent(player))
+    keep = [y for y in range(opp_count) if not s0 >> y & 1]
     if not keep:
         return False, None, None
     scale, vectors = game.int_payoffs[player - 1]
-    base = [vectors[responders[0]][y] for y in keep]
-    floor = [y in s1_set for y in keep]
+    first = (responders & -responders).bit_length() - 1
+    base = [vectors[first][y] for y in keep]
+    floor = [s1 >> y & 1 for y in keep]
 
     # Columns: q - floor >= 0, rows at the matrix's scale.
     rows = []
     for other, rival in enumerate(vectors):
-        if other != responders[0]:
+        if other != first:
             coeffs = [rival[y] - v for y, v in zip(keep, base)]
             rhs = -sum(c for c, f in zip(coeffs, floor) if f)
-            rows.append((coeffs, "=" if other in responders else "<=", rhs))
-    if not s1_set:
+            rows.append((coeffs, "=" if responders >> other & 1 else "<=", rhs))
+    if not s1:
         rows.append(([scale] * len(keep), ">=", scale))
     status, values, det = _solve_rows(rows, [0] * len(keep))
     if status is not LpStatus.OPTIMAL:
@@ -528,7 +529,7 @@ def lp2_joint_domain_check(
         _check_index(game, player, x, "strategy")
     for y in (*s1, *s0):
         _check_index(game, _opponent(player), y, "opponent strategy")
-    member, padded, _ = _best_response_region(game, player, tuple(xs), tuple(s1), tuple(s0))
+    member, padded, _ = _best_response_region(game, player, _mask(xs), _mask(s1), _mask(s0))
     if not member:
         return False, None
     return True, MixedStrategy(_opponent(player), padded)
@@ -562,12 +563,11 @@ def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _exact_region(game: Game, player: int, responders: tuple[int, ...], support: tuple[int, ...]):
-    """The best-response-region program with opposite support exactly `support`."""
-    count = game.strategy_count(_opponent(player))
-    return _best_response_region(
-        game, player, responders, support, tuple(y for y in range(count) if y not in support)
-    )
+def _exact_region(game: Game, player: int, responders: int, support: int):
+    """The best-response-region program with opposite support exactly the
+    mask `support`."""
+    everyone = (1 << game.strategy_count(_opponent(player))) - 1
+    return _best_response_region(game, player, responders, support, everyone & ~support)
 
 
 class InfeasibleSides:
@@ -624,55 +624,56 @@ class InfeasibleSides:
         """Bitmask of the columns a pure rival column dominates on the rows `rows`."""
         return self._responders_dominated(1, rows)
 
-    def _failed_inside(self, side: int, fixed: int, responders: int) -> bool:
+    def _ruled_out(self, side: int, responders: int, fixed: int) -> bool:
+        """True when a pure rival dominates a responder on `fixed`, or a
+        recorded infeasible responder set for `fixed` lies inside `responders`."""
+        if responders & self._responders_dominated(side, fixed):
+            return True
         return any(bad & responders == bad for bad in self._failed[side].get(fixed, ()))
 
     def rules_out(self, rows: int, cols: int) -> bool:
         """True when pure dominance or a recorded side makes the pair
         (rows, cols) infeasible."""
-        if rows & self._responders_dominated(0, cols) or cols & self._responders_dominated(1, rows):
-            return True
-        return self._failed_inside(0, cols, rows) or self._failed_inside(1, rows, cols)
+        return self._ruled_out(0, rows, cols) or self._ruled_out(1, cols, rows)
 
-    def _region(self, player: int, responders: tuple[int, ...], support: tuple[int, ...]):
+    def _region(self, player: int, responders: int, support: int):
         """The region program on the exact support, past the cheap tests:
         a remembered feasible answer, else an LP whose answer is kept."""
-        key = (player, _mask(responders), _mask(support))
+        key = (player, responders, support)
         found = self._feasible.get(key)
         if found is None:
             found = _exact_region(self.game, player, responders, support)
             if found[0]:
                 self._feasible[key] = found
             else:
-                self._failed[player - 1].setdefault(key[2], []).append(key[1])
+                self._failed[player - 1].setdefault(support, []).append(responders)
         return found
 
     def check_side(
-        self, player: int, responders: tuple[int, ...], support: tuple[int, ...]
+        self, player: int, responders: int, support: int
     ) -> tuple[bool, tuple[Fraction, ...] | None]:
         """Is there an opponent mixed strategy with support exactly `support`
         to which every strategy in `responders` is a best response?  Both are
-        sorted index tuples.  Returns the verdict and, when yes, the
-        probabilities of the witness `lp2_joint_domain_check` finds for the
-        same question."""
-        side, bits, fixed = player - 1, _mask(responders), _mask(support)
-        if bits & self._responders_dominated(side, fixed) or self._failed_inside(side, fixed, bits):
+        bitmasks.  Returns the verdict and, when yes, the probabilities of
+        the witness `lp2_joint_domain_check` finds for the same question."""
+        if self._ruled_out(player - 1, responders, support):
             return False, None
         return self._region(player, responders, support)[:2]
 
 
 def fp1_check(
-    game: Game, support: SupportPair, infeasible: InfeasibleSides | None = None
+    game: Game, rows: int, cols: int, infeasible: InfeasibleSides | None = None
 ) -> tuple[bool, tuple[MixedStrategy, MixedStrategy, Fraction, Fraction] | None]:
-    """Feasibility check for a support pair.
+    """Feasibility check for the support pair of the row mask `rows` and the
+    column mask `cols`.
 
-    Searches for mixed strategies with supports exactly `support.rows` and
-    `support.cols` satisfying the equilibrium equalities and inequalities:
-    in-support pure strategies earn the common payoff, out-of-support ones
-    earn no more, and every support probability is positive.  The p-block
-    and the q-block share no variable, so each side is one
-    best-response-region program and the verdict is their conjunction; the
-    common payoffs u1 and u2 are read off the solved witnesses.
+    Searches for mixed strategies with supports exactly `rows` and `cols`
+    satisfying the equilibrium equalities and inequalities: in-support pure
+    strategies earn the common payoff, out-of-support ones earn no more,
+    and every support probability is positive.  The p-block and the q-block
+    share no variable, so each side is one best-response-region program and
+    the verdict is their conjunction; the common payoffs u1 and u2 are read
+    off the solved witnesses.
 
     With an `infeasible` record made for this game, both sides are asked
     of the record: the pair is rejected without an LP when pure dominance
@@ -682,17 +683,17 @@ def fp1_check(
     or without the record; without one, both sides are solved afresh, which
     makes the call the unpruned reference.
 
+    Raises ValueError unless both masks are non-empty and within the game.
     Returns (is_equilibrium, witness) with the witness padded by zeros at
     out-of-support indices.
     """
-    rows, cols = support.rows, support.cols
-    if rows[-1] >= game.m or cols[-1] >= game.n:
-        raise ValueError("support indices out of range for this game")
+    if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
+        raise ValueError("supports must be non-empty masks within the game")
     if infeasible is None:
         region = functools.partial(_exact_region, game)
     else:
         infeasible.require(game)
-        if infeasible.rules_out(_mask(rows), _mask(cols)):
+        if infeasible.rules_out(rows, cols):
             infeasible.pruned += 1
             return False, None
         region = infeasible._region

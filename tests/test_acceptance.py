@@ -109,7 +109,7 @@ def test_criterion_03_gd_three_cycles_are_equilibria():
             assert graph.artificial_arc_count() == 0
             for entry in cycle_basis(graph, max_len=3):
                 rows, cols = entry.strategy_sets(graph)
-                assert fp1_check(game, SupportPair(tuple(rows), tuple(cols)))[0]
+                assert fp1_check(game, rows, cols)[0]
                 checked += 1
         assert checked > 0
         assert time.perf_counter() - start < 120.0
@@ -189,9 +189,9 @@ def test_criterion_06_dominance_invariants():
             for entry in omega.entries:
                 assert dead_row not in entry.support.rows
                 assert dead_col not in entry.support.cols
-            assert not fp1_check(game, SupportPair((dead_row,), (0,)))[0]
-            assert not fp1_check(game, SupportPair((0,), (dead_col,)))[0]
-            assert not fp1_check(game, SupportPair((dead_row,), (dead_col,)))[0]
+            assert not fp1_check(game, 1 << dead_row, 0b1)[0]
+            assert not fp1_check(game, 0b1, 1 << dead_col)[0]
+            assert not fp1_check(game, 1 << dead_row, 1 << dead_col)[0]
 
 
 def test_criterion_07_theorem_2_realization(corpus_results):
@@ -285,6 +285,6 @@ def test_criterion_10_degenerate_unbalanced(flat_top):
         wide = [
             t
             for t in trees
-            if t.leaves and t.support_pair(graph) == SupportPair((0,), (0, 1))
+            if t.leaves and t.support_pair(graph) == (0b1, 0b11)
         ]
         assert wide and all(t.main.distinct_count == 2 and len(t.leaves) == 1 for t in wide)

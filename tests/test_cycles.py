@@ -30,16 +30,16 @@ def _mutual_pairs_graph() -> BipartiteDigraph:
     # Two disjoint mutual pairs: x1 <-> y1, x2 <-> y2 (unified ids 0 <-> 2,
     # 1 <-> 3).
     return BipartiteDigraph(
-        (frozenset([0]), frozenset([1])),
-        (frozenset([0]), frozenset([1])),
+        (0b01, 0b10),
+        (0b01, 0b10),
         (1 << 2, 1 << 3, 1 << 0, 1 << 1),
     )
 
 
 def _one_way_graph() -> BipartiteDigraph:
     return BipartiteDigraph(
-        (frozenset([0]), frozenset([1])),
-        (frozenset([0]), frozenset([1])),
+        (0b01, 0b10),
+        (0b01, 0b10),
         (0b1100, 0b1100, 0, 0),
     )
 
@@ -60,8 +60,8 @@ def _random_bipartite(
             for outs in succ
         )
     return BipartiteDigraph(
-        tuple(frozenset([x]) for x in range(m)),
-        tuple(frozenset([y]) for y in range(n)),
+        tuple(1 << x for x in range(m)),
+        tuple(1 << y for y in range(n)),
         succ,
         flags,
     )
@@ -117,12 +117,11 @@ def _check_gi_trim(graph: BipartiteDigraph, basis, caps) -> bool:
     strategy_sets = [e.strategy_sets(graph) for e in basis]
 
     def within_caps(members) -> bool:
-        rows: set[int] = set()
-        cols: set[int] = set()
+        rows = cols = 0
         for i in members:
             rows |= strategy_sets[i][0]
             cols |= strategy_sets[i][1]
-        return len(rows) <= caps[0] and len(cols) <= caps[1]
+        return rows.bit_count() <= caps[0] and cols.bit_count() <= caps[1]
 
     expected = [(e,) for e in basis]
     emitted: set[tuple[int, ...]] = set()
@@ -279,8 +278,8 @@ class TestCycleBasis:
         # x0 -> y0 -> x1 -> y1 -> x0 (unified ids 0 -> 2 -> 1 -> 3 -> 0): one
         # elementary cycle but no 3-cycle to grow a class from.
         graph = BipartiteDigraph(
-            (frozenset([0]), frozenset([1])),
-            (frozenset([0]), frozenset([1])),
+            (0b01, 0b10),
+            (0b01, 0b10),
             (1 << 2, 1 << 3, 1 << 1, 1 << 0),
         )
         assert [c.vertices for c in johnson_cycles(graph)] == [(0, 2, 1, 3, 0)]
@@ -356,8 +355,8 @@ class TestSupportTrees:
                     assert lu in main_left and rw not in main_right
                 else:
                     assert rw in main_right and lu not in main_left
-            sp = tree.support_pair(graph)
-            assert min(len(sp.rows), len(sp.cols)) == len(tree.main.left)
+            rows, cols = tree.support_pair(graph)
+            assert min(rows.bit_count(), cols.bit_count()) == len(tree.main.left)
 
     def test_single_cycle_basis_gives_single_tree(self, one_by_one):
         graph = build_gr(one_by_one)
@@ -413,8 +412,8 @@ class TestSupportTrees:
         basis = cycle_basis(graph)
         for mode in ("gr", "gi"):
             for tree in enumerate_support_trees(graph, basis, mode, (2, 2)):
-                sp = tree.support_pair(graph)
-                assert len(sp.rows) <= 2 and len(sp.cols) <= 2
+                rows, cols = tree.support_pair(graph)
+                assert rows.bit_count() <= 2 and cols.bit_count() <= 2
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

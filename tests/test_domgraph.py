@@ -18,12 +18,12 @@ from nashcycles.domgraph import (
     compute_domain,
     compute_domain_table,
     compute_relevancy,
+    _bits,
     format_graph,
     size_lex_subsets,
 )
 from nashcycles.games import (
     Game,
-    SupportPair,
     generate_random_game,
     is_best_response,
     iterated_elimination,
@@ -38,7 +38,7 @@ F = Fraction
 
 
 def _vertex(graph: BipartiteDigraph, side: int, members) -> int:
-    wanted = frozenset(members)
+    wanted = sum(1 << i for i in members)
     pool = graph.left if side == 1 else graph.right
     offset = 0 if side == 1 else len(graph.left)
     for i, vs in enumerate(pool):
@@ -86,7 +86,8 @@ class TestComputeDomain:
             opp_count = g.strategy_count(2 if player == 1 else 1)
             for x in range(g.strategy_count(player)):
                 full = []
-                for support in size_lex_subsets(opp_count, opp_count):
+                for mask in size_lex_subsets(opp_count, opp_count):
+                    support = tuple(_bits(mask))
                     complement = tuple(y for y in range(opp_count) if y not in support)
                     member, witness = lp2_domain_check(g, player, x, support, complement)
                     if member:
@@ -157,7 +158,7 @@ class TestComputeRelevancy:
                     assert (row.members == ()) == lp1_dominance(g, player, x)[0]
 
 
-_PAIR = (frozenset([0]), frozenset([1]))
+_PAIR = (0b01, 0b10)
 
 
 class TestBipartiteDigraph:
@@ -191,6 +192,14 @@ class TestBipartiteDigraph:
         with pytest.raises(ValueError):
             BipartiteDigraph(_PAIR, _PAIR, (0b10000, 0, 0, 0))
 
+    def test_label_below_one_refused(self):
+        # A label is a non-empty strategy set: bitmask 0 or a negative int is none.
+        for label in (0, -1):
+            with pytest.raises(ValueError):
+                BipartiteDigraph((label, 0b10), _PAIR, (0, 0, 0, 0))
+            with pytest.raises(ValueError):
+                BipartiteDigraph(_PAIR, (0b01, label), (0, 0, 0, 0))
+
     def test_flag_on_non_arc_refused(self):
         # A flag without its arc would count an artificial arc of no arc.
         with pytest.raises(ValueError):
@@ -201,7 +210,7 @@ class TestBuildGr:
     def test_mp_completely_connected(self, mp):
         graph = build_gr(mp)
         assert graph.arc_count() == 8
-        assert all(len(s) == 1 for s in graph.left + graph.right)
+        assert all(s.bit_count() == 1 for s in graph.left + graph.right)
 
     def test_bos_completely_connected(self, bos):
         assert build_gr(bos).arc_count() == 8
@@ -244,7 +253,7 @@ class TestBuildGr:
         assert calls == []
         graph = build_gr(pd)
         partial = [
-            (graph.side(v), min(graph.strategy_set(v)))
+            (graph.side(v), graph.strategy_set(v).bit_length() - 1)
             for v in range(graph.order)
             if graph.succ[v].bit_count() < 2
         ]
@@ -272,8 +281,8 @@ def _reference_gr(g: Game) -> BipartiteDigraph:
         for x in range(count):
             succ.append(sum(1 << offset + y for y in compute_relevancy(g, player, x).members))
     return BipartiteDigraph(
-        tuple(frozenset([x]) for x in range(g.m)),
-        tuple(frozenset([y]) for y in range(g.n)),
+        tuple(1 << x for x in range(g.m)),
+        tuple(1 << y for y in range(g.n)),
         tuple(succ),
     )
 
@@ -285,10 +294,10 @@ def _check_gr_rows(g: Game) -> None:
     assert build_gr(g) == expected
     assert build_gr(g, InfeasibleSides(g)) == expected
     for player, count, opp_count, offset in ((1, g.m, g.n, 0), (2, g.n, g.m, g.m)):
-        everyone = tuple(range(opp_count))
+        everyone = (1 << opp_count) - 1
         for x in range(count):
             full = expected.succ[offset + x].bit_count() == opp_count
-            assert InfeasibleSides(g).check_side(player, (x,), everyone)[0] == full, (player, x)
+            assert InfeasibleSides(g).check_side(player, 1 << x, everyone)[0] == full, (player, x)
 
 
 # The all-zero 3x3 (every row full), a 1x4 and a 4x1 game, and a 4x4 game
@@ -416,7 +425,7 @@ class TestBuildGi:
     def test_dominated_never_case_1_source(self, pd):
         graph = build_gi(pd, 2, 2)
         dead_vertices = [
-            v for v in range(len(graph.left)) if 0 in graph.left[v]
+            v for v in range(len(graph.left)) if graph.left[v] & 1
         ]
         for v in dead_vertices:
             for w in graph.successors(v):
@@ -432,7 +441,7 @@ def _reference_fallback_arcs(gd, side, domains):
     out_succ = []
     out_art = []
     for v in sources:
-        s = gd.strategy_set(v)
+        s = frozenset(_bits(gd.strategy_set(v)))
         if gd.succ[v]:
             out_succ.append(gd.succ[v])
             out_art.append(0)
@@ -440,7 +449,7 @@ def _reference_fallback_arcs(gd, side, domains):
         pool = frozenset.intersection(
             *(frozenset(y for entry in domains[x] for y in entry.support) for x in s)
         )
-        sets = [gd.strategy_set(w) for w in targets]
+        sets = [frozenset(_bits(gd.strategy_set(w))) for w in targets]
         fits = [len(t) for t in sets if t <= pool]
         if fits:
             best = max(fits)
@@ -567,8 +576,8 @@ class TestSharedRecord:
                 assert build_gd(g, k, l, record) == build_gd(g, k, l)
                 assert build_gi(g, k, l, record) == build_gi(g, k, l)
         every = itertools.product(size_lex_subsets(g.m, g.m), size_lex_subsets(g.n, g.n))
-        for sp in itertools.starmap(SupportPair, every):
-            assert fp1_check(g, sp, record) == fp1_check(g, sp), sp
+        for rows, cols in every:
+            assert fp1_check(g, rows, cols, record) == fp1_check(g, rows, cols), (rows, cols)
 
     def test_record_of_another_game_refused(self, mp, bos):
         record = InfeasibleSides(bos)
@@ -583,4 +592,4 @@ class TestSharedRecord:
         with pytest.raises(ValueError):
             build_gi(mp, 2, 2, record)
         with pytest.raises(ValueError):
-            fp1_check(mp, SupportPair((0,), (0,)), record)
+            fp1_check(mp, 0b1, 0b1, record)

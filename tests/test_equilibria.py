@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis import example
+
 from nashcycles.cycles import cycle_basis, enumerate_support_trees
-from nashcycles.domgraph import BipartiteDigraph, build_gr
+from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
 from nashcycles.equilibria import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    PipelineStats,
     _bicliques,
+    _run_checks,
     eliminable_strategies,
     enumerate_by_gi,
     enumerate_by_gr,
@@ -25,7 +29,6 @@ from nashcycles.equilibria import (
 from nashcycles.games import (
     Game,
     MixedStrategy,
-    SupportPair,
     expected_payoffs,
     generate_random_game,
     iterated_elimination,
@@ -125,10 +128,10 @@ class TestGrPipeline:
             for n in range(1, 7):
                 graph = BipartiteDigraph.complete(m, n)
                 trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (m, n))
-                expected = sorted(_all_pairs(m, n), key=SupportPair.sort_key)
+                expected = sorted(_all_pairs(m, n))
                 tree_pairs = {tree.support_pair(graph) for tree in trees}
-                assert sorted(tree_pairs, key=SupportPair.sort_key) == expected, (m, n)
-                assert sorted(_every_biclique(graph), key=SupportPair.sort_key) == expected, (m, n)
+                assert sorted(tree_pairs) == expected, (m, n)
+                assert sorted(_every_biclique(graph)) == expected, (m, n)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(tied_games())
@@ -137,19 +140,19 @@ class TestGrPipeline:
         rg = iterated_elimination(g).game
         graph = build_gr(rg)
         brute = [
-            sp
-            for sp in sorted(_all_pairs(rg.m, rg.n), key=SupportPair.sort_key)
+            (rows, cols)
+            for rows, cols in sorted(_all_pairs(rg.m, rg.n))
             if all(
                 graph.succ[x] >> rg.m + y & 1 and graph.succ[rg.m + y] >> x & 1
-                for x in sp.rows
-                for y in sp.cols
+                for x in _bits(rows)
+                for y in _bits(cols)
             )
         ]
-        bicliques = sorted(_every_biclique(graph), key=SupportPair.sort_key)
+        bicliques = sorted(_every_biclique(graph))
         assert bicliques == brute
         trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (rg.m, rg.n))
         assert set(bicliques) <= {tree.support_pair(graph) for tree in trees}
-        assert set(enumerate_by_supports(rg).support_pairs()) <= set(bicliques)
+        assert _oracle_masks(rg) <= set(bicliques)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(tied_games())
@@ -158,23 +161,23 @@ class TestGrPipeline:
         # walk yields the bicliques it lets through and counts the rest.
         rg = iterated_elimination(g).game
         graph = build_gr(rg)
-        every = sorted(_every_biclique(graph), key=SupportPair.sort_key)
+        every = sorted(_every_biclique(graph))
         pure = InfeasibleSides(rg)
-        expected = [sp for sp in every if not pure.rules_out(_mask(sp.rows), _mask(sp.cols))]
+        expected = [pair for pair in every if not pure.rules_out(*pair)]
         record = InfeasibleSides(rg)
-        walked = sorted(_bicliques(graph, record, DEFAULT_BUDGET), key=SupportPair.sort_key)
+        walked = sorted(_bicliques(graph, record, DEFAULT_BUDGET))
         assert walked == expected
         assert len(walked) + record.pruned == len(every)
-        assert set(enumerate_by_supports(rg).support_pairs()) <= set(walked)
+        assert _oracle_masks(rg) <= set(walked)
 
     def test_biclique_walk_is_pruned(self):
         # Only the mutual arcs i <-> i: a scan of all 2^40 row sets would
         # never finish.
         size = 40
-        vertices = tuple(frozenset([i]) for i in range(size))
+        vertices = tuple(1 << i for i in range(size))
         succ = tuple(1 << size + i for i in range(size)) + tuple(1 << i for i in range(size))
         graph = BipartiteDigraph(vertices, vertices, succ)
-        assert list(_every_biclique(graph)) == [SupportPair((i,), (i,)) for i in range(size)]
+        assert list(_every_biclique(graph)) == [(1 << i, 1 << i) for i in range(size)]
 
     def test_budget_counts_bicliques(self, mp):
         with pytest.raises(BudgetExceededError) as err:
@@ -325,14 +328,14 @@ class TestDegenerateRoutes:
                     assert expected_payoffs(g, e.p, e.q) == (e.u1, e.u2)
 
 
-def _all_pairs(m: int, n: int) -> list[SupportPair]:
-    return [
-        SupportPair(rows, cols)
-        for r in range(1, m + 1)
-        for rows in itertools.combinations(range(m), r)
-        for c in range(1, n + 1)
-        for cols in itertools.combinations(range(n), c)
-    ]
+def _all_pairs(m: int, n: int) -> list[tuple[int, int]]:
+    """Every support pair of an m x n game as bitmasks (rows, cols)."""
+    return [(rows, cols) for rows in range(1, 1 << m) for cols in range(1, 1 << n)]
+
+
+def _oracle_masks(game: Game) -> set[tuple[int, int]]:
+    """The oracle's support pairs of an already reduced game, as bitmasks."""
+    return {(_mask(sp.rows), _mask(sp.cols)) for sp in enumerate_by_supports(game).support_pairs()}
 
 
 class TestPruningSoundness:
@@ -346,10 +349,10 @@ class TestPruningSoundness:
         red = iterated_elimination(g)
         rg = red.game
         pairs = _all_pairs(rg.m, rg.n)
-        plain = {sp: fp1_check(rg, sp) for sp in pairs}
+        plain = {pair: fp1_check(rg, *pair) for pair in pairs}
         brute = sorted(
-            (red.original_rows(sp.rows), red.original_cols(sp.cols))
-            for sp, (ok, _) in plain.items()
+            (red.original_rows(_bits(rows)), red.original_cols(_bits(cols)))
+            for (rows, cols), (ok, _) in plain.items()
             if ok
         )
         for result in (enumerate_by_supports(g), enumerate_by_gr(g), enumerate_by_gi(g, g.m, g.n)):
@@ -357,8 +360,34 @@ class TestPruningSoundness:
 
         rng.shuffle(pairs)
         record = InfeasibleSides(rg)
-        for sp in pairs:
-            assert fp1_check(rg, sp, record) == plain[sp], sp
+        for pair in pairs:
+            assert fp1_check(rg, *pair, record) == plain[pair], pair
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(tied_games(), st.randoms(use_true_random=False))
+    @example(generate_random_game(4, 4, 7), random.Random(7))
+    def test_order_within_a_size_changes_nothing(self, g, rng):
+        # `_run_checks` sorts by total support size only.  The same candidates
+        # fed in generated, reversed and shuffled order give one result, and
+        # it is the route's and that of checking in (size, rows, cols) order.
+        red = iterated_elimination(g)
+        routes = (
+            ("supports", enumerate_by_supports(g)),
+            ("gr", enumerate_by_gr(g)),
+            ("gi", enumerate_by_gi(g, g.m, g.n)),
+        )
+        for route, public in routes:
+            results = []
+            for arrange in (list, lambda c: c[::-1], lambda c: rng.sample(c, len(c))):
+                record, candidates = _route_candidates(red.game, route)
+                arranged = arrange(candidates)
+                results.append(_run_checks(g, red, arranged, public.method, DEFAULT_BUDGET, record))
+            assert results[0] == results[1] == results[2] == public, route
+            record, candidates = _route_candidates(red.game, route)
+            drawn = len(candidates) + record.pruned
+            ordered = sorted(candidates, key=lambda c: (c[0].bit_count() + c[1].bit_count(), c))
+            feasible = sum(fp1_check(red.game, *pair, record)[0] for pair in ordered)
+            assert public.stats == PipelineStats(drawn, record.pruned, feasible), route
 
     def test_twins_never_rule_each_other_out(self):
         # Rows 0 and 1 are twins, and so are the columns of the mirror game:
@@ -373,6 +402,18 @@ class TestPruningSoundness:
             assert _supports(result) == mirrored, result.method
         assert InfeasibleSides(g).dominated_rows(0b11) == 0
         assert InfeasibleSides(mirror).dominated_cols(0b11) == 0
+
+
+def _route_candidates(rg: Game, route: str) -> tuple[InfeasibleSides, list[tuple[int, int]]]:
+    """A fresh record for the reduced game `rg` and the candidates `route`
+    draws with it, in the order they are generated."""
+    record = InfeasibleSides(rg)
+    if route == "gi":
+        graph = build_gi(rg, rg.m, rg.n, record)
+        trees = enumerate_support_trees(graph, cycle_basis(graph, max_len=3), "gi", (rg.m, rg.n))
+        return record, list(dict.fromkeys(tree.support_pair(graph) for tree in trees))
+    graph = build_gr(rg, record) if route == "gr" else BipartiteDigraph.complete(rg.m, rg.n)
+    return record, list(_bicliques(graph, record, DEFAULT_BUDGET))
 
 
 class TestIndexMapping:

@@ -14,7 +14,6 @@ import nashcycles.lp as lp_module
 from nashcycles.games import (
     Game,
     MixedStrategy,
-    SupportPair,
     expected_payoffs,
     generate_random_game,
     is_best_response,
@@ -25,6 +24,7 @@ from nashcycles.lp import (
     InfeasibleSides,
     LinearProgram,
     LpStatus,
+    _mask,
     fp1_check,
     lp1_dominance,
     lp2_domain_check,
@@ -524,7 +524,7 @@ class TestAgainstFractionPrograms:
                 assert (witness.probs if member else None, trace) == expected
 
                 (member, probs), trace, solved = run(
-                    lambda: InfeasibleSides(game).check_side(player, responders, s1)
+                    lambda: InfeasibleSides(game).check_side(player, _mask(responders), _mask(s1))
                 )
                 expected, ref_trace = reference(player, responders, s1, tuple(rest))
                 assert probs == expected
@@ -534,8 +534,8 @@ class TestAgainstFractionPrograms:
                     assert expected is None  # rejected by pure dominance, no LP
 
                 # The common payoffs are read off the witnesses at each matrix's scale.
-                pair = SupportPair(responders, s1) if player == 1 else SupportPair(s1, responders)
-                ok, witness = fp1_check(game, pair)
+                pair = (responders, s1) if player == 1 else (s1, responders)
+                ok, witness = fp1_check(game, *map(_mask, pair))
                 if ok:
                     p, q, u1, u2 = witness
                     assert (u1, u2) == expected_payoffs(game, p, q)
@@ -639,7 +639,7 @@ class TestJointLp2:
 
 class TestFp1:
     def test_bos_mixed_exact(self, bos):
-        ok, witness = fp1_check(bos, SupportPair((0, 1), (0, 1)))
+        ok, witness = fp1_check(bos, 0b11, 0b11)
         assert ok
         p, q, u1, u2 = witness
         assert p.probs == (F(2, 3), F(1, 3))
@@ -647,28 +647,28 @@ class TestFp1:
         assert u1 == u2 == F(2, 3)
 
     def test_mp_symmetric(self, mp):
-        ok, witness = fp1_check(mp, SupportPair((0, 1), (0, 1)))
+        ok, witness = fp1_check(mp, 0b11, 0b11)
         assert ok
         p, q, u1, u2 = witness
         assert p.probs == q.probs == (F(1, 2), F(1, 2))
         assert u1 == u2 == 0
 
     def test_pd_cooperate_rejected(self, pd):
-        ok, witness = fp1_check(pd, SupportPair((0,), (0,)))
+        ok, witness = fp1_check(pd, 0b1, 0b1)
         assert not ok and witness is None
 
     def test_supports_enforced_exactly(self, flat_top):
         # Row 2 earns strictly less, so it can never sit inside a support.
-        assert not fp1_check(flat_top, SupportPair((0, 1), (0, 1)))[0]
-        assert fp1_check(flat_top, SupportPair((0,), (0, 1)))[0]
+        assert not fp1_check(flat_top, 0b11, 0b11)[0]
+        assert fp1_check(flat_top, 0b1, 0b11)[0]
 
     def test_dominated_strategy_never_in_support(self, pd):
-        for rows in ((0,), (0, 1)):
-            for cols in ((0,), (1,), (0, 1)):
-                assert not fp1_check(pd, SupportPair(rows, cols))[0]
-        for rows in ((1,),):
-            assert not fp1_check(pd, SupportPair(rows, (0,)))[0]
-        assert fp1_check(pd, SupportPair((1,), (1,)))[0]
+        for rows in (0b01, 0b11):
+            for cols in (0b01, 0b10, 0b11):
+                assert not fp1_check(pd, rows, cols)[0]
+        for rows in (0b10,):
+            assert not fp1_check(pd, rows, 0b01)[0]
+        assert fp1_check(pd, 0b10, 0b10)[0]
 
     def test_witness_satisfies_best_response_condition(self):
         for seed in range(4):
@@ -679,7 +679,7 @@ class TestFp1:
                 for cols in itertools.chain.from_iterable(
                     itertools.combinations(range(3), k) for k in (1, 2, 3)
                 ):
-                    ok, witness = fp1_check(g, SupportPair(rows, cols))
+                    ok, witness = fp1_check(g, _mask(rows), _mask(cols))
                     if not ok:
                         continue
                     p, q, u1, u2 = witness
@@ -690,5 +690,9 @@ class TestFp1:
                         assert is_best_response(g, 2, y, p)
 
     def test_out_of_range_support(self, pd):
-        with pytest.raises(ValueError):
-            fp1_check(pd, SupportPair((0, 5), (0,)))
+        # Empty, negative and out-of-range masks, with and without a record.
+        bad = ((0b100001, 0b1), (0b1, 0b100), (0, 0b1), (0b1, 0), (-1, 0b1), (0b1, -2))
+        for rows, cols in bad:
+            for record in (None, InfeasibleSides(pd)):
+                with pytest.raises(ValueError):
+                    fp1_check(pd, rows, cols, record)
