@@ -199,9 +199,10 @@ def compute_domain(
     record = _record(game, infeasible)
     entries = []
     for support in size_lex_subsets(opp_count, l):
-        member, probs = record.check_side(player, 1 << x, support)
-        if member:
-            entries.append(DomainEntry(tuple(_bits(support)), MixedStrategy(opponent, probs)))
+        weights = record.check_side(player, 1 << x, support)
+        if weights is not None:
+            witness = MixedStrategy.from_weights(opponent, weights)
+            entries.append(DomainEntry(tuple(_bits(support)), witness))
     return tuple(entries)
 
 
@@ -267,7 +268,7 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     for player, count, opp_count, offset in ((1, m, n, m), (2, n, m, 0)):
         everyone = (1 << opp_count) - 1
         for x in range(count):
-            if record.check_side(player, 1 << x, everyone)[0]:
+            if record.check_side(player, 1 << x, everyone) is not None:
                 succ.append(everyone << offset)
             else:
                 members = compute_relevancy(game, player, x).members
@@ -293,8 +294,14 @@ def build_gd(
     left = tuple(size_lex_subsets(game.m, k))
     right = tuple(size_lex_subsets(game.n, l))
     L = len(left)
-    succ = [sum(1 << L + j for j, t in enumerate(right) if record.check_side(1, s, t)[0]) for s in left]
-    succ += [sum(1 << i for i, s in enumerate(left) if record.check_side(2, t, s)[0]) for t in right]
+    succ = [
+        sum(1 << L + j for j, t in enumerate(right) if record.check_side(1, s, t) is not None)
+        for s in left
+    ]
+    succ += [
+        sum(1 << i for i, s in enumerate(left) if record.check_side(2, t, s) is not None)
+        for t in right
+    ]
     return BipartiteDigraph(left, right, tuple(succ))
 
 

@@ -14,10 +14,11 @@ subset of R(y) for every column y in C.  So the arcs of an equilibrium
 support pair run both ways between R and C, and no other pair needs a check.
 
 A candidate is two bitmasks (rows, cols) over the eliminated game from
-the generator to the check.  All results are reported in the coordinates
-of the game as given: pipelines run iterated elimination internally and
-map the supports of each equilibrium found, as a `SupportPair`, and its
-witnesses back through the index maps.
+the generator to the check, and the check's witness is two integer weight
+vectors.  All results are reported in the coordinates of the game as
+given: pipelines run iterated elimination internally and map the supports
+of each equilibrium found, as a `SupportPair`, and its witnesses back
+through the index maps, making each probability and payoff once there.
 """
 
 from __future__ import annotations
@@ -108,15 +109,29 @@ def game_hash(game: Game) -> str:
 # ---------------------------------------------------------------------------
 
 def _lift(red: ReducedGame, original: Game, rows: int, cols: int, witness) -> Equilibrium:
-    p_red, q_red, u1, u2 = witness
-    p_full = [Fraction(0)] * original.m
-    for i, prob in enumerate(p_red.probs):
-        p_full[red.row_map[i]] = prob
-    q_full = [Fraction(0)] * original.n
-    for j, prob in enumerate(q_red.probs):
-        q_full[red.col_map[j]] = prob
+    """The equilibrium of `fp1_check`'s witness (p_weights, q_weights) for
+    the masks (rows, cols) over `red.game`, in the coordinates of `original`.
+
+    Each probability is made once, as w / sum(w) at its original index.
+    The common payoffs are the lowest support row's and column's payoffs
+    against the weights, read off `red.game.int_payoffs` and divided by
+    the matrix's scale."""
+    p_weights, q_weights = witness
+    p_full = [0] * original.m
+    for i, w in zip(red.row_map, p_weights):
+        p_full[i] = w
+    q_full = [0] * original.n
+    for j, w in zip(red.col_map, q_weights):
+        q_full[j] = w
+    (scale1, rows1), (scale2, cols2) = red.game.int_payoffs
+    row = rows1[(rows & -rows).bit_length() - 1]
+    col = cols2[(cols & -cols).bit_length() - 1]
+    u1 = Fraction(sum(a * w for a, w in zip(row, q_weights)), scale1 * sum(q_weights))
+    u2 = Fraction(sum(b * w for b, w in zip(col, p_weights)), scale2 * sum(p_weights))
     lifted = SupportPair(red.original_rows(_bits(rows)), red.original_cols(_bits(cols)))
-    return Equilibrium(lifted, MixedStrategy(1, tuple(p_full)), MixedStrategy(2, tuple(q_full)), u1, u2)
+    p = MixedStrategy.from_weights(1, p_full)
+    q = MixedStrategy.from_weights(2, q_full)
+    return Equilibrium(lifted, p, q, u1, u2)
 
 
 def _run_checks(
@@ -305,20 +320,14 @@ def verify_equilibrium(
     if len(p.probs) != game.m or len(q.probs) != game.n:
         raise ValueError("strategy length does not match game dimensions")
     violations = []
-    for x in p.support:
-        own = pure_payoff_against(game, 1, x, q)
-        for other in range(game.m):
-            rival = pure_payoff_against(game, 1, other, q)
-            if rival > own:
-                violations.append(
-                    f"player 1 row {x + 1} is in the support but earns {own} < {rival} of row {other + 1}"
-                )
-    for y in q.support:
-        own = pure_payoff_against(game, 2, y, p)
-        for other in range(game.n):
-            rival = pure_payoff_against(game, 2, other, p)
-            if rival > own:
-                violations.append(
-                    f"player 2 column {y + 1} is in the support but earns {own} < {rival} of column {other + 1}"
-                )
+    for player, mine, theirs, label in ((1, p, q, "row"), (2, q, p, "column")):
+        payoffs = [pure_payoff_against(game, player, s, theirs) for s in range(len(mine.probs))]
+        for x in mine.support:
+            own = payoffs[x]
+            for other, rival in enumerate(payoffs):
+                if rival > own:
+                    violations.append(
+                        f"player {player} {label} {x + 1} is in the support but earns "
+                        f"{own} < {rival} of {label} {other + 1}"
+                    )
     return (not violations, tuple(violations))

@@ -118,7 +118,9 @@ class MixedStrategy:
     """A probability vector over one player's pure strategies.
 
     `owner` is 1 or 2; `probs` has length m or n accordingly, entries are
-    non-negative Fractions summing to exactly 1.
+    non-negative Fractions summing to exactly 1.  Both checks are made in
+    ints: no numerator is negative, and the numerators scaled to the lcm L
+    of the denominators sum to L.
     """
 
     owner: int
@@ -129,15 +131,24 @@ class MixedStrategy:
             raise ValueError(f"owner must be 1 or 2, got {self.owner}")
         if not self.probs:
             raise ValueError("probability vector is empty")
-        object.__setattr__(self, "probs", tuple(_as_fraction(p) for p in self.probs))
-        if any(p < 0 for p in self.probs):
+        probs = tuple(_as_fraction(p) for p in self.probs)
+        object.__setattr__(self, "probs", probs)
+        if any(p.numerator < 0 for p in probs):
             raise ValueError("probabilities must be non-negative")
-        if sum(self.probs) != 1:
+        scale = math.lcm(*(p.denominator for p in probs))
+        if sum(p.numerator * (scale // p.denominator) for p in probs) != scale:
             raise ValueError("probabilities must sum to exactly 1")
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)
+
+    @classmethod
+    def from_weights(cls, owner: int, weights: Sequence[int]) -> "MixedStrategy":
+        """The strategy weights / sum(weights), for non-negative int weights
+        with a positive sum: one `Fraction` per probability."""
+        total = sum(weights)
+        return cls(owner, tuple(Fraction(w, total) for w in weights))
 
     @classmethod
     def uniform(cls, owner: int, size: int) -> "MixedStrategy":

@@ -10,12 +10,13 @@ are best responses:
   positive on a given set s1 and zero on a given set s0, against which
   every given responder is a best response.  Each rival row is a payoff
   difference with the first responder, so the common payoff is no
-  variable; it is read off the witness after the solve.  The program has
-  no objective, and every "no" is a phase-1 infeasibility.  It is the
-  strict-dominance test (a strategy is strictly dominated exactly when it
-  is never a best response, Pearce 1984), the one-sided relevancy
-  certificate, the domain checks, the common-witness arcs and both sides
-  of the support-pair feasibility check `fp1_check`;
+  variable; the pipelines read it off the witness when they report an
+  equilibrium.  The program has no objective, and every "no" is a
+  phase-1 infeasibility.  It is the strict-dominance test (a strategy is
+  strictly dominated exactly when it is never a best response, Pearce
+  1984), the one-sided relevancy certificate, the domain checks, the
+  common-witness arcs and both sides of the support-pair feasibility
+  check `fp1_check`;
 * the max-support program reads the relevancy set R(x) off one optimum.
   R(x) is the union of the supports in the cone of x.  Writing q = t + s
   with 0 <= t <= 1 and s >= 0 and maximizing the sum of t rewards every
@@ -40,6 +41,9 @@ Strategy sets are bitmasks, bit i for strategy i: `fp1_check(game, rows,
 cols)`, `InfeasibleSides.check_side(player, responders, support)` and the
 region program all take masks, and the programs that take index tuples
 (`lp1_dominance`, `mod_lp1_relevancy`, `lp2_*`) turn them into masks once.
+A witness is the integer weight vector the simplex ends with, zero-padded
+over the opponent's strategies: the region program returns it, the record
+keeps it, and `check_side` and `fp1_check` return it as it is.
 
 One game's `InfeasibleSides` record is the place where such a side
 question is asked: `compute_domain`, the common-witness arcs and
@@ -69,8 +73,10 @@ T / det is the rational tableau.  A pivot on p = T[r][c] replaces every
 other row by (row * p - row[c] * T[r]) / det, an exact division because
 every entry is a minor of the scaled input, and then sets det = p.
 Bland's rule reads signs and compares ratios by cross-multiplying.
-`Fraction`s are made once, from the final basic values; public inputs
-and outputs are `Fraction` (ints are accepted).
+`Fraction`s are made once, from the final basic values, where a result is
+published: `solve_lp`'s assignment, and the mixed strategies of
+`lp1_dominance`, `lp2_*` and `lp3_relevancy`, each w / sum(w) of its
+weights w.  Public inputs and outputs are `Fraction` (ints are accepted).
 """
 
 from __future__ import annotations
@@ -385,10 +391,10 @@ def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy 
     opponent mixed strategy to which `x` is a best response.
     """
     _check_index(game, player, x, "strategy")
-    member, padded, _ = _best_response_region(game, player, 1 << x, 0, 0)
-    if not member:
+    weights = _best_response_region(game, player, 1 << x, 0, 0)
+    if weights is None:
         return True, None
-    return False, MixedStrategy(_opponent(player), padded)
+    return False, MixedStrategy.from_weights(_opponent(player), weights)
 
 
 def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
@@ -403,8 +409,7 @@ def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
     """
     _check_index(game, player, x, "strategy")
     _check_index(game, _opponent(player), y_star, "opponent strategy")
-    member, _, _ = _best_response_region(game, player, 1 << x, 0, 1 << y_star)
-    return not member
+    return _best_response_region(game, player, 1 << x, 0, 1 << y_star) is None
 
 
 def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
@@ -437,14 +442,14 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
         raise RuntimeError(f"max-support program ended {status}")
     if not any(values[:n]):
         return None
-    q = [t + s for t, s in zip(values[:n], values[n:])]
-    total = sum(q)
-    return MixedStrategy(_opponent(player), tuple(Fraction(v, total) for v in q))
+    return MixedStrategy.from_weights(
+        _opponent(player), [t + s for t, s in zip(values[:n], values[n:])]
+    )
 
 
 def _best_response_region(
     game: Game, player: int, responders: int, s1: int, s0: int
-) -> tuple[bool, tuple[Fraction, ...] | None, Fraction | None]:
+) -> tuple[int, ...] | None:
     """Is there an opponent mixed strategy, positive on s1 and zero on s0,
     to which every responder is simultaneously a best response?  All three
     sets are bitmasks.
@@ -456,16 +461,16 @@ def _best_response_region(
     positive on s1 scales to one with q_j >= 1 there (a column shift into
     the rhs, not a row), and when s1 is empty any non-zero point scales to
     one with sum(q) >= 1 (one row).  The objective is zero: the answer is
-    yes exactly when phase 1 finds a feasible point.  Returns (member,
-    padded q / sum(q), u), where u is the base responder's payoff against
-    that witness.
+    yes exactly when phase 1 finds a feasible point.  Returns None for no,
+    else the witness as integer weights: det times that point, zero-padded
+    over every opponent strategy, so the strategy is weights / sum(weights).
     """
     if s1 & s0:
         raise ValueError("s1 and s0 must be disjoint")
     opp_count = game.strategy_count(_opponent(player))
     keep = [y for y in range(opp_count) if not s0 >> y & 1]
     if not keep:
-        return False, None, None
+        return None
     scale, vectors = game.int_payoffs[player - 1]
     first = (responders & -responders).bit_length() - 1
     base = [vectors[first][y] for y in keep]
@@ -482,14 +487,11 @@ def _best_response_region(
         rows.append(([scale] * len(keep), ">=", scale))
     status, values, det = _solve_rows(rows, [0] * len(keep))
     if status is not LpStatus.OPTIMAL:
-        return False, None, None
-    q = [v + det if f else v for v, f in zip(values, floor)]
-    total = sum(q)
-    padded = [_ZERO] * opp_count
-    for y, v in zip(keep, q):
-        padded[y] = Fraction(v, total)
-    u = Fraction(sum(c * v for c, v in zip(base, q)), scale * total)
-    return True, tuple(padded), u
+        return None
+    weights = [0] * opp_count
+    for y, v, f in zip(keep, values, floor):
+        weights[y] = v + det if f else v
+    return tuple(weights)
 
 
 def lp2_domain_check(
@@ -529,10 +531,10 @@ def lp2_joint_domain_check(
         _check_index(game, player, x, "strategy")
     for y in (*s1, *s0):
         _check_index(game, _opponent(player), y, "opponent strategy")
-    member, padded, _ = _best_response_region(game, player, _mask(xs), _mask(s1), _mask(s0))
-    if not member:
+    weights = _best_response_region(game, player, _mask(xs), _mask(s1), _mask(s0))
+    if weights is None:
         return False, None
-    return True, MixedStrategy(_opponent(player), padded)
+    return True, MixedStrategy.from_weights(_opponent(player), weights)
 
 
 def _mask(indices: tuple[int, ...]) -> int:
@@ -636,34 +638,33 @@ class InfeasibleSides:
         (rows, cols) infeasible."""
         return self._ruled_out(0, rows, cols) or self._ruled_out(1, cols, rows)
 
-    def _region(self, player: int, responders: int, support: int):
+    def _region(self, player: int, responders: int, support: int) -> tuple[int, ...] | None:
         """The region program on the exact support, past the cheap tests:
-        a remembered feasible answer, else an LP whose answer is kept."""
+        remembered feasible weights, else an LP whose answer is kept."""
         key = (player, responders, support)
-        found = self._feasible.get(key)
-        if found is None:
-            found = _exact_region(self.game, player, responders, support)
-            if found[0]:
-                self._feasible[key] = found
-            else:
+        weights = self._feasible.get(key)
+        if weights is None:
+            weights = _exact_region(self.game, player, responders, support)
+            if weights is None:
                 self._failed[player - 1].setdefault(support, []).append(responders)
-        return found
+            else:
+                self._feasible[key] = weights
+        return weights
 
-    def check_side(
-        self, player: int, responders: int, support: int
-    ) -> tuple[bool, tuple[Fraction, ...] | None]:
+    def check_side(self, player: int, responders: int, support: int) -> tuple[int, ...] | None:
         """Is there an opponent mixed strategy with support exactly `support`
         to which every strategy in `responders` is a best response?  Both are
-        bitmasks.  Returns the verdict and, when yes, the probabilities of
-        the witness `lp2_joint_domain_check` finds for the same question."""
+        bitmasks.  Returns None for no; for yes, the integer weights w of the
+        witness, zero-padded, whose strategy w / sum(w) is the one
+        `lp2_joint_domain_check` finds for the same question."""
         if self._ruled_out(player - 1, responders, support):
-            return False, None
-        return self._region(player, responders, support)[:2]
+            return None
+        return self._region(player, responders, support)
 
 
 def fp1_check(
     game: Game, rows: int, cols: int, infeasible: InfeasibleSides | None = None
-) -> tuple[bool, tuple[MixedStrategy, MixedStrategy, Fraction, Fraction] | None]:
+) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Feasibility check for the support pair of the row mask `rows` and the
     column mask `cols`.
 
@@ -672,8 +673,7 @@ def fp1_check(
     strategies earn the common payoff, out-of-support ones earn no more,
     and every support probability is positive.  The p-block and the q-block
     share no variable, so each side is one best-response-region program and
-    the verdict is their conjunction; the common payoffs u1 and u2 are read
-    off the solved witnesses.
+    the verdict is their conjunction.
 
     With an `infeasible` record made for this game, both sides are asked
     of the record: the pair is rejected without an LP when pure dominance
@@ -684,8 +684,10 @@ def fp1_check(
     makes the call the unpruned reference.
 
     Raises ValueError unless both masks are non-empty and within the game.
-    Returns (is_equilibrium, witness) with the witness padded by zeros at
-    out-of-support indices.
+    Returns (False, None), or (True, (p_weights, q_weights)): each witness
+    as the integer weights its side's simplex ends with, zero-padded, so
+    that p = p_weights / sum(p_weights) and likewise q.  No `Fraction` is
+    made here; the pipelines make them once per equilibrium they report.
     """
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")
@@ -697,10 +699,10 @@ def fp1_check(
             infeasible.pruned += 1
             return False, None
         region = infeasible._region
-    ok_q, q, u1 = region(1, rows, cols)
-    if not ok_q:
+    q = region(1, rows, cols)
+    if q is None:
         return False, None
-    ok_p, p, u2 = region(2, cols, rows)
-    if not ok_p:
+    p = region(2, cols, rows)
+    if p is None:
         return False, None
-    return True, (MixedStrategy(1, p), MixedStrategy(2, q), u1, u2)
+    return True, (p, q)

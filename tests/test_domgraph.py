@@ -297,7 +297,8 @@ def _check_gr_rows(g: Game) -> None:
         everyone = (1 << opp_count) - 1
         for x in range(count):
             full = expected.succ[offset + x].bit_count() == opp_count
-            assert InfeasibleSides(g).check_side(player, 1 << x, everyone)[0] == full, (player, x)
+            weights = InfeasibleSides(g).check_side(player, 1 << x, everyone)
+            assert (weights is not None) == full, (player, x)
 
 
 # The all-zero 3x3 (every row full), a 1x4 and a 4x1 game, and a 4x4 game

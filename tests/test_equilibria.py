@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import example
 
 from nashcycles.cycles import cycle_basis, enumerate_support_trees
 from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
+import nashcycles.equilibria as equilibria_module
 from nashcycles.equilibria import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -32,10 +34,11 @@ from nashcycles.games import (
     expected_payoffs,
     generate_random_game,
     iterated_elimination,
+    pure_payoff_against,
 )
 from nashcycles.lp import InfeasibleSides, _mask, fp1_check
 
-from conftest import degenerate_game, tied_games
+from conftest import degenerate_game, scaled_games, tied_games
 
 F = Fraction
 
@@ -294,6 +297,49 @@ class TestVerifyEquilibrium:
                 pd, MixedStrategy.uniform(1, 3), MixedStrategy.uniform(2, 2)
             )
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(tied_games(), st.data())
+    def test_each_payoff_once_and_the_same_report(self, g, data):
+        def strategy(owner, size):
+            weights = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+            weights[data.draw(st.integers(0, size - 1))] += 1
+            return MixedStrategy.from_weights(owner, weights)
+
+        p, q = strategy(1, g.m), strategy(2, g.n)
+        calls = []
+
+        def counting(game, player, strategy, opponent):
+            calls.append((player, strategy))
+            return pure_payoff_against(game, player, strategy, opponent)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equilibria_module, "pure_payoff_against", counting)
+            valid, report = verify_equilibrium(g, p, q)
+        assert sorted(calls) == [(1, x) for x in range(g.m)] + [(2, y) for y in range(g.n)]
+        assert report == _reference_violations(g, p, q)
+        assert valid == (not report)
+
+
+def _reference_violations(game: Game, p: MixedStrategy, q: MixedStrategy) -> tuple[str, ...]:
+    """The best-response check with every rival's payoff computed again for
+    each support strategy, its messages in support, then rival, order."""
+    out = []
+    for x in p.support:
+        own = pure_payoff_against(game, 1, x, q)
+        for other in range(game.m):
+            rival = pure_payoff_against(game, 1, other, q)
+            if rival > own:
+                out.append(f"player 1 row {x + 1} is in the support but earns {own} < {rival} of row {other + 1}")
+    for y in q.support:
+        own = pure_payoff_against(game, 2, y, p)
+        for other in range(game.n):
+            rival = pure_payoff_against(game, 2, other, p)
+            if rival > own:
+                out.append(
+                    f"player 2 column {y + 1} is in the support but earns {own} < {rival} of column {other + 1}"
+                )
+    return tuple(out)
+
 
 class TestDegenerateUnbalanced:
     def test_flat_top_supports(self, flat_top):
@@ -326,6 +372,75 @@ class TestDegenerateRoutes:
                     assert e.p.support == e.support.rows
                     assert e.q.support == e.support.cols
                     assert expected_payoffs(g, e.p, e.q) == (e.u1, e.u2)
+
+
+def _routes(g: Game):
+    return (enumerate_by_supports(g), enumerate_by_gr(g), enumerate_by_gi(g, g.m, g.n))
+
+
+class TestLiftedEntries:
+    """Each entry is made at the lift from the checks' integer weights: its
+    payoffs, read there at each matrix's scale, are those of its own
+    strategies, its strategies' supports are the reported ones, and it
+    passes the exact best-response check."""
+
+    @staticmethod
+    def _check_entries(g: Game) -> None:
+        for result in _routes(g):
+            for e in result.entries:
+                assert (e.u1, e.u2) == expected_payoffs(g, e.p, e.q), result.method
+                assert e.p.support == e.support.rows, result.method
+                assert e.q.support == e.support.cols, result.method
+                valid, report = verify_equilibrium(g, e.p, e.q)
+                assert valid, report
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.one_of(tied_games(), scaled_games()))
+    def test_tied_games(self, g):
+        self._check_entries(g)
+
+    def test_named_games(self, bos, mp, pd):
+        for g in (bos, mp, pd):
+            self._check_entries(g)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_checks_make_two_strategies_per_equilibrium(self, g):
+        run_checks = _run_checks
+
+        def checks(*args):
+            before = len(made)
+            result = run_checks(*args)
+            assert len(made) - before == 2 * len(result.entries), result.method
+            return result
+
+        with _strategies_made() as (made, patch):
+            patch.setattr(equilibria_module, "_run_checks", checks)
+            _routes(g)
+
+    def test_whole_solve_makes_two_strategies_per_equilibrium(self, bos, mp, pd):
+        # Elimination answers these games by pure tests and every row of G_R
+        # is full, so the checks' strategies are the only ones made.
+        for g in (bos, mp, pd):
+            with _strategies_made() as (made, _):
+                found = sum(len(result.entries) for result in _routes(g))
+            assert found and made == [1, 2] * found
+
+
+@contextlib.contextmanager
+def _strategies_made():
+    """Record the owner of every `MixedStrategy` built inside the block;
+    yields that list and the block's monkeypatch."""
+    made = []
+    post_init = MixedStrategy.__post_init__
+
+    def counting(self):
+        made.append(self.owner)
+        post_init(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MixedStrategy, "__post_init__", counting)
+        yield made, patch
 
 
 def _all_pairs(m: int, n: int) -> list[tuple[int, int]]:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashcycles.games import (
     Game,
@@ -153,6 +155,37 @@ class TestMixedStrategy:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             MixedStrategy(1, (F(1, 2), F(1, 3)))
+
+    def test_integer_checks_accept_exact_sums(self):
+        assert MixedStrategy(1, (F(1, 2), F(1, 3), F(1, 6))).probs == (F(1, 2), F(1, 3), F(1, 6))
+        plain = MixedStrategy(2, (0, 1, 0))
+        assert plain.probs == (F(0), F(1), F(0))
+        assert all(isinstance(p, Fraction) for p in plain.probs)
+        assert MixedStrategy.from_weights(1, (3, 0, 2, 1)).probs == (F(1, 2), F(0), F(1, 3), F(1, 6))
+
+    def test_integer_checks_refuse_with_the_same_messages(self):
+        with pytest.raises(ValueError, match="^probabilities must sum to exactly 1$"):
+            MixedStrategy(1, (F(1, 3), F(1, 3), F(1, 4)))
+        with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+            MixedStrategy(2, (F(1, 2), F(-1, 6), F(2, 3)))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.fractions(-1, 2, max_denominator=12), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_integer_checks_agree_with_fraction_sum(self, probs, complete):
+        # Half the tuples get a last entry that makes the sum exactly 1.
+        if complete:
+            probs.append(1 - sum(probs))
+        expected = all(p >= 0 for p in probs) and sum(probs) == 1
+        try:
+            MixedStrategy(1, tuple(probs))
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected, probs
 
     def test_support(self):
         s = MixedStrategy(1, (F(1, 2), F(0), F(1, 2)))

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashcycles.lp as lp_module
+from nashcycles.equilibria import _lift
 from nashcycles.games import (
     Game,
     MixedStrategy,
+    ReducedGame,
     expected_payoffs,
     generate_random_game,
     is_best_response,
@@ -48,6 +50,13 @@ def _feasible(lp: LinearProgram, x) -> bool:
         (lo is None or v >= lo) and (hi is None or v <= hi)
         for v, (lo, hi) in zip(x, lp.effective_bounds())
     )
+
+
+def _lifted(game: Game, rows: int, cols: int, witness):
+    """`fp1_check`'s integer witness for (rows, cols) made into an
+    `Equilibrium` as the pipelines make it, over the identity reduction."""
+    identity = ReducedGame(game, tuple(range(game.m)), tuple(range(game.n)))
+    return _lift(identity, game, rows, cols, witness)
 
 
 def _check_assignment(lp: LinearProgram, outcome):
@@ -523,21 +532,24 @@ class TestAgainstFractionPrograms:
                 expected = reference(player, responders, s1, s0)
                 assert (witness.probs if member else None, trace) == expected
 
-                (member, probs), trace, solved = run(
+                weights, trace, solved = run(
                     lambda: InfeasibleSides(game).check_side(player, _mask(responders), _mask(s1))
                 )
+                if weights is not None:
+                    weights = MixedStrategy.from_weights(2 if player == 1 else 1, weights).probs
                 expected, ref_trace = reference(player, responders, s1, tuple(rest))
-                assert probs == expected
+                assert weights == expected
                 if solved:
                     assert trace == ref_trace
                 else:
                     assert expected is None  # rejected by pure dominance, no LP
 
                 # The common payoffs are read off the witnesses at each matrix's scale.
-                pair = (responders, s1) if player == 1 else (s1, responders)
-                ok, witness = fp1_check(game, *map(_mask, pair))
+                pair = tuple(map(_mask, (responders, s1) if player == 1 else (s1, responders)))
+                ok, witness = fp1_check(game, *pair)
                 if ok:
-                    p, q, u1, u2 = witness
+                    eq = _lifted(game, *pair, witness)
+                    p, q, u1, u2 = eq.p, eq.q, eq.u1, eq.u2
                     assert (u1, u2) == expected_payoffs(game, p, q)
 
 
@@ -641,7 +653,8 @@ class TestFp1:
     def test_bos_mixed_exact(self, bos):
         ok, witness = fp1_check(bos, 0b11, 0b11)
         assert ok
-        p, q, u1, u2 = witness
+        eq = _lifted(bos, 0b11, 0b11, witness)
+        p, q, u1, u2 = eq.p, eq.q, eq.u1, eq.u2
         assert p.probs == (F(2, 3), F(1, 3))
         assert q.probs == (F(1, 3), F(2, 3))
         assert u1 == u2 == F(2, 3)
@@ -649,7 +662,8 @@ class TestFp1:
     def test_mp_symmetric(self, mp):
         ok, witness = fp1_check(mp, 0b11, 0b11)
         assert ok
-        p, q, u1, u2 = witness
+        eq = _lifted(mp, 0b11, 0b11, witness)
+        p, q, u1, u2 = eq.p, eq.q, eq.u1, eq.u2
         assert p.probs == q.probs == (F(1, 2), F(1, 2))
         assert u1 == u2 == 0
 
@@ -682,7 +696,8 @@ class TestFp1:
                     ok, witness = fp1_check(g, _mask(rows), _mask(cols))
                     if not ok:
                         continue
-                    p, q, u1, u2 = witness
+                    eq = _lifted(g, _mask(rows), _mask(cols), witness)
+                    p, q = eq.p, eq.q
                     assert p.support == rows and q.support == cols
                     for x in rows:
                         assert is_best_response(g, 1, x, q)
