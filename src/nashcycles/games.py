@@ -354,65 +354,61 @@ def is_best_response(game: Game, player: int, strategy: int, opponent: MixedStra
 # Iterated elimination of strictly dominated strategies
 # ---------------------------------------------------------------------------
 
-def _subgame(game: Game, rows: Sequence[int], cols: Sequence[int]) -> Game:
-    a = tuple(tuple(game.a[x][y] for y in cols) for x in rows)
-    b = tuple(tuple(game.b[x][y] for y in cols) for x in rows)
-    return Game(a, b)
-
-
 def iterated_elimination(game: Game) -> ReducedGame:
     """Remove strictly dominated strategies (allowing domination by mixed
     strategies) until a fixed point.
 
-    Each test of a strategy x reads the current subgame's `int_payoffs` and
-    answers with the first of:
+    A test of a strategy x slices its player's rows of `int_payoffs` to the
+    surviving rows and columns and answers with the first of:
 
     1. x earns its column maximum against some opponent pure strategy y
        (ties count): x is a best response to y, so not dominated, and its
        witness support is {y} for the first such y;
     2. some rival earns strictly more than x against every opponent
        strategy: x is dominated;
-    3. `lp1_dominance`, whose witness support is kept when x survives.
+    3. the best-response-region program on the slice (as `lp1_dominance`),
+       whose witness support is kept when x survives.
 
-    Every strategy is tested once; a survivor keeps the support (in original
-    indices) of the opponent strategy its test found it a best response to,
-    and is tested again only when a strategy in that support is removed.
-    Any other removal leaves the witness valid: dropping a rival of its own
-    only drops a constraint, and an opponent strategy outside the support
-    was never used.  Strict domination is path-independent, so the
-    surviving index sets do not depend on this schedule.  A player always
-    keeps at least one strategy.
+    The slice is the subgame's view times a positive factor, so it gives
+    the subgame's answers.  A survivor keeps its witness support (a mask of
+    original opponent indices) and is tested again only when a strategy in
+    it is removed; other removals only drop a rival or an unused opponent
+    strategy.  Strict domination is path-independent, so the survivors do
+    not depend on this schedule.  A player always keeps a strategy.  The
+    reduced `Game` is made once (`game` itself when nothing is removed).
     """
-    from .lp import lp1_dominance  # deferred: lp builds on the game types
+    from .lp import _best_response_region  # deferred: lp builds on the game types
 
-    kept = {1: list(range(game.m)), 2: list(range(game.n))}
-    witness_support: dict[int, dict[int, frozenset[int]]] = {1: {}, 2: {}}
-    stale = {1: list(kept[1]), 2: list(kept[2])}
-    current = game
-    while stale[1] or stale[2]:
-        for player in (1, 2):
-            opponent = 2 if player == 1 else 1
-            todo, stale[player] = stale[player], []
+    kept = (list(range(game.m)), list(range(game.n)))
+    # Per side: survivor -> witness support mask, in the order found.
+    witness: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    stale = [list(kept[0]), list(kept[1])]
+    while stale[0] or stale[1]:
+        for side in (0, 1):
+            scale, full = game.int_payoffs[side]
+            todo, stale[side] = stale[side], []
             for s in todo:
-                own, others = kept[player], kept[opponent]
+                own, others = kept[side], kept[1 - side]
+                vectors = [[full[x][y] for y in others] for x in own]
                 i = own.index(s)
-                vectors = current.int_payoffs[player - 1][1]
                 mine = vectors[i]
-                reply = next(
-                    (y for y, v in enumerate(mine) if all(r[y] <= v for r in vectors)), None
-                )
+                top = map(max, zip(*vectors))
+                reply = next((j for j, (v, most) in enumerate(zip(mine, top)) if v == most), None)
                 if reply is not None:
-                    witness_support[player][s] = frozenset((others[reply],))
+                    witness[side][s] = 1 << others[reply]
                     continue
                 if not any(all(r > v for r, v in zip(rival, mine)) for rival in vectors):
-                    dominated, witness = lp1_dominance(current, player, i)
-                    if not dominated:
-                        witness_support[player][s] = frozenset(others[j] for j in witness.support)
+                    weights = _best_response_region((scale, vectors), 1 << i, 0, 0)
+                    if weights is not None:
+                        witness[side][s] = sum(1 << y for y, w in zip(others, weights) if w)
                         continue
                 own.remove(s)
-                current = _subgame(game, kept[1], kept[2])
-                for t, used in list(witness_support[opponent].items()):
-                    if s in used:
-                        del witness_support[opponent][t]
-                        stale[opponent].append(t)
-    return ReducedGame(current, tuple(kept[1]), tuple(kept[2]))
+                for t, used in list(witness[1 - side].items()):
+                    if used >> s & 1:
+                        del witness[1 - side][t]
+                        stale[1 - side].append(t)
+    rows, cols = kept
+    if len(rows) < game.m or len(cols) < game.n:
+        a = tuple(tuple(game.a[x][y] for y in cols) for x in rows)
+        game = Game(a, tuple(tuple(game.b[x][y] for y in cols) for x in rows))
+    return ReducedGame(game, tuple(rows), tuple(cols))

@@ -33,9 +33,8 @@ conditional dominance of Porter, Nudelman & Shoham (2004); exact supports
 let a weak dominator with one strict column decide it.  A twin of x has no
 strict column, so it never rules x out, and the test holds on degenerate
 games.  The `gr` and `supports` routes apply the same test while they walk
-the support pairs, so most pairs it rules out never reach `fp1_check`; and
-iterated elimination answers most strategies with pure tests too (a pure
-best response, a pure strict dominator) before it asks `lp1_dominance`.
+the support pairs, so most pairs it rules out never reach `fp1_check`;
+iterated elimination tries a pure best response and a pure dominator first.
 
 Strategy sets are bitmasks, bit i for strategy i: `fp1_check(game, rows,
 cols)`, `InfeasibleSides.check_side(player, responders, support)` and the
@@ -60,12 +59,14 @@ The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``).  Every LP goes through one integer entry
 whose rows carry one common positive scale per LP (one scale per row
 would reweight the phase-1 sum of artificials).  The game programs build
-their rows from `Game.int_payoffs`, each payoff matrix scaled to ints once
-by the lcm S of its denominators: rival rows are differences of scaled
-payoff vectors, the q >= 1 floor on s1 is shifted into the rhs, and the
-sum(q) >= 1 and t <= 1 rows are written at S.  Such a program is the
-rational one times S, which only rescales slacks and artificials: no
-sign, ratio order or value of x changes, so no pivot does.  `solve_lp`
+their rows from one player's view (S, rows) in `Game.int_payoffs`, its
+matrix scaled to ints once by the lcm S of its denominators: rival rows
+are differences of scaled payoff vectors, the q >= 1 floor on s1 is
+shifted into the rhs, and the sum(q) >= 1 and t <= 1 rows are written at
+S.  Such a program is the rational one times S, which only rescales
+slacks and artificials: no sign, ratio order or value of x changes, so
+no pivot does; nor on any positive multiple of a view, such as the slices
+of it that iterated elimination gives the region program.  `solve_lp`
 substitutes the bounds of a `LinearProgram`, scales its rows by the lcm
 of their denominators and its costs by theirs, and calls the same entry.
 The solver keeps integer rows T and one denominator det > 0, so that
@@ -391,7 +392,7 @@ def lp1_dominance(game: Game, player: int, x: int) -> tuple[bool, MixedStrategy 
     opponent mixed strategy to which `x` is a best response.
     """
     _check_index(game, player, x, "strategy")
-    weights = _best_response_region(game, player, 1 << x, 0, 0)
+    weights = _best_response_region(game.int_payoffs[player - 1], 1 << x, 0, 0)
     if weights is None:
         return True, None
     return False, MixedStrategy.from_weights(_opponent(player), weights)
@@ -409,7 +410,7 @@ def mod_lp1_relevancy(game: Game, player: int, x: int, y_star: int) -> bool:
     """
     _check_index(game, player, x, "strategy")
     _check_index(game, _opponent(player), y_star, "opponent strategy")
-    return _best_response_region(game, player, 1 << x, 0, 1 << y_star) is None
+    return _best_response_region(game.int_payoffs[player - 1], 1 << x, 0, 1 << y_star) is None
 
 
 def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
@@ -447,12 +448,11 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
     )
 
 
-def _best_response_region(
-    game: Game, player: int, responders: int, s1: int, s0: int
-) -> tuple[int, ...] | None:
+def _best_response_region(view, responders: int, s1: int, s0: int) -> tuple[int, ...] | None:
     """Is there an opponent mixed strategy, positive on s1 and zero on s0,
     to which every responder is simultaneously a best response?  All three
-    sets are bitmasks.
+    sets are bitmasks over `view`, one player's (S, rows) of `int_payoffs`
+    or that view times a positive factor.
 
     The variables are an unnormalized q >= 0 over the strategies outside
     s0.  Every row compares a rival with the base responder, the lowest
@@ -467,11 +467,11 @@ def _best_response_region(
     """
     if s1 & s0:
         raise ValueError("s1 and s0 must be disjoint")
-    opp_count = game.strategy_count(_opponent(player))
+    scale, vectors = view
+    opp_count = len(vectors[0])
     keep = [y for y in range(opp_count) if not s0 >> y & 1]
     if not keep:
         return None
-    scale, vectors = game.int_payoffs[player - 1]
     first = (responders & -responders).bit_length() - 1
     base = [vectors[first][y] for y in keep]
     floor = [s1 >> y & 1 for y in keep]
@@ -531,7 +531,7 @@ def lp2_joint_domain_check(
         _check_index(game, player, x, "strategy")
     for y in (*s1, *s0):
         _check_index(game, _opponent(player), y, "opponent strategy")
-    weights = _best_response_region(game, player, _mask(xs), _mask(s1), _mask(s0))
+    weights = _best_response_region(game.int_payoffs[player - 1], _mask(xs), _mask(s1), _mask(s0))
     if weights is None:
         return False, None
     return True, MixedStrategy.from_weights(_opponent(player), weights)
@@ -567,9 +567,8 @@ def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
 
 def _exact_region(game: Game, player: int, responders: int, support: int):
     """The best-response-region program with opposite support exactly the
-    mask `support`."""
-    everyone = (1 << game.strategy_count(_opponent(player))) - 1
-    return _best_response_region(game, player, responders, support, everyone & ~support)
+    mask `support`: s0 is `~support`, read only at the opponent's strategies."""
+    return _best_response_region(game.int_payoffs[player - 1], responders, support, ~support)
 
 
 class InfeasibleSides:
@@ -586,10 +585,11 @@ class InfeasibleSides:
     the pairs the biclique walk drops by the same pure test before any check.
     """
 
-    __slots__ = ("game", "_masks", "_dominated", "_failed", "_feasible", "pruned")
+    __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "pruned")
 
     def __init__(self, game: Game):
         self.game = game
+        self._ends = ((1 << game.m, 1 << game.n), (1 << game.n, 1 << game.m))
         self._masks = tuple(
             tuple(_rival_masks(vectors, x) for x in range(len(vectors)))
             for _, vectors in game.int_payoffs
@@ -656,7 +656,11 @@ class InfeasibleSides:
         to which every strategy in `responders` is a best response?  Both are
         bitmasks.  Returns None for no; for yes, the integer weights w of the
         witness, zero-padded, whose strategy w / sum(w) is the one
-        `lp2_joint_domain_check` finds for the same question."""
+        `lp2_joint_domain_check` finds for the same question.  Raises
+        ValueError unless both masks are non-empty and within the game."""
+        end_r, end_s = self._ends[player - 1]  # one past the largest valid mask
+        if not (0 < responders < end_r and 0 < support < end_s):
+            raise ValueError("masks must be non-empty and within the game")
         if self._ruled_out(player - 1, responders, support):
             return None
         return self._region(player, responders, support)

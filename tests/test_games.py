@@ -13,6 +13,7 @@ from nashcycles.games import (
     Game,
     GameFormatError,
     MixedStrategy,
+    ReducedGame,
     expected_payoffs,
     generate_random_game,
     is_best_response,
@@ -23,9 +24,99 @@ from nashcycles.games import (
 from nashcycles import lp
 from nashcycles.lp import lp1_dominance
 
-from conftest import degenerate_game
+from conftest import degenerate_game, tied_games
 
 F = Fraction
+
+
+def _lp_counts(run):
+    """run()'s result and the [LPs, pivots] the simplex made during it."""
+    counts = [0, 0]
+    solve_rows, pivot = lp._solve_rows, lp._pivot
+
+    def counted_solve(*args):
+        counts[0] += 1
+        return solve_rows(*args)
+
+    def counted_pivot(*args):
+        counts[1] += 1
+        return pivot(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_solve_rows", counted_solve)
+        patch.setattr(lp, "_pivot", counted_pivot)
+        return run(), counts
+
+
+def _reference_elimination(game: Game) -> ReducedGame:
+    """The same removal schedule with a validated subgame `Game` per removal
+    and `lp1_dominance` on it for each strategy the pure tests leave open."""
+    kept = {1: list(range(game.m)), 2: list(range(game.n))}
+    witness_support: dict[int, dict[int, frozenset[int]]] = {1: {}, 2: {}}
+    stale = {1: list(kept[1]), 2: list(kept[2])}
+    current = game
+    while stale[1] or stale[2]:
+        for player in (1, 2):
+            opponent = 2 if player == 1 else 1
+            todo, stale[player] = stale[player], []
+            for s in todo:
+                own, others = kept[player], kept[opponent]
+                i = own.index(s)
+                vectors = current.int_payoffs[player - 1][1]
+                mine = vectors[i]
+                reply = next(
+                    (y for y, v in enumerate(mine) if all(r[y] <= v for r in vectors)), None
+                )
+                if reply is not None:
+                    witness_support[player][s] = frozenset((others[reply],))
+                    continue
+                if not any(all(r > v for r, v in zip(rival, mine)) for rival in vectors):
+                    dominated, witness = lp1_dominance(current, player, i)
+                    if not dominated:
+                        witness_support[player][s] = frozenset(others[j] for j in witness.support)
+                        continue
+                own.remove(s)
+                current = Game.from_rows(
+                    [[game.a[x][y] for y in kept[2]] for x in kept[1]],
+                    [[game.b[x][y] for y in kept[2]] for x in kept[1]],
+                )
+                for t, used in list(witness_support[opponent].items()):
+                    if s in used:
+                        del witness_support[opponent][t]
+                        stale[opponent].append(t)
+    return ReducedGame(current, tuple(kept[1]), tuple(kept[2]))
+
+
+def _assert_matches_reference(game: Game) -> tuple[ReducedGame, int]:
+    """Elimination and the reference agree on the reduced game, its index
+    maps, the LP count and the pivot count.  Returns (reduced, LP count)."""
+    red, counts = _lp_counts(lambda: iterated_elimination(game))
+    ref, ref_counts = _lp_counts(lambda: _reference_elimination(game))
+    assert (red.game, red.row_map, red.col_map) == (ref.game, ref.row_map, ref.col_map)
+    assert counts == ref_counts
+    return red, counts[0]
+
+
+@st.composite
+def _dominated_fraction_games(draw) -> Game:
+    """A tied game plus one row and one column, at drawn positions, that
+    hold all its non-integer payoffs: every other row earns player 1 more
+    than the new row, and every other column earns player 2 more than the
+    new column, so elimination removes both."""
+    game = draw(tied_games())
+    part = st.builds(lambda k, d: k + F(1, d), st.integers(0, 3), st.integers(2, 9))
+    a = [[*row, draw(part)] for row in game.a]
+    b = [[*row, min(row) - draw(part)] for row in game.b]
+    a.append([min(col) - draw(part) for col in zip(*a)])
+    new_b = [draw(part) for _ in range(game.n)]
+    b.append([*new_b, min(new_b) - draw(part)])
+    r, c = draw(st.integers(0, game.m)), draw(st.integers(0, game.n))
+
+    def move(matrix):
+        matrix.insert(r, matrix.pop())
+        return [[*row[:c], row[-1], *row[c:-1]] for row in matrix]
+
+    return Game.from_rows(move(a), move(b))
 
 
 class TestParsing:
@@ -252,18 +343,60 @@ class TestIteratedElimination:
             for y in range(red.n):
                 assert not lp1_dominance(red, 2, y)[0]
 
-    def test_pure_answers_need_no_lp(self, pd, mp, bos, monkeypatch):
+    def test_pure_answers_need_no_lp(self, pd, mp, bos):
         # Every strategy of bos and mp is a best response to a pure one, and
         # in pd the defect row and column dominate the others pointwise.
-        def no_lp(*args):
-            raise AssertionError("elimination solved an LP")
-
-        monkeypatch.setattr(lp, "lp1_dominance", no_lp)
         for game in (bos, mp):
-            red = iterated_elimination(game)
-            assert (red.game, red.row_map, red.col_map) == (game, (0, 1), (0, 1))
-        red = iterated_elimination(pd)
-        assert (red.row_map, red.col_map) == ((1,), (1,))
+            red, (lps, _) = _lp_counts(lambda: iterated_elimination(game))
+            assert (red.game, red.row_map, red.col_map, lps) == (game, (0, 1), (0, 1), 0)
+        red, (lps, _) = _lp_counts(lambda: iterated_elimination(pd))
+        assert (red.row_map, red.col_map, lps) == ((1,), (1,), 0)
+        # Row 2 has no pure reply and no pure dominator; only a mixture of
+        # rows 0 and 1 dominates it, and one LP finds that.
+        mixed_only = Game.from_rows([[3, 0], [0, 3], [1, 1]], [[0, 0]] * 3)
+        red, (lps, _) = _lp_counts(lambda: iterated_elimination(mixed_only))
+        assert (red.row_map, red.col_map, lps) == ((0, 1), (0, 1), 1)
+
+    def test_builds_one_game(self, pd, mp, monkeypatch):
+        built = []
+        post_init = Game.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        game = generate_random_game(4, 4, 4000)
+        monkeypatch.setattr(Game, "__post_init__", counting)
+        for g in (pd, game):
+            built.clear()
+            red = iterated_elimination(g)
+            assert g.m + g.n - red.game.m - red.game.n >= 2
+            assert len(built) == 1 and built[0] is red.game
+        # With nothing removed, the game itself is the reduced game.
+        built.clear()
+        assert iterated_elimination(mp).game is mp and not built
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_games())
+    def test_matches_reference_on_tied_games(self, game):
+        _assert_matches_reference(game)
+
+    def test_matches_reference_on_degenerate_games(self):
+        sizes = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5))
+        lps = sum(
+            _assert_matches_reference(degenerate_game(*sizes[k % 5], 5300 + k))[1]
+            for k in range(40)
+        )
+        assert lps > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dominated_fraction_games())
+    def test_matches_reference_across_scales(self, game):
+        # Both matrices lose all their non-integer payoffs, so the reduced
+        # game's integer scales differ from the game's.
+        red, _ = _assert_matches_reference(game)
+        for player in (0, 1):
+            assert red.game.int_payoffs[player][0] == 1 < game.int_payoffs[player][0]
 
     def test_order_independence(self):
         # Randomized removal schedules must land on the same index sets.

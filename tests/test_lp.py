@@ -711,3 +711,14 @@ class TestFp1:
             for record in (None, InfeasibleSides(pd)):
                 with pytest.raises(ValueError):
                     fp1_check(pd, rows, cols, record)
+
+    def test_check_side_refuses_malformed_masks(self, bos):
+        # An empty responder mask lies inside every responder set, so a
+        # recorded one would rule out every later question on its support.
+        record = InfeasibleSides(bos)
+        bad = ((1, 0, 0b01), (1, 0b01, 0), (2, 0b01, 0b101), (1, 0b100, 0b01), (2, -1, 0b01))
+        for player, responders, support in bad:
+            with pytest.raises(ValueError):
+                record.check_side(player, responders, support)
+        assert record.check_side(1, 0b01, 0b01) == (1, 0)
+        assert fp1_check(bos, 0b01, 0b01, record)[0]
