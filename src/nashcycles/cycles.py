@@ -272,11 +272,7 @@ def _witness_cycle(mask: int, succ: Sequence[int]) -> tuple[int, ...] | None:
     return (*path, path[0]) if extend(path[0], mask ^ start) else None
 
 
-def cycle_basis(
-    graph: BipartiteDigraph,
-    max_len: int | None = None,
-    max_classes: int | None = None,
-) -> list[CycleBasisEntry]:
+def cycle_basis(graph: BipartiteDigraph, max_classes: int | None = None) -> list[CycleBasisEntry]:
     """Deduplicated cycle classes grown one vertex per side from the
     3-cycles: distinct (left vertex set, right vertex set) pairs, each with
     a witness elementary cycle through exactly its vertices.
@@ -292,17 +288,10 @@ def cycle_basis(
     support (R, C) is a biclique of G_R, so each x in R and y in C form a
     3-cycle there; at full caps the vertices R and C of G_I form one too,
     since the equilibrium's own strategies are common witnesses both ways.
-    `max_len` caps the representative sequence length (2k+1 for k vertices
-    per side); the default is the longest possible cycle.  `max_classes`
-    aborts runaway enumerations with :class:`CycleClassLimit`.
+    `max_classes` aborts runaway enumerations with :class:`CycleClassLimit`.
     """
     L = len(graph.left)
     R = len(graph.right)
-    cap = min(L, R)
-    if max_len is not None:
-        cap = min(cap, max(0, (max_len - 1) // 2))
-    if cap < 1:
-        return []
 
     succ_all = graph.succ
     succ_plain = [outs & ~flags for outs, flags in zip(graph.succ, graph.artificial)]
@@ -332,7 +321,7 @@ def cycle_basis(
                 admit(1 << u | 1 << w)
     seen: set[int] = set()
     done = 0
-    for _ in range(1, cap):
+    for _ in range(1, min(L, R)):
         frontier, done = admitted[done:], len(admitted)
         for mask in frontier:
             for u in _bits(left_ids & ~mask):

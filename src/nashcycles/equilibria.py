@@ -2,10 +2,9 @@
 
 Three routes to the same set: exhaustive support enumeration (the
 correctness oracle), the bicliques of the strategy-level relevancy graph
-G_R, and support trees of the capped subset-level graph.  Every candidate
-support pair faces the same feasibility check, so the pipelines differ
-only in how they generate candidates; at full caps all three must agree
-exactly.
+G_R, and the subset-level graph: its 3-cycles at full caps, the support
+trees of the capped graph below them.  Every candidate support pair faces
+the same feasibility check, so at full caps all three must agree exactly.
 
 The `gr` candidates are sound because of what an arc of G_R means.  If
 (p, q) is an equilibrium with supports (R, C), every row x in R is a best
@@ -228,6 +227,17 @@ def _bicliques(
 # Pipelines
 # ---------------------------------------------------------------------------
 
+def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
+    """`enumerate_by_supports` on the eliminated game `red`, labelled `method`."""
+    m, n = red.game.m, red.game.n
+    total = ((1 << m) - 1) * ((1 << n) - 1)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    record = InfeasibleSides(red.game)
+    candidates = _bicliques(BipartiteDigraph.complete(m, n), record, budget)
+    return _run_checks(game, red, candidates, method, budget, record)
+
+
 def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Exhaustive oracle: runs the feasibility check on every support pair
     of the eliminated game (the bicliques of the complete graph), smallest
@@ -236,14 +246,7 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`.
     """
-    red = iterated_elimination(game)
-    m, n = red.game.m, red.game.n
-    total = ((1 << m) - 1) * ((1 << n) - 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    record = InfeasibleSides(red.game)
-    candidates = _bicliques(BipartiteDigraph.complete(m, n), record, budget)
-    return _run_checks(game, red, candidates, "supports", budget, record)
+    return _support_walk(game, iterated_elimination(game), "supports", budget)
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -268,10 +271,13 @@ def enumerate_by_gi(
 ) -> EquilibriumSet:
     """Subset-graph pipeline with vertex-size caps k and l.
 
-    At full caps (k = m, l = n after elimination) the result provably
-    equals the oracle and only 3-cycles are enumerated; with smaller caps
-    the run is a heuristic whose candidates come from longer cycles,
-    artificial arcs, and pairwise-intersecting cycle families.
+    At full caps (k = m, l = n after elimination) G_D's 3-cycles R -> C -> R
+    are exactly the equilibrium support pairs, so its arcs are asked lazily
+    in the oracle's walk: `fp1_check` asks R -> C, then C -> R only if that
+    holds, and an arc left unasked closes no 3-cycle.  Result, stats and
+    budget are the oracle's.  Below full caps the run is a heuristic whose
+    candidates come from longer cycles, artificial arcs, and
+    pairwise-intersecting cycle families of G_I.
     """
     if k < 1 or l < 1:
         raise ValueError("size caps must be at least 1")
@@ -279,16 +285,18 @@ def enumerate_by_gi(
     rg = red.game
     k = min(k, rg.m)
     l = min(l, rg.n)
+    method = f"gi(k={k},l={l})"
+    if k == rg.m and l == rg.n:
+        return _support_walk(game, red, method, budget)
     record = InfeasibleSides(rg)
     graph = build_gi(rg, k, l, record)
-    full_caps = k == rg.m and l == rg.n
     try:
-        basis = cycle_basis(graph, max_len=3 if full_caps else None, max_classes=budget)
+        basis = cycle_basis(graph, max_classes=budget)
     except CycleClassLimit as exc:
         raise BudgetExceededError(exc.count, budget) from None
     trees = enumerate_support_trees(graph, basis, "gi", (rg.m, rg.n))
     candidates = {tree.support_pair(graph) for tree in trees}
-    return _run_checks(game, red, candidates, f"gi(k={k},l={l})", budget, record)
+    return _run_checks(game, red, candidates, method, budget, record)
 
 
 # ---------------------------------------------------------------------------

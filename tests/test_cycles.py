@@ -291,14 +291,6 @@ class TestCycleBasis:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
-    def test_max_len_caps_growth(self):
-        basis = cycle_basis(BipartiteDigraph.complete(3, 3), max_len=3)
-        assert len(basis) == 9
-        assert all(e.distinct_count == 2 for e in basis)
-        # A 3-cycle is the shortest representative, so no class fits below.
-        for max_len in (0, 1, 2):
-            assert cycle_basis(BipartiteDigraph.complete(2, 2), max_len=max_len) == []
-
     def test_class_budget(self):
         with pytest.raises(CycleClassLimit):
             cycle_basis(BipartiteDigraph.complete(4, 4), max_classes=10)
@@ -371,7 +363,7 @@ class TestSupportTrees:
 
     def test_gi_mode_star_families(self):
         graph = BipartiteDigraph.complete(2, 2)
-        basis = cycle_basis(graph, max_len=3)
+        basis = cycle_basis(graph)
         trees = list(enumerate_support_trees(graph, basis, "gi", (2, 2)))
         singles = [t for t in trees if not t.leaves]
         stars = [t for t in trees if t.leaves]

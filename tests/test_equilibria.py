@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis import example
 
 from nashcycles.cycles import cycle_basis, enumerate_support_trees
-from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
+from nashcycles.domgraph import BipartiteDigraph, _bits, build_gr
 import nashcycles.equilibria as equilibria_module
 from nashcycles.equilibria import (
     DEFAULT_BUDGET,
@@ -36,6 +36,7 @@ from nashcycles.games import (
     iterated_elimination,
     pure_payoff_against,
 )
+import nashcycles.lp as lp_module
 from nashcycles.lp import InfeasibleSides, _mask, fp1_check
 
 from conftest import degenerate_game, scaled_games, tied_games
@@ -244,6 +245,87 @@ class TestGiPipeline:
     def test_budget_refusal(self, mp):
         with pytest.raises(BudgetExceededError):
             enumerate_by_gi(mp, 2, 2, budget=0)
+
+
+@contextlib.contextmanager
+def _side_lps_without_gi_graph():
+    """The (player, responders, support) of every side LP solved inside the
+    block, in order, while `build_gi` and `cycle_basis` raise if
+    `equilibria` calls them."""
+    solved = []
+    region = lp_module._exact_region
+
+    def recording(game, player, responders, support):
+        solved.append((player, responders, support))
+        return region(game, player, responders, support)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-caps gi built a subset graph or a cycle basis")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_exact_region", recording)
+        patch.setattr(equilibria_module, "build_gi", forbidden)
+        patch.setattr(equilibria_module, "cycle_basis", forbidden)
+        yield solved
+
+
+def _check_full_caps_gi(g: Game, budget: int = DEFAULT_BUDGET) -> None:
+    # Full-caps gi is the oracle's walk under its own label: the same
+    # entries, stats and refusals, and the same side LPs in the same order.
+    runs = []
+    for route in (enumerate_by_supports, lambda g, budget: enumerate_by_gi(g, g.m, g.n, budget)):
+        with _side_lps_without_gi_graph() as solved:
+            try:
+                result = route(g, budget)
+            except BudgetExceededError as exc:
+                result = (exc.candidates, exc.budget)
+        runs.append((result, solved))
+    (oracle, oracle_sides), (gi, gi_sides) = runs
+    assert gi_sides == oracle_sides
+    if isinstance(oracle, tuple):
+        assert gi == oracle
+        return
+    rg = iterated_elimination(g).game
+    assert gi.method == f"gi(k={rg.m},l={rg.n})"
+    assert (gi.game_hash, gi.entries, gi.stats) == (oracle.game_hash, oracle.entries, oracle.stats)
+
+
+class TestGiFullCapsWalk:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games(), st.integers(1, 300))
+    def test_tied_games(self, g, budget):
+        _check_full_caps_gi(g)
+        _check_full_caps_gi(g, budget)
+
+    def test_degenerate_and_smoke_games(self):
+        for index, (m, n) in enumerate(TestDegenerateRoutes.SIZES):
+            _check_full_caps_gi(degenerate_game(m, n, 9100 + index))
+        _check_full_caps_gi(generate_random_game(4, 4, 7))
+
+    def test_budget_refusal_costs_only_elimination(self):
+        # A 6 x 6 game keeps 6 x 6 after elimination: 63^2 support pairs.  A
+        # refused run solves elimination's LPs and no other.
+        g = generate_random_game(6, 6, 6600)
+        solves = 0
+        solve_rows = lp_module._solve_rows
+
+        def counting(*args):
+            nonlocal solves
+            solves += 1
+            return solve_rows(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_solve_rows", counting)
+            rg = iterated_elimination(g).game
+            elimination = solves
+            with pytest.raises(BudgetExceededError) as refused:
+                enumerate_by_gi(g, 6, 6, budget=100)
+        assert (rg.m, rg.n) == (6, 6)
+        assert solves == 2 * elimination
+        assert (refused.value.candidates, refused.value.budget) == (63 * 63, 100)
+        with pytest.raises(BudgetExceededError) as oracle:
+            enumerate_by_supports(g, budget=100)
+        assert oracle.value.candidates == refused.value.candidates
 
 
 class TestEliminable:
@@ -521,12 +603,9 @@ class TestPruningSoundness:
 
 def _route_candidates(rg: Game, route: str) -> tuple[InfeasibleSides, list[tuple[int, int]]]:
     """A fresh record for the reduced game `rg` and the candidates `route`
-    draws with it, in the order they are generated."""
+    draws with it, in the order they are generated.  Full-caps `gi` walks
+    the oracle's complete graph."""
     record = InfeasibleSides(rg)
-    if route == "gi":
-        graph = build_gi(rg, rg.m, rg.n, record)
-        trees = enumerate_support_trees(graph, cycle_basis(graph, max_len=3), "gi", (rg.m, rg.n))
-        return record, list(dict.fromkeys(tree.support_pair(graph) for tree in trees))
     graph = build_gr(rg, record) if route == "gr" else BipartiteDigraph.complete(rg.m, rg.n)
     return record, list(_bicliques(graph, record, DEFAULT_BUDGET))
 
