@@ -10,7 +10,7 @@ from nashcycles import (
     cycle_basis,
     enumerate_by_gr,
     enumerate_by_supports,
-    enumerate_support_trees,
+    gr_support_trees,
     johnson_cycles,
     tarjan_scc,
 )
@@ -36,7 +36,7 @@ print()
 # Support trees attach 3-cycles to a main cycle to reach unbalanced
 # supports; on this graph they generate all nine support pairs.  A tree's
 # support pair is two bitmasks: bit i of `rows` is row i.
-trees = list(enumerate_support_trees(graph, basis, "gr", (2, 2)))
+trees = list(gr_support_trees(graph, basis, (2, 2)))
 supports = sorted({t.support_pair(graph) for t in trees},
                   key=lambda pair: (pair[0].bit_count() + pair[1].bit_count(), pair))
 print(f"{len(trees)} trees generating {len(supports)} distinct supports:")

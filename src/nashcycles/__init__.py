@@ -8,6 +8,7 @@ from .cycles import (
     cycle_basis,
     elementary_cycles,
     enumerate_support_trees,
+    gr_support_trees,
     johnson_cycles,
     strongly_connected_components,
     tarjan_scc,

@@ -6,9 +6,11 @@ cannot hit the recursion limit).  The cycle basis deduplicates cycles by
 vertex set, one bitmask per class: classes are seeded from mutual arc
 pairs and grown one vertex per side, and a class is admitted only once an
 explicit witness cycle through exactly its vertex set has been
-constructed.  Support trees bundle a main cycle with other classes (3-cycles
-hanging off it, or a star of classes through one vertex); they generate
-the unbalanced support candidates that single cycles cannot.
+constructed.  The paper's support trees bundle a main cycle with 3-cycles
+hanging off it; they generate the unbalanced support candidates that
+single cycles cannot.  The capped `gi` route takes its candidates straight
+from the basis as bitmask pairs: each class, and the union of the classes
+through each vertex.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "cycle_basis",
     "elementary_cycles",
     "enumerate_support_trees",
+    "gr_support_trees",
     "johnson_cycles",
     "strongly_connected_components",
     "tarjan_scc",
@@ -362,11 +365,15 @@ class SupportTree:
         return rows, cols
 
 
-def _gr_trees(
+def gr_support_trees(
     graph: BipartiteDigraph,
     basis: Sequence[CycleBasisEntry],
     caps: tuple[int, int],
 ) -> Iterator[SupportTree]:
+    """The paper's support trees: every basis entry alone plus, per main
+    cycle, every subset of 3-cycles that share a vertex with one side of
+    the main cycle and add a distinct new vertex on the other side
+    (growing that side's support, within `caps`)."""
     three = [e for e in basis if e.distinct_count == 2]
     for main in basis:
         yield SupportTree(main)
@@ -394,59 +401,29 @@ def _gr_trees(
                     yield SupportTree(main, tuple(options[e] for e in combo))
 
 
-def _gi_trees(
-    graph: BipartiteDigraph,
-    basis: Sequence[CycleBasisEntry],
-    caps: tuple[int, int],
-) -> Iterator[SupportTree]:
-    for entry in basis:
-        yield SupportTree(entry)
-    # Per class: its vertex, row and column bitmasks.
-    spans = [
-        (sum(1 << v for v in entry.left + entry.right), *entry.strategy_sets(graph))
-        for entry in basis
-    ]
-    emitted: set[tuple[int, ...]] = set()
-    for v in range(graph.order):
-        star = [i for i, span in enumerate(spans) if span[0] >> v & 1]
-        if len(star) < 2:
-            continue
-        # Greedy in basis order: keep each class whose rows and columns,
-        # added to the running unions, stay within the caps.
-        trimmed: list[int] = []
-        rows = cols = 0
-        for i in star:
-            grown_rows = rows | spans[i][1]
-            grown_cols = cols | spans[i][2]
-            if grown_rows.bit_count() <= caps[0] and grown_cols.bit_count() <= caps[1]:
-                trimmed.append(i)
-                rows, cols = grown_rows, grown_cols
-        if len(trimmed) < 2:
-            continue
-        key = tuple(trimmed)
-        if key in emitted:
-            continue
-        emitted.add(key)
-        yield SupportTree(basis[trimmed[0]], tuple(basis[i] for i in trimmed[1:]))
-
-
 def enumerate_support_trees(
-    graph: BipartiteDigraph,
-    basis: Sequence[CycleBasisEntry],
-    mode: str,
-    caps: tuple[int, int],
-) -> Iterator[SupportTree]:
-    """Candidate support generators built from the cycle basis.
-
-    ``gr`` mode emits every basis entry alone plus, per main cycle, every
-    subset of 3-cycles that share a vertex with one side of the main cycle
-    and add a distinct new vertex on the other side (growing that side's
-    support, within `caps`).  ``gi`` mode emits every entry alone plus
-    maximal families of classes through a common vertex (pairwise
-    intersecting by construction), trimmed to `caps`.
-    """
-    if mode == "gr":
-        return _gr_trees(graph, basis, caps)
-    if mode == "gi":
-        return _gi_trees(graph, basis, caps)
-    raise ValueError(f"mode must be 'gr' or 'gi', got {mode!r}")
+    graph: BipartiteDigraph, basis: Sequence[CycleBasisEntry]
+) -> Iterator[tuple[int, int]]:
+    """The capped `gi` route's candidates as distinct (rows, cols) bitmask
+    pairs, in one pass over the basis: each class's strategy sets, then,
+    in vertex order, the union of the classes through each vertex where two
+    or more meet (a star, its classes pairwise intersecting).  A pair is
+    yielded only the first time it is seen."""
+    seen: set[tuple[int, int]] = set()
+    star_rows = [0] * graph.order
+    star_cols = [0] * graph.order
+    classes = [0] * graph.order
+    for entry in basis:
+        pair = rows, cols = entry.strategy_sets(graph)
+        if pair not in seen:
+            seen.add(pair)
+            yield pair
+        for v in entry.left + entry.right:
+            star_rows[v] |= rows
+            star_cols[v] |= cols
+            classes[v] += 1
+    for v in range(graph.order):
+        pair = star_rows[v], star_cols[v]
+        if classes[v] >= 2 and pair not in seen:
+            seen.add(pair)
+            yield pair

@@ -2,8 +2,8 @@
 
 Three routes to the same set: exhaustive support enumeration (the
 correctness oracle), the bicliques of the strategy-level relevancy graph
-G_R, and the subset-level graph: its 3-cycles at full caps, the support
-trees of the capped graph below them.  Every candidate support pair faces
+G_R, and the subset-level graph: its 3-cycles at full caps, the cycle
+basis of the capped graph below them.  Every candidate support pair faces
 the same feasibility check, so at full caps all three must agree exactly.
 
 The `gr` candidates are sound because of what an arc of G_R means.  If
@@ -147,11 +147,11 @@ def _run_checks(
 
     Raises BudgetExceededError as soon as the candidates, drawn lazily,
     number more than `budget`, so no generator runs further than that.
-    Candidates must be distinct.  Pairs a generator dropped and added to
-    `infeasible.pruned` before the checks count as candidates too.  A side
-    recorded infeasible for (R, C) rules out only pairs (R', C) with R'
-    containing R, or (R, C') with C' containing C: larger pairs, unless it
-    is the same one.  So checking by size alone (Porter, Nudelman & Shoham
+    Every generator yields distinct pairs.  Pairs a generator dropped and
+    added to `infeasible.pruned` before the checks count as candidates
+    too.  A side recorded infeasible for (R, C) rules out only pairs
+    (R', C) with R' containing R, or (R, C') with C' containing C: larger
+    pairs, unless it is the same one.  So checking by size alone (Porter, Nudelman & Shoham
     2004) records every infeasible side before any candidate it rules out
     is reached, and the order within a size changes no answer.
     """
@@ -276,8 +276,9 @@ def enumerate_by_gi(
     in the oracle's walk: `fp1_check` asks R -> C, then C -> R only if that
     holds, and an arc left unasked closes no 3-cycle.  Result, stats and
     budget are the oracle's.  Below full caps the run is a heuristic whose
-    candidates come from longer cycles, artificial arcs, and
-    pairwise-intersecting cycle families of G_I.
+    candidates come from G_I's cycle basis (longer cycles and artificial
+    arcs included): each class's strategy sets, and per vertex the union
+    of the classes through it.
     """
     if k < 1 or l < 1:
         raise ValueError("size caps must be at least 1")
@@ -294,8 +295,7 @@ def enumerate_by_gi(
         basis = cycle_basis(graph, max_classes=budget)
     except CycleClassLimit as exc:
         raise BudgetExceededError(exc.count, budget) from None
-    trees = enumerate_support_trees(graph, basis, "gi", (rg.m, rg.n))
-    candidates = {tree.support_pair(graph) for tree in trees}
+    candidates = enumerate_support_trees(graph, basis)
     return _run_checks(game, red, candidates, method, budget, record)
 
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import brute_force_cycles, rational_rank
 
 from nashcycles.cli import main as cli_main
-from nashcycles.cycles import cycle_basis, elementary_cycles, enumerate_support_trees, johnson_cycles
+from nashcycles.cycles import cycle_basis, elementary_cycles, gr_support_trees, johnson_cycles
 from nashcycles.domgraph import BipartiteDigraph, build_gd, build_gr, compute_domain, compute_relevancy
 from nashcycles.equilibria import enumerate_by_gi, enumerate_by_gr, enumerate_by_supports
 from nashcycles.games import Game, SupportPair, generate_random_game, iterated_elimination
@@ -284,7 +284,7 @@ def test_criterion_10_degenerate_unbalanced(flat_top):
         red = iterated_elimination(flat_top)
         graph = build_gr(red.game)
         basis = cycle_basis(graph)
-        trees = list(enumerate_support_trees(graph, basis, "gr", (red.game.m, red.game.n)))
+        trees = list(gr_support_trees(graph, basis, (red.game.m, red.game.n)))
         wide = [
             t
             for t in trees

@@ -2,26 +2,29 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+import nashcycles.cycles as cycles_module
 from nashcycles.cycles import (
     Cycle,
     CycleClassLimit,
     cycle_basis,
     elementary_cycles,
     enumerate_support_trees,
+    gr_support_trees,
     johnson_cycles,
     strongly_connected_components,
     tarjan_scc,
 )
 from nashcycles.domgraph import BipartiteDigraph, build_gi, build_gr
-from nashcycles.games import generate_random_game, iterated_elimination
+from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi
+from nashcycles.games import Game, generate_random_game, iterated_elimination
 
 from conftest import brute_force_cycles, tied_games
 
@@ -107,40 +110,53 @@ def _basis_rows(graph: BipartiteDigraph) -> list[tuple]:
     ]
 
 
-def _check_gi_trim(graph: BipartiteDigraph, basis, caps) -> bool:
-    """Assert that `gi` mode emits what the star trim's reference
-    formulation gives, members and order; True when some star dropped a
-    class to meet the caps."""
-
-    # Each class of a star is kept when the whole trimmed family plus it
-    # stays within the caps, the union taken afresh every time.
-    strategy_sets = [e.strategy_sets(graph) for e in basis]
-
-    def within_caps(members) -> bool:
-        rows = cols = 0
-        for i in members:
-            rows |= strategy_sets[i][0]
-            cols |= strategy_sets[i][1]
-        return rows.bit_count() <= caps[0] and cols.bit_count() <= caps[1]
-
-    expected = [(e,) for e in basis]
-    emitted: set[tuple[int, ...]] = set()
-    dropped = False
+def _gi_reference(graph: BipartiteDigraph, basis) -> list[tuple[int, int]]:
+    """The capped `gi` candidates with repeats: every class alone, then,
+    in vertex order, the union of every star of two or more classes
+    through one vertex."""
+    pairs = [e.strategy_sets(graph) for e in basis]
+    stars = []
     for v in range(graph.order):
-        star = [i for i, e in enumerate(basis) if v in e.left + e.right]
-        if len(star) < 2:
-            continue
-        trimmed: list[int] = []
-        for i in star:
-            if within_caps(trimmed + [i]):
-                trimmed.append(i)
-        dropped |= len(trimmed) < len(star)
-        if len(trimmed) >= 2 and tuple(trimmed) not in emitted:
-            emitted.add(tuple(trimmed))
-            expected.append(tuple(basis[i] for i in trimmed))
-    trees = enumerate_support_trees(graph, basis, "gi", caps)
-    assert [t.members for t in trees] == expected, caps
-    return dropped
+        star = [pair for e, pair in zip(basis, pairs) if v in e.left + e.right]
+        if len(star) >= 2:
+            rows = cols = 0
+            for r, c in star:
+                rows |= r
+                cols |= c
+            stars.append((rows, cols))
+    return pairs + stars
+
+
+def _check_gi_candidates(graph: BipartiteDigraph, basis) -> list[tuple[int, int]]:
+    """Assert that the capped `gi` generator yields the reference with
+    repeated pairs dropped, in order; return what it yields."""
+    got = list(enumerate_support_trees(graph, basis))
+    assert got == list(dict.fromkeys(_gi_reference(graph, basis)))
+    return got
+
+
+def _gi_result(game, k, l, budget):
+    try:
+        return enumerate_by_gi(game, k, l, budget)
+    except BudgetExceededError as exc:
+        return exc.candidates
+
+
+def _check_gi_candidates_without_trees(game, k: int, l: int, budget: int = 400) -> None:
+    """On G_I at caps (k, l), the capped `gi` candidates are int pairs that
+    match the reference (`_check_gi_candidates`), and the route returns
+    the same result when building a `SupportTree` raises."""
+    graph = build_gi(game, k, l)
+    try:
+        basis = cycle_basis(graph, max_classes=budget)
+    except CycleClassLimit:
+        pass
+    else:
+        pairs = _check_gi_candidates(graph, basis)
+        assert all(type(rows) is int and type(cols) is int for rows, cols in pairs)
+    expected = _gi_result(game, k, l, budget)
+    with mock.patch.object(cycles_module, "SupportTree", side_effect=AssertionError("tree built")):
+        assert _gi_result(game, k, l, budget) == expected, (k, l)
 
 
 def _validate_cycle(graph: BipartiteDigraph, cycle: Cycle):
@@ -321,7 +337,7 @@ class TestSupportTrees:
     def test_gr_mode_covers_all_support_pairs_on_complete_graph(self):
         graph = BipartiteDigraph.complete(2, 2)
         basis = cycle_basis(graph)
-        trees = list(enumerate_support_trees(graph, basis, "gr", (2, 2)))
+        trees = list(gr_support_trees(graph, basis, (2, 2)))
         supports = {t.support_pair(graph) for t in trees}
         assert len(supports) == 9
         trivial = [t for t in trees if not t.leaves]
@@ -330,7 +346,7 @@ class TestSupportTrees:
     def test_gr_leaf_structure(self):
         graph = BipartiteDigraph.complete(3, 3)
         basis = cycle_basis(graph)
-        for tree in enumerate_support_trees(graph, basis, "gr", (3, 3)):
+        for tree in gr_support_trees(graph, basis, (3, 3)):
             if not tree.leaves:
                 continue
             main_left = set(tree.main.left)
@@ -353,60 +369,41 @@ class TestSupportTrees:
     def test_single_cycle_basis_gives_single_tree(self, one_by_one):
         graph = build_gr(one_by_one)
         basis = cycle_basis(graph)
-        trees = list(enumerate_support_trees(graph, basis, "gr", (1, 1)))
+        trees = list(gr_support_trees(graph, basis, (1, 1)))
         assert len(trees) == 1 and not trees[0].leaves
 
     def test_empty_basis_no_trees(self):
         graph = _one_way_graph()
-        assert list(enumerate_support_trees(graph, [], "gr", (2, 2))) == []
-        assert list(enumerate_support_trees(graph, [], "gi", (2, 2))) == []
+        assert list(gr_support_trees(graph, [], (2, 2))) == []
+        assert list(enumerate_support_trees(graph, [])) == []
 
     def test_gi_mode_star_families(self):
-        graph = BipartiteDigraph.complete(2, 2)
-        basis = cycle_basis(graph)
-        trees = list(enumerate_support_trees(graph, basis, "gi", (2, 2)))
-        singles = [t for t in trees if not t.leaves]
-        stars = [t for t in trees if t.leaves]
-        assert len(singles) == len(basis)
-        for tree in stars:
-            common = set.intersection(
-                *(set(e.left + e.right) for e in tree.members)
-            )
-            assert common  # pairwise intersection via a shared vertex
-
-    def test_gi_star_trim_drops_classes_to_fit_caps(self):
-        for m, n in [(2, 2), (2, 3), (3, 3)]:
+        # Each class alone, then the stars that add a pair: on K_{1,2} the
+        # two 3-cycles through x1 give the unbalanced support ({x1}, {y1, y2});
+        # on K_{2,2} every star's union is the 4-vertex class's pair.
+        for (m, n), expected in [
+            ((1, 2), [(0b1, 0b01), (0b1, 0b10), (0b1, 0b11)]),
+            ((2, 1), [(0b01, 0b1), (0b10, 0b1), (0b11, 0b1)]),
+            ((2, 2), [(0b01, 0b01), (0b01, 0b10), (0b10, 0b01), (0b10, 0b10), (0b11, 0b11)]),
+        ]:
             graph = BipartiteDigraph.complete(m, n)
-            basis = cycle_basis(graph)
-            dropped = [
-                caps
-                for caps in itertools.product(range(1, m + 1), range(1, n + 1))
-                if _check_gi_trim(graph, basis, caps)
-            ]
-            assert (m, n) not in dropped and (1, 1) in dropped
+            assert _check_gi_candidates(graph, cycle_basis(graph)) == expected, (m, n)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(tied_games())
     def test_gi_star_trim_matches_reference(self, game):
-        # Every graph cap pair, and every tree cap pair on each graph.
         for k in range(1, game.m + 1):
             for l in range(1, game.n + 1):
-                graph = build_gi(game, k, l)
-                try:
-                    basis = cycle_basis(graph, max_classes=150)
-                except CycleClassLimit:
-                    continue
-                for caps in itertools.product(range(1, game.m + 1), range(1, game.n + 1)):
-                    _check_gi_trim(graph, basis, caps)
+                _check_gi_candidates_without_trees(game, k, l)
+
+    def test_gi_candidates_on_zero_game(self):
+        # 923 classes, 43 distinct candidates, every one an equilibrium.
+        zero = [[0] * 3] * 3
+        _check_gi_candidates_without_trees(Game.from_rows(zero, zero), 2, 2, budget=1000)
 
     def test_caps_respected(self):
         graph = BipartiteDigraph.complete(2, 3)
         basis = cycle_basis(graph)
-        for mode in ("gr", "gi"):
-            for tree in enumerate_support_trees(graph, basis, mode, (2, 2)):
-                rows, cols = tree.support_pair(graph)
-                assert rows.bit_count() <= 2 and cols.bit_count() <= 2
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            list(enumerate_support_trees(_one_way_graph(), [], "zz", (1, 1)))
+        for tree in gr_support_trees(graph, basis, (2, 2)):
+            rows, cols = tree.support_pair(graph)
+            assert rows.bit_count() <= 2 and cols.bit_count() <= 2

@@ -505,13 +505,25 @@ def _side_lps(run):
 def _check_lp_order(g, k, l):
     # The pipeline against the one whose domain tables solve their sides
     # before G_D is built: each player's side LPs come in the same order.
+    # At full caps of the eliminated game the route builds no G_I, so there
+    # is nothing to compare.
+    rg = iterated_elimination(g).game
+    if k >= rg.m and l >= rg.n:
+        return
+    built = []
+
+    def reference_gi(*args):
+        built.append(args)
+        return _reference_gi(*args)
+
     def run():
         return enumerate_by_gi(g, k, l, budget=200)
 
     solved, result = _side_lps(run)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equilibria, "build_gi", _reference_gi)
+        patch.setattr(equilibria, "build_gi", reference_gi)
         expected, expected_result = _side_lps(run)
+    assert built, (k, l)
     assert solved == expected, (k, l)
     assert result == expected_result, (k, l)
 

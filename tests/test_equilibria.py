@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hypothesis import example
 
-from nashcycles.cycles import cycle_basis, enumerate_support_trees
+from nashcycles.cycles import cycle_basis, gr_support_trees
 from nashcycles.domgraph import BipartiteDigraph, _bits, build_gr
 import nashcycles.equilibria as equilibria_module
 from nashcycles.equilibria import (
@@ -131,7 +131,7 @@ class TestGrPipeline:
         for m in range(1, 7):
             for n in range(1, 7):
                 graph = BipartiteDigraph.complete(m, n)
-                trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (m, n))
+                trees = gr_support_trees(graph, cycle_basis(graph), (m, n))
                 expected = sorted(_all_pairs(m, n))
                 tree_pairs = {tree.support_pair(graph) for tree in trees}
                 assert sorted(tree_pairs) == expected, (m, n)
@@ -154,7 +154,7 @@ class TestGrPipeline:
         ]
         bicliques = sorted(_every_biclique(graph))
         assert bicliques == brute
-        trees = enumerate_support_trees(graph, cycle_basis(graph), "gr", (rg.m, rg.n))
+        trees = gr_support_trees(graph, cycle_basis(graph), (rg.m, rg.n))
         assert set(bicliques) <= {tree.support_pair(graph) for tree in trees}
         assert _oracle_masks(rg) <= set(bicliques)
 
