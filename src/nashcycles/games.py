@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 Rational = Fraction | int | str
+_ZERO = Fraction(0)
 
 
 class GameFormatError(ValueError):
@@ -145,10 +146,23 @@ class MixedStrategy:
 
     @classmethod
     def from_weights(cls, owner: int, weights: Sequence[int]) -> "MixedStrategy":
-        """The strategy weights / sum(weights), for non-negative int weights
-        with a positive sum: one `Fraction` per probability."""
+        """The strategy weights / sum(weights) for non-negative int weights
+        with a positive sum, else ValueError.  The weights are checked once,
+        in ints, so the probabilities are not checked again: one `Fraction`
+        per non-zero weight, and the zeros share one."""
+        if owner not in (1, 2):
+            raise ValueError(f"owner must be 1 or 2, got {owner}")
+        if any(w < 0 for w in weights):
+            raise ValueError("weights must be non-negative")
         total = sum(weights)
-        return cls(owner, tuple(Fraction(w, total) for w in weights))
+        if total <= 0:
+            raise ValueError("weights must have a positive sum")
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "owner", owner)
+        object.__setattr__(
+            strategy, "probs", tuple(Fraction(w, total) if w else _ZERO for w in weights)
+        )
+        return strategy
 
     @classmethod
     def uniform(cls, owner: int, size: int) -> "MixedStrategy":

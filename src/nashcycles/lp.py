@@ -1,83 +1,71 @@
 """Exact-arithmetic linear programming kernel.
 
-`solve_lp` is a two-phase tableau simplex over rationals with Bland's
-anti-cycling pivot rule: deterministic, tolerance-free, and terminating
-on degenerate inputs.  On top of it sit two programs.  Both work on the
-cone of unnormalized opponent strategies q >= 0 to which given strategies
-are best responses:
+One two-phase tableau simplex over rationals with Bland's anti-cycling
+rule: deterministic, tolerance-free, and terminating on degenerate
+inputs; `solve_lp` is its public form for a general program.  On top of
+it sit two programs on the cone of unnormalized opponent strategies
+q >= 0 to which given strategies are best responses:
 
 * the best-response-region program asks whether that cone has a point
   positive on a given set s1 and zero on a given set s0, against which
   every given responder is a best response.  Each rival row is a payoff
   difference with the first responder, so the common payoff is no
-  variable; the pipelines read it off the witness when they report an
-  equilibrium.  The program has no objective, and every "no" is a
-  phase-1 infeasibility.  It is the strict-dominance test (a strategy is
-  strictly dominated exactly when it is never a best response, Pearce
-  1984), the one-sided relevancy certificate, the domain checks, the
-  common-witness arcs and both sides of the support-pair feasibility
-  check `fp1_check`;
+  variable; the pipelines read it off the witness.  The program has no
+  objective, and every "no" is a phase-1 infeasibility.  It is the
+  strict-dominance test (a strategy is strictly dominated exactly when it
+  is never a best response, Pearce 1984), the one-sided relevancy
+  certificate, the domain checks, the common-witness arcs and both sides
+  of the support-pair feasibility check `fp1_check`;
 * the max-support program reads the relevancy set R(x) off one optimum.
   R(x) is the union of the supports in the cone of x.  Writing q = t + s
   with 0 <= t <= 1 and s >= 0 and maximizing the sum of t rewards every
   coordinate the cone can make positive, and a sum of cone points is a
   cone point, so every optimum has t = 1 exactly on R(x) and q zero
-  elsewhere (the idea of Freund, Roundy & Todd, 1985, for the
-  always-active constraints of a linear system).
+  elsewhere (Freund, Roundy & Todd, 1985, on the always-active
+  constraints of a linear system).
 
 Some sides need no LP.  If a rival row o earns at least as much as a row
 x on every column of C and strictly more on one, then o earns strictly
-more than x against every q with support exactly C, because q weights
-that column; so x is no best response to any such q.  This is the
-conditional dominance of Porter, Nudelman & Shoham (2004); exact supports
-let a weak dominator with one strict column decide it.  A twin of x has no
-strict column, so it never rules x out, and the test holds on degenerate
-games.  The `gr` and `supports` routes apply the same test while they walk
-the support pairs, so most pairs it rules out never reach `fp1_check`;
-iterated elimination tries a pure best response and a pure dominator first.
+more than x against every q with support exactly C, so x is no best
+response to any such q: the conditional dominance of Porter, Nudelman &
+Shoham (2004).  A twin of x has no strict column, so it never rules x
+out, and the test holds on degenerate games.  The `gr` and `supports`
+routes apply it while they walk the support pairs; iterated elimination
+tries a pure best response and a pure dominator first.
 
-Strategy sets are bitmasks, bit i for strategy i: `fp1_check(game, rows,
-cols)`, `InfeasibleSides.check_side(player, responders, support)` and the
-region program all take masks, and the programs that take index tuples
-(`lp1_dominance`, `mod_lp1_relevancy`, `lp2_*`) turn them into masks once.
-A witness is the integer weight vector the simplex ends with, zero-padded
-over the opponent's strategies: the region program returns it, the record
-keeps it, and `check_side` and `fp1_check` return it as it is.
-
-One game's `InfeasibleSides` record is the place where such a side
-question is asked: `compute_domain`, the common-witness arcs and
-`fp1_check` all ask it.  It applies pure dominance first, then the sides
-already found infeasible.  Each side is monotone in its responders: if no
-q with support exactly C makes every row of R a best response, then none
-does for any R' containing R, because each extra responder turns a `<=`
-row into an `=` row and only shrinks the region.  It then reuses the
-answer to a feasible side it has solved before, witness included, and
-solves an LP only for a side it has not seen.  Without a record,
-`fp1_check` solves both sides afresh.
+Strategy sets are bitmasks, bit i for strategy i, below the programs
+that take index tuples.  A witness is the integer weight vector the
+simplex ends with, zero-padded, returned as it is up to `fp1_check`.
+One game's `InfeasibleSides` record is where a side question is asked.
+It applies pure dominance, then the sides already found infeasible: if
+no q with support exactly C makes every row of R a best response, none
+does for any R' containing R, as each extra responder turns a `<=` row
+into an `=` row.  It then reuses a feasible answer, witness included,
+and solves an LP only for a side it has not seen.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
-pivoting of Avis's ``lrs``).  Every LP goes through one integer entry
-whose rows carry one common positive scale per LP (one scale per row
-would reweight the phase-1 sum of artificials).  The game programs build
-their rows from one player's view (S, rows) in `Game.int_payoffs`, its
-matrix scaled to ints once by the lcm S of its denominators: rival rows
-are differences of scaled payoff vectors, the q >= 1 floor on s1 is
-shifted into the rhs, and the sum(q) >= 1 and t <= 1 rows are written at
-S.  Such a program is the rational one times S, which only rescales
-slacks and artificials: no sign, ratio order or value of x changes, so
-no pivot does; nor on any positive multiple of a view, such as the slices
-of it that iterated elimination gives the region program.  `solve_lp`
-substitutes the bounds of a `LinearProgram`, scales its rows by the lcm
-of their denominators and its costs by theirs, and calls the same entry.
-The solver keeps integer rows T and one denominator det > 0, so that
-T / det is the rational tableau.  A pivot on p = T[r][c] replaces every
-other row by (row * p - row[c] * T[r]) / det, an exact division because
-every entry is a minor of the scaled input, and then sets det = p.
-Bland's rule reads signs and compares ratios by cross-multiplying.
-`Fraction`s are made once, from the final basic values, where a result is
-published: `solve_lp`'s assignment, and the mixed strategies of
-`lp1_dominance`, `lp2_*` and `lp3_relevancy`, each w / sum(w) of its
-weights w.  Public inputs and outputs are `Fraction` (ints are accepted).
+pivoting of Avis's ``lrs``): integer rows T over one denominator det > 0.
+A pivot on p = T[r][c] replaces every other row by
+(row * p - row[c] * T[r]) / det, exact because every entry is a minor of
+the scaled input, and sets det = p; Bland's rule compares ratios by
+cross-multiplying.  Every LP goes through one entry, `_solve_rows`, with
+the tableau rows its caller writes: one common positive scale per LP
+(one per row would reweight the phase-1 sum of artificials) and every
+rhs >= 0, each caller negating its own rows.  No artificial column is
+stored: an artificial is a basis label, and one that has left the basis
+only has to stay at zero.  A zero objective has no phase 2; the values
+are read once phase 1 has driven the artificials out.  The region
+program writes its rows straight from one player's view (S, rows) in
+`Game.int_payoffs`, the matrix scaled to ints by the lcm S of its
+denominators: rival rows are differences of payoff vectors, the q >= 1
+floor on s1 is shifted into the rhs, and the sum(q) >= 1 row is written
+at S.  That is the rational program times S, which rescales only slacks
+and artificials, so no pivot changes; nor on a positive multiple of a
+view, such as elimination's slices.  `lp3_relevancy` and `solve_lp`
+(bounds substituted, rows scaled by the lcm of their denominators) build
+theirs with `_tableau`.  `Fraction`s are made once, where a result is
+published (`solve_lp`'s assignment; each witness is w / sum(w) of its
+weights w).  Public inputs and outputs are `Fraction` (ints accepted).
 """
 
 from __future__ import annotations
@@ -85,6 +73,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,80 +216,75 @@ def _eliminate(row, prow, p, det, c):
     return row
 
 
-def _solve_rows(rows, cost) -> tuple[LpStatus, list[int] | None, int]:
-    """Maximize cost . x over ints x >= 0 subject to `rows`, each
-    (coefficients, relation, rhs) in ints.  Returns (status, values, det);
-    when OPTIMAL, x = values / det."""
-    ncols = len(cost)
-    normalized = [
-        ([-v for v in coeffs], _FLIPPED[rel], -rhs) if rhs < 0 else (coeffs, rel, rhs)
-        for coeffs, rel, rhs in rows
-    ]
-    nslack = sum(1 for _, rel, _ in normalized if rel != "=")
-    nart = sum(1 for _, rel, _ in normalized if rel != "<=")
-    slack_at = ncols
-    art_at = art_start = ncols + nslack
-    width = art_start + nart
-
-    rows = []
-    basis: list[int] = []
-    for coeffs, rel, rhs in normalized:
-        full = [*coeffs, *[0] * (nslack + nart), rhs]
+def _tableau(rows) -> tuple[list[list[int]], list[int]]:
+    """The tableau and basis `_solve_rows` takes, from rows (coefficients,
+    relation, rhs) in ints with rhs >= 0: a slack per inequality, +1 for
+    "<=" (the row starts on it) and -1 for ">=", else an artificial id."""
+    nslack = sum(1 for _, rel, _ in rows if rel != "=")
+    slack = len(rows[0][0]) if rows else 0
+    art = slack + nslack
+    out, basis = [], []
+    for coeffs, rel, rhs in rows:
+        row = [*coeffs, *[0] * nslack, rhs]
         if rel != "=":
-            full[slack_at] = 1 if rel == "<=" else -1
-            slack_at += 1
+            row[slack] = 1 if rel == "<=" else -1
+            slack += 1
         if rel == "<=":
-            basis.append(slack_at - 1)
+            basis.append(slack - 1)
         else:
-            full[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        rows.append(full)
+            basis.append(art)
+            art += 1
+        out.append(row)
+    return out, basis
 
+
+def _solve_rows(rows, basis, cost) -> tuple[LpStatus, list[int] | None, int]:
+    """Maximize cost . x over ints x >= 0 on the tableau its caller wrote:
+    each row is the len(cost) coefficients, one cell per slack and the rhs
+    >= 0; basis[i] is row i's +1 slack or the artificial id width + k of
+    the k-th row without one, a label with no column.  Returns (status,
+    values, det); when OPTIMAL, x = values / det."""
+    ncols = len(cost)
+    width = len(rows[0]) - 1 if rows else ncols
     # The rational tableau is rows / det; the initial basis is a unit matrix.
     det = 1
-    # Phase 1: maximize minus the sum of artificials.
-    if nart:
-        row0 = [0] * (width + 1)
-        for i, b in enumerate(basis):
-            if b >= art_start:
-                row0 = [a - v for a, v in zip(row0, rows[i])]
-        row0[art_start:width] = [0] * nart
+    # Phase 1: maximize minus the sum of the artificials.  One that leaves
+    # the basis stays at zero, so its column is never needed: the LP with
+    # those fixed at zero has optimum zero exactly when this one is feasible.
+    art_rows = [row for row, b in zip(rows, basis) if b >= width]
+    if art_rows:
+        row0 = [-sum(column) for column in zip(*art_rows)]
         _, det = _run_simplex(rows, row0, basis, det)
         if row0[-1] < 0:
             return LpStatus.INFEASIBLE, None, det
         # Pivot surviving artificials (at level zero) out of the basis.
         for i in range(len(rows) - 1, -1, -1):
-            if basis[i] >= art_start:
-                target = -1
-                for j in range(art_start):
-                    if rows[i][j]:
-                        target = j
-                        break
+            if basis[i] >= width:
+                target = next((j for j in range(width) if rows[i][j]), -1)
                 if target >= 0:
                     det = _pivot(rows, row0, basis, det, i, target)
                 else:
                     del rows[i]
                     del basis[i]
-        rows = [row[:art_start] + [row[-1]] for row in rows]
-        width = art_start
 
-    # Phase 2: reduced costs for the real objective over the current basis
-    # and denominator.
-    cost = [*cost, *[0] * (width - ncols)]
-    row0 = [-c * det for c in cost] + [0]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row0 = [a + cb * v for a, v in zip(row0, rows[i])]
-    status, det = _run_simplex(rows, row0, basis, det)
-    if status == "unbounded":
-        return LpStatus.UNBOUNDED, None, det
+    # Phase 2, for a non-zero objective only: reduced costs over the
+    # current basis and denominator.
+    if any(cost):
+        cost = [*cost, *[0] * (width - ncols)]
+        row0 = [-c * det for c in cost] + [0]
+        for i, b in enumerate(basis):
+            cb = cost[b]
+            if cb:
+                row0 = [a + cb * v for a, v in zip(row0, rows[i])]
+        status, det = _run_simplex(rows, row0, basis, det)
+        if status == "unbounded":
+            return LpStatus.UNBOUNDED, None, det
 
-    values = [0] * width
+    values = [0] * ncols
     for i, b in enumerate(basis):
-        values[b] = rows[i][-1]
-    return LpStatus.OPTIMAL, values[:ncols], det
+        if b < ncols:
+            values[b] = rows[i][-1]
+    return LpStatus.OPTIMAL, values, det
 
 
 def _times(v, scale: int) -> int:
@@ -348,15 +332,18 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         coeffs[col] = 1
         raw_rows.append((coeffs, "<=", cap))
 
-    # One common scale for the whole LP makes every row integral.
+    # One common scale for the whole LP makes every row integral; a row
+    # with a negative rhs is negated, its relation flipped.
     scale = math.lcm(*(v.denominator for coeffs, _, rhs in raw_rows for v in (rhs, *coeffs)))
-    rows = [
-        ([_times(v, scale) for v in coeffs], rel, _times(rhs, scale))
-        for coeffs, rel, rhs in raw_rows
-    ]
+    rows = []
+    for coeffs, rel, rhs in raw_rows:
+        coeffs, rhs = [_times(v, scale) for v in coeffs], _times(rhs, scale)
+        if rhs < 0:
+            coeffs, rel, rhs = [-v for v in coeffs], _FLIPPED[rel], -rhs
+        rows.append((coeffs, rel, rhs))
     cost = columns(lp.objective)
     cost_scale = math.lcm(*(v.denominator for v in cost))
-    status, values, det = _solve_rows(rows, [_times(v, cost_scale) for v in cost])
+    status, values, det = _solve_rows(*_tableau(rows), [_times(v, cost_scale) for v in cost])
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status)
     assignment = []
@@ -417,14 +404,11 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
     """Max-support best-response program: an opponent mixed strategy, to
     which `x` is a best response, whose support is exactly R(x).
 
-    The opponent strategies q >= 0 with (A_other - A_x) . q <= 0 for every
-    rival form a cone C, and R(x) is the union of the supports of its
-    points.  The program writes q = t + s with 0 <= t <= 1 and s >= 0 and
-    maximizes the sum of t.  Since t_y <= q_y, the optimum is at most
-    |R(x)|; adding one cone point per member of R(x), each scaled to put at
-    least 1 on its member, attains it.  So every optimum has t_y = 1 on
-    R(x) and q_y = 0 off it, and q / sum(q) is the witness.  Returns None
-    exactly when C is {0}, which by duality means `x` is strictly dominated.
+    With q = t + s, 0 <= t <= 1 and s >= 0 over the cone C of q >= 0 with
+    (A_other - A_x) . q <= 0, the optimum of sum(t) is |R(x)| (one cone
+    point per member attains it, and t_y <= q_y), so every optimum has
+    t_y = 1 on R(x) and q_y = 0 off it, and q / sum(q) is the witness.
+    Returns None exactly when C is {0}: `x` is strictly dominated.
     """
     _check_index(game, player, x, "strategy")
     scale, vectors = game.int_payoffs[player - 1]
@@ -438,7 +422,7 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
         if other != x
     ]
     rows += [([0] * y + [scale] + [0] * (2 * n - y - 1), "<=", scale) for y in range(n)]
-    status, values, _ = _solve_rows(rows, [1] * n + [0] * n)
+    status, values, _ = _solve_rows(*_tableau(rows), [1] * n + [0] * n)
     if status is not LpStatus.OPTIMAL:  # pragma: no cover - q = 0 is feasible, sum t <= n
         raise RuntimeError(f"max-support program ended {status}")
     if not any(values[:n]):
@@ -455,15 +439,13 @@ def _best_response_region(view, responders: int, s1: int, s0: int) -> tuple[int,
     or that view times a positive factor.
 
     The variables are an unnormalized q >= 0 over the strategies outside
-    s0.  Every row compares a rival with the base responder, the lowest
-    one: ``(A_other - A_base) . q`` is ``= 0`` for the other responders and
-    ``<= 0`` for the remaining strategies.  These q form a cone, so a point
-    positive on s1 scales to one with q_j >= 1 there (a column shift into
-    the rhs, not a row), and when s1 is empty any non-zero point scales to
-    one with sum(q) >= 1 (one row).  The objective is zero: the answer is
-    yes exactly when phase 1 finds a feasible point.  Returns None for no,
-    else the witness as integer weights: det times that point, zero-padded
-    over every opponent strategy, so the strategy is weights / sum(weights).
+    s0.  Each row compares a rival with the base responder, the lowest one:
+    ``(A_other - A_base) . q`` is ``= 0`` for the other responders and
+    ``<= 0`` for the rest.  A cone point positive on s1 scales to one with
+    q_j >= 1 there (a column shift into the rhs), and when s1 is empty to
+    one with sum(q) >= 1 (one row).  Returns None for no, else the witness
+    as integer weights, det times phase 1's point, zero-padded over every
+    opponent strategy, so the strategy is weights / sum(weights).
     """
     if s1 & s0:
         raise ValueError("s1 and s0 must be disjoint")
@@ -475,22 +457,46 @@ def _best_response_region(view, responders: int, s1: int, s0: int) -> tuple[int,
     first = (responders & -responders).bit_length() - 1
     base = [vectors[first][y] for y in keep]
     floor = [s1 >> y & 1 for y in keep]
+    ncols = len(keep)
 
-    # Columns: q - floor >= 0, rows at the matrix's scale.
-    rows = []
+    # The tableau, written here: columns q - floor >= 0, then one slack per
+    # "<=" row and one for the sum(q) >= 1 row, rows at the matrix's scale.
+    # A row whose rhs is negative is negated, so a "<=" slack turns surplus
+    # and the row starts on an artificial, as an "=" row does.
+    nslack = len(vectors) - responders.bit_count() + (not s1)
+    pad = [0] * nslack
+    slack, art = ncols, ncols + nslack
+    rows, basis = [], []
     for other, rival in enumerate(vectors):
-        if other != first:
-            coeffs = [rival[y] - v for y, v in zip(keep, base)]
-            rhs = -sum(c for c, f in zip(coeffs, floor) if f)
-            rows.append((coeffs, "=" if responders >> other & 1 else "<=", rhs))
+        if other == first:
+            continue
+        coeffs = [rival[y] - v for y, v in zip(keep, base)]
+        rhs = -sum(compress(coeffs, floor))
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+        row = coeffs + pad
+        row.append(abs(rhs))
+        if responders >> other & 1 or rhs < 0:
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(slack)
+        if not responders >> other & 1:
+            row[slack] = -1 if rhs < 0 else 1
+            slack += 1
+        rows.append(row)
     if not s1:
-        rows.append(([scale] * len(keep), ">=", scale))
-    status, values, det = _solve_rows(rows, [0] * len(keep))
+        row = [scale] * ncols + pad
+        row[slack] = -1
+        row.append(scale)
+        rows.append(row)
+        basis.append(art)
+    status, values, det = _solve_rows(rows, basis, [0] * ncols)
     if status is not LpStatus.OPTIMAL:
         return None
     weights = [0] * opp_count
-    for y, v, f in zip(keep, values, floor):
-        weights[y] = v + det if f else v
+    for y, v in zip(keep, values):
+        weights[y] = v + det if s1 >> y & 1 else v
     return tuple(weights)
 
 
@@ -670,28 +676,22 @@ def fp1_check(
     game: Game, rows: int, cols: int, infeasible: InfeasibleSides | None = None
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Feasibility check for the support pair of the row mask `rows` and the
-    column mask `cols`.
+    column mask `cols`: mixed strategies with exactly these supports whose
+    in-support pure strategies earn the common payoff and whose others earn
+    no more.  The p-block and the q-block share no variable, so each side is
+    one best-response-region program and the verdict is their conjunction.
 
-    Searches for mixed strategies with supports exactly `rows` and `cols`
-    satisfying the equilibrium equalities and inequalities: in-support pure
-    strategies earn the common payoff, out-of-support ones earn no more,
-    and every support probability is positive.  The p-block and the q-block
-    share no variable, so each side is one best-response-region program and
-    the verdict is their conjunction.
-
-    With an `infeasible` record made for this game, both sides are asked
-    of the record: the pair is rejected without an LP when pure dominance
-    or a recorded side rules out either side (tested for both before any
-    LP), a side the record has already solved costs no LP, and every other
-    side is solved and recorded.  The verdict and witness are the same with
-    or without the record; without one, both sides are solved afresh, which
-    makes the call the unpruned reference.
+    With an `infeasible` record made for this game, both sides are asked of
+    it: the pair is rejected without an LP when pure dominance or a recorded
+    side rules out either side (both tested before any LP), a side already
+    solved costs no LP, and every other side is solved and recorded.
+    Without a record both sides are solved afresh, the unpruned reference;
+    the verdict and witness are the same either way.
 
     Raises ValueError unless both masks are non-empty and within the game.
-    Returns (False, None), or (True, (p_weights, q_weights)): each witness
-    as the integer weights its side's simplex ends with, zero-padded, so
-    that p = p_weights / sum(p_weights) and likewise q.  No `Fraction` is
-    made here; the pipelines make them once per equilibrium they report.
+    Returns (False, None), or (True, (p_weights, q_weights)), each witness
+    as its side's zero-padded integer weights: p = p_weights / sum(p_weights)
+    and likewise q.  The pipelines make `Fraction`s once per equilibrium.
     """
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")

@@ -511,17 +511,24 @@ class TestLiftedEntries:
 
 @contextlib.contextmanager
 def _strategies_made():
-    """Record the owner of every `MixedStrategy` built inside the block;
-    yields that list and the block's monkeypatch."""
+    """Record the owner of every `MixedStrategy` built inside the block, by
+    the constructor or by `from_weights` (which does not call the
+    constructor); yields that list and the block's monkeypatch."""
     made = []
-    post_init = MixedStrategy.__post_init__
+    post_init, from_weights = MixedStrategy.__post_init__, MixedStrategy.from_weights
 
     def counting(self):
         made.append(self.owner)
         post_init(self)
 
+    def counting_weights(cls, owner, weights):
+        strategy = from_weights(owner, weights)
+        made.append(strategy.owner)
+        return strategy
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MixedStrategy, "__post_init__", counting)
+        patch.setattr(MixedStrategy, "from_weights", classmethod(counting_weights))
         yield made, patch
 
 

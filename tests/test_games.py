@@ -254,6 +254,21 @@ class TestMixedStrategy:
         assert all(isinstance(p, Fraction) for p in plain.probs)
         assert MixedStrategy.from_weights(1, (3, 0, 2, 1)).probs == (F(1, 2), F(0), F(1, 3), F(1, 6))
 
+    def test_from_weights_checks_the_weights_once(self):
+        strategy = MixedStrategy.from_weights(2, [0, 4, 0, 2])
+        assert strategy == MixedStrategy(2, (F(0), F(2, 3), F(0), F(1, 3)))
+        assert strategy.probs[0] is strategy.probs[2]  # the zeros share one Fraction
+        with pytest.raises(ValueError, match="^weights must be non-negative$"):
+            MixedStrategy.from_weights(1, [2, -1, 1])
+        with pytest.raises(ValueError, match="^owner must be 1 or 2, got 3$"):
+            MixedStrategy.from_weights(3, [1])
+
+    def test_from_weights_refuses_a_zero_sum(self):
+        with pytest.raises(ValueError, match="^weights must have a positive sum$"):
+            MixedStrategy.from_weights(1, [0, 0])
+        with pytest.raises(ValueError, match="^weights must have a positive sum$"):
+            MixedStrategy.from_weights(2, [])
+
     def test_integer_checks_refuse_with_the_same_messages(self):
         with pytest.raises(ValueError, match="^probabilities must sum to exactly 1$"):
             MixedStrategy(1, (F(1, 3), F(1, 3), F(1, 4)))

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashcycles.lp as lp_module
@@ -36,7 +36,7 @@ from nashcycles.lp import (
     solve_lp,
 )
 
-from conftest import scaled_games, tied_games
+from conftest import degenerate_game, scaled_games, tied_games
 
 F = Fraction
 
@@ -296,9 +296,24 @@ def _best_vertex_value(lp: LinearProgram):
     return best
 
 
+# From the 4x4 grid game with seed 4403: when the tableau stored a column
+# per artificial, this LP's third pivot put an artificial back into the
+# basis (column 4).  It is infeasible; there is no vertex.
+_ARTIFICIAL_REENTRY = LinearProgram(
+    4,
+    (F(0),) * 4,
+    (
+        Constraint((F(746), F(-505), F(-370), F(-107)), "=", F(236)),
+        Constraint((F(808), F(-617), F(-297), F(311)), "=", F(-205)),
+        Constraint((F(185), F(119), F(142), F(-511)), "=", F(65)),
+    ),
+)
+
+
 class TestSolveLpAgainstVertices:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(_boxed_lps())
+    @example(_ARTIFICIAL_REENTRY)
     def test_matches_vertex_enumeration(self, lp):
         best = _best_vertex_value(lp)
         out = solve_lp(lp)
@@ -307,6 +322,43 @@ class TestSolveLpAgainstVertices:
         else:
             _check_assignment(lp, out)
             assert out.objective_value == best
+
+
+class TestTableauShape:
+    """A tableau row is the columns, one cell per slack and the rhs: an
+    artificial is a basis label with no column of its own."""
+
+    def test_row_width_is_columns_slacks_and_rhs(self):
+        widths, pivots = [], [0, 0, 0]
+        pivot = lp_module._pivot
+
+        def recording_pivot(rows, row0, basis, det, r, c):
+            widths.append({len(row) for row in rows})
+            return pivot(rows, row0, basis, det, r, c)
+
+        games = [generate_random_game(4, 3, 8100 + k) for k in range(3)]
+        games.append(degenerate_game(4, 4, 8200))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_pivot", recording_pivot)
+            for game in games:
+                for player in (1, 2):
+                    own, opp = game.strategy_count(player), game.strategy_count(3 - player)
+                    for x in range(own):
+                        programs = (
+                            # No floor: a column per opponent strategy, a slack
+                            # per rival and one for the sum(q) >= 1 row.
+                            (lambda: lp1_dominance(game, player, x), opp + own),
+                            # One strategy zeroed: a column fewer, no sum row.
+                            (lambda: lp2_domain_check(game, player, x, (0,), (opp - 1,)), opp - 1 + own - 1),
+                            # Columns t and s, a slack per rival and per t <= 1 row.
+                            (lambda: lp3_relevancy(game, player, x), 2 * opp + own - 1 + opp),
+                        )
+                        for kind, (call, width) in enumerate(programs):
+                            widths.clear()
+                            call()
+                            assert all(seen == {width + 1} for seen in widths)
+                            pivots[kind] += len(widths)
+        assert all(pivots)
 
 
 class TestLp1Dominance:
