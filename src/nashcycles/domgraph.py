@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .games import Game, MixedStrategy
-from .lp import InfeasibleSides, lp3_relevancy
+from .lp import InfeasibleSides, _record, lp3_relevancy
 
 # Unused here, but bench/tracing.py wraps these names in this namespace.
 from .lp import lp1_dominance, lp2_domain_check, lp2_joint_domain_check, mod_lp1_relevancy
@@ -170,14 +170,6 @@ class DomainEntry:
 
     support: tuple[int, ...]
     witness: MixedStrategy
-
-
-def _record(game: Game, infeasible: InfeasibleSides | None) -> InfeasibleSides:
-    """The given record, checked against `game`, or a fresh one."""
-    if infeasible is None:
-        return InfeasibleSides(game)
-    infeasible.require(game)
-    return infeasible
 
 
 def compute_domain(

@@ -147,13 +147,13 @@ def _run_checks(
 
     Raises BudgetExceededError as soon as the candidates, drawn lazily,
     number more than `budget`, so no generator runs further than that.
-    Every generator yields distinct pairs.  Pairs a generator dropped and
-    added to `infeasible.pruned` before the checks count as candidates
-    too.  A side recorded infeasible for (R, C) rules out only pairs
-    (R', C) with R' containing R, or (R, C') with C' containing C: larger
-    pairs, unless it is the same one.  So checking by size alone (Porter, Nudelman & Shoham
-    2004) records every infeasible side before any candidate it rules out
-    is reached, and the order within a size changes no answer.
+    Every generator yields distinct pairs.  Pairs the record left out of
+    a walk, already in `infeasible.pruned`, count as candidates too.  A
+    side recorded infeasible for (R, C) rules out only pairs (R', C) with
+    R' containing R, or (R, C') with C' containing C: larger pairs, unless
+    it is the same one.  So checking by size alone (Porter, Nudelman &
+    Shoham 2004) records every infeasible side before any candidate it
+    rules out is reached, and the order within a size changes no answer.
     """
     pending: list[tuple[int, int]] = []
     for pair in candidates:
@@ -185,12 +185,9 @@ def _bicliques(
     so the walk stops where it empties.  On reaching R it counts R's
     2^k - 1 bicliques, k the joined columns, in closed form, and raises
     BudgetExceededError(budget + 1, budget) once the count passes `budget`,
-    before building any of them.  It then drops the columns a pure rival
-    column dominates on R, skips every column set C on which a pure rival
-    row dominates a row of R, and adds the dropped pairs to `record.pruned`,
-    so a visited row set may yield nothing.  `fp1_check` rejects exactly
-    these pairs by the same test, which records no side, so the checks of
-    the pairs yielded see the same record and solve the same LPs.
+    before building any of them.  It then yields the column sets
+    `record.column_sets` leaves, which counts the rest as pruned, so a
+    visited row set may yield nothing.
     """
     m, n = len(graph.left), len(graph.right)
     mutual = [
@@ -205,19 +202,11 @@ def _bicliques(
             if not narrowed:
                 continue
             grown = rows | 1 << x
-            total = (1 << narrowed.bit_count()) - 1
-            count += total
+            count += (1 << narrowed.bit_count()) - 1
             if count > budget:
                 raise BudgetExceededError(budget + 1, budget)
-            free = narrowed & ~record.dominated_cols(grown)
-            kept = 0
-            cols = free
-            while cols:
-                if not grown & record.dominated_rows(cols):
-                    kept += 1
-                    yield grown, cols
-                cols = cols - 1 & free
-            record.pruned += total - kept
+            for cols in record.column_sets(grown, narrowed):
+                yield grown, cols
             yield from walk(grown, narrowed, x + 1)
 
     return walk(0, (1 << n) - 1, 0)

@@ -29,14 +29,16 @@ x on every column of C and strictly more on one, then o earns strictly
 more than x against every q with support exactly C, so x is no best
 response to any such q: the conditional dominance of Porter, Nudelman &
 Shoham (2004).  A twin of x has no strict column, so it never rules x
-out, and the test holds on degenerate games.  The `gr` and `supports`
-routes apply it while they walk the support pairs; iterated elimination
+out, and the test holds on degenerate games.  Iterated elimination
 tries a pure best response and a pure dominator first.
 
 Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the
 simplex ends with, zero-padded, returned as it is up to `fp1_check`.
-One game's `InfeasibleSides` record is where a side question is asked.
+One game's `InfeasibleSides` record is where a side question is asked,
+and the only code that rejects a support pair without an LP and counts
+it: in `fp1_check` (a fresh record when none is given) and in the
+biclique walk, which takes each row set's column sets from the record.
 It applies pure dominance, then the sides already found infeasible: if
 no q with support exactly C makes every row of R a best response, none
 does for any R' containing R, as each extra responder turns a `<=` row
@@ -71,11 +73,11 @@ weights w).  Public inputs and outputs are `Fraction` (ints accepted).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .games import Game, MixedStrategy
 
@@ -571,12 +573,6 @@ def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _exact_region(game: Game, player: int, responders: int, support: int):
-    """The best-response-region program with opposite support exactly the
-    mask `support`: s0 is `~support`, read only at the opponent's strategies."""
-    return _best_response_region(game.int_payoffs[player - 1], responders, support, ~support)
-
-
 class InfeasibleSides:
     """One game's record of side questions: is there an opponent strategy
     with support exactly S to which every strategy of a responder set is a
@@ -587,8 +583,8 @@ class InfeasibleSides:
     sides of (R, C) are the arc questions R -> C and C -> R.  A feasible
     answer is reused for the same question only: a subset of a feasible
     responder set is feasible too, but its own LP may find another witness.
-    `pruned` counts the `fp1_check` candidates rejected without an LP, and
-    the pairs the biclique walk drops by the same pure test before any check.
+    `pruned` counts the pairs it rejects without an LP, in `fp1_check` and
+    in a walk's `column_sets`; no other code rejects or counts one.
     """
 
     __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "pruned")
@@ -624,13 +620,21 @@ class InfeasibleSides:
             cache[fixed] = bits
         return bits
 
-    def dominated_rows(self, cols: int) -> int:
-        """Bitmask of the rows a pure rival row dominates on the columns `cols`."""
-        return self._responders_dominated(0, cols)
-
-    def dominated_cols(self, rows: int) -> int:
-        """Bitmask of the columns a pure rival column dominates on the rows `rows`."""
-        return self._responders_dominated(1, rows)
+    def column_sets(self, rows: int, cols: int) -> Iterator[int]:
+        """Yield, in decreasing mask order, the non-empty column sets C in
+        `cols` for which pure dominance rules out neither side of (rows, C),
+        and add the others to `pruned` after the last.  `fp1_check` would
+        reject those by the same test, which records no side, so the pairs
+        yielded meet the same record and solve the same LPs."""
+        free = cols & ~self._responders_dominated(1, rows)
+        kept = 0
+        sub = free
+        while sub:
+            if not rows & self._responders_dominated(0, sub):
+                kept += 1
+                yield sub
+            sub = sub - 1 & free
+        self.pruned += (1 << cols.bit_count()) - 1 - kept
 
     def _ruled_out(self, side: int, responders: int, fixed: int) -> bool:
         """True when a pure rival dominates a responder on `fixed`, or a
@@ -650,7 +654,8 @@ class InfeasibleSides:
         key = (player, responders, support)
         weights = self._feasible.get(key)
         if weights is None:
-            weights = _exact_region(self.game, player, responders, support)
+            view = self.game.int_payoffs[player - 1]
+            weights = _best_response_region(view, responders, support, ~support)
             if weights is None:
                 self._failed[player - 1].setdefault(support, []).append(responders)
             else:
@@ -672,6 +677,14 @@ class InfeasibleSides:
         return self._region(player, responders, support)
 
 
+def _record(game: Game, infeasible: InfeasibleSides | None) -> InfeasibleSides:
+    """The given record, checked against `game`, or a fresh one."""
+    if infeasible is None:
+        return InfeasibleSides(game)
+    infeasible.require(game)
+    return infeasible
+
+
 def fp1_check(
     game: Game, rows: int, cols: int, infeasible: InfeasibleSides | None = None
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
@@ -681,12 +694,12 @@ def fp1_check(
     no more.  The p-block and the q-block share no variable, so each side is
     one best-response-region program and the verdict is their conjunction.
 
-    With an `infeasible` record made for this game, both sides are asked of
-    it: the pair is rejected without an LP when pure dominance or a recorded
-    side rules out either side (both tested before any LP), a side already
-    solved costs no LP, and every other side is solved and recorded.
-    Without a record both sides are solved afresh, the unpruned reference;
-    the verdict and witness are the same either way.
+    Both sides are asked of the record `infeasible` (made for this game; a
+    fresh one when None): the pair is rejected without an LP, and counted
+    in `pruned`, when pure dominance or a recorded side rules out either
+    side (both tested before any LP), a side already solved costs no LP,
+    and every other side is solved and recorded.  The verdict and witness
+    are the same whatever the record holds.
 
     Raises ValueError unless both masks are non-empty and within the game.
     Returns (False, None), or (True, (p_weights, q_weights)), each witness
@@ -695,18 +708,14 @@ def fp1_check(
     """
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")
-    if infeasible is None:
-        region = functools.partial(_exact_region, game)
-    else:
-        infeasible.require(game)
-        if infeasible.rules_out(rows, cols):
-            infeasible.pruned += 1
-            return False, None
-        region = infeasible._region
-    q = region(1, rows, cols)
+    record = _record(game, infeasible)
+    if record.rules_out(rows, cols):
+        record.pruned += 1
+        return False, None
+    q = record._region(1, rows, cols)
     if q is None:
         return False, None
-    p = region(2, cols, rows)
+    p = record._region(2, cols, rows)
     if p is None:
         return False, None
     return True, (p, q)

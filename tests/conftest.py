@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import nashcycles.lp as lp_module
 from nashcycles.games import Game
+from nashcycles.lp import InfeasibleSides
 
 
 @pytest.fixture
@@ -144,3 +147,29 @@ def scaled_games(draw) -> Game:
         [[v / da + shift_a for v in row] for row in game.a],
         [[v / db + shift_b for v in row] for row in game.b],
     )
+
+
+@contextlib.contextmanager
+def side_lps():
+    """Yield a list that gets the (player, responders, support) of every side
+    LP an `InfeasibleSides` record solves inside the block, in order.  A
+    side the record answers from memory is not listed."""
+    solved, asked = [], []
+    region, program = InfeasibleSides._region, lp_module._best_response_region
+
+    def asking(record, *side):
+        asked.append(side)
+        try:
+            return region(record, *side)
+        finally:
+            asked.pop()
+
+    def solving(*args):
+        if asked:
+            solved.append(asked[-1])
+        return program(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(InfeasibleSides, "_region", asking)
+        patch.setattr(lp_module, "_best_response_region", solving)
+        yield solved

@@ -28,11 +28,11 @@ from nashcycles.games import (
     is_best_response,
     iterated_elimination,
 )
-from nashcycles import domgraph, equilibria, lp
+from nashcycles import domgraph, equilibria
 from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check, lp3_relevancy
 from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi, enumerate_by_supports
 
-from conftest import degenerate_game, tied_games
+from conftest import degenerate_game, side_lps, tied_games
 
 F = Fraction
 
@@ -486,19 +486,14 @@ _FIXED_GI_GAMES = (_zero_game(3), _zero_game(4), generate_random_game(4, 4, 7))
 
 def _side_lps(run):
     """Per player, the (responders, support) of every side LP `run` solves."""
-    solved = {1: [], 2: []}
-    region = lp._exact_region
-
-    def recording(game, player, responders, support):
-        solved[player].append((responders, support))
-        return region(game, player, responders, support)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_exact_region", recording)
+    with side_lps() as sides:
         try:
             result = run()
         except BudgetExceededError as exc:
             result = exc.candidates
+    solved = {1: [], 2: []}
+    for player, responders, support in sides:
+        solved[player].append((responders, support))
     return solved, result
 
 

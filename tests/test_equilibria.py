@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis import example
 
 from nashcycles.cycles import cycle_basis, gr_support_trees
-from nashcycles.domgraph import BipartiteDigraph, _bits, build_gr
+from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
 import nashcycles.equilibria as equilibria_module
 from nashcycles.equilibria import (
     DEFAULT_BUDGET,
@@ -39,7 +39,8 @@ from nashcycles.games import (
 import nashcycles.lp as lp_module
 from nashcycles.lp import InfeasibleSides, _mask, fp1_check
 
-from conftest import degenerate_game, scaled_games, tied_games
+from conftest import degenerate_game, scaled_games, side_lps, tied_games
+from vertex_oracle import equilibrium_supports
 
 F = Fraction
 
@@ -246,24 +247,32 @@ class TestGiPipeline:
         with pytest.raises(BudgetExceededError):
             enumerate_by_gi(mp, 2, 2, budget=0)
 
+    def test_checks_refuse_candidates_past_the_budget(self):
+        # 3 x 4 after elimination.  At k = l = 1 the cycle basis has 7
+        # classes, within a budget of 7, but its classes and stars give 8
+        # distinct candidates, so the checks refuse before any is checked.
+        g = Game.from_rows(
+            [[2, 1, 1, 2], [0, 0, 2, 0], [2, 1, 2, 0]], [[2, 0, 0, 2], [0, 1, 0, 1], [1, 2, 2, 1]]
+        )
+        rg = iterated_elimination(g).game
+        assert (rg.m, rg.n) == (3, 4)
+        assert len(cycle_basis(build_gi(rg, 1, 1), max_classes=7)) == 7
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_by_gi(g, 1, 1, budget=7)
+        assert (err.value.candidates, err.value.budget) == (8, 7)
+        assert enumerate_by_gi(g, 1, 1, budget=8).stats == PipelineStats(8, 3, 5)
+
 
 @contextlib.contextmanager
 def _side_lps_without_gi_graph():
     """The (player, responders, support) of every side LP solved inside the
     block, in order, while `build_gi` and `cycle_basis` raise if
     `equilibria` calls them."""
-    solved = []
-    region = lp_module._exact_region
-
-    def recording(game, player, responders, support):
-        solved.append((player, responders, support))
-        return region(game, player, responders, support)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("full-caps gi built a subset graph or a cycle basis")
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp_module, "_exact_region", recording)
+    with side_lps() as solved, pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibria_module, "build_gi", forbidden)
         patch.setattr(equilibria_module, "cycle_basis", forbidden)
         yield solved
@@ -544,28 +553,29 @@ def _oracle_masks(game: Game) -> set[tuple[int, int]]:
 
 class TestPruningSoundness:
     """The per-game infeasible-side record never changes a verdict: every
-    route equals the unpruned check run on every pair, and a shared record
-    gives the unpruned verdicts in any checking order."""
+    route and the check of every pair agree with the extreme-equilibrium
+    oracle, which shares no code with `nashcycles.lp`, and a shared record
+    gives a fresh record's answers in any checking order."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(tied_games(), st.randoms(use_true_random=False))
-    def test_routes_equal_unpruned_brute_force(self, g, rng):
+    def test_routes_equal_vertex_oracle(self, g, rng):
         red = iterated_elimination(g)
         rg = red.game
-        pairs = _all_pairs(rg.m, rg.n)
-        plain = {pair: fp1_check(rg, *pair) for pair in pairs}
-        brute = sorted(
-            (red.original_rows(_bits(rows)), red.original_cols(_bits(cols)))
-            for (rows, cols), (ok, _) in plain.items()
-            if ok
+        expected = equilibrium_supports(rg.a, rg.b)
+        lifted = sorted(
+            (red.original_rows(_bits(rows)), red.original_cols(_bits(cols))) for rows, cols in expected
         )
         for result in (enumerate_by_supports(g), enumerate_by_gr(g), enumerate_by_gi(g, g.m, g.n)):
-            assert _supports(result) == brute, result.method
+            assert _supports(result) == lifted, result.method
 
+        pairs = _all_pairs(rg.m, rg.n)
+        fresh = {pair: fp1_check(rg, *pair) for pair in pairs}
+        assert {pair for pair, (ok, _) in fresh.items() if ok} == expected
         rng.shuffle(pairs)
         record = InfeasibleSides(rg)
         for pair in pairs:
-            assert fp1_check(rg, *pair, record) == plain[pair], pair
+            assert fp1_check(rg, *pair, record) == fresh[pair], pair
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(tied_games(), st.randoms(use_true_random=False))
@@ -604,8 +614,14 @@ class TestPruningSoundness:
         mirrored = sorted((cols, rows) for rows, cols in expected)
         for result in (enumerate_by_supports(mirror), enumerate_by_gr(mirror), enumerate_by_gi(mirror, 2, 2)):
             assert _supports(result) == mirrored, result.method
-        assert InfeasibleSides(g).dominated_rows(0b11) == 0
-        assert InfeasibleSides(mirror).dominated_cols(0b11) == 0
+        # Twin rows keep every column set.  Twin columns both stay; a pure
+        # rival row drops each singleton column set of the mirror.
+        record = InfeasibleSides(g)
+        assert list(record.column_sets(0b11, 0b11)) == [0b11, 0b10, 0b01]
+        assert record.pruned == 0
+        record = InfeasibleSides(mirror)
+        assert list(record.column_sets(0b11, 0b11)) == [0b11]
+        assert record.pruned == 2
 
 
 def _route_candidates(rg: Game, route: str) -> tuple[InfeasibleSides, list[tuple[int, int]]]:
