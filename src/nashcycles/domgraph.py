@@ -4,15 +4,17 @@ digraphs built from them.
 The strategy-level graph has one singleton vertex per pure strategy and an
 arc x -> y whenever y belongs to the relevancy set R(x).  The opponent
 strategies to which x responds best form a convex cone, closed under sums,
-so one cone point has the largest support, and that support is R(x).  R(x)
-is therefore the whole opponent set exactly when x responds best to some
-full-support opponent strategy, one side question of the run's record;
-only a row that fails it costs the max-support program (see
-`lp3_relevancy`).  The subset-level graphs have one vertex per strategy
-subset up to a size cap; an arc from s to t certifies a single opponent
-mixed strategy with support exactly t to which every strategy in s is
-simultaneously a best response.  The capped graph G_I is that graph, G_D,
-plus flagged artificial arcs that keep every vertex connected.
+so one cone point has the largest support, and that support is R(x).
+Pure payoff comparisons bound R(x) from above by a set U(x), and R(x) is
+U(x) exactly when x responds best to some opponent strategy with support
+exactly U(x).  A pure certificate or one side question of the run's
+record settles that; only a row that fails both costs the max-support
+program (see `build_gr` and `lp3_relevancy`).  The subset-level graphs
+have one vertex per strategy subset up to a size cap; an arc from s to t
+certifies a single opponent mixed strategy with support exactly t to
+which every strategy in s is simultaneously a best response.  The capped
+graph G_I is that graph, G_D, plus flagged artificial arcs that keep every
+vertex connected.
 
 Every graph labels each vertex with its strategy subset as a bitmask, and
 stores one successor bitmask per vertex over unified ids (left vertices
@@ -241,30 +243,53 @@ def compute_relevancy(game: Game, player: int, x: int) -> RelevancyRow:
 # Graph constructions
 # ---------------------------------------------------------------------------
 
+def _lex_best_responses(vectors, cols: int) -> int:
+    """The rows, as a mask, that respond best to e_y + eps * 1_cols for some
+    column y in `cols` and every small eps > 0: the rows that earn column
+    y's top payoff and, among those, the largest payoff sum over `cols`.
+    That strategy's support is exactly `cols`."""
+    flags = [cols >> y & 1 for y in range(len(vectors[0]))]
+    sums = [sum(itertools.compress(row, flags)) for row in vectors]
+    best = 0
+    for y in _bits(cols):
+        top = max(row[y] for row in vectors)
+        tied = [x for x, row in enumerate(vectors) if row[y] == top]
+        most = max(sums[x] for x in tied)
+        best |= sum(1 << x for x in tied if sums[x] == most)
+    return best
+
+
 def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> BipartiteDigraph:
     """Strategy-level dominance graph: singleton vertices, arc x -> y iff
     y is in R(x) and arc y -> x iff x is in R(y).
 
-    Each row first asks the record `infeasible` (made for `game`; a fresh
-    one when None) the full-support side: is `x` a best response to some
-    opponent strategy with every strategy in its support?  Best-response
-    witnesses form a cone closed under sums, so that holds exactly when
-    R(x) is the whole opponent set, and the row is full with no
-    max-support program.  Only the other rows come from
-    `compute_relevancy`.  The record keeps the side's answer for the check
-    of the pair ({x}, all).
+    Each row starts from the record's pure bound U(x), a superset of R(x)
+    (`InfeasibleSides.relevancy_bound`; `infeasible` is made for `game`, a
+    fresh one when None); an empty bound is an empty row.  Best-response
+    witnesses form a cone closed under sums, so R(x) is U(x) exactly when
+    `x` responds best to some opponent strategy with support exactly U(x).
+    A pure certificate settles that with no LP: `x` earns the top payoff of
+    some column y of U(x) and, among the rows tied with it there, the
+    largest payoff sum over U(x), so it responds best to e_y + eps * 1_U.
+    The certificate is computed once per bound and player, in ints.  Any
+    other row asks the record the side ({x}, U(x)), and only a row that
+    fails it costs `compute_relevancy`'s max-support program.
     """
     record = _record(game, infeasible)
     m, n = game.m, game.n
     succ = []
-    for player, count, opp_count, offset in ((1, m, n, m), (2, n, m, 0)):
-        everyone = (1 << opp_count) - 1
+    for player, count, offset in ((1, m, m), (2, n, 0)):
+        vectors = game.int_payoffs[player - 1][1]
+        certified: dict[int, int] = {}
         for x in range(count):
-            if record.check_side(player, 1 << x, everyone) is not None:
-                succ.append(everyone << offset)
-            else:
-                members = compute_relevancy(game, player, x).members
-                succ.append(sum(1 << offset + y for y in members))
+            bound = record.relevancy_bound(player, x)
+            if bound:
+                rows = certified.get(bound)
+                if rows is None:
+                    rows = certified[bound] = _lex_best_responses(vectors, bound)
+                if not rows >> x & 1 and record.check_side(player, 1 << x, bound) is None:
+                    bound = sum(1 << y for y in compute_relevancy(game, player, x).members)
+            succ.append(bound << offset)
     singletons = tuple(1 << x for x in range(m)), tuple(1 << y for y in range(n))
     return BipartiteDigraph(*singletons, tuple(succ))
 

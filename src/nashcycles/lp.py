@@ -29,8 +29,13 @@ x on every column of C and strictly more on one, then o earns strictly
 more than x against every q with support exactly C, so x is no best
 response to any such q: the conditional dominance of Porter, Nudelman &
 Shoham (2004).  A twin of x has no strict column, so it never rules x
-out, and the test holds on degenerate games.  Iterated elimination
-tries a pure best response and a pure dominator first.
+out, and the test holds on degenerate games.  A side whose support is
+one column y and that this test leaves holds with no LP: no rival earns
+more than a responder at y, so every responder earns y's top payoff
+against pure y, the only strategy with that support, and the witness is
+the unit weight at y.  The same pairs bound R(x) from above (see
+`InfeasibleSides.relevancy_bound`).  Iterated elimination tries a pure
+best response and a pure dominator first.
 
 Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the
@@ -42,8 +47,9 @@ biclique walk, which takes each row set's column sets from the record.
 It applies pure dominance, then the sides already found infeasible: if
 no q with support exactly C makes every row of R a best response, none
 does for any R' containing R, as each extra responder turns a `<=` row
-into an `=` row.  It then reuses a feasible answer, witness included,
-and solves an LP only for a side it has not seen.
+into an `=` row.  It then answers a single-column support, reuses a
+feasible answer, witness included, and solves an LP only for a side of
+two or more columns it has not seen.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``): integer rows T over one denominator det > 0.
@@ -578,13 +584,15 @@ class InfeasibleSides:
     with support exactly S to which every strategy of a responder set is a
     best response?
 
-    The domains, the common-witness arcs and `fp1_check` all ask it
-    (see the module docstring for the order of its answers); `fp1_check`'s
-    sides of (R, C) are the arc questions R -> C and C -> R.  A feasible
-    answer is reused for the same question only: a subset of a feasible
-    responder set is feasible too, but its own LP may find another witness.
-    `pruned` counts the pairs it rejects without an LP, in `fp1_check` and
-    in a walk's `column_sets`; no other code rejects or counts one.
+    The domains, the common-witness arcs, G_R's rows and `fp1_check` all
+    ask it (see the module docstring for the order of its answers);
+    `fp1_check`'s sides of (R, C) are the arc questions R -> C and C -> R.
+    A side on one column that pure dominance leaves is answered yes with
+    no LP and nothing kept.  A feasible answer is reused for the same
+    question only: a subset of a feasible responder set is feasible too,
+    but its own LP may find another witness.  `pruned` counts the pairs it
+    rejects without an LP, in `fp1_check` and in a walk's `column_sets`;
+    no other code rejects or counts one.
     """
 
     __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "pruned")
@@ -648,9 +656,33 @@ class InfeasibleSides:
         (rows, cols) infeasible."""
         return self._ruled_out(0, rows, cols) or self._ruled_out(1, cols, rows)
 
+    def relevancy_bound(self, player: int, x: int) -> int:
+        """A superset of R(x) by pure comparisons, as an opponent mask.
+
+        Start from every opponent strategy and drop, while one applies, the
+        strategies where a rival earns more than `x` if that rival earns at
+        least as much on all that is left.  A best-response witness q
+        supported on what is left has (A_rival - A_x) . q >= 0 and <= 0, so
+        q is zero wherever the rival is strictly better."""
+        bound = self._ends[player - 1][1] - 1
+        masks = self._masks[player - 1][x]
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            for at_least, more in masks:
+                if bound & more and bound & at_least == bound:
+                    bound &= ~more
+                    shrunk = True
+        return bound
+
     def _region(self, player: int, responders: int, support: int) -> tuple[int, ...] | None:
         """The region program on the exact support, past the cheap tests:
-        remembered feasible weights, else an LP whose answer is kept."""
+        remembered feasible weights, else an LP whose answer is kept.  A
+        single column y needs neither: no pure rival beats a responder
+        there, so all earn its top payoff against pure y."""
+        if not support & support - 1:
+            opp_count = self.game.n if player == 1 else self.game.m
+            return tuple(support >> y & 1 for y in range(opp_count))
         key = (player, responders, support)
         weights = self._feasible.get(key)
         if weights is None:
@@ -667,8 +699,11 @@ class InfeasibleSides:
         to which every strategy in `responders` is a best response?  Both are
         bitmasks.  Returns None for no; for yes, the integer weights w of the
         witness, zero-padded, whose strategy w / sum(w) is the one
-        `lp2_joint_domain_check` finds for the same question.  Raises
-        ValueError unless both masks are non-empty and within the game."""
+        `lp2_joint_domain_check` finds for the same question.  A support of
+        one column costs no LP: it is refused exactly when a rival earns
+        more than a responder there, and otherwise w is the unit weight on
+        it.  Raises ValueError unless both masks are non-empty and within
+        the game."""
         end_r, end_s = self._ends[player - 1]  # one past the largest valid mask
         if not (0 < responders < end_r and 0 < support < end_s):
             raise ValueError("masks must be non-empty and within the game")
@@ -697,9 +732,9 @@ def fp1_check(
     Both sides are asked of the record `infeasible` (made for this game; a
     fresh one when None): the pair is rejected without an LP, and counted
     in `pruned`, when pure dominance or a recorded side rules out either
-    side (both tested before any LP), a side already solved costs no LP,
-    and every other side is solved and recorded.  The verdict and witness
-    are the same whatever the record holds.
+    side (both tested before any LP), a side on one column or already
+    solved costs no LP, and every other side is solved and recorded.  The
+    verdict and witness are the same whatever the record holds.
 
     Raises ValueError unless both masks are non-empty and within the game.
     Returns (False, None), or (True, (p_weights, q_weights)), each witness

@@ -110,6 +110,24 @@ def degenerate_game(m: int, n: int, seed: int) -> Game:
     return Game.from_rows(a, b)
 
 
+def duplicated_game(
+    m: int, n: int, seed: int, dup_row: bool = True, dup_col: bool = False
+) -> Game:
+    """Payoffs in {0, 1, 2}; `dup_row` copies one row onto another and
+    `dup_col` one column onto another, each for both players."""
+    rng = random.Random(seed)
+    a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    b = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    if dup_row and m > 1:
+        dst, src = rng.sample(range(m), 2)
+        a[dst], b[dst] = list(a[src]), list(b[src])
+    if dup_col and n > 1:
+        dst, src = rng.sample(range(n), 2)
+        for x in range(m):
+            a[x][dst], b[x][dst] = a[x][src], b[x][src]
+    return Game.from_rows(a, b)
+
+
 @st.composite
 def tied_games(draw) -> Game:
     """Payoffs in {0, 1, 2}, 1x1 to 4x4, optionally with a duplicated row,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,11 +29,12 @@ from nashcycles.games import (
     is_best_response,
     iterated_elimination,
 )
+import nashcycles.lp as lp_module
 from nashcycles import domgraph, equilibria
 from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check, lp3_relevancy
 from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi, enumerate_by_supports
 
-from conftest import degenerate_game, side_lps, tied_games
+from conftest import degenerate_game, duplicated_game, side_lps, tied_games
 
 F = Fraction
 
@@ -238,7 +240,8 @@ class TestBuildGr:
 
     def test_full_rows_need_no_max_support_lp(self, pd, mp, bos, monkeypatch):
         # Every row of mp, bos and the generic games is full; in pd the
-        # dominated row and column are empty and the others full.
+        # dominated row and column have an empty pure bound, so they are
+        # empty with no program either.
         calls = []
 
         def counting(game, player, x):
@@ -250,14 +253,45 @@ class TestBuildGr:
         games += [iterated_elimination(generate_random_game(4, 4, 4400 + t)).game for t in range(15)]
         for g in games:
             build_gr(g)
-        assert calls == []
         graph = build_gr(pd)
+        assert calls == []
         partial = [
             (graph.side(v), graph.strategy_set(v).bit_length() - 1)
             for v in range(graph.order)
             if graph.succ[v].bit_count() < 2
         ]
-        assert calls == partial == [(1, 0), (2, 0)]
+        assert partial == [(1, 0), (2, 0)]
+        assert graph.succ[0] == graph.succ[2] == 0
+
+    def test_build_solves_few_lps_on_generic_games(self, monkeypatch):
+        # The pure bound and certificate settle most rows of the reduced
+        # generic games of the test above; 72 side LPs before them.
+        solves = []
+        solve_rows = lp_module._solve_rows
+
+        def counting(*args):
+            solves.append(None)
+            return solve_rows(*args)
+
+        monkeypatch.setattr(lp_module, "_solve_rows", counting)
+        per_game = []
+        for t in range(15):
+            g = iterated_elimination(generate_random_game(4, 4, 4400 + t)).game
+            solves.clear()
+            build_gr(g)
+            per_game.append(len(solves))
+        assert per_game == [2, 0, 1, 3, 2, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0]
+
+    def test_same_graph_as_max_support_rows_up_to_8x8(self):
+        # Tied games with a duplicated row, column or both reach every path
+        # of a row: an empty bound, the certificate, the side ({x}, U(x))
+        # holding, and the max-support program after it fails.
+        rng = random.Random(26)
+        for seed in range(100):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            g = duplicated_game(m, n, 2600 + seed, seed % 3 != 1, seed % 3 != 0)
+            for game in (g, iterated_elimination(g).game):
+                assert build_gr(game) == _reference_gr(game), (seed, game.m, game.n)
 
     def test_corollary_2(self):
         # Every oracle equilibrium's supports sit inside each other's
@@ -301,14 +335,17 @@ def _check_gr_rows(g: Game) -> None:
             assert (weights is not None) == full, (player, x)
 
 
-# The all-zero 3x3 (every row full), a 1x4 and a 4x1 game, and a 4x4 game
-# with a constant column and a duplicated row whose rows are full, partial
-# and empty.
+# The all-zero 3x3 (every row full), a 1x4 and a 4x1 game, a 4x4 game with
+# a constant column and a duplicated row whose rows are full, partial and
+# empty, and a 3x3 game whose row 1 earns column 1's top payoff and no pure
+# rival bounds it, yet R(row 1) = {1}: rows 2 and 3 tie with it there and
+# have larger payoff sums, so no pure certificate may call it full.
 _FIXED_GR_GAMES = (
     _zero_game(3),
     Game.from_rows([[1, 2, 0, 2]], [[0, 1, 1, 2]]),
     Game.from_rows([[0], [2], [1], [2]], [[1], [0], [2], [2]]),
     degenerate_game(4, 4, 4),
+    Game.from_rows([[2, 1, 1], [2, 3, 0], [2, 0, 3]], [[1, 0, 2], [0, 1, 1], [2, 2, 0]]),
 )
 
 

@@ -594,7 +594,9 @@ class TestAgainstFractionPrograms:
                 if solved:
                     assert trace == ref_trace
                 else:
-                    assert expected is None  # rejected by pure dominance, no LP
+                    # Rejected by pure dominance, or a single column that
+                    # holds with the reference's witness (asserted above).
+                    assert expected is None or len(s1) == 1
 
                 # The common payoffs are read off the witnesses at each matrix's scale.
                 pair = tuple(map(_mask, (responders, s1) if player == 1 else (s1, responders)))
@@ -774,3 +776,38 @@ class TestFp1:
                 record.check_side(player, responders, support)
         assert record.check_side(1, 0b01, 0b01) == (1, 0)
         assert fp1_check(bos, 0b01, 0b01, record)[0]
+
+
+class TestSingleColumnSides:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_answered_by_pure_comparison(self, game):
+        # A support of one column y solves no LP: the side is refused exactly
+        # when a rival earns strictly more than some responder at y, and
+        # otherwise holds with the witness the region program finds.
+        solves = []
+        solve_rows = lp_module._solve_rows
+
+        def counting_solve(*args):
+            solves.append(None)
+            return solve_rows(*args)
+
+        for player in (1, 2):
+            own, opp = game.strategy_count(player), game.strategy_count(2 if player == 1 else 1)
+            payoff = (lambda x, y: game.a[x][y]) if player == 1 else (lambda x, y: game.b[y][x])
+            for y in range(opp):
+                top = max(payoff(o, y) for o in range(own))
+                rest = tuple(j for j in range(opp) if j != y)
+                for responders in range(1, 1 << own):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(lp_module, "_solve_rows", counting_solve)
+                        weights = InfeasibleSides(game).check_side(player, responders, 1 << y)
+                    assert solves == []
+                    members = tuple(x for x in range(own) if responders >> x & 1)
+                    refused = any(payoff(x, y) < top for x in members)
+                    assert (weights is None) == refused
+                    member, witness = lp2_joint_domain_check(game, player, members, (y,), rest)
+                    assert member == (not refused)
+                    if member:
+                        owner = 2 if player == 1 else 1
+                        assert MixedStrategy.from_weights(owner, weights) == witness
