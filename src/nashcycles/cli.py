@@ -19,11 +19,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .cycles import CycleClassLimit, cycle_basis
+from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis
 from .domgraph import _bits, build_gd, build_gi, build_gr, format_graph
 from .equilibria import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     EquilibriumSet,
     enumerate_by_gi,
     enumerate_by_gr,
@@ -142,7 +140,7 @@ def _cmd_cycles(args) -> int:
         dump = format_graph(graph)
         if dump:
             print(dump)
-    basis = cycle_basis(graph, max_classes=DEFAULT_BUDGET)
+    basis = cycle_basis(graph, DEFAULT_BUDGET)
     flat = all(graph.strategy_set(v).bit_count() == 1 for v in range(graph.order))
 
     def side_label(vertex_ids) -> str:
@@ -188,7 +186,7 @@ def _cmd_stats(args) -> int:
             start = time.perf_counter()
             reduced = iterated_elimination(game).game
             graph = build_gr(reduced)
-            basis = cycle_basis(graph, max_classes=DEFAULT_BUDGET)
+            basis = cycle_basis(graph, DEFAULT_BUDGET)
             elapsed += time.perf_counter() - start
             basis_sizes.append(len(basis))
             ratios.append(Fraction(len(basis), space))
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (BudgetExceededError, CycleClassLimit) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

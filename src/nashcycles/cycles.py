@@ -23,9 +23,10 @@ from typing import Iterator, Sequence
 from .domgraph import BipartiteDigraph, _bits
 
 __all__ = [
+    "BudgetExceededError",
     "Cycle",
     "CycleBasisEntry",
-    "CycleClassLimit",
+    "DEFAULT_BUDGET",
     "SupportTree",
     "cycle_basis",
     "elementary_cycles",
@@ -37,12 +38,17 @@ __all__ = [
 ]
 
 
-class CycleClassLimit(RuntimeError):
-    """Raised when the cycle basis grows past a caller-imposed class cap."""
+DEFAULT_BUDGET = 1 << 20
 
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"cycle basis exceeded {count - 1} classes")
+
+class BudgetExceededError(RuntimeError):
+    """Raised by every stage whose own count (candidates, bicliques or
+    cycle classes) passes the budget, before it builds past it."""
+
+    def __init__(self, candidates: int, budget: int):
+        self.candidates = candidates
+        self.budget = budget
+        super().__init__(f"{candidates} candidates exceed the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +281,7 @@ def _witness_cycle(mask: int, succ: Sequence[int]) -> tuple[int, ...] | None:
     return (*path, path[0]) if extend(path[0], mask ^ start) else None
 
 
-def cycle_basis(graph: BipartiteDigraph, max_classes: int | None = None) -> list[CycleBasisEntry]:
+def cycle_basis(graph: BipartiteDigraph, budget: int = DEFAULT_BUDGET) -> list[CycleBasisEntry]:
     """Deduplicated cycle classes grown one vertex per side from the
     3-cycles: distinct (left vertex set, right vertex set) pairs, each with
     a witness elementary cycle through exactly its vertices.
@@ -283,21 +289,23 @@ def cycle_basis(graph: BipartiteDigraph, max_classes: int | None = None) -> list
     The mutual arc pairs (3-cycles) form level one, and a level-k class
     spawns level-(k+1) candidates by adding one new vertex per side; a
     candidate joins the basis only when a witness cycle through exactly its
-    vertex set is found, over plain arcs if possible and else over all arcs,
-    which marks the class artificial.  Candidates are vertex bitmasks.  So
-    an elementary cycle whose vertex sets no such chain reaches is left
-    out: x0 -> y0 -> x1 -> y1 -> x0 with no mutual arc is a cycle, and its
-    graph's basis is empty.  That loses no equilibrium.  Every equilibrium
-    support (R, C) is a biclique of G_R, so each x in R and y in C form a
-    3-cycle there; at full caps the vertices R and C of G_I form one too,
-    since the equilibrium's own strategies are common witnesses both ways.
-    `max_classes` aborts runaway enumerations with :class:`CycleClassLimit`.
+    vertex set is found, over plain arcs if possible and else, on a graph
+    with artificial arcs, over all arcs, which marks the class artificial.
+    Candidates are vertex bitmasks.  So an elementary cycle whose vertex
+    sets no such chain reaches is left out: x0 -> y0 -> x1 -> y1 -> x0 with
+    no mutual arc is a cycle, and its graph's basis is empty.  That loses no
+    equilibrium.  Every equilibrium support (R, C) is a biclique of G_R, so
+    each x in R and y in C form a 3-cycle there; at full caps the vertices R
+    and C of G_I form one too, since the equilibrium's own strategies are
+    common witnesses both ways.
+    Past `budget` classes it raises BudgetExceededError(budget + 1, budget).
     """
     L = len(graph.left)
     R = len(graph.right)
 
     succ_all = graph.succ
     succ_plain = [outs & ~flags for outs, flags in zip(graph.succ, graph.artificial)]
+    has_artificial = any(graph.artificial)
     left_ids = (1 << L) - 1
     right_ids = ((1 << R) - 1) << L
 
@@ -308,15 +316,15 @@ def cycle_basis(graph: BipartiteDigraph, max_classes: int | None = None) -> list
         witness = _witness_cycle(mask, succ_plain)
         artificial = witness is None
         if artificial:
-            witness = _witness_cycle(mask, succ_all)
+            witness = _witness_cycle(mask, succ_all) if has_artificial else None
             if witness is None:
                 return
         left = tuple(_bits(mask & left_ids))
         right = tuple(_bits(mask & right_ids))
         entries.append(CycleBasisEntry(left, right, Cycle(witness), artificial))
         admitted.append(mask)
-        if max_classes is not None and len(entries) > max_classes:
-            raise CycleClassLimit(len(entries))
+        if len(entries) > budget:
+            raise BudgetExceededError(budget + 1, budget)
 
     for u in range(L):
         for w in _bits(succ_all[u]):

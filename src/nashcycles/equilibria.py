@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .cycles import CycleClassLimit, cycle_basis, enumerate_support_trees
+from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis, enumerate_support_trees
 # compute_domain_table is unused here, but bench/tracing.py wraps it in this namespace.
 from .domgraph import BipartiteDigraph, _bits, build_gi, build_gr, compute_domain_table
 from .games import (
@@ -54,19 +54,6 @@ __all__ = [
     "game_hash",
     "verify_equilibrium",
 ]
-
-DEFAULT_BUDGET = 1 << 20
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised instead of starting a run whose candidate count exceeds the
-    configured budget."""
-
-    def __init__(self, candidates: int, budget: int):
-        self.candidates = candidates
-        self.budget = budget
-        super().__init__(f"{candidates} candidates exceed the budget of {budget}")
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -187,29 +174,30 @@ def _bicliques(
     BudgetExceededError(budget + 1, budget) once the count passes `budget`,
     before building any of them.  It then yields the column sets
     `record.column_sets` leaves, which counts the rest as pruned, so a
-    visited row set may yield nothing.
+    visited row set may yield nothing.  The walk keeps its own stack of
+    (rows, joined columns, next row to try), one entry per level, so a tall
+    game refuses on its count, not on Python's recursion limit.
     """
     m, n = len(graph.left), len(graph.right)
     mutual = [
         sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
     ]
     count = 0
-
-    def walk(rows: int, allowed: int, start: int) -> Iterator[tuple[int, int]]:
-        nonlocal count
-        for x in range(start, m):
-            narrowed = allowed & mutual[x]
-            if not narrowed:
-                continue
-            grown = rows | 1 << x
-            count += (1 << narrowed.bit_count()) - 1
-            if count > budget:
-                raise BudgetExceededError(budget + 1, budget)
-            for cols in record.column_sets(grown, narrowed):
-                yield grown, cols
-            yield from walk(grown, narrowed, x + 1)
-
-    return walk(0, (1 << n) - 1, 0)
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        rows, allowed, x = stack.pop()
+        while x < m and not allowed & mutual[x]:
+            x += 1
+        if x == m:
+            continue
+        stack.append((rows, allowed, x + 1))
+        grown, narrowed = rows | 1 << x, allowed & mutual[x]
+        count += (1 << narrowed.bit_count()) - 1
+        if count > budget:
+            raise BudgetExceededError(budget + 1, budget)
+        for cols in record.column_sets(grown, narrowed):
+            yield grown, cols
+        stack.append((grown, narrowed, x + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,8 @@ def enumerate_by_gi(
     budget are the oracle's.  Below full caps the run is a heuristic whose
     candidates come from G_I's cycle basis (longer cycles and artificial
     arcs included): each class's strategy sets, and per vertex the union
-    of the classes through it.
+    of the classes through it.  The basis refuses past `budget` classes,
+    the checks past `budget` candidates.
     """
     if k < 1 or l < 1:
         raise ValueError("size caps must be at least 1")
@@ -280,11 +269,7 @@ def enumerate_by_gi(
         return _support_walk(game, red, method, budget)
     record = InfeasibleSides(rg)
     graph = build_gi(rg, k, l, record)
-    try:
-        basis = cycle_basis(graph, max_classes=budget)
-    except CycleClassLimit as exc:
-        raise BudgetExceededError(exc.count, budget) from None
-    candidates = enumerate_support_trees(graph, basis)
+    candidates = enumerate_support_trees(graph, cycle_basis(graph, budget))
     return _run_checks(game, red, candidates, method, budget, record)
 
 

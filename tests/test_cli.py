@@ -82,6 +82,18 @@ class TestSolve:
     def test_budget_exit_3(self, game_file, capsys):
         assert main(["solve", game_file(MP), "--method", "supports", "--budget", "2"]) == 3
 
+    def test_tall_game_exit_3(self, game_file, capsys):
+        # An all-zero 1100 x 1 game keeps every row after elimination; each
+        # route refuses on its own count with one error line, however deep
+        # `gr`'s biclique walk goes.
+        path = game_file("1100 1\n" + "0\n" * 2200)
+        for method in ("supports", "gr", "gi"):
+            assert main(["solve", path, "--budget", "2000", "--method", method]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ") and line.endswith(" candidates exceed the budget of 2000")
+
     def test_non_positive_budget_exit_2(self, game_file, capsys):
         path = game_file(MP)
         for budget in ("0", "-1"):
@@ -147,7 +159,7 @@ class TestCycles:
         path = game_file(write_game(generate_random_game(4, 4, 7)))
         assert main(["cycles", path]) == 3
         captured = capsys.readouterr()
-        assert captured.err == "error: cycle basis exceeded 10 classes\n"
+        assert captured.err == "error: 11 candidates exceed the budget of 10\n"
         assert "basis=" not in captured.out
 
     def test_dump_graph_format(self, game_file, capsys):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 
 import nashcycles.cycles as cycles_module
 from nashcycles.cycles import (
+    BudgetExceededError,
     Cycle,
-    CycleClassLimit,
     cycle_basis,
     elementary_cycles,
     enumerate_support_trees,
@@ -22,8 +22,8 @@ from nashcycles.cycles import (
     strongly_connected_components,
     tarjan_scc,
 )
-from nashcycles.domgraph import BipartiteDigraph, build_gi, build_gr
-from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi
+from nashcycles.domgraph import BipartiteDigraph, build_gd, build_gi, build_gr
+from nashcycles.equilibria import enumerate_by_gi
 from nashcycles.games import Game, generate_random_game, iterated_elimination
 
 from conftest import brute_force_cycles, tied_games
@@ -148,8 +148,8 @@ def _check_gi_candidates_without_trees(game, k: int, l: int, budget: int = 400) 
     the same result when building a `SupportTree` raises."""
     graph = build_gi(game, k, l)
     try:
-        basis = cycle_basis(graph, max_classes=budget)
-    except CycleClassLimit:
+        basis = cycle_basis(graph, budget)
+    except BudgetExceededError:
         pass
     else:
         pairs = _check_gi_candidates(graph, basis)
@@ -307,9 +307,41 @@ class TestCycleBasis:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    def test_one_witness_search_without_artificial_arcs(self, monkeypatch):
+        # G_D has no artificial arcs, so a search over all arcs would repeat
+        # the plain search that just failed on the same mask: every mask is
+        # searched once.  G_I's artificial arcs keep the second search.
+        g = Game.from_rows(
+            [[0, 1, 2, 1], [2, 0, 0, 1], [0, 2, 2, 0], [0, 1, 2, 1]],
+            [[1, 0, 0, 2], [1, 2, 0, 0], [1, 1, 1, 2], [1, 0, 0, 2]],
+        )
+        searched = []
+        witness_cycle = cycles_module._witness_cycle
+
+        def counting(mask, succ):
+            searched.append(mask)
+            return witness_cycle(mask, succ)
+
+        monkeypatch.setattr(cycles_module, "_witness_cycle", counting)
+        counts = []
+        for k in (1, 2):
+            graph = build_gd(g, k, k)
+            assert not any(graph.artificial)
+            searched.clear()
+            cycle_basis(graph)
+            assert len(searched) == len(set(searched))
+            counts.append(len(searched))
+        assert counts == [17, 1723]
+        graph = build_gi(g, 1, 1)
+        assert any(graph.artificial)
+        searched.clear()
+        assert any(entry.artificial for entry in cycle_basis(graph))
+        assert len(searched) > len(set(searched))
+
     def test_class_budget(self):
-        with pytest.raises(CycleClassLimit):
-            cycle_basis(BipartiteDigraph.complete(4, 4), max_classes=10)
+        with pytest.raises(BudgetExceededError) as err:
+            cycle_basis(BipartiteDigraph.complete(4, 4), budget=10)
+        assert (err.value.candidates, err.value.budget) == (11, 10)
 
     def test_matches_brute_force_with_artificial_arcs(self):
         rng = random.Random(57)

@@ -39,7 +39,7 @@ from nashcycles.games import (
 import nashcycles.lp as lp_module
 from nashcycles.lp import InfeasibleSides, _mask, fp1_check
 
-from conftest import degenerate_game, scaled_games, side_lps, tied_games
+from conftest import degenerate_game, duplicated_game, scaled_games, side_lps, tied_games
 from vertex_oracle import equilibrium_supports
 
 F = Fraction
@@ -215,6 +215,14 @@ class TestGrPipeline:
         assert err.value.candidates == 11
         assert time.perf_counter() - start < 10
 
+    def test_tall_game_refuses_on_its_count(self):
+        # The walk goes 1100 row sets deep before its count passes 2000; it
+        # must refuse on the count, not on Python's recursion limit.
+        zero = [[0]] * 1100
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_by_gr(Game.from_rows(zero, zero), budget=2000)
+        assert (err.value.candidates, err.value.budget) == (2001, 2000)
+
 
 class TestGiPipeline:
     def test_full_caps_match_oracle(self, pd, mp, bos, flat_top):
@@ -256,7 +264,7 @@ class TestGiPipeline:
         )
         rg = iterated_elimination(g).game
         assert (rg.m, rg.n) == (3, 4)
-        assert len(cycle_basis(build_gi(rg, 1, 1), max_classes=7)) == 7
+        assert len(cycle_basis(build_gi(rg, 1, 1), budget=7)) == 7
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gi(g, 1, 1, budget=7)
         assert (err.value.candidates, err.value.budget) == (8, 7)
@@ -622,6 +630,37 @@ class TestPruningSoundness:
         record = InfeasibleSides(mirror)
         assert list(record.column_sets(0b11, 0b11)) == [0b11]
         assert record.pruned == 2
+
+    def test_walked_pairs_lie_inside_the_pure_bounds(self):
+        # Every pair (R, C) that `column_sets(R, all columns)` leaves has C
+        # inside U(x) for each row x of R, and R inside U(y) for each column y
+        # of C, U being `relevancy_bound`.  A column peeled off U(x) is one
+        # where a rival earns more than x while earning at least as much on
+        # everything left, C included, so pure dominance drops the pair.  So
+        # the walk over the graph whose rows are the bounds yields exactly
+        # the oracle's pairs, in the oracle's order.
+        rng = random.Random(27)
+        walked = 0
+        for seed in range(400):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            g = duplicated_game(m, n, 2700 + seed, seed % 2 == 0)
+            record = InfeasibleSides(g)
+            row_bounds = [record.relevancy_bound(1, x) for x in range(m)]
+            col_bounds = [record.relevancy_bound(2, y) for y in range(n)]
+            for rows in range(1, 1 << m):
+                for cols in record.column_sets(rows, (1 << n) - 1):
+                    walked += 1
+                    assert all(cols & ~row_bounds[x] == 0 for x in _bits(rows)), seed
+                    assert all(rows & ~col_bounds[y] == 0 for y in _bits(cols)), seed
+            bound_graph = BipartiteDigraph(
+                tuple(1 << x for x in range(m)),
+                tuple(1 << y for y in range(n)),
+                tuple(u << m for u in row_bounds) + tuple(col_bounds),
+            )
+            over_bounds = _bicliques(bound_graph, InfeasibleSides(g), DEFAULT_BUDGET)
+            complete = _bicliques(BipartiteDigraph.complete(m, n), InfeasibleSides(g), DEFAULT_BUDGET)
+            assert list(over_bounds) == list(complete), seed
+        assert walked == 2848
 
 
 def _route_candidates(rg: Game, route: str) -> tuple[InfeasibleSides, list[tuple[int, int]]]:
