@@ -41,14 +41,28 @@ __all__ = [
 DEFAULT_BUDGET = 1 << 20
 
 
+#: Counts of up to this many bits are named in decimal; Python's default
+#: limit on int-to-string conversion is 4300 digits, about 14 000 bits.
+_DECIMAL_BITS = 4000
+
+
 class BudgetExceededError(RuntimeError):
     """Raised by every stage whose own count (candidates, bicliques or
-    cycle classes) passes the budget, before it builds past it."""
+    cycle classes) passes the budget, before it builds past it.
+
+    `candidates` keeps the exact count.  The message names it in decimal up
+    to `_DECIMAL_BITS` bits and beyond that as the power of two it exceeds
+    (a closed-form count of a tall game can have tens of thousands of
+    digits), so building the message never converts a huge int."""
 
     def __init__(self, candidates: int, budget: int):
         self.candidates = candidates
         self.budget = budget
-        super().__init__(f"{candidates} candidates exceed the budget of {budget}")
+        if candidates.bit_length() <= _DECIMAL_BITS:
+            count = f"{candidates}"
+        else:
+            count = f"more than 2^{(candidates - 1).bit_length() - 1}"
+        super().__init__(f"{count} candidates exceed the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------

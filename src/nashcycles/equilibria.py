@@ -17,7 +17,8 @@ the generator to the check, and the check's witness is two integer weight
 vectors.  All results are reported in the coordinates of the game as
 given: pipelines run iterated elimination internally and map the supports
 of each equilibrium found, as a `SupportPair`, and its witnesses back
-through the index maps, making each probability and payoff once there.
+through the index maps.  A run makes each distinct side witness's
+probabilities, strategy and payoff once, and its entries share them.
 """
 
 from __future__ import annotations
@@ -94,30 +95,53 @@ def game_hash(game: Game) -> str:
 # Shared pipeline plumbing
 # ---------------------------------------------------------------------------
 
-def _lift(red: ReducedGame, original: Game, rows: int, cols: int, witness) -> Equilibrium:
-    """The equilibrium of `fp1_check`'s witness (p_weights, q_weights) for
-    the masks (rows, cols) over `red.game`, in the coordinates of `original`.
+class _Publisher:
+    """One run's lift of `fp1_check`'s witnesses over `red.game` into
+    entries in the coordinates of `original`.
 
-    Each probability is made once, as w / sum(w) at its original index.
-    The common payoffs are the lowest support row's and column's payoffs
-    against the weights, read off `red.game.int_payoffs` and divided by
-    the matrix's scale."""
-    p_weights, q_weights = witness
-    p_full = [0] * original.m
-    for i, w in zip(red.row_map, p_weights):
-        p_full[i] = w
-    q_full = [0] * original.n
-    for j, w in zip(red.col_map, q_weights):
-        q_full[j] = w
-    (scale1, rows1), (scale2, cols2) = red.game.int_payoffs
-    row = rows1[(rows & -rows).bit_length() - 1]
-    col = cols2[(cols & -cols).bit_length() - 1]
-    u1 = Fraction(sum(a * w for a, w in zip(row, q_weights)), scale1 * sum(q_weights))
-    u2 = Fraction(sum(b * w for b, w in zip(col, p_weights)), scale2 * sum(p_weights))
-    lifted = SupportPair(red.original_rows(_bits(rows)), red.original_cols(_bits(cols)))
-    p = MixedStrategy.from_weights(1, p_full)
-    q = MixedStrategy.from_weights(2, q_full)
-    return Equilibrium(lifted, p, q, u1, u2)
+    Per player, a side witness (the integer weights `fp1_check` returns)
+    maps to its lifted `MixedStrategy` and the common payoff against it,
+    made once, so the entries of a continuum share them.  The weights alone
+    are the key: every responder of a witness earns the top payoff against
+    it, so the lowest responder of any pair using those weights gives the
+    same value, read off `red.game.int_payoffs` over the matrix's scale (u1
+    against q's weights, u2 against p's).  The index maps ascend, so a
+    lifted support needs no sort."""
+
+    __slots__ = ("_views", "_maps", "_sizes", "_published")
+
+    def __init__(self, red: ReducedGame, original: Game):
+        self._views = red.game.int_payoffs
+        self._maps = (red.row_map, red.col_map)
+        self._sizes = (original.m, original.n)
+        # Per player: side weights -> (lifted strategy, payoff against it).
+        self._published: tuple[dict, dict] = ({}, {})
+
+    def entry(self, rows: int, cols: int, witness) -> Equilibrium:
+        """The equilibrium of the masks (rows, cols) over the reduced game
+        and `fp1_check`'s witness (p_weights, q_weights) for them."""
+        p_weights, q_weights = witness
+        p, u2 = self._side(0, p_weights, cols)
+        q, u1 = self._side(1, q_weights, rows)
+        row_map, col_map = self._maps
+        support = SupportPair._ascending(
+            tuple([row_map[i] for i in _bits(rows)]), tuple([col_map[j] for j in _bits(cols)])
+        )
+        return Equilibrium(support, p, q, u1, u2)
+
+    def _side(self, side: int, weights, responders: int) -> tuple[MixedStrategy, Fraction]:
+        published = self._published[side]
+        found = published.get(weights)
+        if found is None:
+            total = sum(weights)
+            strategy = MixedStrategy._spread(
+                side + 1, weights, total, self._maps[side], self._sizes[side]
+            )
+            scale, vectors = self._views[1 - side]
+            base = vectors[(responders & -responders).bit_length() - 1]
+            payoff = Fraction(sum(a * w for a, w in zip(base, weights)), scale * total)
+            found = published[weights] = (strategy, payoff)
+        return found
 
 
 def _run_checks(
@@ -141,6 +165,7 @@ def _run_checks(
     it is the same one.  So checking by size alone (Porter, Nudelman &
     Shoham 2004) records every infeasible side before any candidate it
     rules out is reached, and the order within a size changes no answer.
+    Every feasible pair is published by the run's one `_Publisher`.
     """
     pending: list[tuple[int, int]] = []
     for pair in candidates:
@@ -149,11 +174,12 @@ def _run_checks(
             raise BudgetExceededError(len(pending), budget)
     drawn = len(pending) + infeasible.pruned
     pending.sort(key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
+    publish = _Publisher(red, original).entry
     entries = []
     for rows, cols in pending:
         feasible, witness = fp1_check(red.game, rows, cols, infeasible)
         if feasible:
-            entries.append(_lift(red, original, rows, cols, witness))
+            entries.append(publish(rows, cols, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
     stats = PipelineStats(drawn, infeasible.pruned, len(entries))
     return EquilibriumSet(game_hash(original), method, tuple(entries), stats)

@@ -157,11 +157,23 @@ class MixedStrategy:
         total = sum(weights)
         if total <= 0:
             raise ValueError("weights must have a positive sum")
+        return cls._spread(owner, weights, total, range(len(weights)), len(weights))
+
+    @classmethod
+    def _spread(
+        cls, owner: int, weights: Sequence[int], total: int, index_map: Sequence[int], size: int
+    ) -> "MixedStrategy":
+        """The strategy over `size` strategies with weights[k] / total at
+        index_map[k] and zero elsewhere, in one pass and unchecked: the
+        caller vouches for an owner of 1 or 2, non-negative int weights
+        summing to `total` > 0 and distinct indices below `size`."""
+        probs = [_ZERO] * size
+        for i, w in zip(index_map, weights):
+            if w:
+                probs[i] = Fraction(w, total)
         strategy = object.__new__(cls)
         object.__setattr__(strategy, "owner", owner)
-        object.__setattr__(
-            strategy, "probs", tuple(Fraction(w, total) if w else _ZERO for w in weights)
-        )
+        object.__setattr__(strategy, "probs", tuple(probs))
         return strategy
 
     @classmethod
@@ -190,24 +202,27 @@ class SupportPair:
         if self.rows[0] < 0 or self.cols[0] < 0:
             raise ValueError("strategy indices must be non-negative")
 
+    @classmethod
+    def _ascending(cls, rows: tuple[int, ...], cols: tuple[int, ...]) -> "SupportPair":
+        """The pair of two non-empty ascending tuples of distinct
+        non-negative indices, taken as they are (the caller vouches)."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "rows", rows)
+        object.__setattr__(pair, "cols", cols)
+        return pair
+
 
 @dataclass(frozen=True)
 class ReducedGame:
     """A game after iterated elimination plus maps back to original indices.
 
     `row_map[i]` / `col_map[j]` give the original index of reduced strategy
-    i / j.
+    i / j; both maps ascend.
     """
 
     game: Game
     row_map: tuple[int, ...]
     col_map: tuple[int, ...]
-
-    def original_rows(self, rows: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.row_map[i] for i in rows))
-
-    def original_cols(self, cols: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.col_map[j] for j in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -372,47 +387,53 @@ def iterated_elimination(game: Game) -> ReducedGame:
     """Remove strictly dominated strategies (allowing domination by mixed
     strategies) until a fixed point.
 
-    A test of a strategy x slices its player's rows of `int_payoffs` to the
-    surviving rows and columns and answers with the first of:
+    A test of a strategy x answers with the first of:
 
-    1. x earns its column maximum against some opponent pure strategy y
-       (ties count): x is a best response to y, so not dominated, and its
+    1. x earns its column maximum against some surviving opponent strategy
+       y (ties count): x is a best response to y, so not dominated, and its
        witness support is {y} for the first such y;
-    2. some rival earns strictly more than x against every opponent
-       strategy: x is dominated;
-    3. the best-response-region program on the slice (as `lp1_dominance`),
-       whose witness support is kept when x survives.
+    2. some surviving rival earns strictly more than x against every
+       surviving opponent strategy: x is dominated;
+    3. the best-response-region program (as `lp1_dominance`) on its
+       player's rows of `int_payoffs` sliced to the survivors, which is the
+       subgame's view times a positive factor; its witness support is kept
+       when x survives.
 
-    The slice is the subgame's view times a positive factor, so it gives
-    the subgame's answers.  A survivor keeps its witness support (a mask of
-    original opponent indices) and is tested again only when a strategy in
-    it is removed; other removals only drop a rival or an unused opponent
-    strategy.  Strict domination is path-independent, so the survivors do
-    not depend on this schedule.  A player always keeps a strategy.  The
-    reduced `Game` is made once (`game` itself when nothing is removed).
+    Rule 1's maxima are taken once, over all strategies: a removed strategy
+    earned less than the maximum on every opponent strategy that survived
+    its test, so the survivors' maxima there never change.  Only rule 3
+    slices, so a game whose strategies all pass rule 1 (an all-zero tall
+    game) is reduced in linear time.  A survivor keeps its witness support
+    (a mask of original opponent indices) and is tested again only when a
+    strategy in it is removed; other removals only drop a rival or an
+    unused opponent strategy.  Strict domination is path-independent, so
+    the survivors do not depend on this schedule.  A player always keeps a
+    strategy.  The reduced `Game` is made once (`game` itself when nothing
+    is removed).
     """
     from .lp import _best_response_region  # deferred: lp builds on the game types
 
     kept = (list(range(game.m)), list(range(game.n)))
+    # Per side: the column maxima over all own strategies (see above).
+    tops = [list(map(max, zip(*rows))) for _, rows in game.int_payoffs]
     # Per side: survivor -> witness support mask, in the order found.
     witness: tuple[dict[int, int], dict[int, int]] = ({}, {})
     stale = [list(kept[0]), list(kept[1])]
     while stale[0] or stale[1]:
         for side in (0, 1):
             scale, full = game.int_payoffs[side]
+            top = tops[side]
             todo, stale[side] = stale[side], []
             for s in todo:
                 own, others = kept[side], kept[1 - side]
-                vectors = [[full[x][y] for y in others] for x in own]
-                i = own.index(s)
-                mine = vectors[i]
-                top = map(max, zip(*vectors))
-                reply = next((j for j, (v, most) in enumerate(zip(mine, top)) if v == most), None)
+                mine = full[s]
+                reply = next((y for y in others if mine[y] == top[y]), None)
                 if reply is not None:
-                    witness[side][s] = 1 << others[reply]
+                    witness[side][s] = 1 << reply
                     continue
-                if not any(all(r > v for r, v in zip(rival, mine)) for rival in vectors):
-                    weights = _best_response_region((scale, vectors), 1 << i, 0, 0)
+                if not any(all(full[x][y] > mine[y] for y in others) for x in own):
+                    vectors = [[full[x][y] for y in others] for x in own]
+                    weights = _best_response_region((scale, vectors), 1 << own.index(s), 0, 0)
                     if weights is not None:
                         witness[side][s] = sum(1 << y for y, w in zip(others, weights) if w)
                         continue

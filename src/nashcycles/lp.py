@@ -73,7 +73,8 @@ view, such as elimination's slices.  `lp3_relevancy` and `solve_lp`
 (bounds substituted, rows scaled by the lcm of their denominators) build
 theirs with `_tableau`.  `Fraction`s are made once, where a result is
 published (`solve_lp`'s assignment; each witness is w / sum(w) of its
-weights w).  Public inputs and outputs are `Fraction` (ints accepted).
+weights w, once per distinct witness in a pipeline run).  Public inputs
+and outputs are `Fraction` (ints accepted).
 """
 
 from __future__ import annotations
@@ -558,24 +559,30 @@ def _mask(indices: tuple[int, ...]) -> int:
     return bits
 
 
-def _rival_masks(vectors, x: int) -> tuple[tuple[int, int], ...]:
-    """For every rival that earns more than `x` somewhere, the opponent
-    strategies where it earns at least as much and where it earns more, as
-    the bitmask pair (at_least, more).  A twin of `x` gets no pair."""
-    own = vectors[x]
+def _rival_masks(vectors) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per strategy x, for every rival that earns more than x somewhere, the
+    opponent strategies where it earns at least as much and where it earns
+    more, as the bitmask pair (at_least, more).  A twin of x gets no pair,
+    and neither does any rival of an x that earns every column maximum, so
+    that x gets an empty tuple with no scan of its rivals."""
+    top = tuple(map(max, zip(*vectors)))
     out = []
-    for rival in vectors:
-        at_least = more = 0
-        bit = 1
-        for r, v in zip(rival, own):
-            if r > v:
-                at_least |= bit
-                more |= bit
-            elif r == v:
-                at_least |= bit
-            bit <<= 1
-        if more:
-            out.append((at_least, more))
+    for own in vectors:
+        pairs = []
+        if own != top:
+            for rival in vectors:
+                at_least = more = 0
+                bit = 1
+                for r, v in zip(rival, own):
+                    if r > v:
+                        at_least |= bit
+                        more |= bit
+                    elif r == v:
+                        at_least |= bit
+                    bit <<= 1
+                if more:
+                    pairs.append((at_least, more))
+        out.append(tuple(pairs))
     return tuple(out)
 
 
@@ -600,10 +607,7 @@ class InfeasibleSides:
     def __init__(self, game: Game):
         self.game = game
         self._ends = ((1 << game.m, 1 << game.n), (1 << game.n, 1 << game.m))
-        self._masks = tuple(
-            tuple(_rival_masks(vectors, x) for x in range(len(vectors)))
-            for _, vectors in game.int_payoffs
-        )
+        self._masks = tuple(_rival_masks(vectors) for _, vectors in game.int_payoffs)
         self._dominated: tuple[dict[int, int], dict[int, int]] = ({}, {})
         # Per player: opposite support bits -> the infeasible responder bits.
         self._failed: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
@@ -739,7 +743,8 @@ def fp1_check(
     Raises ValueError unless both masks are non-empty and within the game.
     Returns (False, None), or (True, (p_weights, q_weights)), each witness
     as its side's zero-padded integer weights: p = p_weights / sum(p_weights)
-    and likewise q.  The pipelines make `Fraction`s once per equilibrium.
+    and likewise q.  A pipeline run makes `Fraction`s once per distinct
+    side witness.
     """
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")

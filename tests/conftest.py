@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -108,6 +111,16 @@ def degenerate_game(m: int, n: int, seed: int) -> Game:
     for x in range(m):
         a[x][col], b[x][col] = ca, cb
     return Game.from_rows(a, b)
+
+
+def bench_workloads():
+    """bench/workloads.py, which imports nothing from the program."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def duplicated_game(

@@ -343,6 +343,17 @@ class TestCycleBasis:
             cycle_basis(BipartiteDigraph.complete(4, 4), budget=10)
         assert (err.value.candidates, err.value.budget) == (11, 10)
 
+    def test_refusal_message_never_converts_a_huge_count(self):
+        # Up to 4000 bits the count is in decimal; past that it is named by
+        # a power of two it exceeds, with no int-to-string conversion, and
+        # the exception keeps the exact count either way.
+        assert str(BudgetExceededError(2001, 2000)) == "2001 candidates exceed the budget of 2000"
+        assert str(BudgetExceededError(2**4000 - 1, 7)) == f"{2**4000 - 1} candidates exceed the budget of 7"
+        for count, k in ((2**4000, 3999), (2**4000 + 1, 4000), ((2**20000 - 1) * 3, 20001)):
+            err = BudgetExceededError(count, 7)
+            assert str(err) == f"more than 2^{k} candidates exceed the budget of 7"
+            assert 2**k < err.candidates == count <= 2 ** (k + 1)
+
     def test_matches_brute_force_with_artificial_arcs(self):
         rng = random.Random(57)
         flagged = 0

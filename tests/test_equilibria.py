@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hypothesis import example
 
+import nashcycles
 from nashcycles.cycles import cycle_basis, gr_support_trees
 from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
 import nashcycles.equilibria as equilibria_module
@@ -20,6 +21,7 @@ from nashcycles.equilibria import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     PipelineStats,
+    _Publisher,
     _bicliques,
     _run_checks,
     eliminable_strategies,
@@ -39,7 +41,14 @@ from nashcycles.games import (
 import nashcycles.lp as lp_module
 from nashcycles.lp import InfeasibleSides, _mask, fp1_check
 
-from conftest import degenerate_game, duplicated_game, scaled_games, side_lps, tied_games
+from conftest import (
+    bench_workloads,
+    degenerate_game,
+    duplicated_game,
+    scaled_games,
+    side_lps,
+    tied_games,
+)
 from vertex_oracle import equilibrium_supports
 
 F = Fraction
@@ -505,12 +514,16 @@ class TestLiftedEntries:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(tied_games())
     def test_checks_make_two_strategies_per_equilibrium(self, g):
+        # At most two: a run makes one strategy per distinct p-witness and
+        # one per distinct q-witness, which the entries of a continuum share.
         run_checks = _run_checks
 
         def checks(*args):
             before = len(made)
-            result = run_checks(*args)
-            assert len(made) - before == 2 * len(result.entries), result.method
+            with _witnesses_found() as found:
+                result = run_checks(*args)
+            distinct = len({p for _, _, (p, _) in found}) + len({q for _, _, (_, q) in found})
+            assert len(made) - before == distinct <= 2 * len(result.entries), result.method
             return result
 
         with _strategies_made() as (made, patch):
@@ -526,26 +539,102 @@ class TestLiftedEntries:
             assert found and made == [1, 2] * found
 
 
+class TestPublisher:
+    """A run publishes each side witness once and every entry from those:
+    each entry equals the entry a fresh publisher makes of its own pair and
+    witness, and its payoffs are those of its own strategies."""
+
+    @staticmethod
+    def _check_runs(g: Game) -> int:
+        """Check every route's run on `g`; returns the entries checked."""
+        runs = []
+
+        def checks(original, red, *args):
+            with _witnesses_found() as found:
+                result = _run_checks(original, red, *args)
+            runs.append((red, found, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equilibria_module, "_run_checks", checks)
+            _routes(g)
+        assert len(runs) == 3
+        checked = 0
+        for red, found, result in runs:
+            alone = sorted(
+                (_Publisher(red, g).entry(rows, cols, witness) for rows, cols, witness in found),
+                key=lambda e: (e.support.rows, e.support.cols),
+            )
+            assert list(result.entries) == alone, result.method
+            for e in result.entries:
+                assert (e.u1, e.u2) == expected_payoffs(g, e.p, e.q), result.method
+            checked += len(alone)
+        return checked
+
+    def test_seeded_tied_games(self):
+        checked = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            checked += self._check_runs(duplicated_game(m, n, 9300 + seed, dup_row=seed % 2 == 0))
+        assert checked == 4608
+
+    def test_degenerate_panel(self):
+        workloads = bench_workloads()
+        specs = workloads.panel("degenerate", 60)
+        assert len(specs) == 30
+        checked = sum(self._check_runs(workloads.build_game(nashcycles, s)) for s in specs)
+        assert checked == 1134
+
+    def test_a_continuum_shares_its_witness(self, flat_top):
+        # All three equilibria play row 1 with the unit weight, so one p is
+        # made for them and three qs.
+        with _strategies_made() as (made, _):
+            result = enumerate_by_supports(flat_top)
+        assert made == [1, 2, 2, 2]
+        first, *rest = result.entries
+        assert all(e.p is first.p and e.u2 == first.u2 for e in rest)
+
+
+@contextlib.contextmanager
+def _witnesses_found():
+    """Yield a list that gets (rows, cols, witness) of every feasible pair
+    the pipelines' `fp1_check` finds inside the block."""
+    found = []
+    check = equilibria_module.fp1_check
+
+    def checking(game, rows, cols, *args):
+        feasible, witness = check(game, rows, cols, *args)
+        if feasible:
+            found.append((rows, cols, witness))
+        return feasible, witness
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibria_module, "fp1_check", checking)
+        yield found
+
+
 @contextlib.contextmanager
 def _strategies_made():
     """Record the owner of every `MixedStrategy` built inside the block, by
-    the constructor or by `from_weights` (which does not call the
-    constructor); yields that list and the block's monkeypatch."""
+    the constructor or by `_spread` (which does not call the constructor,
+    and which `from_weights` and the pipelines' publisher call); yields
+    that list and the block's monkeypatch."""
     made = []
-    post_init, from_weights = MixedStrategy.__post_init__, MixedStrategy.from_weights
+    post_init, spread = MixedStrategy.__post_init__, MixedStrategy._spread
 
     def counting(self):
         made.append(self.owner)
         post_init(self)
 
-    def counting_weights(cls, owner, weights):
-        strategy = from_weights(owner, weights)
+    def counting_spread(cls, *args):
+        strategy = spread(*args)
         made.append(strategy.owner)
         return strategy
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MixedStrategy, "__post_init__", counting)
-        patch.setattr(MixedStrategy, "from_weights", classmethod(counting_weights))
+        patch.setattr(MixedStrategy, "_spread", classmethod(counting_spread))
         yield made, patch
 
 
@@ -572,7 +661,8 @@ class TestPruningSoundness:
         rg = red.game
         expected = equilibrium_supports(rg.a, rg.b)
         lifted = sorted(
-            (red.original_rows(_bits(rows)), red.original_cols(_bits(cols))) for rows, cols in expected
+            (tuple(red.row_map[i] for i in _bits(rows)), tuple(red.col_map[j] for j in _bits(cols)))
+            for rows, cols in expected
         )
         for result in (enumerate_by_supports(g), enumerate_by_gr(g), enumerate_by_gi(g, g.m, g.n)):
             assert _supports(result) == lifted, result.method

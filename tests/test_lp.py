@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashcycles.lp as lp_module
-from nashcycles.equilibria import _lift
+from nashcycles.equilibria import _Publisher
 from nashcycles.games import (
     Game,
     MixedStrategy,
@@ -56,7 +56,7 @@ def _lifted(game: Game, rows: int, cols: int, witness):
     """`fp1_check`'s integer witness for (rows, cols) made into an
     `Equilibrium` as the pipelines make it, over the identity reduction."""
     identity = ReducedGame(game, tuple(range(game.m)), tuple(range(game.n)))
-    return _lift(identity, game, rows, cols, witness)
+    return _Publisher(identity, game).entry(rows, cols, witness)
 
 
 def _check_assignment(lp: LinearProgram, outcome):

@@ -5,9 +5,7 @@ here."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from nashcycles.equilibria import enumerate_by_gi, enumerate_by_gr, enumerate_by
 from nashcycles.games import Game
 from nashcycles.lp import fp1_check
 
-from conftest import degenerate_game, scaled_games
+from conftest import bench_workloads, degenerate_game, scaled_games
 from vertex_oracle import equilibrium_supports
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -71,21 +69,12 @@ class TestRoutesAndChecker:
         assert len(_check(Game.from_rows(zero, zero))) == 15 * 15
 
 
-def _workloads():
-    """bench/workloads.py, which imports nothing from the program."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestBenchReference:
     def test_stored_pairs_equal_the_oracle(self):
         # The `recall` gate compares runs with pairs that `enumerate_by_supports`
         # stored; check them against the independent oracle, on every stored
         # `degenerate` game and every tenth `corpus` game.
-        workloads = _workloads()
+        workloads = bench_workloads()
         store = json.loads((BENCH / "reference.json").read_text())
         checked = 0
         for workload, step in (("degenerate", 1), ("corpus", 10)):
