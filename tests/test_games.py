@@ -24,7 +24,7 @@ from nashcycles.games import (
 from nashcycles import lp
 from nashcycles.lp import lp1_dominance
 
-from conftest import degenerate_game, tied_games
+from conftest import degenerate_game, duplicated_game, tied_games
 
 F = Fraction
 
@@ -48,9 +48,40 @@ def _lp_counts(run):
         return run(), counts
 
 
+def _two_column_reference(vectors, x: int) -> tuple[int, int] | None:
+    """The first pair (near, y) of columns with a mixture to which row x of
+    `vectors` responds best, or None: near is x's least-deficit column and y
+    runs over the others in order.  A mixture t * e_near + (1 - t) * e_y is
+    tried, in `Fraction`s, at every point where a row ties x and halfway
+    between neighbouring ones: x's best-response set on the pair is an
+    interval with such ends, so it holds one of them when it is not empty."""
+    own = vectors[x]
+    cols = range(len(own))
+    top = [max(row[y] for row in vectors) for y in cols]
+    near = min(cols, key=lambda y: top[y] - own[y])
+    for y in cols:
+        if y == near:
+            continue
+        ties = {F(0), F(1)}
+        for row in vectors:
+            slope = (row[near] - own[near]) - (row[y] - own[y])
+            if slope:
+                t = F(own[y] - row[y], slope)
+                if 0 < t < 1:
+                    ties.add(t)
+        ends = sorted(ties)
+        points = [t for t in ends if 0 < t < 1] + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+        for t in points:
+            payoffs = [t * row[near] + (1 - t) * row[y] for row in vectors]
+            if payoffs[x] == max(payoffs):
+                return near, y
+    return None
+
+
 def _reference_elimination(game: Game) -> ReducedGame:
-    """The same removal schedule with a validated subgame `Game` per removal
-    and `lp1_dominance` on it for each strategy the pure tests leave open."""
+    """The same removal schedule with a validated subgame `Game` per removal,
+    the two-column test on its rows, and `lp1_dominance` on it for each
+    strategy the pure and two-column tests leave open."""
     kept = {1: list(range(game.m)), 2: list(range(game.n))}
     witness_support: dict[int, dict[int, frozenset[int]]] = {1: {}, 2: {}}
     stale = {1: list(kept[1]), 2: list(kept[2])}
@@ -71,6 +102,10 @@ def _reference_elimination(game: Game) -> ReducedGame:
                     witness_support[player][s] = frozenset((others[reply],))
                     continue
                 if not any(all(r > v for r, v in zip(rival, mine)) for rival in vectors):
+                    pair = _two_column_reference(vectors, i)
+                    if pair is not None:
+                        witness_support[player][s] = frozenset(others[j] for j in pair)
+                        continue
                     dominated, witness = lp1_dominance(current, player, i)
                     if not dominated:
                         witness_support[player][s] = frozenset(others[j] for j in witness.support)
@@ -85,6 +120,27 @@ def _reference_elimination(game: Game) -> ReducedGame:
                         del witness_support[opponent][t]
                         stale[opponent].append(t)
     return ReducedGame(current, tuple(kept[1]), tuple(kept[2]))
+
+
+def _lp_only_survivors(game: Game) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The surviving rows and columns when `lp1_dominance` on the current
+    subgame removes one dominated strategy at a time until none is left."""
+    kept = [list(range(game.m)), list(range(game.n))]
+    removed = True
+    while removed:
+        removed = False
+        current = Game.from_rows(
+            [[game.a[x][y] for y in kept[1]] for x in kept[0]],
+            [[game.b[x][y] for y in kept[1]] for x in kept[0]],
+        )
+        for player in (1, 2):
+            own = kept[player - 1]
+            i = next((i for i in range(len(own)) if lp1_dominance(current, player, i)[0]), None)
+            if i is not None:
+                del own[i]
+                removed = True
+                break
+    return tuple(kept[0]), tuple(kept[1])
 
 
 def _assert_matches_reference(game: Game) -> tuple[ReducedGame, int]:
@@ -395,6 +451,46 @@ class TestIteratedElimination:
     @given(tied_games())
     def test_matches_reference_on_tied_games(self, game):
         _assert_matches_reference(game)
+
+    def test_survivors_match_lp_only_fixpoint(self):
+        # Tied and grid games up to 6x6: the survivors are those of
+        # `lp1_dominance` alone, one removal at a time to a fixed point.
+        rng = random.Random(29)
+        for seed in range(60):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            for game in (
+                duplicated_game(m, n, 2900 + seed, seed % 2 == 0, seed % 3 == 0),
+                generate_random_game(m, n, 2900 + seed),
+            ):
+                red = iterated_elimination(game)
+                assert (red.row_map, red.col_map) == _lp_only_survivors(game), (seed, m, n)
+
+    def test_two_column_witnesses_are_best_responses(self, monkeypatch):
+        # Each pair the two-column rule keeps a strategy with holds a mixture
+        # against which it earns the most among the survivors it was tested
+        # with, in `Fraction`s.
+        replies = []
+        reply = lp._two_column_reply
+
+        def recording(vectors, x, cols, top, strict=False):
+            pair = reply(vectors, x, cols, top, strict)
+            replies.append((vectors, x, pair))
+            return pair
+
+        monkeypatch.setattr(lp, "_two_column_reply", recording)
+        rng = random.Random(30)
+        for seed in range(60):
+            m, n = rng.randint(2, 6), rng.randint(2, 6)
+            iterated_elimination(duplicated_game(m, n, 3000 + seed, seed % 2 == 0, True))
+            iterated_elimination(generate_random_game(m, n, 3000 + seed))
+        kept = [(vectors, x, pair) for vectors, x, pair in replies if pair]
+        assert kept
+        for vectors, x, pair in kept:
+            a, b = (y for y in range(pair.bit_length()) if pair >> y & 1)
+            (lo_n, lo_d, _), (hi_n, hi_d, _) = lp._mixture_interval(vectors, 1 << x, a, b)
+            t = (F(lo_n, lo_d) + F(hi_n, hi_d)) / 2
+            payoffs = [t * row[a] + (1 - t) * row[b] for row in vectors]
+            assert 0 < t < 1 and payoffs[x] == max(payoffs)
 
     def test_matches_reference_on_degenerate_games(self):
         sizes = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5))

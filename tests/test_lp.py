@@ -26,7 +26,9 @@ from nashcycles.lp import (
     InfeasibleSides,
     LinearProgram,
     LpStatus,
+    _best_response_region,
     _mask,
+    _two_column_side,
     fp1_check,
     lp1_dominance,
     lp2_domain_check,
@@ -36,7 +38,7 @@ from nashcycles.lp import (
     solve_lp,
 )
 
-from conftest import degenerate_game, scaled_games, tied_games
+from conftest import degenerate_game, scaled_games, side_lps, tied_games
 
 F = Fraction
 
@@ -594,9 +596,14 @@ class TestAgainstFractionPrograms:
                 if solved:
                     assert trace == ref_trace
                 else:
-                    # Rejected by pure dominance, or a single column that
-                    # holds with the reference's witness (asserted above).
-                    assert expected is None or len(s1) == 1
+                    # Rejected by pure dominance, a single column that holds
+                    # with the reference's witness (asserted above), or two
+                    # columns the closed form answers with that witness.
+                    vectors = game.int_payoffs[player - 1][1]
+                    closed = len(s1) == 2 and (
+                        _two_column_side(vectors, _mask(responders), _mask(s1), opp) != ()
+                    )
+                    assert expected is None or len(s1) == 1 or closed
 
                 # The common payoffs are read off the witnesses at each matrix's scale.
                 pair = tuple(map(_mask, (responders, s1) if player == 1 else (s1, responders)))
@@ -811,3 +818,125 @@ class TestSingleColumnSides:
                     if member:
                         owner = 2 if player == 1 else 1
                         assert MixedStrategy.from_weights(owner, weights) == witness
+
+
+def _uniquely_best(vectors, x: int, a: int, b: int) -> bool:
+    """Is row x of `vectors` the unique best response to some mixture
+    t * e_a + (1 - t) * e_b, 0 < t < 1?  Tried in `Fraction`s halfway between
+    neighbouring points where a row ties x: the set is open, so it holds one
+    of them when it is not empty."""
+    ends = {F(0), F(1)}
+    for row in vectors:
+        slope = (row[a] - vectors[x][a]) - (row[b] - vectors[x][b])
+        if slope:
+            t = F(vectors[x][b] - row[b], slope)
+            if 0 < t < 1:
+                ends.add(t)
+    ends = sorted(ends)
+    for t in ((u + v) / 2 for u, v in zip(ends, ends[1:])):
+        payoffs = [t * row[a] + (1 - t) * row[b] for row in vectors]
+        if all(p < payoffs[x] for o, p in enumerate(payoffs) if o != x):
+            return True
+    return False
+
+
+class TestTwoColumnSides:
+    """`_mixture_interval` and `_two_column_side` against the region program
+    on every responder set and every two-column support."""
+
+    @staticmethod
+    def _check(game: Game) -> None:
+        for player in (1, 2):
+            view = game.int_payoffs[player - 1]
+            vectors = view[1]
+            own, opp = len(vectors), len(vectors[0])
+            for a, b in itertools.combinations(range(opp), 2):
+                support = 1 << a | 1 << b
+                for responders in range(1, 1 << own):
+                    closed = _two_column_side(vectors, responders, support, opp)
+                    weights = _best_response_region(view, responders, support, ~support)
+                    assert (closed is None) == (weights is None)
+                    if closed:
+                        assert F(closed[a], sum(closed)) == F(weights[a], sum(weights))
+                    ends = lp_module._mixture_interval(vectors, responders, a, b)
+                    if weights is not None:
+                        # The program's point lies in the interval.
+                        t = F(weights[a], sum(weights))
+                        (lo_n, lo_d, lo_closed), (hi_n, hi_d, hi_closed) = ends
+                        lo, hi = F(lo_n, lo_d), F(hi_n, hi_d)
+                        assert lo < t < hi or (t == lo and lo_closed) or (t == hi and hi_closed)
+                for x in range(own):
+                    strict = lp_module._mixture_interval(vectors, 1 << x, a, b, True)
+                    assert (strict is not None) == _uniquely_best(vectors, x, a, b)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_tied_games(self, game):
+        self._check(game)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 10**6))
+    def test_grid_games(self, m, n, seed):
+        self._check(generate_random_game(m, n, seed))
+
+    def test_all_zero_game(self):
+        # Every row ties every other: each responder set holds at the
+        # uniform mixture, and no row is a unique best response.
+        self._check(Game.from_rows([[0] * 3] * 3, [[0] * 3] * 3))
+        vectors = ((0, 0), (0, 0))
+        assert _two_column_side(vectors, 0b11, 0b11, 2) == (1, 1)
+        assert lp_module._mixture_interval(vectors, 1, 0, 1, True) is None
+
+    def test_tie_fixes_t(self):
+        # Rows 2t and 1 - t tie at t = 1/3, where the zero row earns less.
+        vectors = ((2, 0), (0, 1), (0, 0))
+        ends = lp_module._mixture_interval(vectors, 0b011, 0, 1)
+        assert [F(n, d) for n, d, _ in ends] == [F(1, 3)] * 2
+        assert _two_column_side(vectors, 0b011, 0b11, 2) == (1, 2)
+        assert _best_response_region((1, vectors), 0b011, 0b11, ~0b11) is not None
+
+    def test_uniform_mixture_inside(self):
+        # Row [1, 1] is best for t <= 1/2 against [2, 0]: the closed end is
+        # the uniform mixture, the program's starting point.
+        vectors = ((1, 1), (2, 0))
+        ends = lp_module._mixture_interval(vectors, 0b01, 0, 1)
+        assert ends == ((0, 1, False), (1, 2, True))
+        assert _two_column_side(vectors, 0b01, 0b11, 2) == (1, 1)
+        weights = _best_response_region((1, vectors), 0b01, 0b11, ~0b11)
+        assert weights[0] == weights[1]
+        # Against [2, 0] and [0, 2] as well, the uniform mixture is the one
+        # point where row [1, 1] is best, and it is never uniquely best.
+        vectors = ((1, 1), (2, 0), (0, 2))
+        assert lp_module._mixture_interval(vectors, 0b001, 0, 1) == ((1, 2, True), (1, 2, True))
+        assert _two_column_side(vectors, 0b001, 0b11, 2) == (1, 1)
+        assert lp_module._mixture_interval(vectors, 0b001, 0, 1, True) is None
+
+    def test_non_uniform_interval_goes_to_the_program(self):
+        # Against [3, 0] row [1, 1] is best for t <= 1/3: an interval that
+        # misses the uniform mixture, so the record solves the LP.
+        game = Game.from_rows([[1, 1], [3, 0]], [[0, 0], [0, 0]])
+        assert lp_module._mixture_interval(game.int_payoffs[0][1], 0b01, 0, 1) == (
+            (0, 1, False),
+            (1, 3, True),
+        )
+        assert _two_column_side(game.int_payoffs[0][1], 0b01, 0b11, 2) == ()
+        with side_lps() as solved:
+            weights = InfeasibleSides(game).check_side(1, 0b01, 0b11)
+        assert solved == [(1, 0b01, 0b11)]
+        assert F(weights[0], sum(weights)) <= F(1, 3)
+
+    def test_ends_at_zero_and_one(self):
+        # Over the whole of (0, 1) both ends are open: the pure columns are
+        # not on the exact support.
+        assert lp_module._mixture_interval(((1, 1), (0, 0)), 0b01, 0, 1) == (
+            (0, 1, False),
+            (1, 1, False),
+        )
+        # A row best only at pure e_b (t = 0) or pure e_a (t = 1) has an
+        # empty side on the pair, as the program finds.
+        for vectors in (((0, 1), (1, 1)), ((1, 0), (1, 1))):
+            assert lp_module._mixture_interval(vectors, 0b01, 0, 1) is None
+            assert _two_column_side(vectors, 0b01, 0b11, 2) is None
+            assert _best_response_region((1, vectors), 0b01, 0b11, ~0b11) is None
+        # A twin earns the same everywhere: never strictly beaten.
+        assert lp_module._mixture_interval(((1, 2), (1, 2)), 0b01, 0, 1, True) is None
