@@ -71,7 +71,9 @@ def _print_result(result: EquilibriumSet, structured: bool) -> None:
 
 
 def _load_game(path: str) -> Game:
-    with open(path, "r", encoding="utf-8") as handle:
+    # parse_game decodes the bytes as UTF-8; an unbuffered binary read skips
+    # the text and buffer layers.
+    with open(path, "rb", buffering=0) as handle:
         return parse_game(handle.read())
 
 

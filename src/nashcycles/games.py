@@ -1,10 +1,9 @@
-"""Bimatrix game model with exact rational payoffs.
+"""Bimatrix game model with exact payoffs, stored as ints.
 
 A game is a pair of m-by-n payoff matrices (player 1 rows, player 2
-columns).  Everything downstream -- dominance tests, feasibility
-programs, graph constructions -- works on these immutable objects, so
-all entries are `fractions.Fraction` and no floating point appears
-anywhere in the model.
+columns), kept per player in one canonical integer form (see `Game`).
+Parsing, random games, elimination and writing work on the ints; the
+`Fraction` matrices are views.  No floating point appears in the model.
 """
 
 from __future__ import annotations
@@ -12,9 +11,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 Rational = Fraction | int | str
+#: One player's integer form (S, rows): rows[x][y] / S is the payoff of own
+#: strategy x against opponent strategy y.
+IntView = tuple[int, tuple[tuple[int, ...], ...]]
 _ZERO = Fraction(0)
 
 
@@ -53,66 +57,106 @@ def _as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-def _freeze_matrix(rows: Iterable[Iterable[Rational]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_as_fraction(v) for v in row) for row in rows)
+def _ratio(value: Rational) -> tuple[int, int]:
+    if type(value) is int:
+        return value, 1
+    value = _as_fraction(value)
+    return value.numerator, value.denominator
+
+
+def _reduced(scale: int, flat: Sequence[int], n: int) -> IntView:
+    """The integer form of the row-major matrix flat / scale, n to a row:
+    both divided by their gcd, so the scale is the lcm of the reduced
+    denominators."""
+    g = math.gcd(scale, *flat)
+    if g > 1:
+        scale //= g
+        flat = [v // g for v in flat]
+    flat = tuple(flat)
+    return scale, tuple([flat[k : k + n] for k in range(0, len(flat), n)])
+
+
+def _scaled(nums: Sequence[int], dens: Sequence[int], n: int) -> IntView:
+    """The integer form of the row-major matrix nums / dens, n to a row."""
+    scale = math.lcm(*dens)
+    nums = list(map(operator.mul, nums, map(operator.floordiv, repeat(scale), dens)))
+    return _reduced(scale, nums, n)
 
 
 @dataclass(frozen=True)
 class Game:
     """A two-player game in normal form.
 
-    Attributes
-    ----------
-    a : player 1's m-by-n payoff matrix.
-    b : player 2's m-by-n payoff matrix.
+    `int_payoffs` holds, per player, (S, rows): rows[x][y] / S is the
+    payoff of own strategy x against opponent strategy y (player 2's rows
+    are B's columns), and S is the lcm of the reduced denominators.  The
+    form is canonical, so `==` and `hash` compare payoffs.  `a` and `b` are
+    the `Fraction` matrices, made on first use.  Build games with
+    `from_rows`, `parse_game` or `generate_random_game`; `Game(...)` checks
+    the integer form it is given.
     """
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    int_payoffs: tuple[IntView, IntView]
 
     def __post_init__(self):
-        if not self.a or not self.a[0]:
+        view = tuple((scale, tuple(map(tuple, rows))) for scale, rows in self.int_payoffs)
+        if len(view) != 2 or not view[0][1] or not view[1][1]:
             raise ValueError("game must have at least one strategy per player")
-        m, n = len(self.a), len(self.a[0])
-        if any(len(row) != n for row in self.a):
-            raise ValueError("payoff matrix a is ragged")
-        if len(self.b) != m or any(len(row) != n for row in self.b):
+        (_, rows), (_, cols) = view
+        m, n = len(rows), len(cols)
+        if any(len(row) != n for row in rows) or any(len(col) != m for col in cols):
             raise ValueError("payoff matrices must have identical dimensions")
-        for matrix in (self.a, self.b):
-            for row in matrix:
-                for entry in row:
-                    if not isinstance(entry, Fraction):
-                        raise TypeError("payoffs must be Fractions; use Game.from_rows")
+        for scale, vectors in view:
+            entries = (scale, *chain.from_iterable(vectors))
+            if any(type(v) is not int for v in entries):
+                raise TypeError("int_payoffs must hold ints; use Game.from_rows")
+            if scale < 1 or math.gcd(*entries) != 1:
+                raise ValueError("int_payoffs must have a positive scale coprime to its entries")
+        object.__setattr__(self, "int_payoffs", view)
 
     @classmethod
     def from_rows(cls, a: Iterable[Iterable[Rational]], b: Iterable[Iterable[Rational]]) -> "Game":
-        """Build a game from any nested iterables of ints/strings/Fractions."""
-        return cls(_freeze_matrix(a), _freeze_matrix(b))
+        """Build a game from any nested iterables of ints/strings/Fractions
+        (a float raises TypeError)."""
+        a, b = ([[_ratio(v) for v in row] for row in matrix] for matrix in (a, b))
+        if not a or not a[0]:
+            raise ValueError("game must have at least one strategy per player")
+        n = len(a[0])
+        if any(len(row) != n for row in a):
+            raise ValueError("payoff matrix a is ragged")
+        if len(b) != len(a) or any(len(row) != n for row in b):
+            raise ValueError("payoff matrices must have identical dimensions")
+        return cls._of(*(_scaled(*zip(*chain.from_iterable(pairs)), n) for pairs in (a, b)))
+
+    @classmethod
+    def _of(cls, a: IntView, b: IntView) -> "Game":
+        """The game of player 1's form `a` and the form `b` of B's rows,
+        unchecked: the caller vouches for them."""
+        scale, rows = b
+        game = object.__new__(cls)
+        object.__setattr__(game, "int_payoffs", (a, (scale, tuple(zip(*rows)))))
+        return game
 
     @property
     def m(self) -> int:
-        return len(self.a)
+        return len(self.int_payoffs[0][1])
 
     @property
     def n(self) -> int:
-        return len(self.a[0])
+        return len(self.int_payoffs[1][1])
 
     def strategy_count(self, player: int) -> int:
         return self.m if player == 1 else self.n
 
     @functools.cached_property
-    def int_payoffs(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-        """Per player, (S, rows): rows[x][y] is S times the payoff of own
-        strategy x against opponent strategy y, S > 0 the lcm of that
-        matrix's denominators.  Made on first use; not compared."""
-        view = []
-        for matrix in (self.a, tuple(zip(*self.b))):
-            scale = math.lcm(*(v.denominator for row in matrix for v in row))
-            rows = tuple(
-                tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix
-            )
-            view.append((scale, rows))
-        return tuple(view)
+    def a(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale, rows = self.int_payoffs[0]
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in rows)
+
+    @functools.cached_property
+    def b(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale, cols = self.int_payoffs[1]
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -230,13 +274,30 @@ class ReducedGame:
 # File format
 # ---------------------------------------------------------------------------
 
-def _parse_token(token: str, line: int) -> Fraction:
+def _read_token(token: str, line: int) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a token, as `Fraction(token)` reads
+    it.  ASCII integers, ``p/q`` and plain decimals are split here; any
+    other token goes to `Fraction`, so its value or error is Fraction's."""
+    if token.isascii() and "_" not in token:
+        num, slash, den = token.partition("/")
+        try:
+            if not slash:
+                whole, _, frac = num.partition(".")
+                if not frac or frac.isdigit():
+                    return int(whole + frac), 10 ** len(frac)
+            elif den[:1].isdigit():  # Fraction reads no sign in a denominator
+                p, q = int(num), int(den)
+                if q:
+                    return p, q
+        except ValueError:
+            pass
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except ZeroDivisionError:
         raise GameFormatError(f"zero denominator in {token!r}", line) from None
     except ValueError:
         raise GameFormatError(f"non-numeric token {token!r}", line) from None
+    return value.numerator, value.denominator
 
 
 def parse_game(text: str | bytes) -> Game:
@@ -245,15 +306,15 @@ def parse_game(text: str | bytes) -> Game:
     The format is plain UTF-8 text: optional ``#`` comment lines, a header
     line ``m n``, then m rows of matrix A and m rows of matrix B, each row
     n whitespace-separated numbers.  Numbers may be integers, decimals, or
-    ``p/q`` fractions; decimals are converted exactly via powers of ten.
+    ``p/q`` fractions, each read exactly, as `Fraction` reads it.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = []
+    for i, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            lines.append((i, line))
     if not lines:
         raise GameFormatError("empty input: missing 'm n' header", 1)
 
@@ -275,26 +336,33 @@ def parse_game(text: str | bytes) -> Game:
             body[-1][0] if body else header_no,
         )
 
-    def read_matrix(rows: list[tuple[int, str]]) -> tuple[tuple[Fraction, ...], ...]:
-        matrix = []
+    def read_matrix(rows: list[tuple[int, str]]) -> IntView:
+        pairs = []
         for line_no, line in rows:
             tokens = line.split()
             if len(tokens) != n:
                 raise GameFormatError(
                     f"expected {n} entries, found {len(tokens)}", line_no
                 )
-            matrix.append(tuple(_parse_token(t, line_no) for t in tokens))
-        return tuple(matrix)
+            pairs += [_read_token(t, line_no) for t in tokens]
+        nums, dens = zip(*pairs)
+        return _scaled(nums, dens, n)
 
-    return Game(read_matrix(body[:m]), read_matrix(body[m:]))
+    return Game._of(read_matrix(body[:m]), read_matrix(body[m:]))
 
 
 def write_game(game: Game) -> str:
-    """Serialize a game so that ``parse_game(write_game(g)) == g`` exactly."""
+    """Serialize a game so that ``parse_game(write_game(g)) == g`` exactly;
+    each payoff is written as `Fraction` writes it."""
+    (a_scale, rows), (b_scale, cols) = game.int_payoffs
     lines = [f"{game.m} {game.n}"]
-    for matrix in (game.a, game.b):
+    for scale, matrix in ((a_scale, rows), (b_scale, zip(*cols))):
         for row in matrix:
-            lines.append(" ".join(str(v) for v in row))
+            parts = []
+            for v in row:
+                g = math.gcd(v, scale)
+                parts.append(str(v // g) if g == scale else f"{v // g}/{scale // g}")
+            lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
@@ -317,15 +385,11 @@ def generate_random_game(m: int, n: int, seed: int) -> Game:
         raise ValueError("dimensions must be at least 1")
     rng = random.Random(seed)
 
-    def draw_matrix():
-        return tuple(
-            tuple(Fraction(rng.randint(0, PAYOFF_GRID), PAYOFF_GRID) for _ in range(n))
-            for _ in range(m)
-        )
+    def draw_matrix() -> IntView:
+        return _reduced(PAYOFF_GRID, [rng.randint(0, PAYOFF_GRID) for _ in range(m * n)], n)
 
     a = draw_matrix()
-    b = draw_matrix()
-    return Game(a, b)
+    return Game._of(a, draw_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +460,8 @@ def iterated_elimination(game: Game) -> ReducedGame:
     2. some surviving rival earns strictly more than x against every
        surviving opponent strategy: x is dominated.  The rival that earns
        the maximum on the first surviving opponent strategy is tried
-       before the others;
+       first, then the Pareto front of the survivors, since a member
+       f >= r dominates x whenever a rival r does;
     3. x responds best, among the survivors, to a mixture of two surviving
        opponent strategies: its least-deficit one and one other (see
        `lp._two_column_reply`), found in closed form; its witness support
@@ -406,21 +471,24 @@ def iterated_elimination(game: Game) -> ReducedGame:
        subgame's view times a positive factor; its witness support is kept
        when x survives.
 
-    Rules 2 and 3 cost O(m * n) each.  On the 20 s `generic` panel rule 3
-    answers 33 of the 42 tests that reached the LP before it.  Rule 1's
-    maxima are taken once, over all strategies: a removed strategy
-    earned less than the maximum on every opponent strategy that survived
-    its test, so the survivors' maxima there never change, and a strategy
-    that earns one of them survives while that opponent strategy does.
-    Only rule 4 slices, so a game whose strategies all pass rule 1 (an
-    all-zero tall game) or rule 2's first rival (a tall game whose rows
-    one row dominates) is reduced in linear time.  A survivor keeps its
-    witness support (a mask of original opponent indices) and is tested
-    again only when a strategy in it is removed; other removals only drop
-    a rival or an unused opponent strategy.  Strict domination is
-    path-independent, so the survivors do not depend on this schedule.
+    Rule 2 costs O(|front| * n) and rule 3 O(m * n).  On the 20 s
+    `generic` panel rule 3 answers 33 of the 42 tests that reached the LP
+    before it.  Rule 1's maxima are taken once, over all strategies: a
+    removed strategy earned less than the maximum on every opponent
+    strategy that survived its test, so the survivors' maxima there never
+    change, and a strategy that earns one of them survives while that
+    opponent strategy does.  The front is made, in O(m * |front| * n),
+    when rule 2 first needs it, and again only when rule 4 removes a
+    member: other removals leave every survivor below a member.  Only rule
+    4 slices, so a game whose strategies all pass rule 1 (an all-zero tall
+    game) or rule 2 against a small front is reduced in linear time.  A
+    survivor keeps its witness support (a mask of original opponent
+    indices) and is tested again only when a strategy in it is removed;
+    other removals only drop a rival or an unused opponent strategy.
+    Strict domination is path-independent, so the survivors do not depend
+    on this schedule.
     A player always keeps a strategy.  The reduced `Game` is made once
-    (`game` itself when nothing is removed).
+    (`game` itself when nothing is removed), from sliced ints.
     """
     # deferred: lp builds on the game types
     from .lp import _best_response_region, _two_column_reply
@@ -431,30 +499,44 @@ def iterated_elimination(game: Game) -> ReducedGame:
     # strategy, the first own strategy that earns its maximum (see above).
     tops, leaders = [], []
     for _, rows in game.int_payoffs:
-        top = list(map(max, zip(*rows)))
+        columns = list(zip(*rows))
+        top = list(map(max, columns))
         tops.append(top)
-        leaders.append(
-            [next(x for x, row in enumerate(rows) if row[y] == v) for y, v in enumerate(top)]
-        )
+        leaders.append(list(map(tuple.index, columns, top)))
     # Per side: survivor -> witness support mask, in the order found.
     witness: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    # Per side: rule 2's front, or None until it is (re)made.
+    fronts: list[set[int] | None] = [None, None]
     stale = [list(kept[0]), list(kept[1])]
     while stale[0] or stale[1]:
         for side in (0, 1):
             scale, full = game.int_payoffs[side]
             top = tops[side]
             todo, stale[side] = stale[side], []
+            own, others = kept[side], kept[1 - side]
             for s in todo:
-                own, others = kept[side], kept[1 - side]
                 mine = full[s]
-                reply = next((y for y in others if mine[y] == top[y]), None)
+                reply = None
+                for y in others:
+                    if mine[y] == top[y]:
+                        reply = y
+                        break
                 if reply is not None:
                     witness[side][s] = 1 << reply
                     continue
                 lead = full[leaders[side][next(iter(others))]]
-                if not all(lead[y] > mine[y] for y in others) and not any(
-                    all(full[x][y] > mine[y] for y in others) for x in own
-                ):
+                dominated = True
+                for y in others:
+                    if lead[y] <= mine[y]:
+                        dominated = False
+                        break
+                if not dominated:
+                    if fronts[side] is None:
+                        fronts[side] = _pareto_front(full, own, others)
+                    dominated = any(
+                        all(full[f][y] > mine[y] for y in others) for f in fronts[side]
+                    )
+                if not dominated:
                     rows, cols = list(own), list(others)
                     at = bisect.bisect_left(rows, s)
                     vectors = [full[x] for x in rows]
@@ -468,12 +550,43 @@ def iterated_elimination(game: Game) -> ReducedGame:
                         witness[side][s] = sum(1 << y for y, w in zip(cols, weights) if w)
                         continue
                 del own[s]
+                if fronts[side] is not None and s in fronts[side]:
+                    if dominated:
+                        fronts[side].discard(s)
+                    else:
+                        fronts[side] = None
                 for t, used in list(witness[1 - side].items()):
                     if used >> s & 1:
                         del witness[1 - side][t]
                         stale[1 - side].append(t)
     rows, cols = map(tuple, kept)
     if len(rows) < game.m or len(cols) < game.n:
-        a = tuple(tuple(game.a[x][y] for y in cols) for x in rows)
-        game = Game(a, tuple(tuple(game.b[x][y] for y in cols) for x in rows))
+        (a_scale, a_rows), (b_scale, b_cols) = game.int_payoffs
+        game = Game._of(
+            _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
+            _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
+        )
     return ReducedGame(game, rows, cols)
+
+
+def _pareto_front(
+    full: Sequence[Sequence[int]], own: Iterable[int], others: Iterable[int]
+) -> set[int]:
+    """The x in `own` whose rows full[x] no other weakly exceeds on the
+    columns `others` (the first of equal rows); taken by falling sum, a row
+    comes after every row above it."""
+    cols = list(others)
+    ranked = []
+    for x in own:
+        row = [full[x][y] for y in cols]
+        ranked.append((-sum(row), x, row))
+    ranked.sort()
+    kept, front = [], set()
+    for _, x, row in ranked:
+        for above in kept:
+            if all(map(operator.ge, above, row)):
+                break
+        else:
+            kept.append(row)
+            front.add(x)
+    return front

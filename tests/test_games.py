@@ -21,10 +21,11 @@ from nashcycles.games import (
     parse_game,
     write_game,
 )
-from nashcycles import lp
+from nashcycles import games, lp
+from nashcycles.equilibria import game_hash
 from nashcycles.lp import lp1_dominance
 
-from conftest import degenerate_game, duplicated_game, tied_games
+from conftest import degenerate_game, duplicated_game, scaled_games, tied_games
 
 F = Fraction
 
@@ -143,6 +144,20 @@ def _lp_only_survivors(game: Game) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(kept[0]), tuple(kept[1])
 
 
+def _recorded_fronts(monkeypatch) -> list[set[int]]:
+    """A list that gets every front `iterated_elimination` makes, in order."""
+    fronts = []
+    make = games._pareto_front
+
+    def recording(*args):
+        front = make(*args)
+        fronts.append(set(front))  # a copy: elimination discards from the front
+        return front
+
+    monkeypatch.setattr(games, "_pareto_front", recording)
+    return fronts
+
+
 def _assert_matches_reference(game: Game) -> tuple[ReducedGame, int]:
     """Elimination and the reference agree on the reduced game, its index
     maps, the LP count and the pivot count.  Returns (reduced, LP count)."""
@@ -173,6 +188,49 @@ def _dominated_fraction_games(draw) -> Game:
         return [[*row[:c], row[-1], *row[c:-1]] for row in matrix]
 
     return Game.from_rows(move(a), move(b))
+
+
+@st.composite
+def _tokens(draw) -> str:
+    """Payoff tokens: signs, ``p/q`` (with signed or zero denominators),
+    decimals, exponents, underscores, non-ASCII digits and stray text."""
+    digit = st.sampled_from("0123456789" * 4 + "_٣१１߁")
+    digits = st.text(digit, max_size=4)
+    sign = st.sampled_from(["", "", "-", "+"])
+    num = st.builds(lambda s, d: s + d, sign, digits)
+    form = draw(st.sampled_from(["int", "ratio", "decimal", "exponent", "junk"]))
+    if form == "int":
+        token = draw(num)
+    elif form == "ratio":
+        token = draw(num) + "/" + draw(num)
+    elif form == "decimal":
+        token = draw(num) + "." + draw(digits)
+    elif form == "exponent":
+        mantissa = draw(num) + draw(st.sampled_from(["", "."])) + draw(digits)
+        token = mantissa + draw(st.sampled_from("eE")) + draw(num)
+    else:
+        token = draw(st.text(st.sampled_from("0123456789-+/._eExinfa"), max_size=6))
+    return token or "0"
+
+
+def _assert_read_as_fraction(token: str) -> None:
+    """The token is read to Fraction(token)'s value, or refused with the
+    message that names Fraction's error, on the token's line."""
+    text = f"1 1\n{token}\n0\n"
+    try:
+        expected = Fraction(token)
+    except ZeroDivisionError:
+        message = f"line 2: zero denominator in {token!r}"
+    except ValueError:
+        message = f"line 2: non-numeric token {token!r}"
+    else:
+        game = parse_game(text)
+        assert game.a[0][0] == expected
+        assert game == Game.from_rows([[expected]], [[0]])
+        return
+    with pytest.raises(GameFormatError) as err:
+        parse_game(text)
+    assert (str(err.value), err.value.line) == (message, 2)
 
 
 class TestParsing:
@@ -222,6 +280,34 @@ class TestParsing:
         assert err.value.line == line_no
         assert f"line {line_no}" in str(err.value)
 
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(_tokens())
+    def test_tokens_read_as_fraction_reads_them(self, token):
+        _assert_read_as_fraction(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1/-2", "1/+2", "0/0", "-0/0", "1_0/3", "1__0", "1_0", "._5", ".-5", "-.", "5.", "-.5",
+         "1e", "1E-2", "١٢/٣", "１.５"],
+    )
+    def test_token_edge_cases(self, token):
+        _assert_read_as_fraction(token)
+
+    def test_integer_paths_make_no_fraction(self, monkeypatch):
+        # Parsing ints, p/q and decimals, generating, eliminating and
+        # writing never build a Fraction.
+        expected = generate_random_game(4, 5, 11)
+        scale, rows = expected.int_payoffs[0]
+        thousandths = [[v * (1000 // scale) for v in row] for row in rows]
+        lines = write_game(expected).splitlines()
+        lines[1 : 1 + expected.m] = [
+            " ".join(f"{k // 1000}.{k % 1000:03d}" for k in row) for row in thousandths
+        ]
+        monkeypatch.setattr("nashcycles.games.Fraction", None)
+        game = parse_game("\n".join(lines))
+        assert generate_random_game(4, 5, 11) == game == expected
+        assert write_game(iterated_elimination(game).game)
+
 
 class TestWriting:
     def test_round_trip_named_games(self, pd, mp, one_by_one):
@@ -235,6 +321,90 @@ class TestWriting:
         for seed in range(5):
             g = generate_random_game(3, 4, seed)
             assert parse_game(write_game(g)) == g
+
+    def test_round_trip_negative_and_fractional_text(self):
+        text = "2 3\n-1/2 3 0\n7/3 -4 -5/6\n1/4 -1 2/9\n0 -7/8 12\n"
+        assert write_game(parse_game(text)) == text
+        assert parse_game(text).b[1] == (F(0), F(-7, 8), F(12))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_round_trip_negative_and_fractional_games(self, m, n, data):
+        entry = st.fractions(-5, 5, max_denominator=12)
+        a, b = ([[data.draw(entry) for _ in range(n)] for _ in range(m)] for _ in "ab")
+        g = Game.from_rows(a, b)
+        text = write_game(g)
+        assert parse_game(text) == g
+        assert write_game(parse_game(text)) == text
+        assert text.splitlines()[1:] == [" ".join(map(str, row)) for row in a + b]
+
+
+class TestGameHash:
+    """The stats trailer prints `game_hash`, so these values are pinned."""
+
+    def test_cli_smoke_game(self):
+        # `nashcycles gen -m 4 -n 4 --seed 7`
+        assert game_hash(generate_random_game(4, 4, 7)) == "df26b250a560c87b"
+
+    def test_tied_game(self):
+        text = "4 4\n0 1 2 1\n2 0 0 1\n0 2 2 0\n0 1 2 1\n1 0 0 2\n1 2 0 0\n1 1 1 2\n1 0 0 2\n"
+        assert game_hash(parse_game(text)) == "f15476c947ad8c44"
+
+    def test_decimal_fraction_and_negative_tokens(self):
+        text = "2 3\n-1/2 0.25 3\n-7/4 1.125 -2\n2.5 -1/3 0\n4 -3/6 -0.75\n"
+        assert game_hash(parse_game(text)) == "40b5bb44eb5996a3"
+
+
+class TestGame:
+    def test_one_value_one_game(self):
+        halves = [F(1, 2), F(2, 4), "1/2", "2/4", "0.5", "+5e-1"]
+        games = [Game.from_rows([[v, 1]], [[0, v]]) for v in halves]
+        games.append(parse_game("1 2\n2/4 1\n0 0.5\n"))
+        assert all(g == games[0] for g in games)
+        assert len({hash(g) for g in games}) == 1
+        assert len({game_hash(g) for g in games}) == 1
+        assert games[0].int_payoffs == ((2, ((1, 2),)), (2, ((0,), (1,))))
+
+    def test_views(self):
+        g = Game.from_rows([[F(1, 3), -2], ["0.25", 0]], [[1, 2], [3, F(4, 6)]])
+        assert (g.m, g.n) == (2, 2)
+        assert g.a == ((F(1, 3), F(-2)), (F(1, 4), F(0)))
+        assert g.b == ((F(1), F(2)), (F(3), F(2, 3)))
+        assert g.int_payoffs == ((12, ((4, -24), (3, 0))), (3, ((3, 9), (6, 2))))
+
+    def test_from_rows_refuses(self):
+        with pytest.raises(TypeError, match="not floats"):
+            Game.from_rows([[0.5]], [[0]])
+        with pytest.raises(ValueError, match="ragged"):
+            Game.from_rows([[1, 2], [3]], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="identical dimensions"):
+            Game.from_rows([[1, 2]], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="at least one strategy"):
+            Game.from_rows([[]], [[]])
+
+    def test_direct_construction_checks_the_form(self):
+        g = Game.from_rows([[1, F(1, 2)]], [[3, 4]])
+        assert Game(g.int_payoffs) == g
+        assert Game([[2, [[2, 1]]], [1, [[3], [4]]]]) == g  # lists become tuples
+        with pytest.raises(ValueError, match="coprime"):
+            Game(((4, ((2, 4),)), (1, ((3,), (4,)))))
+        with pytest.raises(ValueError, match="coprime"):
+            Game(((0, ((2, 1),)), (1, ((3,), (4,)))))
+        with pytest.raises(TypeError, match="ints"):
+            Game(((2, ((2.0, 1),)), (1, ((3,), (4,)))))
+        with pytest.raises(ValueError, match="identical dimensions"):
+            Game(((2, ((2, 1),)), (1, ((3, 4),))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(tied_games(), scaled_games()))
+    def test_reduced_view_matches_fraction_slices(self, game):
+        red = iterated_elimination(game)
+        sliced = Game.from_rows(
+            [[game.a[x][y] for y in red.col_map] for x in red.row_map],
+            [[game.b[x][y] for y in red.col_map] for x in red.row_map],
+        )
+        assert red.game.int_payoffs == sliced.int_payoffs
+        assert red.game == sliced and hash(red.game) == hash(sliced)
 
 
 class TestRandomGames:
@@ -428,16 +598,37 @@ class TestIteratedElimination:
         red, (lps, _) = _lp_counts(lambda: iterated_elimination(mixed_only))
         assert (red.row_map, red.col_map, lps) == ((0, 1), (0, 1), 1)
 
-    def test_builds_one_game(self, pd, mp, monkeypatch):
-        built = []
-        post_init = Game.__post_init__
+    def test_tall_game_dominated_by_its_last_row(self, monkeypatch):
+        # Row 0 leads column 0 but dominates none of the zero rows; only
+        # the last row does.  Rule 2 asks one front, {0, m - 1}, for all of
+        # them, so the reduction is linear in m.
+        m = 3000
+        game = Game.from_rows([[5, 0]] + [[0, 0]] * (m - 2) + [[1, 1]], [[1, 0]] * m)
+        fronts = _recorded_fronts(monkeypatch)
+        red = iterated_elimination(game)
+        assert (red.row_map, red.col_map) == ((0,), (0,))
+        assert fronts == [{0, m - 1}]
 
-        def counting(self):
-            built.append(self)
-            post_init(self)
+    def test_front_is_made_again_when_rule_4_removes_a_member(self, monkeypatch):
+        # Rows 2 and 3 are Pareto-maximal but dominated by the mixture of
+        # rows 0 and 1: removing row 2 by LP leaves row 3 uncovered.
+        game = Game.from_rows([[6, 0], [0, 6], [2, 2], [2, 1]], [[0, 0]] * 4)
+        fronts = _recorded_fronts(monkeypatch)
+        red, lps = _assert_matches_reference(game)
+        assert (red.row_map, lps) == ((0, 1), 2)
+        assert fronts == [{0, 1, 2}, {0, 1, 3}]
+
+    def test_builds_one_game(self, pd, mp, monkeypatch):
+        # Every constructor of the package makes its Game in Game._of.
+        built = []
+        make = Game._of.__func__
+
+        def counting(cls, a, b):
+            built.append(make(cls, a, b))
+            return built[-1]
 
         game = generate_random_game(4, 4, 4000)
-        monkeypatch.setattr(Game, "__post_init__", counting)
+        monkeypatch.setattr(Game, "_of", classmethod(counting))
         for g in (pd, game):
             built.clear()
             red = iterated_elimination(g)
