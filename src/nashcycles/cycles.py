@@ -16,6 +16,7 @@ through each vertex.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -312,7 +313,10 @@ def cycle_basis(graph: BipartiteDigraph, budget: int = DEFAULT_BUDGET) -> list[C
     each x in R and y in C form a 3-cycle there; at full caps the vertices R
     and C of G_I form one too, since the equilibrium's own strategies are
     common witnesses both ways.
-    Past `budget` classes it raises BudgetExceededError(budget + 1, budget).
+    Past `budget` classes it raises BudgetExceededError(budget + 1, budget),
+    and a graph with an arc from every vertex to every opposite vertex, whose
+    classes are all its vertex sets with equal sides, sum_k C(L, k) C(R, k) =
+    C(L + R, L) - 1 of them, raises with that count before it admits any.
     """
     L = len(graph.left)
     R = len(graph.right)
@@ -322,6 +326,9 @@ def cycle_basis(graph: BipartiteDigraph, budget: int = DEFAULT_BUDGET) -> list[C
     has_artificial = any(graph.artificial)
     left_ids = (1 << L) - 1
     right_ids = ((1 << R) - 1) << L
+    total = math.comb(L + R, L) - 1
+    if total > budget and succ_all[:L].count(right_ids) == L and succ_all[L:].count(left_ids) == R:
+        raise BudgetExceededError(total, budget)
 
     entries: list[CycleBasisEntry] = []
     admitted: list[int] = []

@@ -278,8 +278,7 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     (`lp._two_column_reply`): its best-response region then has interior,
     so R(x) is every column.  Any other row asks the record the side
     ({x}, U(x)), and only a row that fails it costs `compute_relevancy`'s
-    max-support program.  On the 20 s `generic` panel the build solves 1
-    LP where it solved 22 before the two-column test.
+    max-support program.
     """
     record = _record(game, infeasible)
     m, n = game.m, game.n

@@ -198,7 +198,8 @@ def _bicliques(
     so the walk stops where it empties.  On reaching R it counts R's
     2^k - 1 bicliques, k the joined columns, in closed form, and raises
     BudgetExceededError(budget + 1, budget) once the count passes `budget`,
-    before building any of them.  It then yields the column sets
+    before building any of them; a fully joined graph refuses before the
+    walk, on its count (2^m - 1)(2^n - 1).  It then yields the column sets
     `record.column_sets` leaves, which counts the rest as pruned, so a
     visited row set may yield nothing.  The walk keeps its own stack of
     (rows, joined columns, next row to try), one entry per level, so a tall
@@ -208,6 +209,9 @@ def _bicliques(
     mutual = [
         sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
     ]
+    total = ((1 << m) - 1) * ((1 << n) - 1)
+    if total > budget and mutual.count((1 << n) - 1) == m:
+        raise BudgetExceededError(total, budget)
     count = 0
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
@@ -232,12 +236,8 @@ def _bicliques(
 
 def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
     """`enumerate_by_supports` on the eliminated game `red`, labelled `method`."""
-    m, n = red.game.m, red.game.n
-    total = ((1 << m) - 1) * ((1 << n) - 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
     record = InfeasibleSides(red.game)
-    candidates = _bicliques(BipartiteDigraph.complete(m, n), record, budget)
+    candidates = _bicliques(BipartiteDigraph.complete(red.game.m, red.game.n), record, budget)
     return _run_checks(game, red, candidates, method, budget, record)
 
 
@@ -247,7 +247,7 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
     supports first.
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
-    elimination) exceeds `budget`.
+    elimination) exceeds `budget`, in the walk, before any pair is built.
     """
     return _support_walk(game, iterated_elimination(game), "supports", budget)
 

@@ -227,6 +227,8 @@ class MixedStrategy:
 
     @classmethod
     def pure(cls, owner: int, index: int, size: int) -> "MixedStrategy":
+        if not 0 <= index < size:
+            raise ValueError(f"strategy index {index} out of range")
         probs = [Fraction(0)] * size
         probs[index] = Fraction(1)
         return cls(owner, tuple(probs))
@@ -234,7 +236,9 @@ class MixedStrategy:
 
 @dataclass(frozen=True)
 class SupportPair:
-    """A candidate support: sorted row indices and sorted column indices."""
+    """A support pair: sorted row indices and sorted column indices.  The
+    pipelines pass candidates as bitmask pairs and make one only for an
+    equilibrium found."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
@@ -471,20 +475,19 @@ def iterated_elimination(game: Game) -> ReducedGame:
        subgame's view times a positive factor; its witness support is kept
        when x survives.
 
-    Rule 2 costs O(|front| * n) and rule 3 O(m * n).  On the 20 s
-    `generic` panel rule 3 answers 33 of the 42 tests that reached the LP
-    before it.  Rule 1's maxima are taken once, over all strategies: a
-    removed strategy earned less than the maximum on every opponent
-    strategy that survived its test, so the survivors' maxima there never
-    change, and a strategy that earns one of them survives while that
-    opponent strategy does.  The front is made, in O(m * |front| * n),
-    when rule 2 first needs it, and again only when rule 4 removes a
-    member: other removals leave every survivor below a member.  Only rule
-    4 slices, so a game whose strategies all pass rule 1 (an all-zero tall
-    game) or rule 2 against a small front is reduced in linear time.  A
-    survivor keeps its witness support (a mask of original opponent
-    indices) and is tested again only when a strategy in it is removed;
-    other removals only drop a rival or an unused opponent strategy.
+    Rule 2 costs O(|front| * n) and rule 3 O(m * n).  Rule 1's maxima are
+    taken once, over all strategies: a removed strategy earned less than
+    the maximum on every opponent strategy that survived its test, so the
+    survivors' maxima there never change, and a strategy that earns one of
+    them survives while that opponent strategy does.  The front is made,
+    in O(m * |front| * n), when rule 2 first needs it, and again only when
+    rule 4 removes a member: other removals leave every survivor below a
+    member.  Only rule 4 slices, so a game whose strategies all pass rule 1
+    (an all-zero tall game) or rule 2 against a small front is reduced in
+    linear time.  A survivor keeps its witness support (a mask of original
+    opponent indices) and is tested again only when a strategy in it is
+    removed; other removals only drop a rival or an unused opponent
+    strategy.
     Strict domination is path-independent, so the survivors do not depend
     on this schedule.
     A player always keeps a strategy.  The reduced `Game` is made once

@@ -44,9 +44,6 @@ interval that misses the uniform mixture is left to the LP.  Iterated
 elimination tries a pure best response, a pure dominator and a
 two-column mixture before its LP, and `build_gr` settles with no LP a
 row whose strategy is the unique best response to a two-column mixture.
-On the benchmark's 20 s panels the two-column answers took the LPs
-(elimination / G_R build / checks) from 42/22/188 to 9/1/95 (`generic`),
-1/3/136 to 1/1/65 (`degenerate`) and 135/14/517 to 53/0/159 (`corpus`).
 
 Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the

@@ -339,8 +339,19 @@ class TestCycleBasis:
         assert len(searched) > len(set(searched))
 
     def test_class_budget(self):
+        # A complete graph's classes are all its vertex sets with equal
+        # sides, 4 * 4 + 6 * 6 + 4 * 4 + 1 = 69 on K_{4,4}, counted before any
+        # is admitted; another graph refuses at its first class past the
+        # budget.
         with pytest.raises(BudgetExceededError) as err:
             cycle_basis(BipartiteDigraph.complete(4, 4), budget=10)
+        assert (err.value.candidates, err.value.budget) == (69, 10)
+        assert len(cycle_basis(BipartiteDigraph.complete(4, 4), budget=69)) == 69
+        graph = BipartiteDigraph.complete(4, 4)
+        without_0_to_4 = (graph.succ[0] & ~(1 << 4),) + graph.succ[1:]
+        sparse = BipartiteDigraph(graph.left, graph.right, without_0_to_4)
+        with pytest.raises(BudgetExceededError) as err:
+            cycle_basis(sparse, budget=10)
         assert (err.value.candidates, err.value.budget) == (11, 10)
 
     def test_refusal_message_never_converts_a_huge_count(self):

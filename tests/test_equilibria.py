@@ -194,14 +194,55 @@ class TestGrPipeline:
         assert list(_every_biclique(graph)) == [(1 << i, 1 << i) for i in range(size)]
 
     def test_budget_counts_bicliques(self, mp):
+        # G_R of matching pennies is fully joined: its 3 x 3 bicliques are
+        # counted in closed form before the walk.
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(mp, budget=3)
-        assert err.value.candidates == 4
+        assert err.value.candidates == 9
+
+    def test_fully_joined_graph_refuses_before_the_walk(self):
+        # The count is decided before the first pair is yielded, and the
+        # record is never asked for a row set's column sets.
+        zero = [[0] * 20 for _ in range(20)]
+        record = InfeasibleSides(Game.from_rows(zero, zero))
+        with pytest.raises(BudgetExceededError) as err:
+            next(_bicliques(BipartiteDigraph.complete(20, 20), record, DEFAULT_BUDGET))
+        assert (err.value.candidates, err.value.budget) == ((2**20 - 1) ** 2, DEFAULT_BUDGET)
+
+        class NoColumnSets:
+            def column_sets(self, rows, cols):
+                raise AssertionError("the walk built a candidate it refuses")
+
+        with pytest.raises(BudgetExceededError):
+            next(_bicliques(BipartiteDigraph.complete(3, 3), NoColumnSets(), 48))
+
+    def test_exact_routes_refuse_alike(self, mp):
+        # supports, gr and full-caps gi refuse a fully joined game with one
+        # count, decided by the one walk they share.
+        zero20 = [[0] * 20 for _ in range(20)]
+        tall = [[0]] * 1100
+        games = (
+            (mp, 3),
+            (Game.from_rows(zero20, zero20), DEFAULT_BUDGET),
+            (Game.from_rows(tall, tall), DEFAULT_BUDGET),
+        )
+        for g, budget in games:
+            refusals = set()
+            for route in (
+                lambda: enumerate_by_supports(g, budget),
+                lambda: enumerate_by_gr(g, budget),
+                lambda: enumerate_by_gi(g, g.m, g.n, budget),
+            ):
+                with pytest.raises(BudgetExceededError) as err:
+                    route()
+                refusals.add((err.value.candidates, err.value.budget))
+            assert refusals == {(((1 << g.m) - 1) * ((1 << g.n) - 1), budget)}
 
     def test_budget_counts_dropped_bicliques(self):
         # G_R of this game is complete on 4 x 5 after elimination: 465
         # bicliques, of which pure dominance lets the walk build only 52.
-        # The budget counts all 465, so one between the two still refuses.
+        # The budget counts all 465, so one between the two still refuses,
+        # on the closed-form count of the fully joined graph.
         g = generate_random_game(5, 5, 0)
         rg = iterated_elimination(g).game
         record = InfeasibleSides(rg)
@@ -209,27 +250,32 @@ class TestGrPipeline:
         assert record.pruned == 465 - 52
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(g, budget=100)
-        assert (err.value.candidates, err.value.budget) == (101, 100)
+        assert (err.value.candidates, err.value.budget) == (465, 100)
         result = enumerate_by_gr(g, budget=465)
         assert result.stats.candidates == 465
         assert result.stats == enumerate_by_supports(g).stats
 
     def test_budget_stops_the_walk(self):
         # G_R is complete on 20 x 20, so the walk could yield (2^20 - 1)^2
-        # bicliques; the budget must stop it at the eleventh.
+        # bicliques; it must refuse on that count before it yields one.
         zero = [[0] * 20 for _ in range(20)]
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(Game.from_rows(zero, zero), budget=10)
-        assert err.value.candidates == 11
+        assert err.value.candidates == (2**20 - 1) ** 2
         assert time.perf_counter() - start < 10
 
     def test_tall_game_refuses_on_its_count(self):
-        # The walk goes 1100 row sets deep before its count passes 2000; it
-        # must refuse on the count, not on Python's recursion limit.
-        zero = [[0]] * 1100
+        # 1100 zero rows, then (1, -1) and (1, 0), with B zero: nothing is
+        # eliminated, and G_R joins the zero rows to column 2 alone, so it
+        # is not fully joined and the walk runs.  It goes 1100 row sets deep
+        # before its count passes 2000; it must refuse on the count, not on
+        # Python's recursion limit.
+        a = [[0, 0]] * 1100 + [[1, -1], [1, 0]]
+        g = Game.from_rows(a, [[0, 0]] * 1102)
+        assert iterated_elimination(g).game.m == 1102
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_by_gr(Game.from_rows(zero, zero), budget=2000)
+            enumerate_by_gr(g, budget=2000)
         assert (err.value.candidates, err.value.budget) == (2001, 2000)
 
 
@@ -239,6 +285,18 @@ class TestGiPipeline:
             oracle = enumerate_by_supports(g)
             via_gi = enumerate_by_gi(g, g.m, g.n)
             assert via_gi.support_pairs() == oracle.support_pairs()
+
+    def test_complete_capped_graph_refuses_on_its_count(self):
+        # G_I of the all-zero 5 x 5 game at k = l = 2 joins each of its 15
+        # row subsets to each of its 15 column subsets, so its basis would be
+        # every vertex set with equal sides: C(30, 15) - 1 classes, refused
+        # before any is admitted.
+        zero = [[0] * 5 for _ in range(5)]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_by_gi(Game.from_rows(zero, zero), 2, 2)
+        assert (err.value.candidates, err.value.budget) == (155117519, DEFAULT_BUDGET)
+        assert time.perf_counter() - start < 5
 
     def test_bos_sub_cap_finds_pure_only(self, bos):
         result = enumerate_by_gi(bos, 1, 1)

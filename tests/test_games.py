@@ -489,6 +489,12 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="^owner must be 1 or 2, got 3$"):
             MixedStrategy.from_weights(3, [1])
 
+    def test_pure_checks_its_index(self):
+        assert MixedStrategy.pure(2, 2, 3).probs == (F(0), F(0), F(1))
+        for index, size in ((-1, 3), (3, 3), (0, 0)):
+            with pytest.raises(ValueError, match=f"^strategy index {index} out of range$"):
+                MixedStrategy.pure(1, index, size)
+
     def test_from_weights_refuses_a_zero_sum(self):
         with pytest.raises(ValueError, match="^weights must have a positive sum$"):
             MixedStrategy.from_weights(1, [0, 0])
