@@ -107,10 +107,20 @@ class BipartiteDigraph:
                 raise ValueError(f"vertex {v} flags an artificial arc it lacks")
 
     @classmethod
+    def _of(cls, left, right, succ, artificial=()) -> "BipartiteDigraph":
+        """The graph of these fields, unchecked: the caller vouches for
+        them.  `artificial` is all zero when omitted, as in the constructor."""
+        graph = object.__new__(cls)
+        vars(graph).update(
+            left=left, right=right, succ=succ, artificial=artificial or (0,) * len(succ)
+        )
+        return graph
+
+    @classmethod
     def complete(cls, m: int, n: int) -> "BipartiteDigraph":
         """Completely connected graph on singleton vertices (m left, n right)."""
         left_ids, right_ids = (1 << m) - 1, ((1 << n) - 1) << m
-        return cls(
+        return cls._of(
             tuple(1 << x for x in range(m)),
             tuple(1 << y for y in range(n)),
             (right_ids,) * m + (left_ids,) * n,
@@ -302,7 +312,7 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
                     bound = sum(1 << y for y in compute_relevancy(game, player, x).members)
             succ.append(bound << offset)
     singletons = tuple(1 << x for x in range(m)), tuple(1 << y for y in range(n))
-    return BipartiteDigraph(*singletons, tuple(succ))
+    return BipartiteDigraph._of(*singletons, tuple(succ))
 
 
 def build_gd(
@@ -330,7 +340,7 @@ def build_gd(
         sum(1 << i for i, s in enumerate(left) if record.check_side(2, t, s) is not None)
         for t in right
     ]
-    return BipartiteDigraph(left, right, tuple(succ))
+    return BipartiteDigraph._of(left, right, tuple(succ))
 
 
 def _fallback_arcs(gd: BipartiteDigraph, v: int) -> int:
@@ -376,4 +386,4 @@ def build_gi(
     gd = build_gd(game, k, l, infeasible)
     artificial = tuple(0 if outs else _fallback_arcs(gd, v) for v, outs in enumerate(gd.succ))
     succ = tuple(outs | flags for outs, flags in zip(gd.succ, artificial))
-    return BipartiteDigraph(gd.left, gd.right, succ, artificial)
+    return BipartiteDigraph._of(gd.left, gd.right, succ, artificial)

@@ -23,7 +23,7 @@ probabilities, strategy and payoff once, and its entries share them.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -78,16 +78,28 @@ class PipelineStats:
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    game_hash: str
+    """The equilibria of `game`, the game as given (not its reduction),
+    found by `method`."""
+
+    game: Game
     method: str
     entries: tuple[Equilibrium, ...]
     stats: PipelineStats
+
+    @functools.cached_property
+    def game_hash(self) -> str:
+        """`game_hash(self.game)`, computed on first read."""
+        return game_hash(self.game)
 
     def support_pairs(self) -> tuple[SupportPair, ...]:
         return tuple(e.support for e in self.entries)
 
 
 def game_hash(game: Game) -> str:
+    """The first 16 hex digits of the SHA-256 of `write_game(game)`."""
+    # deferred: hashlib loads OpenSSL, which no solve needs
+    import hashlib
+
     return hashlib.sha256(write_game(game).encode()).hexdigest()[:16]
 
 
@@ -182,7 +194,7 @@ def _run_checks(
             entries.append(publish(rows, cols, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
     stats = PipelineStats(drawn, infeasible.pruned, len(entries))
-    return EquilibriumSet(game_hash(original), method, tuple(entries), stats)
+    return EquilibriumSet(original, method, tuple(entries), stats)
 
 
 def _bicliques(

@@ -207,6 +207,17 @@ class TestBipartiteDigraph:
         with pytest.raises(ValueError):
             BipartiteDigraph(_PAIR, _PAIR, (0, 0, 0, 0), (0b0100, 0, 0, 0))
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_built_graphs_pass_the_checks(self, g):
+        # The builders construct unchecked; the constructor's checks must
+        # accept what they build, artificial flags included.
+        graphs = [BipartiteDigraph.complete(g.m, g.n), build_gr(g)]
+        for k, l in itertools.product(range(1, g.m + 1), range(1, g.n + 1)):
+            graphs += [build_gd(g, k, l), build_gi(g, k, l)]
+        for graph in graphs:
+            assert BipartiteDigraph(graph.left, graph.right, graph.succ, graph.artificial) == graph
+
 
 class TestBuildGr:
     def test_mp_completely_connected(self, mp):

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -107,6 +111,52 @@ class TestOracle:
 
     def test_determinism(self, bos):
         assert enumerate_by_supports(bos) == enumerate_by_supports(bos)
+
+
+# Solves on every route through the API and `solve` in text mode, then reads
+# each result's hash; argv[1] is the file of `nashcycles gen -m 4 -n 4 --seed 7`.
+_LAZY_HASH_RUN = """
+import json, sys
+import nashcycles as nc
+from nashcycles import cli
+g = nc.parse_game(open(sys.argv[1]).read())
+runs = [nc.enumerate_by_supports(g), nc.enumerate_by_gr(g), nc.enumerate_by_gi(g, 2, 2)]
+runs.append(nc.enumerate_by_gi(g, 4, 4))
+code = cli.main(["solve", sys.argv[1]])
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+print(json.dumps([code, loaded, [r.game_hash for r in runs]]))
+"""
+
+
+class TestResultGame:
+    def test_solving_loads_no_hashlib(self, tmp_path):
+        # A fresh process, so no other test's import of hashlib counts.
+        path = tmp_path / "g.game"
+        path.write_text(nashcycles.write_game(generate_random_game(4, 4, 7)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nashcycles.__file__)))
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", _LAZY_HASH_RUN, str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
+        )
+        code, loaded, hashes = json.loads(run.stdout.splitlines()[-1])
+        assert (code, loaded) == (0, [])
+        # The digest tests/test_games.py pins for this game.
+        assert hashes == ["df26b250a560c87b"] * 4
+
+    def test_result_holds_the_game_as_given(self):
+        # Matching pennies with a strictly dominated first row and first
+        # column planted, which elimination removes.
+        g = Game.from_rows(
+            [[-5, -9, -9], [0, 1, -1], [0, -1, 1]],
+            [[0, 0, 0], [-9, -1, 1], [-9, 1, -1]],
+        )
+        reduced = iterated_elimination(g).game
+        assert (reduced.m, reduced.n) == (2, 2)
+        for result in (*_routes(g), enumerate_by_gi(g, 1, 1)):
+            assert result.game is g
+            assert result.game_hash == equilibria_module.game_hash(g)
+            assert result.game_hash != equilibria_module.game_hash(reduced)
 
 
 class TestGrPipeline:
