@@ -97,10 +97,23 @@ class EquilibriumSet:
 
 def game_hash(game: Game) -> str:
     """The first 16 hex digits of the SHA-256 of `write_game(game)`."""
-    # deferred: hashlib loads OpenSSL, which no solve needs
-    import hashlib
+    return _sha256()(write_game(game).encode()).hexdigest()[:16]
 
-    return hashlib.sha256(write_game(game).encode()).hexdigest()[:16]
+
+@functools.cache
+def _sha256():
+    """SHA-256's constructor, found on first use: CPython's built-in module
+    first, because hashlib maps OpenSSL, which no solve needs (random.py
+    does the same for SHA-512).  Cached, since a failed import is not: it
+    searches sys.path again on every call."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +210,23 @@ def _run_checks(
     return EquilibriumSet(original, method, tuple(entries), stats)
 
 
+def _mutual(graph: BipartiteDigraph) -> list[int]:
+    """Per row x of a strategy-level graph, the mask of the columns y with
+    both arcs x -> y and y -> x."""
+    m = len(graph.left)
+    return [
+        sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
+    ]
+
+
 def _bicliques(
-    graph: BipartiteDigraph, record: InfeasibleSides, budget: int
+    mutual: list[int], n: int, record: InfeasibleSides, budget: int
 ) -> Iterator[tuple[int, int]]:
     """Lazily yield every support pair (R, C) of a strategy-level graph with
     all arcs of R x C and of C x R present, each once as the bitmask pair
     (rows, cols), except the pairs the pure conditional-dominance test of
-    `record` rules out.
+    `record` rules out.  The graph is given by its `_mutual` masks over its
+    `n` columns; the complete graph's are `[(1 << n) - 1] * m`.
 
     Row sets are walked depth-first by increasing index, keeping the columns
     joined both ways to every row so far; that set only shrinks as R grows,
@@ -217,10 +240,7 @@ def _bicliques(
     (rows, joined columns, next row to try), one entry per level, so a tall
     game refuses on its count, not on Python's recursion limit.
     """
-    m, n = len(graph.left), len(graph.right)
-    mutual = [
-        sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
-    ]
+    m = len(mutual)
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
@@ -248,8 +268,9 @@ def _bicliques(
 
 def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
     """`enumerate_by_supports` on the eliminated game `red`, labelled `method`."""
+    m, n = red.game.m, red.game.n
     record = InfeasibleSides(red.game)
-    candidates = _bicliques(BipartiteDigraph.complete(red.game.m, red.game.n), record, budget)
+    candidates = _bicliques([(1 << n) - 1] * m, n, record, budget)
     return _run_checks(game, red, candidates, method, budget, record)
 
 
@@ -277,7 +298,7 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """
     red = iterated_elimination(game)
     record = InfeasibleSides(red.game)
-    candidates = _bicliques(build_gr(red.game, record), record, budget)
+    candidates = _bicliques(_mutual(build_gr(red.game, record)), red.game.n, record, budget)
     return _run_checks(game, red, candidates, "gr", budget, record)
 
 

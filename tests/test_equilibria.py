@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from nashcycles.equilibria import (
     PipelineStats,
     _Publisher,
     _bicliques,
+    _mutual,
     _run_checks,
     eliminable_strategies,
     enumerate_by_gi,
@@ -66,7 +69,8 @@ def _every_biclique(graph):
     """The walk with the record of an all-zero game, where no pure rival
     dominates anything, so nothing is dropped."""
     zero = [[0] * len(graph.right) for _ in graph.left]
-    return _bicliques(graph, InfeasibleSides(Game.from_rows(zero, zero)), DEFAULT_BUDGET)
+    record = InfeasibleSides(Game.from_rows(zero, zero))
+    return _bicliques(_mutual(graph), len(graph.right), record, DEFAULT_BUDGET)
 
 
 class TestOracle:
@@ -113,24 +117,34 @@ class TestOracle:
         assert enumerate_by_supports(bos) == enumerate_by_supports(bos)
 
 
-# Solves on every route through the API and `solve` in text mode, then reads
-# each result's hash; argv[1] is the file of `nashcycles gen -m 4 -n 4 --seed 7`.
+# Solves on every route through the API, `solve` in text mode and `solve
+# --output structured` on every route, then reads each result's hash;
+# argv[1] is the file of `nashcycles gen -m 4 -n 4 --seed 7`.
 _LAZY_HASH_RUN = """
-import json, sys
+import contextlib, io, json, sys
 import nashcycles as nc
 from nashcycles import cli
 g = nc.parse_game(open(sys.argv[1]).read())
 runs = [nc.enumerate_by_supports(g), nc.enumerate_by_gr(g), nc.enumerate_by_gi(g, 2, 2)]
 runs.append(nc.enumerate_by_gi(g, 4, 4))
-code = cli.main(["solve", sys.argv[1]])
+codes = [cli.main(["solve", sys.argv[1]])]
+trailers = []
+for method in ("supports", "gr", "gi"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(cli.main(["solve", sys.argv[1], "--method", method, "--output", "structured"]))
+    trailers += [line for line in out.getvalue().splitlines() if line.startswith("stats ")]
+hashes = [r.game_hash for r in runs]
 loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
-print(json.dumps([code, loaded, [r.game_hash for r in runs]]))
+print(json.dumps([codes, loaded, hashes, trailers]))
 """
 
 
 class TestResultGame:
     def test_solving_loads_no_hashlib(self, tmp_path):
         # A fresh process, so no other test's import of hashlib counts.
+        if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+            pytest.skip("neither _sha2 nor _sha256 imports, so game_hash falls back to hashlib")
         path = tmp_path / "g.game"
         path.write_text(nashcycles.write_game(generate_random_game(4, 4, 7)))
         src = os.path.dirname(os.path.dirname(os.path.abspath(nashcycles.__file__)))
@@ -139,10 +153,13 @@ class TestResultGame:
             [sys.executable, "-c", _LAZY_HASH_RUN, str(path)],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
         )
-        code, loaded, hashes = json.loads(run.stdout.splitlines()[-1])
-        assert (code, loaded) == (0, [])
-        # The digest tests/test_games.py pins for this game.
+        codes, loaded, hashes, trailers = json.loads(run.stdout.splitlines()[-1])
+        assert (codes, loaded) == ([0] * 4, [])
+        # The digest tests/test_games.py pins for this game, read through
+        # the API and printed in every structured trailer.
         assert hashes == ["df26b250a560c87b"] * 4
+        assert len(trailers) == 3
+        assert all(" game=df26b250a560c87b " in line for line in trailers)
 
     def test_result_holds_the_game_as_given(self):
         # Matching pennies with a strictly dominated first row and first
@@ -229,7 +246,7 @@ class TestGrPipeline:
         pure = InfeasibleSides(rg)
         expected = [pair for pair in every if not pure.rules_out(*pair)]
         record = InfeasibleSides(rg)
-        walked = sorted(_bicliques(graph, record, DEFAULT_BUDGET))
+        walked = sorted(_bicliques(_mutual(graph), rg.n, record, DEFAULT_BUDGET))
         assert walked == expected
         assert len(walked) + record.pruned == len(every)
         assert _oracle_masks(rg) <= set(walked)
@@ -256,7 +273,7 @@ class TestGrPipeline:
         zero = [[0] * 20 for _ in range(20)]
         record = InfeasibleSides(Game.from_rows(zero, zero))
         with pytest.raises(BudgetExceededError) as err:
-            next(_bicliques(BipartiteDigraph.complete(20, 20), record, DEFAULT_BUDGET))
+            next(_bicliques(_mutual(BipartiteDigraph.complete(20, 20)), 20, record, DEFAULT_BUDGET))
         assert (err.value.candidates, err.value.budget) == ((2**20 - 1) ** 2, DEFAULT_BUDGET)
 
         class NoColumnSets:
@@ -264,7 +281,7 @@ class TestGrPipeline:
                 raise AssertionError("the walk built a candidate it refuses")
 
         with pytest.raises(BudgetExceededError):
-            next(_bicliques(BipartiteDigraph.complete(3, 3), NoColumnSets(), 48))
+            next(_bicliques(_mutual(BipartiteDigraph.complete(3, 3)), 3, NoColumnSets(), 48))
 
     def test_exact_routes_refuse_alike(self, mp):
         # supports, gr and full-caps gi refuse a fully joined game with one
@@ -288,6 +305,22 @@ class TestGrPipeline:
                 refusals.add((err.value.candidates, err.value.budget))
             assert refusals == {(((1 << g.m) - 1) * ((1 << g.n) - 1), budget)}
 
+    def test_oracle_walk_refuses_a_tall_game_in_little_memory(self):
+        # The oracle's walk takes the complete graph's masks, one shared int
+        # per row, not K_{m,n}'s 1 << x labels (about m^2 / 2 bits, 29 MB
+        # here).
+        tall = [[0]] * 20000
+        g = Game.from_rows(tall, tall)
+        for route in (lambda: enumerate_by_supports(g), lambda: enumerate_by_gi(g, g.m, g.n)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError):
+                    route()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000
+
     def test_budget_counts_dropped_bicliques(self):
         # G_R of this game is complete on 4 x 5 after elimination: 465
         # bicliques, of which pure dominance lets the walk build only 52.
@@ -296,7 +329,7 @@ class TestGrPipeline:
         g = generate_random_game(5, 5, 0)
         rg = iterated_elimination(g).game
         record = InfeasibleSides(rg)
-        assert len(list(_bicliques(build_gr(rg), record, DEFAULT_BUDGET))) == 52
+        assert len(list(_bicliques(_mutual(build_gr(rg)), rg.n, record, DEFAULT_BUDGET))) == 52
         assert record.pruned == 465 - 52
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(g, budget=100)
@@ -855,8 +888,10 @@ class TestPruningSoundness:
                 tuple(1 << y for y in range(n)),
                 tuple(u << m for u in row_bounds) + tuple(col_bounds),
             )
-            over_bounds = _bicliques(bound_graph, InfeasibleSides(g), DEFAULT_BUDGET)
-            complete = _bicliques(BipartiteDigraph.complete(m, n), InfeasibleSides(g), DEFAULT_BUDGET)
+            over_bounds = _bicliques(_mutual(bound_graph), n, InfeasibleSides(g), DEFAULT_BUDGET)
+            complete = _bicliques(
+                _mutual(BipartiteDigraph.complete(m, n)), n, InfeasibleSides(g), DEFAULT_BUDGET
+            )
             assert list(over_bounds) == list(complete), seed
         assert walked == 2848
 
@@ -867,7 +902,7 @@ def _route_candidates(rg: Game, route: str) -> tuple[InfeasibleSides, list[tuple
     the oracle's complete graph."""
     record = InfeasibleSides(rg)
     graph = build_gr(rg, record) if route == "gr" else BipartiteDigraph.complete(rg.m, rg.n)
-    return record, list(_bicliques(graph, record, DEFAULT_BUDGET))
+    return record, list(_bicliques(_mutual(graph), rg.n, record, DEFAULT_BUDGET))
 
 
 class TestIndexMapping:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +26,7 @@ from nashcycles.games import (
     parse_game,
     write_game,
 )
+import nashcycles
 from nashcycles import games, lp
 from nashcycles.equilibria import game_hash
 from nashcycles.lp import lp1_dominance
@@ -353,6 +359,69 @@ class TestGameHash:
     def test_decimal_fraction_and_negative_tokens(self):
         text = "2 3\n-1/2 0.25 3\n-7/4 1.125 -2\n2.5 -1/3 0\n4 -3/6 -0.75\n"
         assert game_hash(parse_game(text)) == "40b5bb44eb5996a3"
+
+    def test_digest_is_hashlib_sha256(self):
+        # game_hash takes CPython's built-in SHA-256 when it can; its digest
+        # is hashlib's, on negative and fractional, tied and tall games.
+        rng = random.Random(35)
+        entry = lambda: F(rng.randint(-9, 9), rng.randint(1, 12))
+        played = []
+        for seed in range(10):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            played.append(generate_random_game(m, n, 3500 + seed))
+            played.append(Game.from_rows(
+                *([[entry() for _ in range(n)] for _ in range(m)] for _ in "ab")
+            ))
+            played.append(degenerate_game(max(m, 2), n, 3500 + seed))
+            tall = rng.randint(50, 400)
+            played.append(Game.from_rows(
+                *([[rng.randint(-1, 1) for _ in range(n)] for _ in range(tall)] for _ in "ab")
+            ))
+        assert len(set(played)) == 40
+        for g in played:
+            assert game_hash(g) == hashlib.sha256(write_game(g).encode()).hexdigest()[:16]
+
+    def test_digest_tries_no_import_per_call(self, monkeypatch):
+        # A failed import is not cached: it searches sys.path on every try,
+        # so game_hash must not try `_sha2` per call where it is missing.
+        g = generate_random_game(4, 4, 7)
+        game_hash(g)
+        asked = []
+
+        class Recorder:
+            def find_spec(self, name, path=None, target=None):
+                asked.append(name)
+
+        monkeypatch.setattr(sys, "meta_path", [Recorder(), *sys.meta_path])
+        for _ in range(3):
+            game_hash(g)
+        assert asked == []
+
+    def test_hashlib_fallback(self):
+        # Without either built-in module game_hash takes hashlib's SHA-256,
+        # which gives the pinned digests.
+        run = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from nashcycles.equilibria import game_hash
+from nashcycles.games import generate_random_game, parse_game
+hashes = [game_hash(generate_random_game(4, 4, 7))]
+hashes += [game_hash(parse_game(text)) for text in sys.argv[1:]]
+print(json.dumps([hashes, "_hashlib" in sys.modules]))
+"""
+        texts = (
+            "4 4\n0 1 2 1\n2 0 0 1\n0 2 2 0\n0 1 2 1\n1 0 0 2\n1 2 0 0\n1 1 1 2\n1 0 0 2\n",
+            "2 3\n-1/2 0.25 3\n-7/4 1.125 -2\n2.5 -1/3 0\n4 -3/6 -0.75\n",
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nashcycles.__file__)))
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", run, *texts],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
+        ).stdout
+        hashes, openssl = json.loads(out.splitlines()[-1])
+        assert hashes == ["df26b250a560c87b", "f15476c947ad8c44", "40b5bb44eb5996a3"]
+        assert openssl
 
 
 class TestGame:
