@@ -470,32 +470,33 @@ def iterated_elimination(game: Game) -> ReducedGame:
        opponent strategies: its least-deficit one and one other (see
        `lp._two_column_reply`), found in closed form; its witness support
        is that pair;
+    3b. a mixture of two surviving rivals earns strictly more than x
+       against every surviving opponent strategy: the anchor, whose
+       smallest lead over x is largest, and one other (see
+       `lp._two_row_dominator`), found in closed form; x is dominated;
     4. the best-response-region program (as `lp1_dominance`) on its
        player's rows of `int_payoffs` sliced to the survivors, which is the
        subgame's view times a positive factor; its witness support is kept
        when x survives.
 
-    Rule 2 costs O(|front| * n) and rule 3 O(m * n).  Rule 1's maxima are
-    taken once, over all strategies: a removed strategy earned less than
-    the maximum on every opponent strategy that survived its test, so the
-    survivors' maxima there never change, and a strategy that earns one of
-    them survives while that opponent strategy does.  The front is made,
-    in O(m * |front| * n), when rule 2 first needs it, and again only when
-    rule 4 removes a member: other removals leave every survivor below a
-    member.  Only rule 4 slices, so a game whose strategies all pass rule 1
-    (an all-zero tall game) or rule 2 against a small front is reduced in
-    linear time.  A survivor keeps its witness support (a mask of original
-    opponent indices) and is tested again only when a strategy in it is
-    removed; other removals only drop a rival or an unused opponent
-    strategy.
+    Rule 2 costs O(|front| * n), and rules 3 and 3b O(m * n) each.  Rule
+    1's maxima are taken once, over all strategies: a removed strategy
+    earned less than the maximum on every opponent strategy that survived
+    its test, so the survivors' maxima there never change, and a strategy
+    that earns one of them survives while that opponent strategy does.
+    The front is made, in O(m * |front| * n), when rule 2 first needs it,
+    and again only when rule 3b or 4 removes a member: rule 2's removals
+    leave every survivor below a member.  Only rule 4 slices, so a game
+    whose strategies all pass rule 1 (an all-zero tall game) or rule 2
+    against a small front is reduced in linear time.  A survivor keeps its
+    witness support (a mask of original opponent indices) and is tested
+    again only when a strategy in it is removed; other removals only drop a
+    rival or an unused opponent strategy.
     Strict domination is path-independent, so the survivors do not depend
     on this schedule.
     A player always keeps a strategy.  The reduced `Game` is made once
     (`game` itself when nothing is removed), from sliced ints.
     """
-    # deferred: lp builds on the game types
-    from .lp import _best_response_region, _two_column_reply
-
     # Per side: the survivors, ascending (a dict deletes in O(1) and keeps order).
     kept = (dict.fromkeys(range(game.m)), dict.fromkeys(range(game.n)))
     # Per side: the column maxima over all own strategies and, per opponent
@@ -543,15 +544,16 @@ def iterated_elimination(game: Game) -> ReducedGame:
                     rows, cols = list(own), list(others)
                     at = bisect.bisect_left(rows, s)
                     vectors = [full[x] for x in rows]
-                    pair = _two_column_reply(vectors, at, cols, top)
+                    pair = lp._two_column_reply(vectors, at, cols, top)
                     if pair:
                         witness[side][s] = pair
                         continue
-                    vectors = [[row[y] for y in cols] for row in vectors]
-                    weights = _best_response_region((scale, vectors), 1 << at, 0, 0)
-                    if weights is not None:
-                        witness[side][s] = sum(1 << y for y, w in zip(cols, weights) if w)
-                        continue
+                    if not lp._two_row_dominator(vectors, at, cols):
+                        vectors = [[row[y] for y in cols] for row in vectors]
+                        weights = lp._best_response_region((scale, vectors), 1 << at, 0, 0)
+                        if weights is not None:
+                            witness[side][s] = sum(1 << y for y, w in zip(cols, weights) if w)
+                            continue
                 del own[s]
                 if fronts[side] is not None and s in fronts[side]:
                     if dominated:
@@ -593,3 +595,8 @@ def _pareto_front(
             kept.append(row)
             front.add(x)
     return front
+
+
+# Bound last: lp builds on the game types above.  Elimination calls through
+# the module, so an attribute set on it later is what elimination sees.
+from . import lp  # noqa: E402

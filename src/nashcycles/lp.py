@@ -40,10 +40,18 @@ responders tie and no rival earns more are an interval of t, which
 `_mixture_interval` cuts in exact integers, one bound per row.  An empty
 interval is a failed side, and one point, or an interval that holds the
 uniform mixture, is the program's own normalized witness; only a wider
-interval that misses the uniform mixture is left to the LP.  Iterated
-elimination tries a pure best response, a pure dominator and a
-two-column mixture before its LP, and `build_gr` settles with no LP a
-row whose strategy is the unique best response to a two-column mixture.
+interval that misses the uniform mixture is left to the LP.  A side on
+three or more columns with at least as many responders is decided by the
+responders' tie rows (A_r - A_base) . q = 0 on C, the way Porter, Nudelman
+& Shoham solve balanced supports: when they have rank |C| only q = 0 ties
+them, and the side fails; at rank |C| - 1 every point of the program is a
+positive multiple of one ray, so the side holds exactly when that ray is
+positive and no rival earns more against it, and the normalized ray is
+the program's normalized witness (`_tie_ray`).  Only a lower rank is left
+to the LP.  Iterated elimination tries a pure best response, a pure
+dominator, a two-column mixture and a dominating mixture of two rows
+before its LP, and `build_gr` settles with no LP a row whose strategy is
+the unique best response to a two-column mixture.
 
 Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the
@@ -56,10 +64,12 @@ It applies pure dominance, then the sides already found infeasible: if
 no q with support exactly C makes every row of R a best response, none
 does for any R' containing R, as each extra responder turns a `<=` row
 into an `=` row.  It then answers a single-column support, reuses a
-feasible answer, witness included, answers a two-column support in
-closed form where that fixes the witness, and solves an LP only for a
-side it has not seen on three or more columns, or on two whose interval
-is wider than a point and misses the uniform mixture.
+feasible answer, witness included, answers a two-column support, or a
+wider one with as many responders, in closed form where that fixes the
+witness, and solves an LP only for a side it has not seen whose closed
+form leaves the witness open: a two-column interval wider than a point
+that misses the uniform mixture, or three or more columns with fewer
+responders or tie rows of rank below |C| - 1.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``): integer rows T over one denominator det > 0.
@@ -597,6 +607,65 @@ def _two_column_side(vectors, responders: int, support: int, opp_count: int):
     return tuple(weights)
 
 
+def _tie_ray(vectors, responders: int, support: int, opp_count: int):
+    """The region program's answer on a support C of three or more columns
+    that has at least |C| responders, where their ties decide it: None when
+    no point qualifies, the witness weights when one ray does, else () to
+    leave the question to the LP.
+
+    The tie rows (A_r - A_base) . q = 0 of the responders, on C, are reduced
+    by fraction-free Gauss-Jordan (the simplex's `_eliminate`).  Rank |C|
+    leaves only q = 0, so the side is infeasible.  Rank |C| - 1 leaves one
+    ray, and every point of the program is a positive multiple of it: the
+    side holds exactly when the ray is positive on C and no other row earns
+    more against it, and the normalized ray is the LP's normalized witness.
+    A lower rank leaves a wider cone, whose witness only the LP fixes."""
+    cols = [y for y in range(opp_count) if support >> y & 1]
+    first = (responders & -responders).bit_length() - 1
+    base = [vectors[first][y] for y in cols]
+    rows = [
+        [row[y] - v for y, v in zip(cols, base)]
+        for other, row in enumerate(vectors)
+        if other != first and responders >> other & 1
+    ]
+    det, rank, free = 1, 0, -1
+    for c in range(len(cols)):
+        for r in range(rank, len(rows)):
+            if rows[r][c]:
+                break
+        else:
+            if free >= 0:
+                return ()
+            free = c
+            continue
+        prow, rows[r] = rows[r], rows[rank]
+        p = prow[c]
+        if p < 0:
+            prow, p = [-v for v in prow], -p
+        rows[rank] = prow
+        for i, row in enumerate(rows):
+            if i != rank:
+                rows[i] = _eliminate(row, prow, p, det, c)
+        det = p
+        rank += 1
+    if free < 0:
+        return None
+    # Pivot row k reads det * q_c + rows[k][free] * q_free = 0 for its column c.
+    ray = [-row[free] for row in rows[:rank]]
+    ray.insert(free, det)
+    if min(ray) <= 0:
+        return None
+    top = sum(v * w for v, w in zip(base, ray))
+    for other, row in enumerate(vectors):
+        if not responders >> other & 1 and sum(row[y] * w for y, w in zip(cols, ray)) > top:
+            return None
+    common = math.gcd(*ray)
+    weights = [0] * opp_count
+    for y, w in zip(cols, ray):
+        weights[y] = w // common
+    return tuple(weights)
+
+
 def _two_column_reply(vectors, x: int, cols, top, strict: bool = False) -> int:
     """Two columns of `cols` with a mixture to which row x of `vectors`
     responds best (with `strict`, uniquely), as a mask, or 0 when none of
@@ -608,6 +677,27 @@ def _two_column_reply(vectors, x: int, cols, top, strict: bool = False) -> int:
     for y in cols:
         if y != near and _mixture_interval(vectors, 1 << x, near, y, strict) is not None:
             return 1 << near | 1 << y
+    return 0
+
+
+def _two_row_dominator(vectors, x: int, cols) -> int:
+    """Two rows of `vectors` with a mixture that earns strictly more than
+    row x on every column of `cols`, as a mask, or 0 when none of the pairs
+    tried has one.  The pairs join the anchor, the rival whose smallest lead
+    over x is largest, to each other rival: O(len(vectors) * len(cols)).
+
+    This is `_mixture_interval` on the transposed game: a pair's mixtures
+    t * A_a + (1 - t) * A_b are the strategies, the columns the rows, and
+    each column's lead of x over the mixture must stay below the zero row.
+    The qualifying t are open in [0, 1], so they meet (0, 1) when any do.
+    `vectors` holds at least one row besides x."""
+    own = vectors[x]
+    gaps = {r: [own[y] - row[y] for y in cols] for r, row in enumerate(vectors) if r != x}
+    anchor = min(gaps, key=lambda r: max(gaps[r]))
+    lead = gaps.pop(anchor)
+    for r, gap in gaps.items():
+        if _mixture_interval([(0, 0), *zip(lead, gap)], 1, 0, 1, True) is not None:
+            return 1 << anchor | 1 << r
     return 0
 
 
@@ -697,9 +787,10 @@ class InfeasibleSides:
     ask it (see the module docstring for the order of its answers);
     `fp1_check`'s sides of (R, C) are the arc questions R -> C and C -> R.
     A side on one column that pure dominance leaves is answered yes with
-    no LP and nothing kept; one on two columns is answered in closed form
-    where that fixes the witness (`_two_column_side`), and kept as an LP's
-    answer is.  A feasible answer is reused for the same
+    no LP and nothing kept; one on two columns, or on three or more with
+    as many responders, is answered in closed form where that fixes the
+    witness (`_two_column_side`, `_tie_ray`), and kept as an LP's answer
+    is.  A feasible answer is reused for the same
     question only: a subset of a feasible responder set is feasible too,
     but its own LP may find another witness.  `pruned` counts the pairs it
     rejects without an LP, in `fp1_check` and in a walk's `column_sets`;
@@ -790,7 +881,11 @@ class InfeasibleSides:
         responder there, so all earn its top payoff against pure y.  On two
         columns `_two_column_side` answers in closed form unless the
         feasible interval is wider than a point and misses the uniform
-        mixture; only then, or on more columns, is an LP solved."""
+        mixture.  On three or more columns with at least as many responders
+        `_tie_ray` answers unless the tie rows have rank below |C| - 1: at
+        rank |C| - 1 the program's points are the multiples of one ray, so
+        its witness is the LP's.  Only the sides these leave open, and
+        wider ones with fewer responders, cost an LP."""
         opp_count = self.game.n if player == 1 else self.game.m
         if not support & support - 1:
             return tuple(support >> y & 1 for y in range(opp_count))
@@ -801,6 +896,8 @@ class InfeasibleSides:
             weights = ()
             if support.bit_count() == 2:
                 weights = _two_column_side(view[1], responders, support, opp_count)
+            elif responders.bit_count() >= support.bit_count():
+                weights = _tie_ray(view[1], responders, support, opp_count)
             if weights == ():
                 weights = _best_response_region(view, responders, support, ~support)
             if weights is None:
@@ -818,8 +915,11 @@ class InfeasibleSides:
         one column costs no LP: it is refused exactly when a rival earns
         more than a responder there, and otherwise w is the unit weight on
         it.  A support of two columns costs none when its interval of
-        mixtures fixes the witness (`_two_column_side`).  Raises ValueError
-        unless both masks are non-empty and within the game."""
+        mixtures fixes the witness (`_two_column_side`), nor does a wider one
+        with at least as many responders whose tie rows have rank |C| or
+        |C| - 1 (`_tie_ray`): no point, or one ray and so the LP's normalized
+        witness.  Raises ValueError unless both masks are non-empty and
+        within the game."""
         end_r, end_s = self._ends[player - 1]  # one past the largest valid mask
         if not (0 < responders < end_r and 0 < support < end_s):
             raise ValueError("masks must be non-empty and within the game")

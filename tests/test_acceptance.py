@@ -3,9 +3,11 @@ one pass/fail line (run with ``pytest -s`` to see them as they happen)."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,7 +20,8 @@ from nashcycles.cli import main as cli_main
 from nashcycles.cycles import cycle_basis, elementary_cycles, gr_support_trees, johnson_cycles
 from nashcycles.domgraph import BipartiteDigraph, build_gd, build_gr, compute_domain, compute_relevancy
 from nashcycles.equilibria import enumerate_by_gi, enumerate_by_gr, enumerate_by_supports
-from nashcycles.games import Game, SupportPair, generate_random_game, iterated_elimination
+from nashcycles import lp as lp_module
+from nashcycles.games import Game, SupportPair, generate_random_game, iterated_elimination, write_game
 from nashcycles.lp import fp1_check
 
 F = Fraction
@@ -291,3 +294,33 @@ def test_criterion_10_degenerate_unbalanced(flat_top):
             if t.leaves and t.support_pair(graph) == (0b1, 0b11)
         ]
         assert wide and all(t.main.distinct_count == 2 and len(t.leaves) == 1 for t in wide)
+
+
+#: Where each `_solve_rows` call comes from, by the innermost of these frames.
+_LP_LAYERS = {"iterated_elimination": "elimination", "_region": "sides", "lp3_relevancy": "gr_rows"}
+
+
+def test_corpus_output_and_lp_counts_are_pinned(tmp_path, capsys, monkeypatch):
+    # `solve --output structured` on every corpus game and route, hashed with
+    # each exit code: closed forms that skip an LP must not move one byte.
+    # The LPs each layer solves on the way are pinned as well.
+    counts = dict.fromkeys(_LP_LAYERS.values(), 0)
+    solve_rows = lp_module._solve_rows
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in _LP_LAYERS:
+            frame = frame.f_back
+        counts[_LP_LAYERS[frame.f_code.co_name]] += 1
+        return solve_rows(*args)
+
+    monkeypatch.setattr(lp_module, "_solve_rows", counted)
+    digest = hashlib.sha256()
+    path = tmp_path / "corpus.game"
+    for game in corpus_games():
+        path.write_text(write_game(game))
+        for route in ("supports", "gr", "gi"):
+            code = cli_main(["solve", str(path), "--method", route, "--output", "structured"])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest()[:16] == "4f40cf4246ba57d4"
+    assert counts == {"elimination": 12, "sides": 121, "gr_rows": 0}

@@ -85,10 +85,40 @@ def _two_column_reference(vectors, x: int) -> tuple[int, int] | None:
     return None
 
 
+def _dominating_mixture(first, second, own) -> Fraction | None:
+    """A t in [0, 1] with t * first + (1 - t) * second strictly above `own`
+    everywhere, or None.  Tried in `Fraction`s at 0 and 1, at every point
+    where a column's lead is zero and halfway between neighbouring ones: the
+    t that dominate form an interval, open in [0, 1], with such ends."""
+    ties = {F(0), F(1)}
+    for a, b, v in zip(first, second, own):
+        if a != b and 0 < F(v - b, a - b) < 1:
+            ties.add(F(v - b, a - b))
+    ends = sorted(ties)
+    for t in ends + [(u + w) / 2 for u, w in zip(ends, ends[1:])]:
+        if all(t * a + (1 - t) * b > v for a, b, v in zip(first, second, own)):
+            return t
+    return None
+
+
+def _two_row_reference(vectors, x: int) -> bool:
+    """Whether a mixture of the anchor and another rival earns strictly more
+    than row x of `vectors` on every column: the anchor is the first rival
+    whose smallest lead over x is largest."""
+    own = vectors[x]
+    rivals = [r for r in range(len(vectors)) if r != x]
+    anchor = max(rivals, key=lambda r: min(a - v for a, v in zip(vectors[r], own)))
+    return any(
+        _dominating_mixture(vectors[anchor], vectors[r], own) is not None
+        for r in rivals
+        if r != anchor
+    )
+
+
 def _reference_elimination(game: Game) -> ReducedGame:
     """The same removal schedule with a validated subgame `Game` per removal,
-    the two-column test on its rows, and `lp1_dominance` on it for each
-    strategy the pure and two-column tests leave open."""
+    the two-column and two-row tests on its rows, and `lp1_dominance` on it
+    for each strategy the pure, two-column and two-row tests leave open."""
     kept = {1: list(range(game.m)), 2: list(range(game.n))}
     witness_support: dict[int, dict[int, frozenset[int]]] = {1: {}, 2: {}}
     stale = {1: list(kept[1]), 2: list(kept[2])}
@@ -113,10 +143,12 @@ def _reference_elimination(game: Game) -> ReducedGame:
                     if pair is not None:
                         witness_support[player][s] = frozenset(others[j] for j in pair)
                         continue
-                    dominated, witness = lp1_dominance(current, player, i)
-                    if not dominated:
-                        witness_support[player][s] = frozenset(others[j] for j in witness.support)
-                        continue
+                    if not _two_row_reference(vectors, i):
+                        dominated, witness = lp1_dominance(current, player, i)
+                        if not dominated:
+                            support = frozenset(others[j] for j in witness.support)
+                            witness_support[player][s] = support
+                            continue
                 own.remove(s)
                 current = Game.from_rows(
                     [[game.a[x][y] for y in kept[2]] for x in kept[1]],
@@ -668,10 +700,10 @@ class TestIteratedElimination:
         red, (lps, _) = _lp_counts(lambda: iterated_elimination(pd))
         assert (red.row_map, red.col_map, lps) == ((1,), (1,), 0)
         # Row 2 has no pure reply and no pure dominator; only a mixture of
-        # rows 0 and 1 dominates it, and one LP finds that.
+        # rows 0 and 1 dominates it, and the two-row rule finds that.
         mixed_only = Game.from_rows([[3, 0], [0, 3], [1, 1]], [[0, 0]] * 3)
         red, (lps, _) = _lp_counts(lambda: iterated_elimination(mixed_only))
-        assert (red.row_map, red.col_map, lps) == ((0, 1), (0, 1), 1)
+        assert (red.row_map, red.col_map, lps) == ((0, 1), (0, 1), 0)
 
     def test_tall_game_dominated_by_its_last_row(self, monkeypatch):
         # Row 0 leads column 0 but dominates none of the zero rows; only
@@ -685,13 +717,24 @@ class TestIteratedElimination:
         assert fronts == [{0, m - 1}]
 
     def test_front_is_made_again_when_rule_4_removes_a_member(self, monkeypatch):
-        # Rows 2 and 3 are Pareto-maximal but dominated by the mixture of
-        # rows 0 and 1: removing row 2 by LP leaves row 3 uncovered.
-        game = Game.from_rows([[6, 0], [0, 6], [2, 2], [2, 1]], [[0, 0]] * 4)
+        # Rows 3 and 4 are Pareto-maximal but dominated only by the uniform
+        # mixture of rows 0, 1 and 2: a mixture of two of them pays 0 on a
+        # column.  Removing row 3 by LP leaves row 4 uncovered.
+        game = Game.from_rows(
+            [[12, 0, 0], [0, 12, 0], [0, 0, 12], [2, 2, 2], [2, 2, 1]], [[0, 0, 0]] * 5
+        )
         fronts = _recorded_fronts(monkeypatch)
         red, lps = _assert_matches_reference(game)
-        assert (red.row_map, lps) == ((0, 1), 2)
-        assert fronts == [{0, 1, 2}, {0, 1, 3}]
+        assert (red.row_map, lps) == ((0, 1, 2), 2)
+        assert fronts == [{0, 1, 2, 3}, {0, 1, 2, 4}]
+        # A removal by the two-row rule remakes the front too: the mixture of
+        # rows 0 and 1 removes row 2 with no LP, and row 3 then meets the
+        # front made again without it.
+        fronts.clear()
+        game = Game.from_rows([[6, 0], [0, 6], [2, 2], [-1, 2]], [[0, 0]] * 4)
+        red, lps = _assert_matches_reference(game)
+        assert (red.row_map, lps) == ((0, 1), 0)
+        assert fronts == [{0, 1, 2}, {0, 1}]
 
     def test_builds_one_game(self, pd, mp, monkeypatch):
         # Every constructor of the package makes its Game in Game._of.
@@ -757,6 +800,34 @@ class TestIteratedElimination:
             t = (F(lo_n, lo_d) + F(hi_n, hi_d)) / 2
             payoffs = [t * row[a] + (1 - t) * row[b] for row in vectors]
             assert 0 < t < 1 and payoffs[x] == max(payoffs)
+
+    def test_two_row_removals_are_dominated(self):
+        # On random rows and column subsets, tied, grid and with a twin row:
+        # the two-row rule removes exactly what the reference finds, the pair
+        # it names has a dominating mixture, and `lp1_dominance` confirms
+        # every removal on the rows and columns it was tested on.
+        rng = random.Random(31)
+        removed = 0
+        for case in range(2000):
+            m, n = rng.randint(3, 6), rng.randint(1, 6)
+            top = (2, 1000, 2)[case % 3]
+            vectors = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
+            if case % 3 == 2:
+                dst, src = rng.sample(range(m), 2)
+                vectors[dst] = list(vectors[src])
+            x = rng.randrange(m)
+            cols = sorted(rng.sample(range(n), rng.randint(1, n)))
+            sliced = [[row[y] for y in cols] for row in vectors]
+            pair = lp._two_row_dominator(vectors, x, cols)
+            assert bool(pair) == _two_row_reference(sliced, x)
+            if pair:
+                removed += 1
+                a, b = (r for r in range(m) if pair >> r & 1)
+                assert x not in (a, b)
+                assert _dominating_mixture(sliced[a], sliced[b], sliced[x]) is not None
+                game = Game.from_rows(sliced, [[0] * len(cols)] * m)
+                assert lp1_dominance(game, 1, x)[0]
+        assert removed > 300
 
     def test_matches_reference_on_degenerate_games(self):
         sizes = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 5))

@@ -28,6 +28,7 @@ from nashcycles.lp import (
     LpStatus,
     _best_response_region,
     _mask,
+    _tie_ray,
     _two_column_side,
     fp1_check,
     lp1_dominance,
@@ -38,7 +39,14 @@ from nashcycles.lp import (
     solve_lp,
 )
 
-from conftest import degenerate_game, scaled_games, side_lps, tied_games
+from conftest import (
+    degenerate_game,
+    duplicated_game,
+    rational_rank,
+    scaled_games,
+    side_lps,
+    tied_games,
+)
 
 F = Fraction
 
@@ -598,10 +606,11 @@ class TestAgainstFractionPrograms:
                 else:
                     # Rejected by pure dominance, a single column that holds
                     # with the reference's witness (asserted above), or two
-                    # columns the closed form answers with that witness.
+                    # or more columns a closed form answers with that witness.
                     vectors = game.int_payoffs[player - 1][1]
-                    closed = len(s1) == 2 and (
-                        _two_column_side(vectors, _mask(responders), _mask(s1), opp) != ()
+                    sides = (vectors, _mask(responders), _mask(s1), opp)
+                    closed = (len(s1) == 2 and _two_column_side(*sides) != ()) or (
+                        len(responders) >= len(s1) >= 3 and _tie_ray(*sides) != ()
                     )
                     assert expected is None or len(s1) == 1 or closed
 
@@ -940,3 +949,80 @@ class TestTwoColumnSides:
             assert _best_response_region((1, vectors), 0b01, 0b11, ~0b11) is None
         # A twin earns the same everywhere: never strictly beaten.
         assert lp_module._mixture_interval(((1, 2), (1, 2)), 0b01, 0, 1, True) is None
+
+
+class TestTieRaySides:
+    """`_tie_ray` against the region program on sides with at least as many
+    responders as support columns, three or more."""
+
+    def test_matches_the_region_program(self):
+        # Same verdict on every side, the same normalized witness on every
+        # feasible one, and exactly the sides whose tie rows have rank below
+        # |C| - 1 left to the LP.
+        rng = random.Random(37)
+        seen = {"feasible": 0, "infeasible": 0, "program": 0}
+        for case in range(1500):
+            m, n = rng.randint(3, 6), rng.randint(3, 6)
+            seed = 3700 + case
+            game = (
+                duplicated_game(m, n, seed, False),
+                generate_random_game(m, n, seed),
+                duplicated_game(m, n, seed, True, case % 2 == 0),
+            )[case % 3]
+            for player in (1, 2):
+                view = game.int_payoffs[player - 1]
+                vectors = view[1]
+                own, opp = len(vectors), len(vectors[0])
+                if min(own, opp) < 3:
+                    continue
+                cols = sorted(rng.sample(range(opp), rng.randint(3, min(own, opp))))
+                rows = sorted(rng.sample(range(own), rng.randint(len(cols), own)))
+                responders, support = _mask(rows), _mask(cols)
+                ray = _tie_ray(vectors, responders, support, opp)
+                weights = _best_response_region(view, responders, support, ~support)
+                ties = [[F(vectors[r][y] - vectors[rows[0]][y]) for y in cols] for r in rows[1:]]
+                if rational_rank(ties) < len(cols) - 1:
+                    assert ray == ()
+                    seen["program"] += 1
+                    continue
+                assert ray != ()
+                assert (ray is None) == (weights is None)
+                if ray is None:
+                    seen["infeasible"] += 1
+                    continue
+                seen["feasible"] += 1
+                owner = 2 if player == 1 else 1
+                assert (
+                    MixedStrategy.from_weights(owner, ray)
+                    == MixedStrategy.from_weights(owner, weights)
+                )
+                assert all(ray[y] > 0 for y in cols)
+        assert min(seen.values()) > 20, seen
+
+    def test_record_solves_only_rank_deficient_sides(self):
+        # A generic 3x3 game: the three rows tie along one positive ray, so
+        # the side holds with no LP, at the LP's witness halved.  The
+        # all-zero game ties everywhere: the tie rows have rank 0, and the
+        # record solves the side's LP.
+        game = generate_random_game(3, 3, 0)
+        weights = _best_response_region(game.int_payoffs[0], 0b111, 0b111, ~0b111)
+        with side_lps() as solved:
+            ray = InfeasibleSides(game).check_side(1, 0b111, 0b111)
+        assert solved == []
+        assert weights == tuple(2 * w for w in ray) == (427482, 452156, 49482)
+        zero = Game.from_rows([[0] * 3] * 3, [[0] * 3] * 3)
+        assert _tie_ray(zero.int_payoffs[0][1], 0b111, 0b111, 3) == ()
+        with side_lps() as solved:
+            assert InfeasibleSides(zero).check_side(1, 0b111, 0b111) is not None
+        assert solved == [(1, 0b111, 0b111)]
+
+    def test_full_rank_is_infeasible(self):
+        # Rows e_0, e_1, e_2 and a fourth row (1, 2, 3): the three tie rows
+        # against e_0 have rank 3 on three columns, so only q = 0 ties them.
+        vectors = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3))
+        assert _tie_ray(vectors, 0b1111, 0b111, 3) is None
+        assert _best_response_region((1, vectors), 0b1111, 0b111, ~0b111) is None
+        # The first three alone tie at the uniform mixture, where the fourth
+        # row earns more; without it they hold there.
+        assert _tie_ray(vectors, 0b0111, 0b111, 3) is None
+        assert _tie_ray(vectors[:3], 0b111, 0b111, 3) == (1, 1, 1)
