@@ -4,6 +4,15 @@ Subcommands: ``solve`` (equilibrium enumeration), ``cycles`` (cycle-basis
 inspection), ``stats`` (random-game basis statistics), ``gen`` (seeded
 game generation), and ``check`` (equilibrium verification).
 
+Each subcommand is declared once, in ``_COMMANDS``.  ``main`` first reads
+the command line against that table itself (``_read_argv``), which takes
+only exact subcommand and flag names, each flag followed by a value that
+does not start with ``-`` and passes its type and choices, every required
+option, and the right number of positionals.  Any other command line,
+help included, goes to the argparse parser built from the same table, so
+argparse is imported only then.  Both give the same namespace, and help,
+usage and error text and exit codes are argparse's.
+
 Exit codes: 0 success, 1 invalid verdict from ``check``, 2 usage or parse
 error, 3 candidate budget exceeded (for ``cycles`` and ``stats``: a cycle
 basis of more classes than the default budget).  Structured output mode
@@ -13,11 +22,11 @@ stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis
 from .domgraph import _bits, build_gd, build_gi, build_gr, format_graph
@@ -230,63 +239,128 @@ def _cmd_check(args) -> int:
     return 1
 
 
+# Every subcommand once: its name, help, handler and arguments, each argument
+# the names and keywords that argparse's add_argument takes.  `_build_parser`
+# and `_read_argv` both read this table.
+_COMMANDS = (
+    ("solve", "enumerate all equilibrium support pairs", _cmd_solve, (
+        (("game",), {"help": "path to a game file"}),
+        (("--method",), {"choices": ("supports", "gr", "gi"), "default": "gr"}),
+        (("--k",), {"type": int, "default": None, "help": "left vertex-size cap (gi)"}),
+        (("--l",), {"type": int, "default": None, "help": "right vertex-size cap (gi)"}),
+        (("--budget",), {"type": int, "default": DEFAULT_BUDGET}),
+        (("--output",), {"choices": ("text", "structured"), "default": "text"}),
+    )),
+    ("cycles", "dump the cycle basis of a dominance graph", _cmd_cycles, (
+        (("game",), {}),
+        (("--method",), {"choices": ("gr", "gd", "gi"), "default": "gr"}),
+        (("--k",), {"type": int, "default": None}),
+        (("--l",), {"type": int, "default": None}),
+        (("--dump-graph",), {"action": "store_true"}),
+    )),
+    ("stats", "average cycle-basis size over random games", _cmd_stats, (
+        (("--sizes",), {"required": True, "help": "size range A..B (square games)"}),
+        (("--trials",), {"type": int, "default": 10}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--output",), {"choices": ("text", "structured"), "default": "text"}),
+    )),
+    ("gen", "generate a seeded random game file", _cmd_gen, (
+        (("-m",), {"type": int, "required": True}),
+        (("-n",), {"type": int, "required": True}),
+        (("--seed",), {"type": int, "required": True}),
+        (("-o", "--output-path"), {"default": None}),
+    )),
+    ("check", "verify a strategy pair", _cmd_check, (
+        (("game",), {}),
+        (("--p",), {"required": True, "help": "player 1 vector, e.g. 1/2,1/2"}),
+        (("--q",), {"required": True, "help": "player 2 vector"}),
+    )),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first call and reused: the parser holds no game data, and
     # each parse_args call returns a fresh namespace.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nashcycles",
         description="Enumerate Nash-equilibrium support pairs of bimatrix games "
         "via dominance-graph cycles, with an exhaustive oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="enumerate all equilibrium support pairs")
-    solve.add_argument("game", help="path to a game file")
-    solve.add_argument("--method", choices=("supports", "gr", "gi"), default="gr")
-    solve.add_argument("--k", type=int, default=None, help="left vertex-size cap (gi)")
-    solve.add_argument("--l", type=int, default=None, help="right vertex-size cap (gi)")
-    solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    solve.add_argument("--output", choices=("text", "structured"), default="text")
-    solve.set_defaults(func=_cmd_solve)
-
-    cycles = sub.add_parser("cycles", help="dump the cycle basis of a dominance graph")
-    cycles.add_argument("game")
-    cycles.add_argument("--method", choices=("gr", "gd", "gi"), default="gr")
-    cycles.add_argument("--k", type=int, default=None)
-    cycles.add_argument("--l", type=int, default=None)
-    cycles.add_argument("--dump-graph", action="store_true")
-    cycles.set_defaults(func=_cmd_cycles)
-
-    stats = sub.add_parser("stats", help="average cycle-basis size over random games")
-    stats.add_argument("--sizes", required=True, help="size range A..B (square games)")
-    stats.add_argument("--trials", type=int, default=10)
-    stats.add_argument("--seed", type=int, default=0)
-    stats.add_argument("--output", choices=("text", "structured"), default="text")
-    stats.set_defaults(func=_cmd_stats)
-
-    gen = sub.add_parser("gen", help="generate a seeded random game file")
-    gen.add_argument("-m", type=int, required=True)
-    gen.add_argument("-n", type=int, required=True)
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("-o", "--output-path", default=None)
-    gen.set_defaults(func=_cmd_gen)
-
-    check = sub.add_parser("check", help="verify a strategy pair")
-    check.add_argument("game")
-    check.add_argument("--p", required=True, help="player 1 vector, e.g. 1/2,1/2")
-    check.add_argument("--q", required=True, help="player 2 vector")
-    check.set_defaults(func=_cmd_check)
-
+    for name, help_text, func, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            command.add_argument(*names, **options)
+        command.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, read from
+    `_COMMANDS` without argparse, or None for a command line this reader
+    does not take: a subcommand name not exact, a flag not spelled exactly
+    as declared (help, abbreviations, ``--opt=value`` and ``--`` included),
+    a value or positional that starts with ``-``, a missing value, required
+    option or positional, an extra positional, or a value that fails its
+    type or choices.  Argparse reads those, with its own messages."""
+    for name, _, func, arguments in _COMMANDS:
+        if argv and argv[0] == name:
+            break
+    else:
+        return None
+    values = {"command": name, "func": func}
+    flags, positionals, required = {}, [], set()
+    for names, options in arguments:
+        dest = names[-1].lstrip("-").replace("-", "_")
+        switch = options.get("action") == "store_true"
+        values[dest] = options.get("default", False if switch else None)
+        if names[0][0] != "-":
+            positionals.append(dest)
+            continue
+        if options.get("required"):
+            required.add(dest)
+        for flag in names:
+            flags[flag] = dest, switch, options
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, switch, options = flags[token]
+        value = True
+        if not switch:
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+            try:
+                value = options.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        values[dest] = value
+        required.discard(dest)
+    if required or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -38,20 +38,24 @@ the unit weight at y.  The same pairs bound R(x) from above (see
 one-dimensional: the mixtures t * e_a + (1 - t) * e_b against which the
 responders tie and no rival earns more are an interval of t, which
 `_mixture_interval` cuts in exact integers, one bound per row.  An empty
-interval is a failed side, and one point, or an interval that holds the
-uniform mixture, is the program's own normalized witness; only a wider
-interval that misses the uniform mixture is left to the LP.  A side on
+interval is a failed side, and one point is the program's own normalized
+witness.  A side on
 three or more columns with at least as many responders is decided by the
 responders' tie rows (A_r - A_base) . q = 0 on C, the way Porter, Nudelman
 & Shoham solve balanced supports: when they have rank |C| only q = 0 ties
 them, and the side fails; at rank |C| - 1 every point of the program is a
 positive multiple of one ray, so the side holds exactly when that ray is
 positive and no rival earns more against it, and the normalized ray is
-the program's normalized witness (`_tie_ray`).  Only a lower rank is left
-to the LP.  Iterated elimination tries a pure best response, a pure
-dominator, a two-column mixture and a dominating mixture of two rows
-before its LP, and `build_gr` settles with no LP a row whose strategy is
-the unique best response to a two-column mixture.
+the program's normalized witness (`_tie_ray`).  On any support C, a side
+whose uniform mixture already qualifies (the responders earn one payoff
+sum on C and no rival a larger one) holds at the program's own witness:
+phase 1 starts at its floor, the all-ones weight on C, where every row
+that starts on an artificial has rhs 0, so each pivot is degenerate and
+the program ends where it started (`_uniform_side`).  Iterated
+elimination tries a pure best response, a pure dominator, a two-column
+mixture and a dominating mixture of two rows before its LP, and
+`build_gr` settles with no LP a row whose strategy is the unique best
+response to a two-column mixture.
 
 Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the
@@ -66,10 +70,11 @@ does for any R' containing R, as each extra responder turns a `<=` row
 into an `=` row.  It then answers a single-column support, reuses a
 feasible answer, witness included, answers a two-column support, or a
 wider one with as many responders, in closed form where that fixes the
-witness, and solves an LP only for a side it has not seen whose closed
-form leaves the witness open: a two-column interval wider than a point
-that misses the uniform mixture, or three or more columns with fewer
-responders or tie rows of rank below |C| - 1.
+witness, or by its uniform mixture, and solves an LP only for a side it
+has not seen whose closed forms leave the witness open: a two-column
+interval wider than a point, or three or more columns with fewer
+responders or tie rows of rank below |C| - 1, where the uniform mixture
+does not qualify.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``): integer rows T over one denominator det > 0.
@@ -580,31 +585,41 @@ def _mixture_interval(vectors, responders: int, a: int, b: int, strict: bool = F
 def _two_column_side(vectors, responders: int, support: int, opp_count: int):
     """The region program's answer on a support of exactly two columns,
     where `_mixture_interval` decides it: None when no mixture qualifies,
-    the witness weights when the interval fixes the program's normalized
-    point, else () to leave the question to the LP.
-
-    The point is fixed when the interval is one mixture (a tie pins t), or
-    when it holds the uniform mixture: phase 1 starts at q = (1, 1), its
-    floor, and every row it starts on an artificial then has rhs 0, so
-    each pivot is degenerate and the program ends where it started."""
+    the witness weights when the interval is one mixture (a tie pins t, so
+    the program's normalized point is that mixture), else () to leave the
+    question to `_uniform_side` and the LP."""
     b = support.bit_length() - 1
     a = (support ^ 1 << b).bit_length() - 1
     ends = _mixture_interval(vectors, responders, a, b)
     if ends is None:
         return None
-    (lo_n, lo_d, lo_closed), (hi_n, hi_d, hi_closed) = ends
-    if lo_n * hi_d == hi_n * lo_d:
-        common = math.gcd(lo_n, lo_d)
-        t, rest = lo_n // common, (lo_d - lo_n) // common
-    elif (2 * lo_n < lo_d or lo_closed and 2 * lo_n == lo_d) and (
-        2 * hi_n > hi_d or hi_closed and 2 * hi_n == hi_d
-    ):
-        t = rest = 1
-    else:
+    (lo_n, lo_d, _), (hi_n, hi_d, _) = ends
+    if lo_n * hi_d != hi_n * lo_d:
         return ()
+    common = math.gcd(lo_n, lo_d)
     weights = [0] * opp_count
-    weights[a], weights[b] = t, rest
+    weights[a], weights[b] = lo_n // common, (lo_d - lo_n) // common
     return tuple(weights)
+
+
+def _uniform_side(vectors, responders: int, support: int, opp_count: int):
+    """The region program's witness, the all-ones weight on `support`, when
+    the uniform mixture on it qualifies: every responder earns one payoff
+    sum on the support and no other row a larger one.  Else () to leave
+    the question to the LP.
+
+    Phase 1 starts at q = 1 on the support, its floor.  Each rival row's
+    rhs is then the base responder's sum minus the rival's: 0 on a
+    responder's row, the only rows that start on an artificial, and at
+    least 0 on the others.  So every pivot is degenerate, and the program
+    ends where it started."""
+    floor = [support >> y & 1 for y in range(opp_count)]
+    sums = [sum(compress(row, floor)) for row in vectors]
+    top = sums[(responders & -responders).bit_length() - 1]
+    for other, total in enumerate(sums):
+        if total > top or total < top and responders >> other & 1:
+            return ()
+    return tuple(floor)
 
 
 def _tie_ray(vectors, responders: int, support: int, opp_count: int):
@@ -789,9 +804,9 @@ class InfeasibleSides:
     A side on one column that pure dominance leaves is answered yes with
     no LP and nothing kept; one on two columns, or on three or more with
     as many responders, is answered in closed form where that fixes the
-    witness (`_two_column_side`, `_tie_ray`), and kept as an LP's answer
-    is.  A feasible answer is reused for the same
-    question only: a subset of a feasible responder set is feasible too,
+    witness (`_two_column_side`, `_tie_ray`), as is any side whose uniform
+    mixture qualifies (`_uniform_side`), and kept as an LP's answer is.  A
+    feasible answer is reused for the same question only: a subset of a feasible responder set is feasible too,
     but its own LP may find another witness.  `pruned` counts the pairs it
     rejects without an LP, in `fp1_check` and in a walk's `column_sets`;
     no other code rejects or counts one.
@@ -880,12 +895,13 @@ class InfeasibleSides:
         kept.  A single column y needs no program: no pure rival beats a
         responder there, so all earn its top payoff against pure y.  On two
         columns `_two_column_side` answers in closed form unless the
-        feasible interval is wider than a point and misses the uniform
-        mixture.  On three or more columns with at least as many responders
-        `_tie_ray` answers unless the tie rows have rank below |C| - 1: at
-        rank |C| - 1 the program's points are the multiples of one ray, so
-        its witness is the LP's.  Only the sides these leave open, and
-        wider ones with fewer responders, cost an LP."""
+        feasible interval is wider than a point.  On three or more columns
+        with at least as many responders `_tie_ray` answers unless the tie
+        rows have rank below |C| - 1: at rank |C| - 1 the program's points
+        are the multiples of one ray, so its witness is the LP's.  A side
+        these leave open, or wider with fewer responders, is answered by
+        `_uniform_side` when its uniform mixture qualifies, and otherwise
+        costs an LP."""
         opp_count = self.game.n if player == 1 else self.game.m
         if not support & support - 1:
             return tuple(support >> y & 1 for y in range(opp_count))
@@ -899,7 +915,9 @@ class InfeasibleSides:
             elif responders.bit_count() >= support.bit_count():
                 weights = _tie_ray(view[1], responders, support, opp_count)
             if weights == ():
-                weights = _best_response_region(view, responders, support, ~support)
+                weights = _uniform_side(view[1], responders, support, opp_count) or (
+                    _best_response_region(view, responders, support, ~support)
+                )
             if weights is None:
                 self._failed[player - 1].setdefault(support, []).append(responders)
             else:
@@ -915,11 +933,12 @@ class InfeasibleSides:
         one column costs no LP: it is refused exactly when a rival earns
         more than a responder there, and otherwise w is the unit weight on
         it.  A support of two columns costs none when its interval of
-        mixtures fixes the witness (`_two_column_side`), nor does a wider one
-        with at least as many responders whose tie rows have rank |C| or
+        mixtures is empty or one point (`_two_column_side`), nor does a wider
+        one with at least as many responders whose tie rows have rank |C| or
         |C| - 1 (`_tie_ray`): no point, or one ray and so the LP's normalized
-        witness.  Raises ValueError unless both masks are non-empty and
-        within the game."""
+        witness.  Nor does any support whose uniform mixture qualifies
+        (`_uniform_side`): the LP ends at that point.  Raises ValueError
+        unless both masks are non-empty and within the game."""
         end_r, end_s = self._ends[player - 1]  # one past the largest valid mask
         if not (0 < responders < end_r and 0 < support < end_s):
             raise ValueError("masks must be non-empty and within the game")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import nashcycles
-from nashcycles.cli import main
+from nashcycles.cli import _build_parser, _read_argv, main
 from nashcycles.games import generate_random_game, parse_game, write_game
 
 PD = "2 2\n3 0\n5 1\n3 5\n0 1\n"
@@ -127,7 +130,46 @@ class TestSolve:
             assert capsys.readouterr().out == "rows={2} cols={2} p=(0,1) q=(0,1) u1=1 u2=1\n"
 
     def test_usage_error_exit_2(self, capsys):
-        assert main(["solve"]) == 2
+        # A command line the reader declines goes to argparse: its usage
+        # line, its message and exit 2, read before any file is opened.
+        for argv, message in (
+            (["solve"], "the following arguments are required: game"),
+            (["solve", "g.game", "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+            (["solve", "g.game", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: nashcycles solve [-h] [--method {supports,gr,gi}]")
+            assert f"\nnashcycles solve: error: {message}" in captured.err
+
+    def test_well_formed_solve_loads_no_argparse(self, tmp_path):
+        # Fresh processes, since pytest itself loads argparse: cli.main on
+        # every route, and `python -m nashcycles solve`, whose imports
+        # -X importtime lists on stderr.
+        path = tmp_path / "g.game"
+        path.write_text(write_game(generate_random_game(4, 4, 7)))
+        src = str(Path(nashcycles.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        script = (
+            "import contextlib, io, sys\n"
+            "from nashcycles import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['solve', sys.argv[1], '--method', m, '--output', 'structured'])\n"
+            "             for m in ('supports', 'gr', 'gi')]\n"
+            "print(codes, 'argparse' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, check=True
+        )
+        assert run.stdout == "[0, 0, 0] False\n"
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "nashcycles", "solve", str(path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
+        assert "nashcycles.cli" in imported and "argparse" not in imported
 
 
 class TestCycles:
@@ -278,6 +320,85 @@ class TestCheck:
 
     def test_bad_sum_exit_2(self, game_file, capsys):
         assert main(["check", game_file(MP), "--p", "1/2,1/3", "--q", "1/2,1/2"]) == 2
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for `argv`, or None when it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# One well-formed command line per subcommand, every option given.
+_WELL_FORMED = (
+    ["solve", "g.game", "--method", "gi", "--k", "2", "--l", "3", "--budget", "9", "--output", "structured"],
+    ["cycles", "--method", "gd", "g.game", "--k", "2", "--l", "2", "--dump-graph"],
+    ["stats", "--sizes", "2..3", "--trials", "2", "--seed", "5", "--output", "text"],
+    ["gen", "-m", "3", "-n", "4", "--seed", "7", "-o", "out.game"],
+    ["check", "g.game", "--p", "1/2,1/2", "--q", "1,0"],
+)
+
+
+class TestArgvReader:
+    """`cli._read_argv` against argparse: on a command line it reads, the
+    namespace argparse makes; on any other, None, so argparse reads it."""
+
+    def test_reads_well_formed_lines(self):
+        lines = [*_WELL_FORMED, ["solve", "g.game"], ["stats", "--sizes", "1"], ["cycles", ""]]
+        # Repeated flags: the last value wins, as in argparse.
+        lines.append(["solve", "g.game", "--method", "gr", "--method", "gi", "--k", "1", "--k", "2"])
+        lines.append(["gen", "-o", "a", "--output-path", "b", "-m", "1", "-n", "1", "--seed", "0"])
+        lines.append(["cycles", "g.game", "--dump-graph", "--dump-graph"])
+        for argv in lines:
+            expected = _parsed(argv)
+            assert expected is not None, argv
+            args = _read_argv(argv)
+            assert args is not None and vars(args) == expected, argv
+
+    def test_declines_what_it_does_not_take(self):
+        declined = [
+            [], ["-h"], ["--help"], ["sol", "g.game"], ["bogus"],
+            ["solve", "g.game", "-h"], ["check", "--help"],
+            # Abbreviated or joined flags, and the end of options.
+            ["solve", "g.game", "--meth", "gr"], ["solve", "g.game", "--method=gr"],
+            ["gen", "-m3", "-n", "3", "--seed", "1"], ["solve", "--", "g.game"],
+            # Values and positionals that start with "-", negative ints among them.
+            ["solve", "g.game", "--k", "-1"], ["solve", "g.game", "--budget", "-5"],
+            ["stats", "--sizes", "2..2", "--trials", "-1"], ["solve", "-g.game"],
+            ["solve", "g.game", "--method"], ["gen", "-m", "3", "-n", "3", "--seed", "1", "-o", "-"],
+            # Missing or extra positionals, missing required options.
+            ["solve"], ["solve", "a", "b"], ["stats", "x", "--sizes", "2"], ["stats"],
+            ["gen", "-m", "3", "-n", "3"], ["check", "g.game", "--p", "1"],
+            # Type and choices failures.
+            ["solve", "g.game", "--k", "x"], ["solve", "g.game", "--method", "bogus"],
+            ["cycles", "g.game", "--method", "supports"], ["gen", "-m", "", "-n", "1", "--seed", "1"],
+        ]
+        for argv in declined:
+            assert _read_argv(argv) is None, argv
+
+    def test_matches_argparse_on_drawn_lines(self):
+        # Each drawn line mixes a subcommand's flags, near misses and values;
+        # the reader must agree with argparse wherever it reads one.
+        pool = ["-h", "--help", "--", "--meth", "--method=gr", "--sizes=2", "-m3", "--output-path"]
+        pool += ["g.game", "", "2", "3", "-1", "+4", " 7", "x", "bogus", "gr", "gi", "gd"]
+        pool += ["supports", "text", "structured", "2..3", "1/2,1/2", "-"]
+        rng = random.Random(38)
+        read = 0
+        for argv in _WELL_FORMED:
+            flags = [token for token in argv if token.startswith("-")]
+            for _ in range(600):
+                line = [argv[0]] + [
+                    rng.choice(flags if rng.random() < 0.4 else pool)
+                    for _ in range(rng.randint(0, 9))
+                ]
+                if rng.random() < 0.5:
+                    line += argv[1:]
+                args = _read_argv(line)
+                assert args is None or vars(args) == _parsed(line), line
+                read += args is not None
+        assert read > 150, read
 
 
 class TestDeterminismAcrossProcesses:

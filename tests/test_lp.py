@@ -30,6 +30,7 @@ from nashcycles.lp import (
     _mask,
     _tie_ray,
     _two_column_side,
+    _uniform_side,
     fp1_check,
     lp1_dominance,
     lp2_domain_check,
@@ -606,11 +607,14 @@ class TestAgainstFractionPrograms:
                 else:
                     # Rejected by pure dominance, a single column that holds
                     # with the reference's witness (asserted above), or two
-                    # or more columns a closed form answers with that witness.
+                    # or more columns a closed form answers with that witness:
+                    # an interval, a tie ray or the uniform mixture.
                     vectors = game.int_payoffs[player - 1][1]
                     sides = (vectors, _mask(responders), _mask(s1), opp)
-                    closed = (len(s1) == 2 and _two_column_side(*sides) != ()) or (
-                        len(responders) >= len(s1) >= 3 and _tie_ray(*sides) != ()
+                    closed = (
+                        (len(s1) == 2 and _two_column_side(*sides) != ())
+                        or (len(responders) >= len(s1) >= 3 and _tie_ray(*sides) != ())
+                        or _uniform_side(*sides) != ()
                     )
                     assert expected is None or len(s1) == 1 or closed
 
@@ -890,10 +894,12 @@ class TestTwoColumnSides:
 
     def test_all_zero_game(self):
         # Every row ties every other: each responder set holds at the
-        # uniform mixture, and no row is a unique best response.
+        # uniform mixture, and no row is a unique best response.  The
+        # interval is all of (0, 1), so the uniform mixture answers.
         self._check(Game.from_rows([[0] * 3] * 3, [[0] * 3] * 3))
         vectors = ((0, 0), (0, 0))
-        assert _two_column_side(vectors, 0b11, 0b11, 2) == (1, 1)
+        assert _two_column_side(vectors, 0b11, 0b11, 2) == ()
+        assert _uniform_side(vectors, 0b11, 0b11, 2) == (1, 1)
         assert lp_module._mixture_interval(vectors, 1, 0, 1, True) is None
 
     def test_tie_fixes_t(self):
@@ -910,7 +916,8 @@ class TestTwoColumnSides:
         vectors = ((1, 1), (2, 0))
         ends = lp_module._mixture_interval(vectors, 0b01, 0, 1)
         assert ends == ((0, 1, False), (1, 2, True))
-        assert _two_column_side(vectors, 0b01, 0b11, 2) == (1, 1)
+        assert _two_column_side(vectors, 0b01, 0b11, 2) == ()
+        assert _uniform_side(vectors, 0b01, 0b11, 2) == (1, 1)
         weights = _best_response_region((1, vectors), 0b01, 0b11, ~0b11)
         assert weights[0] == weights[1]
         # Against [2, 0] and [0, 2] as well, the uniform mixture is the one
@@ -918,6 +925,7 @@ class TestTwoColumnSides:
         vectors = ((1, 1), (2, 0), (0, 2))
         assert lp_module._mixture_interval(vectors, 0b001, 0, 1) == ((1, 2, True), (1, 2, True))
         assert _two_column_side(vectors, 0b001, 0b11, 2) == (1, 1)
+        assert _uniform_side(vectors, 0b001, 0b11, 2) == (1, 1)
         assert lp_module._mixture_interval(vectors, 0b001, 0, 1, True) is None
 
     def test_non_uniform_interval_goes_to_the_program(self):
@@ -929,6 +937,7 @@ class TestTwoColumnSides:
             (1, 3, True),
         )
         assert _two_column_side(game.int_payoffs[0][1], 0b01, 0b11, 2) == ()
+        assert _uniform_side(game.int_payoffs[0][1], 0b01, 0b11, 2) == ()
         with side_lps() as solved:
             weights = InfeasibleSides(game).check_side(1, 0b01, 0b11)
         assert solved == [(1, 0b01, 0b11)]
@@ -1002,8 +1011,10 @@ class TestTieRaySides:
     def test_record_solves_only_rank_deficient_sides(self):
         # A generic 3x3 game: the three rows tie along one positive ray, so
         # the side holds with no LP, at the LP's witness halved.  The
-        # all-zero game ties everywhere: the tie rows have rank 0, and the
-        # record solves the side's LP.
+        # all-zero game ties everywhere: the tie rows have rank 0, but the
+        # uniform mixture qualifies, so the record answers with the LP's
+        # normalized witness and solves no LP.  A rival (3, -1, -1) earns
+        # more than the zero rows there, so the record solves that side's LP.
         game = generate_random_game(3, 3, 0)
         weights = _best_response_region(game.int_payoffs[0], 0b111, 0b111, ~0b111)
         with side_lps() as solved:
@@ -1013,7 +1024,15 @@ class TestTieRaySides:
         zero = Game.from_rows([[0] * 3] * 3, [[0] * 3] * 3)
         assert _tie_ray(zero.int_payoffs[0][1], 0b111, 0b111, 3) == ()
         with side_lps() as solved:
-            assert InfeasibleSides(zero).check_side(1, 0b111, 0b111) is not None
+            uniform = InfeasibleSides(zero).check_side(1, 0b111, 0b111)
+        assert solved == []
+        weights = _best_response_region(zero.int_payoffs[0], 0b111, 0b111, ~0b111)
+        assert uniform == (1, 1, 1) and len(set(weights)) == 1
+        rival = Game.from_rows([[0] * 3] * 3 + [[3, -1, -1]], [[0] * 3] * 4)
+        assert _tie_ray(rival.int_payoffs[0][1], 0b111, 0b111, 3) == ()
+        assert _uniform_side(rival.int_payoffs[0][1], 0b111, 0b111, 3) == ()
+        with side_lps() as solved:
+            assert InfeasibleSides(rival).check_side(1, 0b111, 0b111) is not None
         assert solved == [(1, 0b111, 0b111)]
 
     def test_full_rank_is_infeasible(self):
@@ -1026,3 +1045,38 @@ class TestTieRaySides:
         # row earns more; without it they hold there.
         assert _tie_ray(vectors, 0b0111, 0b111, 3) is None
         assert _tie_ray(vectors[:3], 0b111, 0b111, 3) == (1, 1, 1)
+
+
+class TestUniformSides:
+    def test_matches_the_region_program(self):
+        # Wherever the uniform mixture qualifies, on any support and any
+        # responder set, the region program holds and its normalized
+        # witness is that mixture; wherever it does not, the program's
+        # witness is some other point or there is none.
+        rng = random.Random(38)
+        seen = {"uniform": 0, "other": 0, "infeasible": 0}
+        for case in range(1500):
+            m, n = rng.randint(2, 5), rng.randint(2, 5)
+            seed = 3800 + case
+            game = (
+                duplicated_game(m, n, seed, False),
+                degenerate_game(m, n, seed),
+                duplicated_game(m, n, seed, True, case % 2 == 0),
+            )[case % 3]
+            for player in (1, 2):
+                view = game.int_payoffs[player - 1]
+                own, opp = len(view[1]), len(view[1][0])
+                responders = _mask(rng.sample(range(own), rng.randint(1, own)))
+                support = _mask(rng.sample(range(opp), rng.randint(2, opp)))
+                uniform = _uniform_side(view[1], responders, support, opp)
+                weights = _best_response_region(view, responders, support, ~support)
+                if uniform != ():
+                    assert uniform == tuple(support >> y & 1 for y in range(opp))
+                    assert len({weights[y] for y in range(opp) if support >> y & 1}) == 1
+                    seen["uniform"] += 1
+                elif weights is None:
+                    seen["infeasible"] += 1
+                else:
+                    assert len({weights[y] for y in range(opp) if support >> y & 1}) > 1
+                    seen["other"] += 1
+        assert min(seen.values()) > 20, seen
