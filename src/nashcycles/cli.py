@@ -23,6 +23,8 @@ stderr.
 from __future__ import annotations
 
 import functools
+import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -35,6 +37,7 @@ from .equilibria import (
     enumerate_by_gi,
     enumerate_by_gr,
     enumerate_by_supports,
+    game_hash,
     verify_equilibrium,
 )
 from .games import (
@@ -49,8 +52,16 @@ from .games import (
 __all__ = ["main"]
 
 
-def _fmt_vector(probs) -> str:
-    return "(" + ",".join(str(p) for p in probs) + ")"
+def _fmt_ratio(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for den > 0, made without the `Fraction`."""
+    common = math.gcd(num, den)
+    return str(num // common) if common == den else f"{num // common}/{den // common}"
+
+
+def _fmt_side(side) -> str:
+    """An equilibrium side's probabilities weights / total, as
+    `str(Fraction(w, total))` each."""
+    return "(" + ",".join([_fmt_ratio(w, side.total) for w in side.weights]) + ")"
 
 
 def _fmt_indices(indices) -> str:
@@ -58,32 +69,46 @@ def _fmt_indices(indices) -> str:
 
 
 def _equilibrium_line(entry) -> str:
+    """An entry's line, formatted from its integer sides: no `Fraction` or
+    `MixedStrategy` is made."""
+    p, q = entry.sides
     return (
         f"rows={_fmt_indices(entry.support.rows)} cols={_fmt_indices(entry.support.cols)} "
-        f"p={_fmt_vector(entry.p.probs)} q={_fmt_vector(entry.q.probs)} "
-        f"u1={entry.u1} u2={entry.u2}"
+        f"p={_fmt_side(p)} q={_fmt_side(q)} "
+        f"u1={_fmt_ratio(*q.payoff)} u2={_fmt_ratio(*p.payoff)}"
     )
 
 
 def _print_result(result: EquilibriumSet, structured: bool) -> None:
-    for entry in result.entries:
-        if structured:
-            print(f"eq method={result.method} " + _equilibrium_line(entry))
-        else:
-            print(_equilibrium_line(entry))
+    """Write the result's lines with one write.  The digest is read once,
+    so it is computed directly, not through the result's cached property."""
+    prefix = f"eq method={result.method} " if structured else ""
+    lines = [prefix + _equilibrium_line(entry) for entry in result.entries]
     if structured:
         stats = result.stats
-        print(
-            f"stats method={result.method} game={result.game_hash} "
+        lines.append(
+            f"stats method={result.method} game={game_hash(result.game)} "
             f"candidates={stats.candidates} pruned={stats.pruned} feasible={stats.feasible}"
         )
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _load_game(path: str) -> Game:
-    # parse_game decodes the bytes as UTF-8; an unbuffered binary read skips
-    # the text and buffer layers.
-    with open(path, "rb", buffering=0) as handle:
-        return parse_game(handle.read())
+    # parse_game decodes the bytes as UTF-8.  os.open and os.read skip the
+    # io layer's file objects, a measurable share of a small solve timed
+    # from cold caches; a directory opens, so its read error is given the
+    # path, as open() gives it.
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return parse_game(b"".join(chunks))
 
 
 def _parse_vector(text: str, owner: int) -> MixedStrategy:
@@ -134,7 +159,7 @@ def _cmd_solve(args) -> int:
         result = enumerate_by_gi(game, *_caps(args, game), args.budget)
     elapsed = time.perf_counter() - start
     _print_result(result, args.output == "structured")
-    print(f"wall_seconds={elapsed:.3f}", file=sys.stderr)
+    sys.stderr.write(f"wall_seconds={elapsed:.3f}\n")
     return 0
 
 
@@ -298,6 +323,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reading_table(func, arguments):
+    """One subcommand's table for `_read_argv`: its handler, each dest's
+    default in declaration order, each flag's (dest, type, choices) with
+    type None for a switch, the positional dests in order, and the
+    required option dests, whose default is None."""
+    defaults, flags, positionals, required = {}, {}, [], []
+    for names, options in arguments:
+        dest = names[-1].lstrip("-").replace("-", "_")
+        switch = options.get("action") == "store_true"
+        defaults[dest] = options.get("default", False if switch else None)
+        if names[0][0] != "-":
+            positionals.append(dest)
+            continue
+        if options.get("required"):
+            required.append(dest)
+        spec = dest, None if switch else options.get("type", str), options.get("choices")
+        for flag in names:
+            flags[flag] = spec
+    return func, defaults, flags, tuple(positionals), tuple(required)
+
+
+# Every subcommand's reading table, made once from `_COMMANDS`.
+_READING_TABLES = {
+    name: _reading_table(func, arguments) for name, _, func, arguments in _COMMANDS
+}
+
+
 def _read_argv(argv) -> SimpleNamespace | None:
     """The namespace `_build_parser().parse_args(argv)` returns, read from
     `_COMMANDS` without argparse, or None for a command line this reader
@@ -306,47 +358,37 @@ def _read_argv(argv) -> SimpleNamespace | None:
     a value or positional that starts with ``-``, a missing value, required
     option or positional, an extra positional, or a value that fails its
     type or choices.  Argparse reads those, with its own messages."""
-    for name, _, func, arguments in _COMMANDS:
-        if argv and argv[0] == name:
-            break
-    else:
+    table = _READING_TABLES.get(argv[0]) if argv else None
+    if table is None:
         return None
-    values = {"command": name, "func": func}
-    flags, positionals, required = {}, [], set()
-    for names, options in arguments:
-        dest = names[-1].lstrip("-").replace("-", "_")
-        switch = options.get("action") == "store_true"
-        values[dest] = options.get("default", False if switch else None)
-        if names[0][0] != "-":
-            positionals.append(dest)
-            continue
-        if options.get("required"):
-            required.add(dest)
-        for flag in names:
-            flags[flag] = dest, switch, options
+    func, defaults, flags, positionals, required = table
+    values = {"command": argv[0], "func": func, **defaults}
     given = []
     tokens = iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
             given.append(token)
             continue
-        if token not in flags:
+        spec = flags.get(token)
+        if spec is None:
             return None
-        dest, switch, options = flags[token]
+        dest, convert, choices = spec
         value = True
-        if not switch:
+        if convert is not None:
             value = next(tokens, "-")
             if value[:1] == "-":
                 return None
             try:
-                value = options.get("type", str)(value)
+                value = convert(value)
             except ValueError:
                 return None
-            if value not in options.get("choices", (value,)):
+            if choices is not None and value not in choices:
                 return None
         values[dest] = value
-        required.discard(dest)
-    if required or len(given) != len(positionals):
+    for dest in required:
+        if values[dest] is None:
+            return None
+    if len(given) != len(positionals):
         return None
     values.update(zip(positionals, given))
     return SimpleNamespace(**values)

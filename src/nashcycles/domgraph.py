@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .games import Game, MixedStrategy
-from .lp import InfeasibleSides, _record, _two_column_reply, lp3_relevancy
+from .lp import InfeasibleSides, _max_support, _record, _two_column_reply, lp3_relevancy
 
 # Unused here, but bench/tracing.py wraps these names in this namespace.
 from .lp import lp1_dominance, lp2_domain_check, lp2_joint_domain_check, mod_lp1_relevancy
@@ -288,7 +288,8 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     (`lp._two_column_reply`): its best-response region then has interior,
     so R(x) is every column.  Any other row asks the record the side
     ({x}, U(x)), and only a row that fails it costs `compute_relevancy`'s
-    max-support program.
+    max-support program, read as integer weights (`lp._max_support`), so
+    no `MixedStrategy` is made.
     """
     record = _record(game, infeasible)
     m, n = game.m, game.n
@@ -309,7 +310,8 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
                     and not (bound == every and _two_column_reply(vectors, x, cols, top, True))
                     and record.check_side(player, 1 << x, bound) is None
                 ):
-                    bound = sum(1 << y for y in compute_relevancy(game, player, x).members)
+                    weights = _max_support(game.int_payoffs[player - 1], x) or ()
+                    bound = sum(1 << y for y, w in enumerate(weights) if w)
             succ.append(bound << offset)
     singletons = tuple(1 << x for x in range(m)), tuple(1 << y for y in range(n))
     return BipartiteDigraph._of(*singletons, tuple(succ))

@@ -12,18 +12,27 @@ response to q, whose support is C, so C is a subset of R(x); likewise R is a
 subset of R(y) for every column y in C.  So the arcs of an equilibrium
 support pair run both ways between R and C, and no other pair needs a check.
 
+A game that elimination leaves one strategy on one side is one-sided, and
+needs no graph and no check: the other player's survivors all tie against
+that strategy, or elimination would have removed them, so every support
+pair of the reduced game is an equilibrium.  Its witness plays the lone
+strategy pure and is uniform on the other side, as the check's closed
+forms answer, so such a game is answered at once (`_one_sided`).
+
 A candidate is two bitmasks (rows, cols) over the eliminated game from
 the generator to the check, and the check's witness is two integer weight
 vectors.  All results are reported in the coordinates of the game as
 given: pipelines run iterated elimination internally and map the supports
 of each equilibrium found, as a `SupportPair`, and its witnesses back
-through the index maps.  A run makes each distinct side witness's
-probabilities, strategy and payoff once, and its entries share them.
+through the index maps.  An entry keeps each side in integers (`_Side`),
+one per distinct side witness of the run, shared by the entries using it;
+its strategy and payoff `Fraction`s are made only when first read.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -56,13 +65,79 @@ __all__ = [
     "verify_equilibrium",
 ]
 
+class _Side:
+    """One player's strategy in an equilibrium, in integers: `weights`, its
+    integer weights over that player's strategies in the game as given,
+    divided by their gcd, and their sum `total`, so the strategy is
+    weights / total; and `payoff`, the numerator and denominator (> 0, in
+    lowest terms) of what the other player's best responses earn against
+    it.  `strategy` and `value` are the `MixedStrategy` and `Fraction`
+    views, each made on first read.  `==` and `hash` compare the integer
+    form."""
+
+    __slots__ = ("owner", "weights", "total", "payoff", "_strategy", "_value")
+
+    def __init__(self, owner: int, weights: tuple[int, ...], total: int, payoff: tuple[int, int]):
+        self.owner = owner
+        self.weights = weights
+        self.total = total
+        self.payoff = payoff
+        self._strategy = self._value = None
+
+    def _key(self):
+        return self.owner, self.weights, self.payoff
+
+    def __eq__(self, other):
+        if type(other) is not _Side:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"_Side(owner={self.owner}, weights={self.weights}, payoff={self.payoff})"
+
+    @property
+    def strategy(self) -> MixedStrategy:
+        if self._strategy is None:
+            self._strategy = MixedStrategy._spread(self.owner, self.weights, self.total)
+        return self._strategy
+
+    @property
+    def value(self) -> Fraction:
+        if self._value is None:
+            self._value = Fraction(*self.payoff)
+        return self._value
+
+
 @dataclass(frozen=True)
 class Equilibrium:
+    """An equilibrium found by a pipeline: its supports, and each player's
+    side in integers (`sides` = (p's, q's)).  `p`, `q`, `u1` and `u2` are
+    views of the sides, made on first read and shared by every entry of
+    the run with the same side witness."""
+
     support: SupportPair
-    p: MixedStrategy
-    q: MixedStrategy
-    u1: Fraction
-    u2: Fraction
+    sides: tuple[_Side, _Side]
+
+    @property
+    def p(self) -> MixedStrategy:
+        return self.sides[0].strategy
+
+    @property
+    def q(self) -> MixedStrategy:
+        return self.sides[1].strategy
+
+    @property
+    def u1(self) -> Fraction:
+        """Player 1's payoff: what its best responses earn against q."""
+        return self.sides[1].value
+
+    @property
+    def u2(self) -> Fraction:
+        """Player 2's payoff: what its best responses earn against p."""
+        return self.sides[0].value
 
 
 @dataclass(frozen=True)
@@ -124,14 +199,14 @@ class _Publisher:
     """One run's lift of `fp1_check`'s witnesses over `red.game` into
     entries in the coordinates of `original`.
 
-    Per player, a side witness (the integer weights `fp1_check` returns)
-    maps to its lifted `MixedStrategy` and the common payoff against it,
-    made once, so the entries of a continuum share them.  The weights alone
-    are the key: every responder of a witness earns the top payoff against
-    it, so the lowest responder of any pair using those weights gives the
-    same value, read off `red.game.int_payoffs` over the matrix's scale (u1
-    against q's weights, u2 against p's).  The index maps ascend, so a
-    lifted support needs no sort."""
+    Per player, a side witness (the integer weights `fp1_check` returns,
+    divided by their gcd) maps to its `_Side`, made once, so the entries of
+    a continuum share it.  The weights alone are the key: every responder
+    of a witness earns the top payoff against it, so the lowest responder
+    of any pair using those weights gives the same value, read off
+    `red.game.int_payoffs` over the matrix's scale (u1 against q's weights,
+    u2 against p's).  The index maps ascend, so a lifted support needs no
+    sort."""
 
     __slots__ = ("_views", "_maps", "_sizes", "_published")
 
@@ -139,33 +214,42 @@ class _Publisher:
         self._views = red.game.int_payoffs
         self._maps = (red.row_map, red.col_map)
         self._sizes = (original.m, original.n)
-        # Per player: side weights -> (lifted strategy, payoff against it).
+        # Per player: reduced side weights -> its _Side.
         self._published: tuple[dict, dict] = ({}, {})
 
     def entry(self, rows: int, cols: int, witness) -> Equilibrium:
         """The equilibrium of the masks (rows, cols) over the reduced game
         and `fp1_check`'s witness (p_weights, q_weights) for them."""
         p_weights, q_weights = witness
-        p, u2 = self._side(0, p_weights, cols)
-        q, u1 = self._side(1, q_weights, rows)
+        sides = (self._side(0, p_weights, cols), self._side(1, q_weights, rows))
         row_map, col_map = self._maps
         support = SupportPair._ascending(
             tuple([row_map[i] for i in _bits(rows)]), tuple([col_map[j] for j in _bits(cols)])
         )
-        return Equilibrium(support, p, q, u1, u2)
+        return Equilibrium(support, sides)
 
-    def _side(self, side: int, weights, responders: int) -> tuple[MixedStrategy, Fraction]:
+    def _side(self, side: int, weights, responders: int) -> _Side:
+        common = math.gcd(*weights)
+        if common > 1:
+            weights = tuple([w // common for w in weights])
         published = self._published[side]
         found = published.get(weights)
         if found is None:
             total = sum(weights)
-            strategy = MixedStrategy._spread(
-                side + 1, weights, total, self._maps[side], self._sizes[side]
-            )
             scale, vectors = self._views[1 - side]
             base = vectors[(responders & -responders).bit_length() - 1]
-            payoff = Fraction(sum(a * w for a, w in zip(base, weights)), scale * total)
-            found = published[weights] = (strategy, payoff)
+            num, den = sum(a * w for a, w in zip(base, weights)), scale * total
+            common = math.gcd(num, den)
+            index_map, size = self._maps[side], self._sizes[side]
+            lifted = weights
+            if len(index_map) < size:
+                lifted = [0] * size
+                for i, w in zip(index_map, weights):
+                    lifted[i] = w
+                lifted = tuple(lifted)
+            found = published[weights] = _Side(
+                side + 1, lifted, total, (num // common, den // common)
+            )
         return found
 
 
@@ -266,8 +350,42 @@ def _bicliques(
 # Pipelines
 # ---------------------------------------------------------------------------
 
+def _one_sided(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet | None:
+    """The walk's answer on a one-sided `red`, with no record, graph or
+    check, or None when both players keep two or more strategies.
+
+    Every support pair is an equilibrium (see the module docstring), so
+    the 2^k - 1 pairs, k the wider side, are the candidates and the
+    equilibria, and none is pruned; past `budget` the fully joined graph
+    refuses on that count before its walk.  The check's witness of each
+    pair plays the lone strategy with the unit weight, the one answer for
+    a one-strategy support, and the other side with the all-ones weight:
+    its two-column interval is all of (0, 1), and its uniform mixture
+    qualifies, since no rival is left."""
+    m, n = red.game.m, red.game.n
+    if m > 1 and n > 1:
+        return None
+    total = ((1 << m) - 1) * ((1 << n) - 1)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    publish = _Publisher(red, game).entry
+    width = max(m, n)
+    entries = []
+    for mask in range(1, 1 << width):
+        ones = tuple([mask >> i & 1 for i in range(width)])
+        if m == 1:
+            entries.append(publish(1, mask, ((1,), ones)))
+        else:
+            entries.append(publish(mask, 1, (ones, (1,))))
+    entries.sort(key=lambda e: (e.support.rows, e.support.cols))
+    return EquilibriumSet(game, method, tuple(entries), PipelineStats(total, 0, total))
+
+
 def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
     """`enumerate_by_supports` on the eliminated game `red`, labelled `method`."""
+    found = _one_sided(game, red, method, budget)
+    if found is not None:
+        return found
     m, n = red.game.m, red.game.n
     record = InfeasibleSides(red.game)
     candidates = _bicliques([(1 << n) - 1] * m, n, record, budget)
@@ -281,6 +399,7 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`, in the walk, before any pair is built.
+    A one-sided game is answered in closed form (`_one_sided`).
     """
     return _support_walk(game, iterated_elimination(game), "supports", budget)
 
@@ -294,9 +413,13 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     equilibrium support pair is one (see the module docstring), and on a
     complete G_R every support pair is one.  G_R's build and the checks
     share one record, so a full row's side is solved once.  Refuses games
-    with more than `budget` bicliques.
+    with more than `budget` bicliques.  A one-sided game, whose G_R is
+    complete, is answered in closed form (`_one_sided`) with no G_R.
     """
     red = iterated_elimination(game)
+    found = _one_sided(game, red, "gr", budget)
+    if found is not None:
+        return found
     record = InfeasibleSides(red.game)
     candidates = _bicliques(_mutual(build_gr(red.game, record)), red.game.n, record, budget)
     return _run_checks(game, red, candidates, "gr", budget, record)
@@ -311,11 +434,12 @@ def enumerate_by_gi(
     are exactly the equilibrium support pairs, so its arcs are asked lazily
     in the oracle's walk: `fp1_check` asks R -> C, then C -> R only if that
     holds, and an arc left unasked closes no 3-cycle.  Result, stats and
-    budget are the oracle's.  Below full caps the run is a heuristic whose
-    candidates come from G_I's cycle basis (longer cycles and artificial
-    arcs included): each class's strategy sets, and per vertex the union
-    of the classes through it.  The basis refuses past `budget` classes,
-    the checks past `budget` candidates.
+    budget are the oracle's, a one-sided game's closed form included.
+    Below full caps the run is a heuristic whose candidates come from
+    G_I's cycle basis (longer cycles and artificial arcs included): each
+    class's strategy sets, and per vertex the union of the classes through
+    it.  The basis refuses past `budget` classes, the checks past `budget`
+    candidates.
     """
     if k < 1 or l < 1:
         raise ValueError("size caps must be at least 1")

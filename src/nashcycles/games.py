@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -79,8 +79,7 @@ def _reduced(scale: int, flat: Sequence[int], n: int) -> IntView:
 def _scaled(nums: Sequence[int], dens: Sequence[int], n: int) -> IntView:
     """The integer form of the row-major matrix nums / dens, n to a row."""
     scale = math.lcm(*dens)
-    nums = list(map(operator.mul, nums, map(operator.floordiv, repeat(scale), dens)))
-    return _reduced(scale, nums, n)
+    return _reduced(scale, [p * (scale // q) for p, q in zip(nums, dens)], n)
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,14 @@ class MixedStrategy:
         total = sum(weights)
         if total <= 0:
             raise ValueError("weights must have a positive sum")
-        return cls._spread(owner, weights, total, range(len(weights)), len(weights))
+        return cls._spread(owner, weights, total)
 
     @classmethod
-    def _spread(
-        cls, owner: int, weights: Sequence[int], total: int, index_map: Sequence[int], size: int
-    ) -> "MixedStrategy":
-        """The strategy over `size` strategies with weights[k] / total at
-        index_map[k] and zero elsewhere, in one pass and unchecked: the
-        caller vouches for an owner of 1 or 2, non-negative int weights
-        summing to `total` > 0 and distinct indices below `size`."""
-        probs = [_ZERO] * size
-        for i, w in zip(index_map, weights):
-            if w:
-                probs[i] = Fraction(w, total)
+    def _spread(cls, owner: int, weights: Sequence[int], total: int) -> "MixedStrategy":
+        """The strategy weights / total, unchecked: the caller vouches for
+        an owner of 1 or 2 and non-negative int weights summing to
+        `total` > 0."""
+        probs = [Fraction(w, total) if w else _ZERO for w in weights]
         strategy = object.__new__(cls)
         object.__setattr__(strategy, "owner", owner)
         object.__setattr__(strategy, "probs", tuple(probs))
@@ -341,15 +334,36 @@ def parse_game(text: str | bytes) -> Game:
         )
 
     def read_matrix(rows: list[tuple[int, str]]) -> IntView:
-        pairs = []
+        nums, dens = [], []
         for line_no, line in rows:
             tokens = line.split()
             if len(tokens) != n:
                 raise GameFormatError(
                     f"expected {n} entries, found {len(tokens)}", line_no
                 )
-            pairs += [_read_token(t, line_no) for t in tokens]
-        nums, dens = zip(*pairs)
+            # A line of ASCII ints and p/q tokens is read here, as
+            # `_read_token` reads them; any other line goes to it per token.
+            row = None
+            if line.isascii() and "_" not in line and "." not in line:
+                try:
+                    if "/" in line:
+                        row = ([], [])
+                        for token in tokens:
+                            num, slash, den = token.partition("/")
+                            q = (int(den) if den[:1].isdigit() else 0) if slash else 1
+                            if not q:
+                                raise ValueError(token)
+                            row[0].append(int(num))
+                            row[1].append(q)
+                    else:
+                        row = (list(map(int, tokens)), [1] * n)
+                except ValueError:
+                    row = None
+            if row is None:
+                row = zip(*[_read_token(t, line_no) for t in tokens])
+            row_nums, row_dens = row
+            nums += row_nums
+            dens += row_dens
         return _scaled(nums, dens, n)
 
     return Game._of(read_matrix(body[:m]), read_matrix(body[m:]))

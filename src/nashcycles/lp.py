@@ -96,10 +96,14 @@ at S.  That is the rational program times S, which rescales only slacks
 and artificials, so no pivot changes; nor on a positive multiple of a
 view, such as elimination's slices.  `lp3_relevancy` and `solve_lp`
 (bounds substituted, rows scaled by the lcm of their denominators) build
-theirs with `_tableau`.  `Fraction`s are made once, where a result is
-published (`solve_lp`'s assignment; each witness is w / sum(w) of its
-weights w, once per distinct witness in a pipeline run).  Public inputs
-and outputs are `Fraction` (ints accepted).
+theirs with `_tableau`.  `Fraction`s are made only where a result is
+read: `solve_lp`'s assignment and the public programs' witnesses are
+`Fraction`s, but a pipeline entry keeps each side witness as its weights
+w, divided by their gcd, and makes w / sum(w) when it is first read, once
+per distinct witness in a run; the command line prints from the weights
+and makes none.  `build_gr` reads the max-support program's weights
+(`_max_support`) as a mask.  Public inputs and outputs are `Fraction`
+(ints accepted).
 """
 
 from __future__ import annotations
@@ -445,7 +449,17 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
     Returns None exactly when C is {0}: `x` is strictly dominated.
     """
     _check_index(game, player, x, "strategy")
-    scale, vectors = game.int_payoffs[player - 1]
+    weights = _max_support(game.int_payoffs[player - 1], x)
+    if weights is None:
+        return None
+    return MixedStrategy.from_weights(_opponent(player), weights)
+
+
+def _max_support(view, x: int) -> list[int] | None:
+    """`lp3_relevancy`'s witness as the integer weights t + s over the
+    opponent strategies of the view (S, rows), whose non-zero entries are
+    R(x); None when `x` is strictly dominated."""
+    scale, vectors = view
     own = vectors[x]
     n = len(own)
     # Columns: t over the opponent strategies, then s; q = t + s, so each
@@ -461,9 +475,7 @@ def lp3_relevancy(game: Game, player: int, x: int) -> MixedStrategy | None:
         raise RuntimeError(f"max-support program ended {status}")
     if not any(values[:n]):
         return None
-    return MixedStrategy.from_weights(
-        _opponent(player), [t + s for t, s in zip(values[:n], values[n:])]
-    )
+    return [t + s for t, s in zip(values[:n], values[n:])]
 
 
 def _best_response_region(view, responders: int, s1: int, s0: int) -> tuple[int, ...] | None:
@@ -974,8 +986,8 @@ def fp1_check(
     Raises ValueError unless both masks are non-empty and within the game.
     Returns (False, None), or (True, (p_weights, q_weights)), each witness
     as its side's zero-padded integer weights: p = p_weights / sum(p_weights)
-    and likewise q.  A pipeline run makes `Fraction`s once per distinct
-    side witness.
+    and likewise q.  A pipeline entry keeps the weights and makes
+    `Fraction`s only when its strategies are read.
     """
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")

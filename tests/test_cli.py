@@ -11,11 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nashcycles
-from nashcycles.cli import _build_parser, _read_argv, main
-from nashcycles.games import generate_random_game, parse_game, write_game
+from nashcycles.cli import _build_parser, _fmt_ratio, _fmt_side, _read_argv, main
+from nashcycles.equilibria import _Side
+from nashcycles.games import MixedStrategy, generate_random_game, parse_game, write_game
 
 PD = "2 2\n3 0\n5 1\n3 5\n0 1\n"
 MP = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
@@ -77,6 +82,10 @@ class TestSolve:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["solve", "/nonexistent.game"]) == 2
+
+    def test_directory_exit_2_names_it(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
     def test_parse_error_exit_2(self, game_file, capsys):
         assert main(["solve", game_file("junk\n")]) == 2
@@ -170,6 +179,81 @@ class TestSolve:
         )
         imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if "|" in line}
         assert "nashcycles.cli" in imported and "argparse" not in imported
+
+
+@contextlib.contextmanager
+def _made():
+    """Count the `Fraction`s and `MixedStrategy`s built inside the block: by
+    their constructors, by `Fraction._from_coprime_ints` (3.12+ arithmetic)
+    and by `MixedStrategy._spread`, neither of which calls the constructor."""
+    counts = {"Fraction": 0, "MixedStrategy": 0}
+    new, post_init = Fraction.__new__, MixedStrategy.__post_init__
+    spread = MixedStrategy._spread.__func__
+
+    def fraction_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def strategy_init(self):
+        counts["MixedStrategy"] += 1
+        post_init(self)
+
+    def strategy_spread(cls, *args):
+        counts["MixedStrategy"] += 1
+        return spread(cls, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", fraction_new)
+        if "_from_coprime_ints" in vars(Fraction):
+            coprime = Fraction._from_coprime_ints.__func__
+
+            def fraction_coprime(cls, *args):
+                counts["Fraction"] += 1
+                return coprime(cls, *args)
+
+            patch.setattr(Fraction, "_from_coprime_ints", classmethod(fraction_coprime))
+        patch.setattr(MixedStrategy, "__post_init__", strategy_init)
+        patch.setattr(MixedStrategy, "_spread", classmethod(strategy_spread))
+        yield counts
+
+
+class TestPrinting:
+    """A solve prints each line from its entries' integer sides."""
+
+    ROUTES = (["--method", "supports"], ["--method", "gr"], ["--method", "gi"])
+
+    def test_a_solve_makes_no_fraction_or_strategy(self, game_file, capsys):
+        texts = [PD, MP, BOS, "1 3\n0 0 0\n0 0 0\n", "3 1\n0\n0\n0\n0\n0\n0\n",
+                 "4 4\n0 1 2 1\n2 0 0 1\n0 2 2 0\n0 1 2 1\n1 0 0 2\n1 2 0 0\n1 1 1 2\n1 0 0 2\n"]
+        texts += [write_game(generate_random_game(m, n, 1000 * m + 100 * n))
+                  for m in range(2, 6) for n in range(2, 6)]
+        with _made() as counts:
+            assert Fraction(1, 2) and counts["Fraction"]  # the counter counts
+            counts["Fraction"] = 0
+            for index, text in enumerate(texts):
+                path = game_file(text, f"g{index}.game")
+                cap = str(min(2, *map(int, text.split()[:2])))
+                for route in (*self.ROUTES, ["--method", "gi", "--k", cap, "--l", cap]):
+                    for output in ("structured", "text"):
+                        assert main(["solve", path, *route, "--output", output]) == 0
+                        assert counts == {"Fraction": 0, "MixedStrategy": 0}, (index, route)
+        out = capsys.readouterr().out
+        assert out.count("\neq method=") > len(texts)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=6).filter(any),
+        st.integers(-(10**9), 10**9),
+        st.integers(1, 10**9),
+    )
+    @example([0, 3, 0], 0, 7)
+    @example([5], -6, 3)
+    @example([2, 4], 12, 4)
+    def test_int_formatter_prints_what_fraction_prints(self, weights, num, den):
+        total = sum(weights)
+        side = _Side(1, tuple(weights), total, (num, den))
+        assert _fmt_side(side) == "(" + ",".join(str(Fraction(w, total)) for w in weights) + ")"
+        assert _fmt_ratio(num, den) == str(Fraction(num, den))
 
 
 class TestCycles:

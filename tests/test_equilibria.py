@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
+import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -655,29 +657,67 @@ class TestLiftedEntries:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(tied_games())
     def test_checks_make_two_strategies_per_equilibrium(self, g):
-        # At most two: a run makes one strategy per distinct p-witness and
-        # one per distinct q-witness, which the entries of a continuum share.
-        run_checks = _run_checks
-
-        def checks(*args):
-            before = len(made)
-            with _witnesses_found() as found:
-                result = run_checks(*args)
-            distinct = len({p for _, _, (p, _) in found}) + len({q for _, _, (_, q) in found})
-            assert len(made) - before == distinct <= 2 * len(result.entries), result.method
-            return result
-
-        with _strategies_made() as (made, patch):
-            patch.setattr(equilibria_module, "_run_checks", checks)
-            _routes(g)
+        # None while solving, and at most two at first read: one strategy
+        # per distinct p-side and one per distinct q-side of the run, which
+        # the entries of a continuum share, and none at a second read.
+        with _strategies_made() as (made, _):
+            results = _routes(g)
+            assert made == []
+            for result in results:
+                before = len(made)
+                for e in result.entries:
+                    e.p, e.q
+                distinct = len({e.sides[0] for e in result.entries})
+                distinct += len({e.sides[1] for e in result.entries})
+                assert len(made) - before == distinct <= 2 * len(result.entries), result.method
+                for e in result.entries:
+                    e.p, e.q
+                assert len(made) - before == distinct, result.method
 
     def test_whole_solve_makes_two_strategies_per_equilibrium(self, bos, mp, pd):
-        # Elimination answers these games by pure tests and every row of G_R
-        # is full, so the checks' strategies are the only ones made.
+        # A whole solve makes no strategy, on the checks' route (bos, mp) and
+        # the closed form's (pd, 1x1 after elimination) alike; reading p and
+        # q makes one each per entry, since no two entries share a side.
         for g in (bos, mp, pd):
             with _strategies_made() as (made, _):
-                found = sum(len(result.entries) for result in _routes(g))
+                results = _routes(g)
+                assert made == []
+                found = 0
+                for result in results:
+                    for e in result.entries:
+                        e.p, e.q
+                    found += len(result.entries)
             assert found and made == [1, 2] * found
+
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(tied_games())
+    def test_views_are_made_once_per_side(self, g):
+        # p, q, u1 and u2 are views of the entries' sides: each distinct
+        # side makes its strategy and its payoff once, at first read, and
+        # the entries sharing a side share them.
+        values = []
+        fraction = equilibria_module.Fraction
+
+        def counting(*args):
+            values.append(args)
+            return fraction(*args)
+
+        with _strategies_made() as (made, patch):
+            patch.setattr(equilibria_module, "Fraction", counting)
+            for result in _routes(g):
+                made.clear()
+                values.clear()
+                sides = {s for e in result.entries for s in e.sides}
+                first = [(e.p, e.q, e.u1, e.u2) for e in result.entries]
+                again = [(e.p, e.q, e.u1, e.u2) for e in result.entries]
+                assert len(made) == len(values) == len(sides), result.method
+                assert all(map(lambda a, b: all(map(operator.is_, a, b)), first, again))
+                for e, f in itertools.combinations(result.entries, 2):
+                    if e.sides[0] == f.sides[0]:
+                        assert e.p is f.p and e.u2 is f.u2
+                    if e.sides[1] == f.sides[1]:
+                        assert e.q is f.q and e.u1 is f.u1
 
 
 class TestPublisher:
@@ -687,7 +727,9 @@ class TestPublisher:
 
     @staticmethod
     def _check_runs(g: Game) -> int:
-        """Check every route's run on `g`; returns the entries checked."""
+        """Check every route's run on `g`; returns the entries checked.  A
+        one-sided game runs no checks: each route's result must be what the
+        oracle's walk and checks publish on the same reduced game."""
         runs = []
 
         def checks(original, red, *args):
@@ -698,7 +740,15 @@ class TestPublisher:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibria_module, "_run_checks", checks)
-            _routes(g)
+            results = _routes(g)
+        red = iterated_elimination(g)
+        if red.game.m == 1 or red.game.n == 1:
+            assert runs == []
+            for result in results:
+                with _witnesses_found() as found:
+                    walked = _walked(g, red, result.method)
+                assert (result.entries, result.stats) == (walked.entries, walked.stats)
+                runs.append((red, found, result))
         assert len(runs) == 3
         checked = 0
         for red, found, result in runs:
@@ -728,13 +778,25 @@ class TestPublisher:
         assert checked == 1134
 
     def test_a_continuum_shares_its_witness(self, flat_top):
-        # All three equilibria play row 1 with the unit weight, so one p is
-        # made for them and three qs.
+        # All three equilibria play row 1 with the unit weight, so reading
+        # them makes one p and three qs, and the solve makes none.
         with _strategies_made() as (made, _):
             result = enumerate_by_supports(flat_top)
+            assert made == []
+            for e in result.entries:
+                e.p, e.q
         assert made == [1, 2, 2, 2]
         first, *rest = result.entries
         assert all(e.p is first.p and e.u2 == first.u2 for e in rest)
+
+
+def _walked(g: Game, red, method: str, budget: int = DEFAULT_BUDGET):
+    """The oracle's walk and checks on the reduced game `red`, with no
+    closed form: the complete graph's bicliques through `_run_checks`."""
+    m, n = red.game.m, red.game.n
+    record = InfeasibleSides(red.game)
+    candidates = _bicliques([(1 << n) - 1] * m, n, record, budget)
+    return _run_checks(g, red, candidates, method, budget, record)
 
 
 @contextlib.contextmanager
@@ -759,7 +821,7 @@ def _witnesses_found():
 def _strategies_made():
     """Record the owner of every `MixedStrategy` built inside the block, by
     the constructor or by `_spread` (which does not call the constructor,
-    and which `from_weights` and the pipelines' publisher call); yields
+    and which `from_weights` and an entry's `p` and `q` call); yields
     that list and the block's monkeypatch."""
     made = []
     post_init, spread = MixedStrategy.__post_init__, MixedStrategy._spread
@@ -920,3 +982,100 @@ class TestIndexMapping:
         assert entry.q.probs == (F(0), F(1, 2), F(1, 2))
         valid, report = verify_equilibrium(g, entry.p, entry.q)
         assert valid, report
+
+
+def _one_sided_games() -> list[Game]:
+    """Games that elimination leaves one strategy on one side: all-zero 1xn
+    and mx1 games up to 8, seeded tied, duplicated-row and grid games that
+    reduce to 1xk or kx1, and the classic ones that do."""
+    games = []
+    for k in range(1, 9):
+        games.append(Game.from_rows([[0] * k], [[0] * k]))
+        games.append(Game.from_rows([[0]] * k, [[0]] * k))
+    for seed in range(300):
+        rng = random.Random(seed)
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        games.append(duplicated_game(m, n, 9500 + seed, dup_row=seed % 2 == 0, dup_col=seed % 3 == 0))
+        games.append(degenerate_game(max(m, 2), n, 9800 + seed))
+        games.append(generate_random_game(m, n, 9900 + seed))
+    return [g for g in games if 1 in _reduced_shape(g)]
+
+
+def _reduced_shape(g: Game) -> tuple[int, int]:
+    red = iterated_elimination(g).game
+    return red.m, red.n
+
+
+def _refusal(run) -> tuple[int, int] | None:
+    """(candidates, budget) of the BudgetExceededError `run()` raises, or
+    None when it returns."""
+    try:
+        run()
+    except BudgetExceededError as exc:
+        return exc.candidates, exc.budget
+    return None
+
+
+class TestOneSided:
+    """A game that elimination leaves one strategy on one side is answered in
+    closed form, by every exact route, exactly as the oracle's walk and
+    checks answer it on the same reduced game: entries, stats and refusals."""
+
+    GAMES = _one_sided_games()
+
+    def test_panel_covers_both_shapes(self):
+        shapes = set(map(_reduced_shape, self.GAMES))
+        assert {(1, 1), (1, 8), (8, 1)} <= shapes
+        assert len(self.GAMES) > 200
+
+    def test_routes_match_the_walk(self):
+        for g in self.GAMES:
+            red = iterated_elimination(g)
+            rg = red.game
+            k = max(rg.m, rg.n)
+            assert _mutual(build_gr(rg)) == [(1 << rg.n) - 1] * rg.m  # G_R is complete
+            for budget in (DEFAULT_BUDGET, (1 << k) - 1, (1 << k) - 2):
+                routes = (
+                    ("supports", lambda: enumerate_by_supports(g, budget)),
+                    ("gr", lambda: enumerate_by_gr(g, budget)),
+                    (f"gi(k={rg.m},l={rg.n})", lambda: enumerate_by_gi(g, g.m, g.n, budget)),
+                )
+                for method, route in routes:
+                    walk = lambda: _walked(g, red, method, budget)
+                    expected = _refusal(walk)
+                    assert _refusal(route) == expected, (method, budget)
+                    if expected is None:
+                        result, walked = route(), walk()
+                        assert result.method == method
+                        assert result.entries == walked.entries, method
+                        assert result.stats == walked.stats == PipelineStats(
+                            (1 << k) - 1, 0, (1 << k) - 1
+                        )
+                        values = [(e.p, e.q, e.u1, e.u2) for e in result.entries]
+                        assert values == [(e.p, e.q, e.u1, e.u2) for e in walked.entries]
+                    else:
+                        assert expected == ((1 << k) - 1, budget)
+
+    def test_no_record_graph_or_check(self):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-sided game built a record, a graph or a check")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("InfeasibleSides", "build_gr", "fp1_check", "_run_checks", "_bicliques"):
+                patch.setattr(equilibria_module, name, forbidden)
+            for g in self.GAMES:
+                _routes(g)
+
+    def test_capped_gi_is_not_answered_in_closed_form(self):
+        g = Game.from_rows([[0] * 3], [[0] * 3])
+        with _witnesses_found() as found:
+            result = enumerate_by_gi(g, 1, 2)
+        assert result.method == "gi(k=1,l=2)" and found
+
+    def test_vertex_oracle_agrees(self):
+        for g in self.GAMES:
+            if g.m <= 5 and g.n <= 5:
+                expected = equilibrium_supports(g.a, g.b)
+                for result in _routes(g):
+                    got = {(_mask(e.support.rows), _mask(e.support.cols)) for e in result.entries}
+                    assert got == expected, result.method
