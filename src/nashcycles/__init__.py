@@ -30,6 +30,7 @@ from .equilibria import (
     BudgetExceededError,
     Equilibrium,
     EquilibriumSet,
+    EquilibriumSide,
     PipelineStats,
     eliminable_strategies,
     enumerate_by_gi,

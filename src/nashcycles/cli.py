@@ -159,7 +159,7 @@ def _cmd_solve(args) -> int:
         result = enumerate_by_gi(game, *_caps(args, game), args.budget)
     elapsed = time.perf_counter() - start
     _print_result(result, args.output == "structured")
-    sys.stderr.write(f"wall_seconds={elapsed:.3f}\n")
+    print(f"wall_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
 

@@ -24,9 +24,10 @@ the generator to the check, and the check's witness is two integer weight
 vectors.  All results are reported in the coordinates of the game as
 given: pipelines run iterated elimination internally and map the supports
 of each equilibrium found, as a `SupportPair`, and its witnesses back
-through the index maps.  An entry keeps each side in integers (`_Side`),
-one per distinct side witness of the run, shared by the entries using it;
-its strategy and payoff `Fraction`s are made only when first read.
+through the index maps.  An entry keeps each side in integers
+(`EquilibriumSide`), one per distinct side witness of the run, shared by
+the entries using it; its strategy and payoff `Fraction`s are made only
+when first read.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Equilibrium",
     "EquilibriumSet",
+    "EquilibriumSide",
     "PipelineStats",
     "eliminable_strategies",
     "enumerate_by_gi",
@@ -65,7 +67,7 @@ __all__ = [
     "verify_equilibrium",
 ]
 
-class _Side:
+class EquilibriumSide:
     """One player's strategy in an equilibrium, in integers: `weights`, its
     integer weights over that player's strategies in the game as given,
     divided by their gcd, and their sum `total`, so the strategy is
@@ -73,7 +75,9 @@ class _Side:
     lowest terms) of what the other player's best responses earn against
     it.  `strategy` and `value` are the `MixedStrategy` and `Fraction`
     views, each made on first read.  `==` and `hash` compare the integer
-    form."""
+    form.  Written out rather than as a frozen dataclass, whose
+    `cached_property` views (locked on CPython 3.11) or `object.__setattr__`
+    construction make solving and then reading every result slower."""
 
     __slots__ = ("owner", "weights", "total", "payoff", "_strategy", "_value")
 
@@ -88,7 +92,7 @@ class _Side:
         return self.owner, self.weights, self.payoff
 
     def __eq__(self, other):
-        if type(other) is not _Side:
+        if type(other) is not EquilibriumSide:
             return NotImplemented
         return self._key() == other._key()
 
@@ -96,7 +100,7 @@ class _Side:
         return hash(self._key())
 
     def __repr__(self):
-        return f"_Side(owner={self.owner}, weights={self.weights}, payoff={self.payoff})"
+        return f"EquilibriumSide(owner={self.owner}, weights={self.weights}, payoff={self.payoff})"
 
     @property
     def strategy(self) -> MixedStrategy:
@@ -119,7 +123,7 @@ class Equilibrium:
     the run with the same side witness."""
 
     support: SupportPair
-    sides: tuple[_Side, _Side]
+    sides: tuple[EquilibriumSide, EquilibriumSide]
 
     @property
     def p(self) -> MixedStrategy:
@@ -200,10 +204,10 @@ class _Publisher:
     entries in the coordinates of `original`.
 
     Per player, a side witness (the integer weights `fp1_check` returns,
-    divided by their gcd) maps to its `_Side`, made once, so the entries of
-    a continuum share it.  The weights alone are the key: every responder
-    of a witness earns the top payoff against it, so the lowest responder
-    of any pair using those weights gives the same value, read off
+    divided by their gcd) maps to its `EquilibriumSide`, made once, so the
+    entries of a continuum share it.  The weights alone are the key: every
+    responder of a witness earns the top payoff against it, so the lowest
+    responder of any pair using those weights gives the same value, read off
     `red.game.int_payoffs` over the matrix's scale (u1 against q's weights,
     u2 against p's).  The index maps ascend, so a lifted support needs no
     sort."""
@@ -214,7 +218,7 @@ class _Publisher:
         self._views = red.game.int_payoffs
         self._maps = (red.row_map, red.col_map)
         self._sizes = (original.m, original.n)
-        # Per player: reduced side weights -> its _Side.
+        # Per player: reduced side weights -> its EquilibriumSide.
         self._published: tuple[dict, dict] = ({}, {})
 
     def entry(self, rows: int, cols: int, witness) -> Equilibrium:
@@ -228,7 +232,7 @@ class _Publisher:
         )
         return Equilibrium(support, sides)
 
-    def _side(self, side: int, weights, responders: int) -> _Side:
+    def _side(self, side: int, weights, responders: int) -> EquilibriumSide:
         common = math.gcd(*weights)
         if common > 1:
             weights = tuple([w // common for w in weights])
@@ -247,7 +251,7 @@ class _Publisher:
                 for i, w in zip(index_map, weights):
                     lifted[i] = w
                 lifted = tuple(lifted)
-            found = published[weights] = _Side(
+            found = published[weights] = EquilibriumSide(
                 side + 1, lifted, total, (num // common, den // common)
             )
         return found

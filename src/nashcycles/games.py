@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -79,7 +79,8 @@ def _reduced(scale: int, flat: Sequence[int], n: int) -> IntView:
 def _scaled(nums: Sequence[int], dens: Sequence[int], n: int) -> IntView:
     """The integer form of the row-major matrix nums / dens, n to a row."""
     scale = math.lcm(*dens)
-    return _reduced(scale, [p * (scale // q) for p, q in zip(nums, dens)], n)
+    nums = list(map(operator.mul, nums, map(operator.floordiv, repeat(scale), dens)))
+    return _reduced(scale, nums, n)
 
 
 @dataclass(frozen=True)
@@ -334,36 +335,15 @@ def parse_game(text: str | bytes) -> Game:
         )
 
     def read_matrix(rows: list[tuple[int, str]]) -> IntView:
-        nums, dens = [], []
+        pairs = []
         for line_no, line in rows:
             tokens = line.split()
             if len(tokens) != n:
                 raise GameFormatError(
                     f"expected {n} entries, found {len(tokens)}", line_no
                 )
-            # A line of ASCII ints and p/q tokens is read here, as
-            # `_read_token` reads them; any other line goes to it per token.
-            row = None
-            if line.isascii() and "_" not in line and "." not in line:
-                try:
-                    if "/" in line:
-                        row = ([], [])
-                        for token in tokens:
-                            num, slash, den = token.partition("/")
-                            q = (int(den) if den[:1].isdigit() else 0) if slash else 1
-                            if not q:
-                                raise ValueError(token)
-                            row[0].append(int(num))
-                            row[1].append(q)
-                    else:
-                        row = (list(map(int, tokens)), [1] * n)
-                except ValueError:
-                    row = None
-            if row is None:
-                row = zip(*[_read_token(t, line_no) for t in tokens])
-            row_nums, row_dens = row
-            nums += row_nums
-            dens += row_dens
+            pairs += [_read_token(t, line_no) for t in tokens]
+        nums, dens = zip(*pairs)
         return _scaled(nums, dens, n)
 
     return Game._of(read_matrix(body[:m]), read_matrix(body[m:]))

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 import nashcycles
 from nashcycles.cli import _build_parser, _fmt_ratio, _fmt_side, _read_argv, main
-from nashcycles.equilibria import _Side
-from nashcycles.games import MixedStrategy, generate_random_game, parse_game, write_game
+from nashcycles.equilibria import EquilibriumSide
+from nashcycles.games import generate_random_game, parse_game, write_game
+
+from counting import strategies_made
 
 PD = "2 2\n3 0\n5 1\n3 5\n0 1\n"
 MP = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
@@ -182,25 +184,16 @@ class TestSolve:
 
 
 @contextlib.contextmanager
-def _made():
-    """Count the `Fraction`s and `MixedStrategy`s built inside the block: by
-    their constructors, by `Fraction._from_coprime_ints` (3.12+ arithmetic)
-    and by `MixedStrategy._spread`, neither of which calls the constructor."""
-    counts = {"Fraction": 0, "MixedStrategy": 0}
-    new, post_init = Fraction.__new__, MixedStrategy.__post_init__
-    spread = MixedStrategy._spread.__func__
+def _fractions_made():
+    """Yield a one-item list counting the `Fraction`s built inside the
+    block: by the constructor and by `Fraction._from_coprime_ints` (3.12+
+    arithmetic), which does not call it."""
+    count = [0]
+    new = Fraction.__new__
 
     def fraction_new(cls, *args, **kwargs):
-        counts["Fraction"] += 1
+        count[0] += 1
         return new(cls, *args, **kwargs)
-
-    def strategy_init(self):
-        counts["MixedStrategy"] += 1
-        post_init(self)
-
-    def strategy_spread(cls, *args):
-        counts["MixedStrategy"] += 1
-        return spread(cls, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Fraction, "__new__", fraction_new)
@@ -208,13 +201,11 @@ def _made():
             coprime = Fraction._from_coprime_ints.__func__
 
             def fraction_coprime(cls, *args):
-                counts["Fraction"] += 1
+                count[0] += 1
                 return coprime(cls, *args)
 
             patch.setattr(Fraction, "_from_coprime_ints", classmethod(fraction_coprime))
-        patch.setattr(MixedStrategy, "__post_init__", strategy_init)
-        patch.setattr(MixedStrategy, "_spread", classmethod(strategy_spread))
-        yield counts
+        yield count
 
 
 class TestPrinting:
@@ -227,16 +218,16 @@ class TestPrinting:
                  "4 4\n0 1 2 1\n2 0 0 1\n0 2 2 0\n0 1 2 1\n1 0 0 2\n1 2 0 0\n1 1 1 2\n1 0 0 2\n"]
         texts += [write_game(generate_random_game(m, n, 1000 * m + 100 * n))
                   for m in range(2, 6) for n in range(2, 6)]
-        with _made() as counts:
-            assert Fraction(1, 2) and counts["Fraction"]  # the counter counts
-            counts["Fraction"] = 0
+        with _fractions_made() as fractions, strategies_made() as made:
+            assert Fraction(1, 2) and fractions == [1]  # the counter counts
+            fractions[0] = 0
             for index, text in enumerate(texts):
                 path = game_file(text, f"g{index}.game")
                 cap = str(min(2, *map(int, text.split()[:2])))
                 for route in (*self.ROUTES, ["--method", "gi", "--k", cap, "--l", cap]):
                     for output in ("structured", "text"):
                         assert main(["solve", path, *route, "--output", output]) == 0
-                        assert counts == {"Fraction": 0, "MixedStrategy": 0}, (index, route)
+                        assert (fractions, made) == ([0], []), (index, route)
         out = capsys.readouterr().out
         assert out.count("\neq method=") > len(texts)
 
@@ -251,7 +242,7 @@ class TestPrinting:
     @example([2, 4], 12, 4)
     def test_int_formatter_prints_what_fraction_prints(self, weights, num, den):
         total = sum(weights)
-        side = _Side(1, tuple(weights), total, (num, den))
+        side = EquilibriumSide(1, tuple(weights), total, (num, den))
         assert _fmt_side(side) == "(" + ",".join(str(Fraction(w, total)) for w in weights) + ")"
         assert _fmt_ratio(num, den) == str(Fraction(num, den))
 

@@ -58,6 +58,7 @@ from conftest import (
     side_lps,
     tied_games,
 )
+from counting import strategies_made
 from vertex_oracle import equilibrium_supports
 
 F = Fraction
@@ -660,7 +661,7 @@ class TestLiftedEntries:
         # None while solving, and at most two at first read: one strategy
         # per distinct p-side and one per distinct q-side of the run, which
         # the entries of a continuum share, and none at a second read.
-        with _strategies_made() as (made, _):
+        with strategies_made() as made:
             results = _routes(g)
             assert made == []
             for result in results:
@@ -679,7 +680,7 @@ class TestLiftedEntries:
         # the closed form's (pd, 1x1 after elimination) alike; reading p and
         # q makes one each per entry, since no two entries share a side.
         for g in (bos, mp, pd):
-            with _strategies_made() as (made, _):
+            with strategies_made() as made:
                 results = _routes(g)
                 assert made == []
                 found = 0
@@ -703,7 +704,7 @@ class TestLiftedEntries:
             values.append(args)
             return fraction(*args)
 
-        with _strategies_made() as (made, patch):
+        with strategies_made() as made, pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibria_module, "Fraction", counting)
             for result in _routes(g):
                 made.clear()
@@ -780,7 +781,7 @@ class TestPublisher:
     def test_a_continuum_shares_its_witness(self, flat_top):
         # All three equilibria play row 1 with the unit weight, so reading
         # them makes one p and three qs, and the solve makes none.
-        with _strategies_made() as (made, _):
+        with strategies_made() as made:
             result = enumerate_by_supports(flat_top)
             assert made == []
             for e in result.entries:
@@ -815,30 +816,6 @@ def _witnesses_found():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibria_module, "fp1_check", checking)
         yield found
-
-
-@contextlib.contextmanager
-def _strategies_made():
-    """Record the owner of every `MixedStrategy` built inside the block, by
-    the constructor or by `_spread` (which does not call the constructor,
-    and which `from_weights` and an entry's `p` and `q` call); yields
-    that list and the block's monkeypatch."""
-    made = []
-    post_init, spread = MixedStrategy.__post_init__, MixedStrategy._spread
-
-    def counting(self):
-        made.append(self.owner)
-        post_init(self)
-
-    def counting_spread(cls, *args):
-        strategy = spread(*args)
-        made.append(strategy.owner)
-        return strategy
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MixedStrategy, "__post_init__", counting)
-        patch.setattr(MixedStrategy, "_spread", classmethod(counting_spread))
-        yield made, patch
 
 
 def _all_pairs(m: int, n: int) -> list[tuple[int, int]]:
