@@ -254,19 +254,22 @@ def compute_relevancy(game: Game, player: int, x: int) -> RelevancyRow:
 # Graph constructions
 # ---------------------------------------------------------------------------
 
-def _lex_best_responses(vectors, cols: int) -> int:
+def _lex_best_responses(vectors, cols: int, tied) -> int:
     """The rows, as a mask, that respond best to e_y + eps * 1_cols for some
-    column y in `cols` and every small eps > 0: the rows that earn column
-    y's top payoff and, among those, the largest payoff sum over `cols`.
-    That strategy's support is exactly `cols`."""
-    flags = [cols >> y & 1 for y in range(len(vectors[0]))]
-    sums = [sum(itertools.compress(row, flags)) for row in vectors]
-    best = 0
+    column y in `cols` and every small eps > 0: the rows of `tied[y]`, the
+    mask of those that earn column y's top payoff, with the largest payoff
+    sum over `cols` among them.  That strategy's support is exactly `cols`.
+    A column whose top payoff one row earns certifies that row with no sum."""
+    best, sums = 0, None
     for y in _bits(cols):
-        top = max(row[y] for row in vectors)
-        tied = [x for x, row in enumerate(vectors) if row[y] == top]
-        most = max(sums[x] for x in tied)
-        best |= sum(1 << x for x in tied if sums[x] == most)
+        rows = tied[y]
+        if rows & rows - 1:
+            if sums is None:
+                flags = [cols >> c & 1 for c in range(len(tied))]
+                sums = [sum(itertools.compress(row, flags)) for row in vectors]
+            most = max(sums[x] for x in _bits(rows))
+            rows = sum(1 << x for x in _bits(rows) if sums[x] == most)
+        best |= rows
     return best
 
 
@@ -282,7 +285,11 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     A pure certificate settles that with no LP: `x` earns the top payoff of
     some column y of U(x) and, among the rows tied with it there, the
     largest payoff sum over U(x), so it responds best to e_y + eps * 1_U.
-    The certificate is computed once per bound and player, in ints.  A row
+    Each player's column maxima, and per column y the mask `tied[y]` of the
+    rows that earn that maximum, are found once; the certificate is then
+    computed once per bound, in ints, reading a column that one row tops
+    straight off its mask and summing payoffs over the bound only when a
+    column of it ties two or more rows (`_lex_best_responses`).  A row
     it misses and whose bound is every column is settled, again with no
     LP, when `x` is the unique best response to a mixture of two columns
     (`lp._two_column_reply`): its best-response region then has interior,
@@ -296,15 +303,17 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     succ = []
     for player, count, offset, every in ((1, m, m, (1 << n) - 1), (2, n, 0, (1 << m) - 1)):
         vectors = game.int_payoffs[player - 1][1]
-        top = list(map(max, zip(*vectors)))
+        columns = tuple(zip(*vectors))
+        top = list(map(max, columns))
         cols = range(len(top))
+        tied = [sum(1 << x for x, v in enumerate(c) if v == t) for c, t in zip(columns, top)]
         certified: dict[int, int] = {}
         for x in range(count):
             bound = record.relevancy_bound(player, x)
             if bound:
                 rows = certified.get(bound)
                 if rows is None:
-                    rows = certified[bound] = _lex_best_responses(vectors, bound)
+                    rows = certified[bound] = _lex_best_responses(vectors, bound, tied)
                 if (
                     not rows >> x & 1
                     and not (bound == every and _two_column_reply(vectors, x, cols, top, True))

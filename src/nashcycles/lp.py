@@ -46,7 +46,12 @@ responders' tie rows (A_r - A_base) . q = 0 on C, the way Porter, Nudelman
 them, and the side fails; at rank |C| - 1 every point of the program is a
 positive multiple of one ray, so the side holds exactly when that ray is
 positive and no rival earns more against it, and the normalized ray is
-the program's normalized witness (`_tie_ray`).  On any support C, a side
+the program's normalized witness (`_tie_ray`).  A balanced side, with
+exactly |C| responders on |C| <= 4 columns, has |C| - 1 tie rows, and
+their signed maximal minors (the cross product on three columns, four
+3 x 3 determinants on four) are that ray up to sign, or all zero when the
+rank is lower; other tie systems are reduced by fraction-free
+Gauss-Jordan.  On any support C, a side
 whose uniform mixture already qualifies (the responders earn one payoff
 sum on C and no rival a larger one) holds at the program's own witness:
 phase 1 starts at its floor, the all-ones weight on C, where every row
@@ -640,13 +645,17 @@ def _tie_ray(vectors, responders: int, support: int, opp_count: int):
     no point qualifies, the witness weights when one ray does, else () to
     leave the question to the LP.
 
-    The tie rows (A_r - A_base) . q = 0 of the responders, on C, are reduced
-    by fraction-free Gauss-Jordan (the simplex's `_eliminate`).  Rank |C|
-    leaves only q = 0, so the side is infeasible.  Rank |C| - 1 leaves one
-    ray, and every point of the program is a positive multiple of it: the
-    side holds exactly when the ray is positive on C and no other row earns
-    more against it, and the normalized ray is the LP's normalized witness.
-    A lower rank leaves a wider cone, whose witness only the LP fixes."""
+    The tie rows (A_r - A_base) . q = 0 of the responders, on C, decide it
+    by their rank.  Rank |C| leaves only q = 0, so the side is
+    infeasible.  Rank |C| - 1 leaves one ray, and every point of the
+    program is a positive multiple of it: the side holds exactly when the
+    ray is positive on C and no other row earns more against it, and the
+    normalized ray is the LP's normalized witness.  A lower rank leaves a
+    wider cone, whose witness only the LP fixes.  A balanced side, |C| - 1
+    tie rows on |C| <= 4 columns, takes its ray as the signed maximal
+    minors of the rows (`_minors_ray`), which are all zero exactly when the
+    rank is below |C| - 1; any other system is reduced by fraction-free
+    Gauss-Jordan (`_eliminated_ray`)."""
     cols = [y for y in range(opp_count) if support >> y & 1]
     first = (responders & -responders).bit_length() - 1
     base = [vectors[first][y] for y in cols]
@@ -655,8 +664,59 @@ def _tie_ray(vectors, responders: int, support: int, opp_count: int):
         for other, row in enumerate(vectors)
         if other != first and responders >> other & 1
     ]
+    if len(rows) == len(cols) - 1 <= 3:
+        ray = _minors_ray(rows)
+        if not any(ray):
+            return ()
+    else:
+        ray = _eliminated_ray(rows, len(cols))
+        if not ray:  # None or ()
+            return ray
+    # The ray is determined up to sign; it qualifies only if one sign makes
+    # it positive on C.
+    if ray[0] < 0:
+        ray = [-v for v in ray]
+    if min(ray) <= 0:
+        return None
+    top = sum(v * w for v, w in zip(base, ray))
+    for other, row in enumerate(vectors):
+        if not responders >> other & 1 and sum(row[y] * w for y, w in zip(cols, ray)) > top:
+            return None
+    common = math.gcd(*ray)
+    weights = [0] * opp_count
+    for y, w in zip(cols, ray):
+        weights[y] = w // common
+    return tuple(weights)
+
+
+def _minors_ray(rows) -> list[int]:
+    """The signed maximal minors of k - 1 rows on k = 3 or 4 columns: entry
+    j is (-1)^j times the determinant without column j, a vector that the
+    rows annul (the cross product for k = 3).  All zero exactly when the
+    rows have rank below k - 1, else it spans their null space."""
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    # The 2 x 2 minors of the last two rows, then each 3 x 3 minor by
+    # expansion along the first row.
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    return [
+        a1 * m23 - a2 * m13 + a3 * m12,
+        a2 * m03 - a0 * m23 - a3 * m02,
+        a0 * m13 - a1 * m03 + a3 * m01,
+        a1 * m02 - a0 * m12 - a2 * m01,
+    ]
+
+
+def _eliminated_ray(rows, ncols: int):
+    """The null space of integer `rows` on `ncols` columns by fraction-free
+    Gauss-Jordan (the simplex's `_eliminate`): None at full column rank, ()
+    when it has two or more dimensions, else a spanning ray as a list of
+    ints, positive at its one free column.  Reduces `rows` in place."""
     det, rank, free = 1, 0, -1
-    for c in range(len(cols)):
+    for c in range(ncols):
         for r in range(rank, len(rows)):
             if rows[r][c]:
                 break
@@ -680,17 +740,7 @@ def _tie_ray(vectors, responders: int, support: int, opp_count: int):
     # Pivot row k reads det * q_c + rows[k][free] * q_free = 0 for its column c.
     ray = [-row[free] for row in rows[:rank]]
     ray.insert(free, det)
-    if min(ray) <= 0:
-        return None
-    top = sum(v * w for v, w in zip(base, ray))
-    for other, row in enumerate(vectors):
-        if not responders >> other & 1 and sum(row[y] * w for y, w in zip(cols, ray)) > top:
-            return None
-    common = math.gcd(*ray)
-    weights = [0] * opp_count
-    for y, w in zip(cols, ray):
-        weights[y] = w // common
-    return tuple(weights)
+    return ray
 
 
 def _two_column_reply(vectors, x: int, cols, top, strict: bool = False) -> int:
@@ -783,13 +833,17 @@ def _rival_masks(vectors) -> tuple[tuple[tuple[int, int], ...], ...]:
     opponent strategies where it earns at least as much and where it earns
     more, as the bitmask pair (at_least, more).  A twin of x gets no pair,
     and neither does any rival of an x that earns every column maximum, so
-    that x gets an empty tuple with no scan of its rivals."""
+    that x gets an empty tuple with no scan of its rivals.  The pairs are
+    found once per distinct payoff vector, against the distinct vectors
+    only: a twin rival would repeat a pair, and twin strategies share
+    theirs, so many identical rows cost as much as one."""
     top = tuple(map(max, zip(*vectors)))
-    out = []
-    for own in vectors:
+    distinct = tuple(dict.fromkeys(vectors))
+    found = {}
+    for own in distinct:
         pairs = []
         if own != top:
-            for rival in vectors:
+            for rival in distinct:
                 at_least = more = 0
                 bit = 1
                 for r, v in zip(rival, own):
@@ -801,8 +855,8 @@ def _rival_masks(vectors) -> tuple[tuple[tuple[int, int], ...], ...]:
                     bit <<= 1
                 if more:
                     pairs.append((at_least, more))
-        out.append(tuple(pairs))
-    return tuple(out)
+        found[own] = tuple(pairs)
+    return tuple(map(found.__getitem__, vectors))
 
 
 class InfeasibleSides:

@@ -34,7 +34,7 @@ from nashcycles import domgraph, equilibria
 from nashcycles.lp import InfeasibleSides, fp1_check, lp1_dominance, lp2_domain_check, lp3_relevancy
 from nashcycles.equilibria import BudgetExceededError, enumerate_by_gi, enumerate_by_supports
 
-from conftest import degenerate_game, duplicated_game, side_lps, tied_games
+from conftest import bench_workloads, degenerate_game, duplicated_game, side_lps, tied_games
 
 F = Fraction
 
@@ -333,6 +333,56 @@ class TestBuildGr:
             for game in (g, iterated_elimination(g).game):
                 assert build_gr(game) == _reference_gr(game), (seed, game.m, game.n)
 
+    def test_same_graph_as_max_support_rows_on_degenerate_games(self):
+        # The benchmark's degenerate family up to 6x6, payoffs in {0, 1, 2}:
+        # plain, with a duplicated row and with a constant column, so many
+        # columns tie two or more rows at their top.
+        panel = bench_workloads()
+        for m, n in itertools.product(range(1, 7), repeat=2):
+            for variant in panel.DEGENERATE_VARIANTS:
+                g = Game.from_rows(*panel.degenerate_payoffs(m, n, 1000 * m + 100 * n, variant))
+                for game in (g, iterated_elimination(g).game):
+                    assert build_gr(game) == _reference_gr(game), (m, n, variant)
+
+    def test_certificate_leaves_the_same_rows_to_max_support(self, monkeypatch):
+        # The tie-mask certificate equals the one that rescans every column
+        # per bound, so the max-support program runs on exactly the rows it
+        # ran on with that one.
+        programs = []
+        max_support, certificate = domgraph._max_support, domgraph._lex_best_responses
+
+        def counting(view, x):
+            programs.append((view, x))
+            return max_support(view, x)
+
+        def checked(vectors, cols, tied):
+            rows = certificate(vectors, cols, tied)
+            assert rows == _rescanning_certificate(vectors, cols)
+            return rows
+
+        def max_support_rows(game, certify):
+            monkeypatch.setattr(domgraph, "_lex_best_responses", certify)
+            programs.clear()
+            graph = build_gr(game)
+            return graph, [(view is game.int_payoffs[1], x) for view, x in programs]
+
+        monkeypatch.setattr(domgraph, "_max_support", counting)
+        panel = bench_workloads()
+        rows = 0
+        for seed in range(300):
+            m, n = 2 + seed % 5, 2 + seed // 5 % 5
+            variant = panel.DEGENERATE_VARIANTS[seed % 3]
+            games = (
+                Game.from_rows(*panel.degenerate_payoffs(m, n, 5000 + seed, variant)),
+                duplicated_game(m, n, 5000 + seed, True, seed % 2 == 0),
+                duplicated_game(m, n, 5000 + seed, False),
+            )
+            for game in games:
+                rescanned = max_support_rows(game, lambda v, c, t: _rescanning_certificate(v, c))
+                assert max_support_rows(game, checked) == rescanned
+                rows += len(rescanned[1])
+        assert rows > 20
+
     def test_corollary_2(self):
         # Every oracle equilibrium's supports sit inside each other's
         # relevancy sets.
@@ -346,6 +396,21 @@ class TestBuildGr:
                     assert set(eq.support.cols) <= rows_relevancy[x]
                 for y in eq.support.cols:
                     assert set(eq.support.rows) <= cols_relevancy[y]
+
+
+def _rescanning_certificate(vectors, cols: int) -> int:
+    """`build_gr`'s pure certificate as first written: per bound, every
+    column's top payoff and tied rows found again, and the payoff sums over
+    the bound taken whether or not any column ties."""
+    flags = [cols >> y & 1 for y in range(len(vectors[0]))]
+    sums = [sum(itertools.compress(row, flags)) for row in vectors]
+    best = 0
+    for y in _bits(cols):
+        top = max(row[y] for row in vectors)
+        tied = [x for x, row in enumerate(vectors) if row[y] == top]
+        most = max(sums[x] for x in tied)
+        best |= sum(1 << x for x in tied if sums[x] == most)
+    return best
 
 
 def _reference_gr(g: Game) -> BipartiteDigraph:

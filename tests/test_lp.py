@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -798,6 +799,61 @@ class TestFp1:
         assert fp1_check(bos, 0b01, 0b01, record)[0]
 
 
+def _rival_pairs(vectors) -> list[list[tuple[int, int]]]:
+    """`_rival_masks` as first written: every row against every rival,
+    twins included."""
+    top = tuple(map(max, zip(*vectors)))
+    out = []
+    for own in vectors:
+        pairs = []
+        for rival in vectors if own != top else ():
+            at_least = sum(1 << y for y, (r, v) in enumerate(zip(rival, own)) if r >= v)
+            more = sum(1 << y for y, (r, v) in enumerate(zip(rival, own)) if r > v)
+            if more:
+                pairs.append((at_least, more))
+        out.append(pairs)
+    return out
+
+
+class TestRivalMasks:
+    def test_twins_share_their_pairs(self):
+        # Pairs found once per distinct payoff vector give each row the same
+        # set of pairs as every rival does, so pure dominance and the
+        # relevancy bound answer as with every rival; twin rows share one
+        # tuple of pairs.
+        rng = random.Random(42)
+        for seed in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 4)
+            game = duplicated_game(m, n, 4200 + seed, True, seed % 2 == 0)
+            record, reference = InfeasibleSides(game), InfeasibleSides(game)
+            reference._masks = tuple(
+                tuple(map(tuple, _rival_pairs(vectors))) for _, vectors in game.int_payoffs
+            )
+            for side, (_, vectors) in enumerate(game.int_payoffs):
+                masks = record._masks[side]
+                for x, pairs in enumerate(_rival_pairs(vectors)):
+                    assert set(masks[x]) == set(pairs)
+                    assert masks[x] is masks[vectors.index(vectors[x])]
+                for fixed in range(1, 1 << len(vectors[0])):
+                    dominated = record._responders_dominated(side, fixed)
+                    assert dominated == reference._responders_dominated(side, fixed)
+                for x in range(len(vectors)):
+                    bound = record.relevancy_bound(side + 1, x)
+                    assert bound == reference.relevancy_bound(side + 1, x)
+
+    def test_many_twin_rows_cost_as_much_as_one(self):
+        # 3996 rows of (0, 0), then (1, -1) and (1, 0), with B zero: three
+        # distinct row vectors, one of them every column's top, and one
+        # column vector, so the record compares six pairs of rows, not 16
+        # million, and no pair of columns.
+        rows = [(0, 0)] * 3996 + [(1, -1), (1, 0)]
+        game = Game.from_rows(rows, [(0, 0)] * len(rows))
+        masks = InfeasibleSides(game)._masks
+        assert len({id(pairs) for pairs in masks[0]}) == 3
+        assert masks[0][0] == ((0b01, 0b01), (0b11, 0b01))
+        assert masks[0][-1] == () and masks[1] == ((), ())
+
+
 class TestSingleColumnSides:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(tied_games())
@@ -1034,6 +1090,83 @@ class TestTieRaySides:
         with side_lps() as solved:
             assert InfeasibleSides(rival).check_side(1, 0b111, 0b111) is not None
         assert solved == [(1, 0b111, 0b111)]
+
+    def test_balanced_sides_match_the_region_program(self):
+        # |R| = |C| = k, drawn from grid, tied and duplicated games: k - 1
+        # tie rows, decided by their signed minors for k <= 4 and by
+        # elimination for k = 5.  Every outcome occurs at every k, and so do
+        # an all-zero tie row (a responder tied with the base on C) and a
+        # repeated one (two responders tied with each other on C).
+        rng = random.Random(40)
+        seen = collections.Counter()
+        for case in range(900):
+            k = 3 + case % 3
+            m, n = rng.randint(k, 6), rng.randint(k, 6)
+            seed = 4000 + case
+            game = (
+                generate_random_game(m, n, seed),
+                duplicated_game(m, n, seed, False),
+                duplicated_game(m, n, seed, True, case % 2 == 0),
+            )[case // 3 % 3]
+            for player in (1, 2):
+                view = game.int_payoffs[player - 1]
+                vectors = view[1]
+                opp = len(vectors[0])
+                rows = sorted(rng.sample(range(len(vectors)), k))
+                cols = sorted(rng.sample(range(opp), k))
+                responders, support = _mask(rows), _mask(cols)
+                ray = _tie_ray(vectors, responders, support, opp)
+                weights = _best_response_region(view, responders, support, ~support)
+                ties = [tuple(vectors[r][y] - vectors[rows[0]][y] for y in cols) for r in rows[1:]]
+                seen[k, "zero row"] += not all(map(any, ties))
+                seen[k, "repeated row"] += len(set(ties)) < len(ties)
+                if rational_rank([list(map(F, t)) for t in ties]) < k - 1:
+                    assert ray == ()
+                    seen[k, "()"] += 1
+                elif ray is None:
+                    assert weights is None
+                    seen[k, "None"] += 1
+                else:
+                    assert weights is not None and all(ray[y] > 0 for y in cols)
+                    owner = 2 if player == 1 else 1
+                    assert (
+                        MixedStrategy.from_weights(owner, ray)
+                        == MixedStrategy.from_weights(owner, weights)
+                    )
+                    seen[k, "ray"] += 1
+        for k in (3, 4, 5):
+            for outcome in ("None", "()", "ray", "zero row", "repeated row"):
+                assert seen[k, outcome] >= 10, seen
+
+    def test_minors_match_elimination(self):
+        # On k - 1 rows and k = 3 or 4 columns both paths give the rows'
+        # null space: the minors, which the rows annul, are all zero exactly
+        # when elimination finds it two-dimensional, and otherwise the two
+        # rays lie on one line.  Every fourth system has a zero row, a
+        # repeated row, or a row that combines the others.
+        rng = random.Random(41)
+        seen = collections.Counter()
+        for case in range(4000):
+            k = 3 + case % 2
+            rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k - 1)]
+            shape = case // 2 % 4
+            if shape == 1:
+                rows[0] = [0] * k
+            elif shape == 2:
+                rows[-1] = list(rows[0])
+            elif shape == 3:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1] if k == 4 else [0] * k)]
+            minors = lp_module._minors_ray(rows)
+            ray = lp_module._eliminated_ray([list(row) for row in rows], k)
+            assert all(sum(map(int.__mul__, row, minors)) == 0 for row in rows)
+            if ray == ():
+                assert not any(minors)
+                seen[k, "()"] += 1
+                continue
+            assert any(minors) and any(ray)
+            assert all(u * w == v * r for u, r in zip(minors, ray) for v, w in zip(minors, ray))
+            seen[k, "ray"] += 1
+        assert min(seen.values()) > 100 and len(seen) == 4, seen
 
     def test_full_rank_is_infeasible(self):
         # Rows e_0, e_1, e_2 and a fourth row (1, 2, 3): the three tie rows
