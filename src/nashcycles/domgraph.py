@@ -260,15 +260,25 @@ def _lex_best_responses(vectors, cols: int, tied) -> int:
     mask of those that earn column y's top payoff, with the largest payoff
     sum over `cols` among them.  That strategy's support is exactly `cols`.
     A column whose top payoff one row earns certifies that row with no sum."""
-    best, sums = 0, None
-    for y in _bits(cols):
-        rows = tied[y]
+    best, sums, rest = 0, None, cols
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        rows = tied[low.bit_length() - 1]
         if rows & rows - 1:
             if sums is None:
                 flags = [cols >> c & 1 for c in range(len(tied))]
                 sums = [sum(itertools.compress(row, flags)) for row in vectors]
-            most = max(sums[x] for x in _bits(rows))
-            rows = sum(1 << x for x in _bits(rows) if sums[x] == most)
+            most, top = None, 0
+            while rows:
+                bit = rows & -rows
+                rows ^= bit
+                total = sums[bit.bit_length() - 1]
+                if most is None or total > most:
+                    most, top = total, bit
+                elif total == most:
+                    top |= bit
+            rows = top
         best |= rows
     return best
 
@@ -285,12 +295,9 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     A pure certificate settles that with no LP: `x` earns the top payoff of
     some column y of U(x) and, among the rows tied with it there, the
     largest payoff sum over U(x), so it responds best to e_y + eps * 1_U.
-    Each player's column maxima, and per column y the mask `tied[y]` of the
-    rows that earn that maximum, are found once; the certificate is then
-    computed once per bound, in ints, reading a column that one row tops
-    straight off its mask and summing payoffs over the bound only when a
-    column of it ties two or more rows (`_lex_best_responses`).  A row
-    it misses and whose bound is every column is settled, again with no
+    Per column y the mask `tied[y]` of the rows that earn its maximum is
+    built once, and the certificate once per bound (`_lex_best_responses`).
+    A row it misses and whose bound is every column is settled, with no
     LP, when `x` is the unique best response to a mixture of two columns
     (`lp._two_column_reply`): its best-response region then has interior,
     so R(x) is every column.  Any other row asks the record the side
@@ -306,7 +313,14 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
         columns = tuple(zip(*vectors))
         top = list(map(max, columns))
         cols = range(len(top))
-        tied = [sum(1 << x for x, v in enumerate(c) if v == t) for c, t in zip(columns, top)]
+        tied = []
+        for column, most in zip(columns, top):
+            rows = bit = 0
+            for v in column:
+                if v == most:
+                    rows |= 1 << bit
+                bit += 1
+            tied.append(rows)
         certified: dict[int, int] = {}
         for x in range(count):
             bound = record.relevancy_bound(player, x)

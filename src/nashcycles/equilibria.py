@@ -19,8 +19,15 @@ pair of the reduced game is an equilibrium.  Its witness plays the lone
 strategy pure and is uniform on the other side, as the check's closed
 forms answer, so such a game is answered at once (`_one_sided`).
 
+The exact routes walk and check in one pass (`_walk`), row sets and then
+column sets in increasing mask order: every (R', C) with R' inside R and
+(R, C') with C' inside C, the only pairs whose failed sides can rule (R, C)
+out, comes first.  So the record holds at each pair what the order by total
+size (Porter, Nudelman & Shoham 2004) gives it, and so do answers, stats
+and LPs, with no candidate held.  `_run_checks` sorts capped `gi`'s.
+
 A candidate is two bitmasks (rows, cols) over the eliminated game from
-the generator to the check, and the check's witness is two integer weight
+the walk to the check, and the check's witness is two integer weight
 vectors.  All results are reported in the coordinates of the game as
 given: pipelines run iterated elimination internally and map the supports
 of each equilibrium found, as a `SupportPair`, and its witnesses back
@@ -36,7 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis, enumerate_support_trees
 # compute_domain_table is unused here, but bench/tracing.py wraps it in this namespace.
@@ -146,9 +153,8 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class PipelineStats:
-    """Candidates, candidates rejected without an LP (by pure dominance,
-    in the biclique walk or in the check, or by a recorded infeasible side),
-    and equilibria found."""
+    """Candidates, candidates rejected without an LP (by pure dominance or
+    by a recorded infeasible side), and equilibria found."""
 
     candidates: int
     pruned: int
@@ -265,27 +271,15 @@ def _run_checks(
     budget: int,
     infeasible: InfeasibleSides,
 ) -> EquilibriumSet:
-    """Check every candidate (rows, cols), a pair of bitmasks over
-    `red.game`, smallest total support first, asking the run's record
-    `infeasible` (made for `red.game`).
-
-    Raises BudgetExceededError as soon as the candidates, drawn lazily,
-    number more than `budget`, so no generator runs further than that.
-    Every generator yields distinct pairs.  Pairs the record left out of
-    a walk, already in `infeasible.pruned`, count as candidates too.  A
-    side recorded infeasible for (R, C) rules out only pairs (R', C) with
-    R' containing R, or (R, C') with C' containing C: larger pairs, unless
-    it is the same one.  So checking by size alone (Porter, Nudelman &
-    Shoham 2004) records every infeasible side before any candidate it
-    rules out is reached, and the order within a size changes no answer.
-    Every feasible pair is published by the run's one `_Publisher`.
-    """
+    """Capped `gi`'s checks: `fp1_check` with the run's record on every
+    candidate (rows, cols) over `red.game`.  Its cycle basis draws them in
+    no subset order, so all are drawn, refused past `budget`, and checked
+    smallest total support first (see the module docstring)."""
     pending: list[tuple[int, int]] = []
     for pair in candidates:
         pending.append(pair)
         if len(pending) > budget:
             raise BudgetExceededError(len(pending), budget)
-    drawn = len(pending) + infeasible.pruned
     pending.sort(key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
     publish = _Publisher(red, original).entry
     entries = []
@@ -294,60 +288,56 @@ def _run_checks(
         if feasible:
             entries.append(publish(rows, cols, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(drawn, infeasible.pruned, len(entries))
+    stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
     return EquilibriumSet(original, method, tuple(entries), stats)
 
 
 def _mutual(graph: BipartiteDigraph) -> list[int]:
     """Per row x of a strategy-level graph, the mask of the columns y with
-    both arcs x -> y and y -> x."""
+    both arcs x -> y and y -> x, by one transpose of the columns' rows."""
     m = len(graph.left)
-    return [
-        sum(1 << w - m for w in _bits(graph.succ[x]) if graph.succ[w] >> x & 1) for x in range(m)
-    ]
+    back = [0] * m
+    for y, rows in enumerate(graph.succ[m:]):
+        for x in _bits(rows):
+            back[x] |= 1 << y
+    return [outs >> m & joined for outs, joined in zip(graph.succ, back)]
 
 
-def _bicliques(
-    mutual: list[int], n: int, record: InfeasibleSides, budget: int
-) -> Iterator[tuple[int, int]]:
-    """Lazily yield every support pair (R, C) of a strategy-level graph with
-    all arcs of R x C and of C x R present, each once as the bitmask pair
-    (rows, cols), except the pairs the pure conditional-dominance test of
-    `record` rules out.  The graph is given by its `_mutual` masks over its
-    `n` columns; the complete graph's are `[(1 << n) - 1] * m`.
-
-    Row sets are walked depth-first by increasing index, keeping the columns
-    joined both ways to every row so far; that set only shrinks as R grows,
-    so the walk stops where it empties.  On reaching R it counts R's
-    2^k - 1 bicliques, k the joined columns, in closed form, and raises
-    BudgetExceededError(budget + 1, budget) once the count passes `budget`,
-    before building any of them; a fully joined graph refuses before the
-    walk, on its count (2^m - 1)(2^n - 1).  It then yields the column sets
-    `record.column_sets` leaves, which counts the rest as pruned, so a
-    visited row set may yield nothing.  The walk keeps its own stack of
-    (rows, joined columns, next row to try), one entry per level, so a tall
-    game refuses on its count, not on Python's recursion limit.
-    """
-    m = len(mutual)
+def _walk(
+    original: Game, red: ReducedGame, mutual: list[int], record: InfeasibleSides, method: str, budget: int
+) -> EquilibriumSet:
+    """The exact routes' one pass over `_mutual` masks: row sets R depth-first
+    in increasing mask order, a child adding an index below its parent's,
+    while their joined columns J are not empty; each (R, C), C inside J, is
+    a candidate, decided as drawn by `record.feasible_columns`.  Past
+    `budget` candidates it refuses before deciding any: a fully joined graph
+    on its count, any other by a first pass counting 2^|J| - 1 per R."""
+    m, n = red.game.m, red.game.n
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
-    count = 0
-    stack = [(0, (1 << n) - 1, 0)]
-    while stack:
-        rows, allowed, x = stack.pop()
-        while x < m and not allowed & mutual[x]:
-            x += 1
-        if x == m:
-            continue
-        stack.append((rows, allowed, x + 1))
-        grown, narrowed = rows | 1 << x, allowed & mutual[x]
-        count += (1 << narrowed.bit_count()) - 1
-        if count > budget:
-            raise BudgetExceededError(budget + 1, budget)
-        for cols in record.column_sets(grown, narrowed):
-            yield grown, cols
-        stack.append((grown, narrowed, x + 1))
+    publish, entries = _Publisher(red, original).entry, []
+    for deciding in (False, True) if total > budget else (True,):
+        drawn = 0
+        stack = [(0, (1 << n) - 1, 0, m)]  # (rows, joined, next index, end) per level
+        while stack:
+            rows, joined, x, end = stack.pop()
+            while x < end and not joined & mutual[x]:
+                x += 1
+            if x == end:
+                continue
+            stack.append((rows, joined, x + 1, end))
+            rows, joined = rows | 1 << x, joined & mutual[x]
+            stack.append((rows, joined, 0, x))
+            drawn += (1 << joined.bit_count()) - 1
+            if deciding:
+                for cols, witness in record.feasible_columns(rows, joined):
+                    entries.append(publish(rows, cols, witness))
+            elif drawn > budget:
+                raise BudgetExceededError(budget + 1, budget)
+    entries.sort(key=lambda e: (e.support.rows, e.support.cols))
+    stats = PipelineStats(drawn, record.pruned, len(entries))
+    return EquilibriumSet(original, method, tuple(entries), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +380,14 @@ def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> Equ
     found = _one_sided(game, red, method, budget)
     if found is not None:
         return found
-    m, n = red.game.m, red.game.n
-    record = InfeasibleSides(red.game)
-    candidates = _bicliques([(1 << n) - 1] * m, n, record, budget)
-    return _run_checks(game, red, candidates, method, budget, record)
+    every = [(1 << red.game.n) - 1] * red.game.m
+    return _walk(game, red, every, InfeasibleSides(red.game), method, budget)
 
 
 def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Exhaustive oracle: runs the feasibility check on every support pair
-    of the eliminated game (the bicliques of the complete graph), smallest
-    supports first.
+    of the eliminated game (the bicliques of the complete graph), in the
+    one-pass walk.
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`, in the walk, before any pair is built.
@@ -410,7 +398,7 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     """Strategy-graph pipeline: one feasibility check per biclique of the
-    relevancy graph G_R, smallest supports first.
+    relevancy graph G_R, in the one-pass walk.
 
     The bicliques are the support pairs (R, C) with C a subset of R(x) for
     every row x in R and R a subset of R(y) for every column y in C; every
@@ -425,8 +413,7 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     if found is not None:
         return found
     record = InfeasibleSides(red.game)
-    candidates = _bicliques(_mutual(build_gr(red.game, record)), red.game.n, record, budget)
-    return _run_checks(game, red, candidates, "gr", budget, record)
+    return _walk(game, red, _mutual(build_gr(red.game, record)), record, "gr", budget)
 
 
 def enumerate_by_gi(
@@ -436,7 +423,7 @@ def enumerate_by_gi(
 
     At full caps (k = m, l = n after elimination) G_D's 3-cycles R -> C -> R
     are exactly the equilibrium support pairs, so its arcs are asked lazily
-    in the oracle's walk: `fp1_check` asks R -> C, then C -> R only if that
+    in the oracle's walk: it asks R -> C, then C -> R only if that
     holds, and an arc left unasked closes no 3-cycle.  Result, stats and
     budget are the oracle's, a one-sided game's closed form included.
     Below full caps the run is a heuristic whose candidates come from

@@ -67,19 +67,14 @@ that take index tuples.  A witness is the integer weight vector the
 simplex ends with, zero-padded, returned as it is up to `fp1_check`.
 One game's `InfeasibleSides` record is where a side question is asked,
 and the only code that rejects a support pair without an LP and counts
-it: in `fp1_check` (a fresh record when none is given) and in the
-biclique walk, which takes each row set's column sets from the record.
+it: in `fp1_check` (a fresh record when none is given) and in the exact
+routes' walk, which has it decide each row set's column sets.
 It applies pure dominance, then the sides already found infeasible: if
 no q with support exactly C makes every row of R a best response, none
 does for any R' containing R, as each extra responder turns a `<=` row
-into an `=` row.  It then answers a single-column support, reuses a
-feasible answer, witness included, answers a two-column support, or a
-wider one with as many responders, in closed form where that fixes the
-witness, or by its uniform mixture, and solves an LP only for a side it
-has not seen whose closed forms leave the witness open: a two-column
-interval wider than a point, or three or more columns with fewer
-responders or tie rows of rank below |C| - 1, where the uniform mixture
-does not qualify.
+into an `=` row.  It then answers from memory or in closed form where
+that fixes the witness (`InfeasibleSides._region`), and solves an LP only
+for a side it has not seen whose closed forms leave the witness open.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``): integer rows T over one denominator det > 0.
@@ -118,7 +113,6 @@ import math
 from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .games import Game, MixedStrategy
 
@@ -872,10 +866,10 @@ class InfeasibleSides:
     as many responders, is answered in closed form where that fixes the
     witness (`_two_column_side`, `_tie_ray`), as is any side whose uniform
     mixture qualifies (`_uniform_side`), and kept as an LP's answer is.  A
-    feasible answer is reused for the same question only: a subset of a feasible responder set is feasible too,
-    but its own LP may find another witness.  `pruned` counts the pairs it
-    rejects without an LP, in `fp1_check` and in a walk's `column_sets`;
-    no other code rejects or counts one.
+    feasible answer is reused for the same question only: a subset of a
+    feasible responder set is feasible too, but its own LP may find another
+    witness.  `pruned` counts the pairs it rejects without an LP, in
+    `fp1_check` and `feasible_columns`; no other code rejects or counts one.
     """
 
     __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "pruned")
@@ -908,33 +902,42 @@ class InfeasibleSides:
             cache[fixed] = bits
         return bits
 
-    def column_sets(self, rows: int, cols: int) -> Iterator[int]:
-        """Yield, in decreasing mask order, the non-empty column sets C in
-        `cols` for which pure dominance rules out neither side of (rows, C),
-        and add the others to `pruned` after the last.  `fp1_check` would
-        reject those by the same test, which records no side, so the pairs
-        yielded meet the same record and solve the same LPs."""
+    def feasible_columns(self, rows: int, cols: int) -> list[tuple[int, tuple]]:
+        """Decide (rows, C) for every non-empty C in `cols`, in increasing mask
+        order: pure dominance here, once, its rejections counted in `pruned`,
+        then `_decide`.  Returns [(C, witness)] of the feasible pairs."""
         free = cols & ~self._responders_dominated(1, rows)
-        kept = 0
-        sub = free
+        self.pruned += (1 << cols.bit_count()) - (1 << free.bit_count())
+        dominated, known, found = self._responders_dominated, self._dominated[0], []
+        sub = -free & free
         while sub:
-            if not rows & self._responders_dominated(0, sub):
-                kept += 1
-                yield sub
-            sub = sub - 1 & free
-        self.pruned += (1 << cols.bit_count()) - 1 - kept
+            blocked = known.get(sub)
+            if blocked is None:
+                blocked = dominated(0, sub)
+            if rows & blocked:
+                self.pruned += 1
+            else:
+                witness = self._decide(rows, sub)
+                if witness is not None:
+                    found.append((sub, witness))
+            sub = sub - free & free
+        return found
 
-    def _ruled_out(self, side: int, responders: int, fixed: int) -> bool:
-        """True when a pure rival dominates a responder on `fixed`, or a
-        recorded infeasible responder set for `fixed` lies inside `responders`."""
-        if responders & self._responders_dominated(side, fixed):
-            return True
-        return any(bad & responders == bad for bad in self._failed[side].get(fixed, ()))
-
-    def rules_out(self, rows: int, cols: int) -> bool:
-        """True when pure dominance or a recorded side makes the pair
-        (rows, cols) infeasible."""
-        return self._ruled_out(0, rows, cols) or self._ruled_out(1, cols, rows)
+    def _decide(self, rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The pair (rows, cols) past pure dominance: None, counted in
+        `pruned`, when a recorded failed side lies inside it, else its
+        q-side's then its p-side's `_region`, and (p, q) if both hold."""
+        for bad in self._failed[0].get(cols, ()):
+            if bad & rows == bad:
+                self.pruned += 1
+                return None
+        for bad in self._failed[1].get(rows, ()):
+            if bad & cols == bad:
+                self.pruned += 1
+                return None
+        q = self._region(1, rows, cols)
+        p = None if q is None else self._region(2, cols, rows)
+        return None if p is None else (p, q)
 
     def relevancy_bound(self, player: int, x: int) -> int:
         """A superset of R(x) by pure comparisons, as an opponent mask.
@@ -1008,7 +1011,10 @@ class InfeasibleSides:
         end_r, end_s = self._ends[player - 1]  # one past the largest valid mask
         if not (0 < responders < end_r and 0 < support < end_s):
             raise ValueError("masks must be non-empty and within the game")
-        if self._ruled_out(player - 1, responders, support):
+        side = player - 1  # ruled out by a pure rival or a recorded failed responder set
+        if responders & self._responders_dominated(side, support) or any(
+            bad & responders == bad for bad in self._failed[side].get(support, ())
+        ):
             return None
         return self._region(player, responders, support)
 
@@ -1032,27 +1038,20 @@ def fp1_check(
 
     Both sides are asked of the record `infeasible` (made for this game; a
     fresh one when None): the pair is rejected without an LP, and counted
-    in `pruned`, when pure dominance or a recorded side rules out either
-    side (both tested before any LP), a side on one column or already
-    solved costs no LP, and every other side is solved and recorded.  The
+    in `pruned`, when pure dominance rules out either side, and is otherwise
+    `InfeasibleSides._decide`d, as the exact routes' walk decides it.  The
     verdict and witness are the same whatever the record holds.
 
     Raises ValueError unless both masks are non-empty and within the game.
     Returns (False, None), or (True, (p_weights, q_weights)), each witness
     as its side's zero-padded integer weights: p = p_weights / sum(p_weights)
-    and likewise q.  A pipeline entry keeps the weights and makes
-    `Fraction`s only when its strategies are read.
+    and likewise q.
     """
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")
     record = _record(game, infeasible)
-    if record.rules_out(rows, cols):
+    if rows & record._responders_dominated(0, cols) or cols & record._responders_dominated(1, rows):
         record.pruned += 1
         return False, None
-    q = record._region(1, rows, cols)
-    if q is None:
-        return False, None
-    p = record._region(2, cols, rows)
-    if p is None:
-        return False, None
-    return True, (p, q)
+    witness = record._decide(rows, cols)
+    return witness is not None, witness

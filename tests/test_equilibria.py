@@ -30,9 +30,8 @@ from nashcycles.equilibria import (
     BudgetExceededError,
     PipelineStats,
     _Publisher,
-    _bicliques,
     _mutual,
-    _run_checks,
+    _walk,
     eliminable_strategies,
     enumerate_by_gi,
     enumerate_by_gr,
@@ -43,6 +42,7 @@ from nashcycles.games import (
     Game,
     MixedStrategy,
     expected_payoffs,
+    ReducedGame,
     generate_random_game,
     iterated_elimination,
     pure_payoff_against,
@@ -59,6 +59,7 @@ from conftest import (
     tied_games,
 )
 from counting import strategies_made
+import reference_walk
 from vertex_oracle import equilibrium_supports
 
 F = Fraction
@@ -68,12 +69,42 @@ def _supports(result):
     return [(e.support.rows, e.support.cols) for e in result.entries]
 
 
+@contextlib.contextmanager
+def _pairs_decided():
+    """Yield a list that gets (rows, cols) of every pair a record is asked
+    to `_decide` inside the block, which then decides each one infeasible
+    and records no side: what reaches the decision past pure dominance."""
+    decided = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(InfeasibleSides, "_decide", lambda record, *pair: decided.append(pair))
+        yield decided
+
+
+def _columns_decided(record, rows, cols):
+    """The column sets of `cols` the walk decides for the row set `rows`,
+    in its order, past `record`'s pure dominance."""
+    with _pairs_decided() as decided:
+        assert record.feasible_columns(rows, cols) == []
+    return [c for _, c in decided]
+
+
+def _walked_pairs(mutual, n, record):
+    """The pairs the one-pass walk over the `_mutual` masks `mutual` of the
+    game of `record` decides, in its order, past `record`'s pure dominance."""
+    g = record.game
+    assert (g.m, g.n) == (len(mutual), n)
+    red = ReducedGame(g, tuple(range(g.m)), tuple(range(g.n)))
+    with _pairs_decided() as decided:
+        assert _walk(g, red, mutual, record, "walk", DEFAULT_BUDGET).entries == ()
+    return decided
+
+
 def _every_biclique(graph):
     """The walk with the record of an all-zero game, where no pure rival
     dominates anything, so nothing is dropped."""
     zero = [[0] * len(graph.right) for _ in graph.left]
     record = InfeasibleSides(Game.from_rows(zero, zero))
-    return _bicliques(_mutual(graph), len(graph.right), record, DEFAULT_BUDGET)
+    return _walked_pairs(_mutual(graph), len(graph.right), record)
 
 
 class TestOracle:
@@ -247,9 +278,10 @@ class TestGrPipeline:
         graph = build_gr(rg)
         every = sorted(_every_biclique(graph))
         pure = InfeasibleSides(rg)
-        expected = [pair for pair in every if not pure.rules_out(*pair)]
+        dominated = pure._responders_dominated
+        expected = [(r, c) for r, c in every if not (r & dominated(0, c) or c & dominated(1, r))]
         record = InfeasibleSides(rg)
-        walked = sorted(_bicliques(_mutual(graph), rg.n, record, DEFAULT_BUDGET))
+        walked = sorted(_walked_pairs(_mutual(graph), rg.n, record))
         assert walked == expected
         assert len(walked) + record.pruned == len(every)
         assert _oracle_masks(rg) <= set(walked)
@@ -261,7 +293,7 @@ class TestGrPipeline:
         vertices = tuple(1 << i for i in range(size))
         succ = tuple(1 << size + i for i in range(size)) + tuple(1 << i for i in range(size))
         graph = BipartiteDigraph(vertices, vertices, succ)
-        assert list(_every_biclique(graph)) == [(1 << i, 1 << i) for i in range(size)]
+        assert _every_biclique(graph) == [(1 << i, 1 << i) for i in range(size)]
 
     def test_budget_counts_bicliques(self, mp):
         # G_R of matching pennies is fully joined: its 3 x 3 bicliques are
@@ -271,20 +303,25 @@ class TestGrPipeline:
         assert err.value.candidates == 9
 
     def test_fully_joined_graph_refuses_before_the_walk(self):
-        # The count is decided before the first pair is yielded, and the
+        # The count is decided before the first pair is decided, and the
         # record is never asked for a row set's column sets.
-        zero = [[0] * 20 for _ in range(20)]
-        record = InfeasibleSides(Game.from_rows(zero, zero))
+        def zero_walk(size, record, budget):
+            zero = [[0] * size for _ in range(size)]
+            g = Game.from_rows(zero, zero)
+            red = iterated_elimination(g)
+            mutual = _mutual(BipartiteDigraph.complete(size, size))
+            return _walk(g, red, mutual, record or InfeasibleSides(red.game), "supports", budget)
+
         with pytest.raises(BudgetExceededError) as err:
-            next(_bicliques(_mutual(BipartiteDigraph.complete(20, 20)), 20, record, DEFAULT_BUDGET))
+            zero_walk(20, None, DEFAULT_BUDGET)
         assert (err.value.candidates, err.value.budget) == ((2**20 - 1) ** 2, DEFAULT_BUDGET)
 
         class NoColumnSets:
-            def column_sets(self, rows, cols):
+            def feasible_columns(self, rows, cols):
                 raise AssertionError("the walk built a candidate it refuses")
 
         with pytest.raises(BudgetExceededError):
-            next(_bicliques(_mutual(BipartiteDigraph.complete(3, 3)), 3, NoColumnSets(), 48))
+            zero_walk(3, NoColumnSets(), 48)
 
     def test_exact_routes_refuse_alike(self, mp):
         # supports, gr and full-caps gi refuse a fully joined game with one
@@ -332,7 +369,7 @@ class TestGrPipeline:
         g = generate_random_game(5, 5, 0)
         rg = iterated_elimination(g).game
         record = InfeasibleSides(rg)
-        assert len(list(_bicliques(_mutual(build_gr(rg)), rg.n, record, DEFAULT_BUDGET))) == 52
+        assert len(_walked_pairs(_mutual(build_gr(rg)), rg.n, record)) == 52
         assert record.pruned == 465 - 52
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(g, budget=100)
@@ -729,18 +766,19 @@ class TestPublisher:
     @staticmethod
     def _check_runs(g: Game) -> int:
         """Check every route's run on `g`; returns the entries checked.  A
-        one-sided game runs no checks: each route's result must be what the
-        oracle's walk and checks publish on the same reduced game."""
+        one-sided game runs no walk: each route's result must be what the
+        oracle's walk publishes on the same reduced game."""
         runs = []
+        walk = equilibria_module._walk
 
-        def checks(original, red, *args):
+        def walking(original, red, *args):
             with _witnesses_found() as found:
-                result = _run_checks(original, red, *args)
+                result = walk(original, red, *args)
             runs.append((red, found, result))
             return result
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(equilibria_module, "_run_checks", checks)
+            patch.setattr(equilibria_module, "_walk", walking)
             results = _routes(g)
         red = iterated_elimination(g)
         if red.game.m == 1 or red.game.n == 1:
@@ -792,29 +830,27 @@ class TestPublisher:
 
 
 def _walked(g: Game, red, method: str, budget: int = DEFAULT_BUDGET):
-    """The oracle's walk and checks on the reduced game `red`, with no
-    closed form: the complete graph's bicliques through `_run_checks`."""
-    m, n = red.game.m, red.game.n
-    record = InfeasibleSides(red.game)
-    candidates = _bicliques([(1 << n) - 1] * m, n, record, budget)
-    return _run_checks(g, red, candidates, method, budget, record)
+    """The oracle's walk on the reduced game `red`, with no closed form:
+    the complete graph's pairs through `_walk`."""
+    every = [(1 << red.game.n) - 1] * red.game.m
+    return _walk(g, red, every, InfeasibleSides(red.game), method, budget)
 
 
 @contextlib.contextmanager
 def _witnesses_found():
     """Yield a list that gets (rows, cols, witness) of every feasible pair
-    the pipelines' `fp1_check` finds inside the block."""
+    a record decides inside the block, in the walk or in `fp1_check`."""
     found = []
-    check = equilibria_module.fp1_check
+    decide = InfeasibleSides._decide
 
-    def checking(game, rows, cols, *args):
-        feasible, witness = check(game, rows, cols, *args)
-        if feasible:
+    def deciding(record, rows, cols):
+        witness = decide(record, rows, cols)
+        if witness is not None:
             found.append((rows, cols, witness))
-        return feasible, witness
+        return witness
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equilibria_module, "fp1_check", checking)
+        patch.setattr(InfeasibleSides, "_decide", deciding)
         yield found
 
 
@@ -859,9 +895,10 @@ class TestPruningSoundness:
     @given(tied_games(), st.randoms(use_true_random=False))
     @example(generate_random_game(4, 4, 7), random.Random(7))
     def test_order_within_a_size_changes_nothing(self, g, rng):
-        # `_run_checks` sorts by total support size only.  The same candidates
-        # fed in generated, reversed and shuffled order give one result, and
-        # it is the route's and that of checking in (size, rows, cols) order.
+        # The two-pass reference sorts by total support size only.  The same
+        # candidates fed in generated, reversed and shuffled order give one
+        # result, and it is the one-pass route's and that of checking in
+        # (size, rows, cols) order.
         red = iterated_elimination(g)
         routes = (
             ("supports", enumerate_by_supports(g)),
@@ -871,11 +908,11 @@ class TestPruningSoundness:
         for route, public in routes:
             results = []
             for arrange in (list, lambda c: c[::-1], lambda c: rng.sample(c, len(c))):
-                record, candidates = _route_candidates(red.game, route)
+                record, candidates = reference_walk.candidates(red.game, route)
                 arranged = arrange(candidates)
-                results.append(_run_checks(g, red, arranged, public.method, DEFAULT_BUDGET, record))
+                results.append(reference_walk.checked(g, red, arranged, public.method, record))
             assert results[0] == results[1] == results[2] == public, route
-            record, candidates = _route_candidates(red.game, route)
+            record, candidates = reference_walk.candidates(red.game, route)
             drawn = len(candidates) + record.pruned
             ordered = sorted(candidates, key=lambda c: (c[0].bit_count() + c[1].bit_count(), c))
             feasible = sum(fp1_check(red.game, *pair, record)[0] for pair in ordered)
@@ -895,14 +932,14 @@ class TestPruningSoundness:
         # Twin rows keep every column set.  Twin columns both stay; a pure
         # rival row drops each singleton column set of the mirror.
         record = InfeasibleSides(g)
-        assert list(record.column_sets(0b11, 0b11)) == [0b11, 0b10, 0b01]
+        assert _columns_decided(record, 0b11, 0b11) == [0b01, 0b10, 0b11]
         assert record.pruned == 0
         record = InfeasibleSides(mirror)
-        assert list(record.column_sets(0b11, 0b11)) == [0b11]
+        assert _columns_decided(record, 0b11, 0b11) == [0b11]
         assert record.pruned == 2
 
     def test_walked_pairs_lie_inside_the_pure_bounds(self):
-        # Every pair (R, C) that `column_sets(R, all columns)` leaves has C
+        # Every pair (R, C) the walk decides for R and all columns has C
         # inside U(x) for each row x of R, and R inside U(y) for each column y
         # of C, U being `relevancy_bound`.  A column peeled off U(x) is one
         # where a rival earns more than x while earning at least as much on
@@ -918,7 +955,7 @@ class TestPruningSoundness:
             row_bounds = [record.relevancy_bound(1, x) for x in range(m)]
             col_bounds = [record.relevancy_bound(2, y) for y in range(n)]
             for rows in range(1, 1 << m):
-                for cols in record.column_sets(rows, (1 << n) - 1):
+                for cols in _columns_decided(record, rows, (1 << n) - 1):
                     walked += 1
                     assert all(cols & ~row_bounds[x] == 0 for x in _bits(rows)), seed
                     assert all(rows & ~col_bounds[y] == 0 for y in _bits(cols)), seed
@@ -927,21 +964,10 @@ class TestPruningSoundness:
                 tuple(1 << y for y in range(n)),
                 tuple(u << m for u in row_bounds) + tuple(col_bounds),
             )
-            over_bounds = _bicliques(_mutual(bound_graph), n, InfeasibleSides(g), DEFAULT_BUDGET)
-            complete = _bicliques(
-                _mutual(BipartiteDigraph.complete(m, n)), n, InfeasibleSides(g), DEFAULT_BUDGET
-            )
-            assert list(over_bounds) == list(complete), seed
+            over_bounds = _walked_pairs(_mutual(bound_graph), n, InfeasibleSides(g))
+            complete = _walked_pairs(_mutual(BipartiteDigraph.complete(m, n)), n, InfeasibleSides(g))
+            assert over_bounds == complete, seed
         assert walked == 2848
-
-
-def _route_candidates(rg: Game, route: str) -> tuple[InfeasibleSides, list[tuple[int, int]]]:
-    """A fresh record for the reduced game `rg` and the candidates `route`
-    draws with it, in the order they are generated.  Full-caps `gi` walks
-    the oracle's complete graph."""
-    record = InfeasibleSides(rg)
-    graph = build_gr(rg, record) if route == "gr" else BipartiteDigraph.complete(rg.m, rg.n)
-    return record, list(_bicliques(_mutual(graph), rg.n, record, DEFAULT_BUDGET))
 
 
 class TestIndexMapping:
@@ -1038,7 +1064,7 @@ class TestOneSided:
             raise AssertionError("a one-sided game built a record, a graph or a check")
 
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("InfeasibleSides", "build_gr", "fp1_check", "_run_checks", "_bicliques"):
+            for name in ("InfeasibleSides", "build_gr", "fp1_check", "_run_checks", "_walk"):
                 patch.setattr(equilibria_module, name, forbidden)
             for g in self.GAMES:
                 _routes(g)
@@ -1056,3 +1082,129 @@ class TestOneSided:
                 for result in _routes(g):
                     got = {(_mask(e.support.rows), _mask(e.support.cols)) for e in result.entries}
                     assert got == expected, result.method
+
+
+@contextlib.contextmanager
+def _layer_solves():
+    """Yield a dict that counts the `_solve_rows` calls inside the block per
+    layer: "elimination", "gr" (G_R's build) and "pairs" (the rest)."""
+    counts = {"elimination": 0, "gr": 0, "pairs": 0}
+    layer = ["pairs"]
+    solve_rows = lp_module._solve_rows
+
+    def counting(*args):
+        counts[layer[-1]] += 1
+        return solve_rows(*args)
+
+    def in_layer(name, func):
+        def run(*args):
+            layer.append(name)
+            try:
+                return func(*args)
+            finally:
+                layer.pop()
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_solve_rows", counting)
+        patch.setattr(
+            equilibria_module,
+            "iterated_elimination",
+            in_layer("elimination", equilibria_module.iterated_elimination),
+        )
+        patch.setattr(equilibria_module, "build_gr", in_layer("gr", equilibria_module.build_gr))
+        yield counts
+
+
+def _shared_sides(result) -> list[list[int]]:
+    """Per player, each entry's side as the index of the first entry that
+    holds the same `EquilibriumSide` object."""
+    return [
+        [next(i for i, f in enumerate(result.entries) if f.sides[k] is e.sides[k]) for e in result.entries]
+        for k in (0, 1)
+    ]
+
+
+class TestOnePassWalk:
+    """The exact routes' one pass gives what the two-pass reference (every
+    candidate drawn, sorted by total size, then `fp1_check`ed with one
+    record) gives: entries, shared sides, stats, LPs per layer and
+    refusals."""
+
+    ROUTES = {
+        "supports": lambda g, budget: enumerate_by_supports(g, budget),
+        "gr": lambda g, budget: enumerate_by_gr(g, budget),
+        "gi": lambda g, budget: enumerate_by_gi(g, g.m, g.n, budget),
+    }
+
+    @classmethod
+    def _check(cls, g: Game, route: str, budget: int = DEFAULT_BUDGET) -> bool:
+        """Check one route on `g`; returns whether it answered."""
+        runs = []
+        for run in (cls.ROUTES[route], lambda g, budget: reference_walk.reference_route(g, route, budget)):
+            with _layer_solves() as solves:
+                try:
+                    result = run(g, budget)
+                except BudgetExceededError as exc:
+                    result = (exc.candidates, exc.budget)
+            runs.append((result, solves))
+        (walked, walked_solves), (reference, reference_solves) = runs
+        assert walked_solves == reference_solves, route
+        if isinstance(reference, tuple):
+            assert walked == reference, route
+            return False
+        assert walked == reference, route
+        assert walked.stats == reference.stats, route
+        assert _shared_sides(walked) == _shared_sides(reference), route
+        return True
+
+    def test_seeded_tied_and_duplicated_games(self):
+        answered = refused = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            g = duplicated_game(m, n, 4100 + seed, dup_row=seed % 2 == 0, dup_col=seed % 3 == 0)
+            for route in self.ROUTES:
+                for budget in (50, 300, DEFAULT_BUDGET):
+                    if self._check(g, route, budget):
+                        answered += 1
+                    else:
+                        refused += 1
+        assert (answered, refused) == (3219, 381)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tied_games(), st.integers(1, 300))
+    def test_tied_games(self, g, budget):
+        for route in self.ROUTES:
+            self._check(g, route)
+            self._check(g, route, budget)
+
+    def test_bench_panels(self):
+        workloads = bench_workloads()
+        for workload in ("corpus", "generic", "degenerate"):
+            for spec in workloads.panel(workload, 20):
+                assert self._check(workloads.build_game(nashcycles, spec), spec.route), (workload, spec)
+
+    def test_gr_refuses_the_twins_game_in_little_memory(self):
+        # 3996 rows of (0, 0), then (1, -1) and (1, 0), with B zero: nothing
+        # is eliminated and G_R is not fully joined, so a first pass counts
+        # the pairs and refuses before the walk decides any.
+        a = [[0, 0]] * 3996 + [[1, -1], [1, 0]]
+        g = Game.from_rows(a, [[0, 0]] * 3998)
+
+        def forbidden(*args):
+            raise AssertionError("a pair reached a side decision before the refusal")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(InfeasibleSides, "_decide", forbidden)
+            patch.setattr(InfeasibleSides, "feasible_columns", forbidden)
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError) as err:
+                    enumerate_by_gr(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (err.value.candidates, err.value.budget) == (DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
+        assert peak < 32_000_000
