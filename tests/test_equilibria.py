@@ -41,8 +41,8 @@ from nashcycles.equilibria import (
 from nashcycles.games import (
     Game,
     MixedStrategy,
-    expected_payoffs,
     ReducedGame,
+    expected_payoffs,
     generate_random_game,
     iterated_elimination,
     pure_payoff_against,
