@@ -12,19 +12,22 @@ response to q, whose support is C, so C is a subset of R(x); likewise R is a
 subset of R(y) for every column y in C.  So the arcs of an equilibrium
 support pair run both ways between R and C, and no other pair needs a check.
 
-A game that elimination leaves one strategy on one side is one-sided, and
-needs no graph and no check: the other player's survivors all tie against
-that strategy, or elimination would have removed them, so every support
-pair of the reduced game is an equilibrium.  Its witness plays the lone
-strategy pure and is uniform on the other side, as the check's closed
-forms answer, so such a game is answered at once (`_one_sided`).
+A game that elimination leaves one strategy on one side is one-sided: the
+other player's survivors all tie against that strategy, or elimination
+would have removed them, so every support pair of the reduced game is an
+equilibrium.  The walk takes it with no record, graph or check, and
+publishes each pair with the lone strategy pure and the other side
+uniform: the check's witness too, since a one-strategy side has only the
+unit weight, and with no rival left the other side's uniform mixture
+qualifies.
 
 The exact routes walk and check in one pass (`_walk`), row sets and then
 column sets in increasing mask order: every (R', C) with R' inside R and
 (R, C') with C' inside C, the only pairs whose failed sides can rule (R, C)
 out, comes first.  So the record holds at each pair what the order by total
 size (Porter, Nudelman & Shoham 2004) gives it, and so do answers, stats
-and LPs, with no candidate held.  `_run_checks` sorts capped `gi`'s.
+and LPs, with no candidate held.  `_run_checks` checks capped `gi`'s in
+the same order, sorted by mask pair.
 
 A candidate is two bitmasks (rows, cols) over the eliminated game from
 the walk to the check, and the check's witness is two integer weight
@@ -274,13 +277,13 @@ def _run_checks(
     """Capped `gi`'s checks: `fp1_check` with the run's record on every
     candidate (rows, cols) over `red.game`.  Its cycle basis draws them in
     no subset order, so all are drawn, refused past `budget`, and checked
-    smallest total support first (see the module docstring)."""
+    in the walk's order, by mask pair (see the module docstring)."""
     pending: list[tuple[int, int]] = []
     for pair in candidates:
         pending.append(pair)
         if len(pending) > budget:
             raise BudgetExceededError(len(pending), budget)
-    pending.sort(key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
+    pending.sort()
     publish = _Publisher(red, original).entry
     entries = []
     for rows, cols in pending:
@@ -304,18 +307,28 @@ def _mutual(graph: BipartiteDigraph) -> list[int]:
 
 
 def _walk(
-    original: Game, red: ReducedGame, mutual: list[int], record: InfeasibleSides, method: str, budget: int
+    original: Game, red: ReducedGame, mutual: list[int], record: InfeasibleSides | None,
+    method: str, budget: int
 ) -> EquilibriumSet:
     """The exact routes' one pass over `_mutual` masks: row sets R depth-first
     in increasing mask order, a child adding an index below its parent's,
     while their joined columns J are not empty; each (R, C), C inside J, is
     a candidate, decided as drawn by `record.feasible_columns`.  Past
     `budget` candidates it refuses before deciding any: a fully joined graph
-    on its count, any other by a first pass counting 2^|J| - 1 per R."""
+    on its count, any other by a first pass counting 2^|J| - 1 per R.  With
+    no record `red` is one-sided and `mutual` complete: every pair is an
+    equilibrium with the all-ones weights on its supports (see the module
+    docstring), and none is pruned."""
     m, n = red.game.m, red.game.n
     total = ((1 << m) - 1) * ((1 << n) - 1)
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
+    if record is None:
+        def columns(rows: int, cols: int) -> list[tuple[int, tuple]]:
+            p = tuple([rows >> i & 1 for i in range(m)])
+            return [(c, (p, tuple([c >> j & 1 for j in range(n)]))) for c in range(1, cols + 1)]
+    else:
+        columns = record.feasible_columns
     publish, entries = _Publisher(red, original).entry, []
     for deciding in (False, True) if total > budget else (True,):
         drawn = 0
@@ -331,12 +344,12 @@ def _walk(
             stack.append((rows, joined, 0, x))
             drawn += (1 << joined.bit_count()) - 1
             if deciding:
-                for cols, witness in record.feasible_columns(rows, joined):
+                for cols, witness in columns(rows, joined):
                     entries.append(publish(rows, cols, witness))
             elif drawn > budget:
                 raise BudgetExceededError(budget + 1, budget)
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(drawn, record.pruned, len(entries))
+    stats = PipelineStats(drawn, 0 if record is None else record.pruned, len(entries))
     return EquilibriumSet(original, method, tuple(entries), stats)
 
 
@@ -344,44 +357,12 @@ def _walk(
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _one_sided(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet | None:
-    """The walk's answer on a one-sided `red`, with no record, graph or
-    check, or None when both players keep two or more strategies.
-
-    Every support pair is an equilibrium (see the module docstring), so
-    the 2^k - 1 pairs, k the wider side, are the candidates and the
-    equilibria, and none is pruned; past `budget` the fully joined graph
-    refuses on that count before its walk.  The check's witness of each
-    pair plays the lone strategy with the unit weight, the one answer for
-    a one-strategy support, and the other side with the all-ones weight:
-    its two-column interval is all of (0, 1), and its uniform mixture
-    qualifies, since no rival is left."""
-    m, n = red.game.m, red.game.n
-    if m > 1 and n > 1:
-        return None
-    total = ((1 << m) - 1) * ((1 << n) - 1)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    publish = _Publisher(red, game).entry
-    width = max(m, n)
-    entries = []
-    for mask in range(1, 1 << width):
-        ones = tuple([mask >> i & 1 for i in range(width)])
-        if m == 1:
-            entries.append(publish(1, mask, ((1,), ones)))
-        else:
-            entries.append(publish(mask, 1, (ones, (1,))))
-    entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    return EquilibriumSet(game, method, tuple(entries), PipelineStats(total, 0, total))
-
-
 def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
-    """`enumerate_by_supports` on the eliminated game `red`, labelled `method`."""
-    found = _one_sided(game, red, method, budget)
-    if found is not None:
-        return found
-    every = [(1 << red.game.n) - 1] * red.game.m
-    return _walk(game, red, every, InfeasibleSides(red.game), method, budget)
+    """`enumerate_by_supports` on the eliminated game `red`, labelled `method`:
+    the complete graph's walk, with no record on a one-sided `red`."""
+    rg = red.game
+    record = InfeasibleSides(rg) if rg.m > 1 and rg.n > 1 else None
+    return _walk(game, red, [(1 << rg.n) - 1] * rg.m, record, method, budget)
 
 
 def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -391,7 +372,7 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`, in the walk, before any pair is built.
-    A one-sided game is answered in closed form (`_one_sided`).
+    A one-sided game is walked with no record.
     """
     return _support_walk(game, iterated_elimination(game), "supports", budget)
 
@@ -406,12 +387,11 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     complete G_R every support pair is one.  G_R's build and the checks
     share one record, so a full row's side is solved once.  Refuses games
     with more than `budget` bicliques.  A one-sided game, whose G_R is
-    complete, is answered in closed form (`_one_sided`) with no G_R.
+    complete, is the oracle's walk with no record and no G_R.
     """
     red = iterated_elimination(game)
-    found = _one_sided(game, red, "gr", budget)
-    if found is not None:
-        return found
+    if red.game.m == 1 or red.game.n == 1:
+        return _support_walk(game, red, "gr", budget)
     record = InfeasibleSides(red.game)
     return _walk(game, red, _mutual(build_gr(red.game, record)), record, "gr", budget)
 
@@ -425,7 +405,7 @@ def enumerate_by_gi(
     are exactly the equilibrium support pairs, so its arcs are asked lazily
     in the oracle's walk: it asks R -> C, then C -> R only if that
     holds, and an arc left unasked closes no 3-cycle.  Result, stats and
-    budget are the oracle's, a one-sided game's closed form included.
+    budget are the oracle's, a one-sided game's included.
     Below full caps the run is a heuristic whose candidates come from
     G_I's cycle basis (longer cycles and artificial arcs included): each
     class's strategy sets, and per vertex the union of the classes through

@@ -17,7 +17,6 @@ from nashcycles.equilibria import (
     EquilibriumSet,
     PipelineStats,
     _mutual,
-    _one_sided,
     _Publisher,
 )
 from nashcycles.games import Game
@@ -96,13 +95,11 @@ def checked(original: Game, red, pending, method: str, record: InfeasibleSides) 
 
 def reference_route(g: Game, route: str, budget: int = equilibria.DEFAULT_BUDGET) -> EquilibriumSet:
     """What `enumerate_by_<route>` returned before the one-pass walk, `gi`
-    at full caps; raises its BudgetExceededError.  Elimination, G_R and the
-    one-sided closed form are the program's own."""
+    at full caps; raises its BudgetExceededError.  Elimination and G_R are
+    the program's own; a one-sided game, too, is drawn and checked with a
+    record."""
     red = equilibria.iterated_elimination(g)
     rg = red.game
     method = f"gi(k={rg.m},l={rg.n})" if route == "gi" else route
-    found = _one_sided(g, red, method, budget)
-    if found is not None:
-        return found
     record, pending = candidates(rg, route, budget)
     return checked(g, red, pending, method, record)

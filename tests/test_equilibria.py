@@ -766,8 +766,9 @@ class TestPublisher:
     @staticmethod
     def _check_runs(g: Game) -> int:
         """Check every route's run on `g`; returns the entries checked.  A
-        one-sided game runs no walk: each route's result must be what the
-        oracle's walk publishes on the same reduced game."""
+        one-sided game's walk has no record and decides no pair: each
+        route's result must be what the oracle's walk with a record
+        publishes on the same reduced game."""
         runs = []
         walk = equilibria_module._walk
 
@@ -780,15 +781,15 @@ class TestPublisher:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibria_module, "_walk", walking)
             results = _routes(g)
+        assert [result for _, _, result in runs] == list(results)
         red = iterated_elimination(g)
         if red.game.m == 1 or red.game.n == 1:
-            assert runs == []
-            for result in results:
+            assert all(found == [] for _, found, _ in runs)
+            for index, result in enumerate(results):
                 with _witnesses_found() as found:
                     walked = _walked(g, red, result.method)
                 assert (result.entries, result.stats) == (walked.entries, walked.stats)
-                runs.append((red, found, result))
-        assert len(runs) == 3
+                runs[index] = (red, found, result)
         checked = 0
         for red, found, result in runs:
             alone = sorted(
@@ -830,8 +831,8 @@ class TestPublisher:
 
 
 def _walked(g: Game, red, method: str, budget: int = DEFAULT_BUDGET):
-    """The oracle's walk on the reduced game `red`, with no closed form:
-    the complete graph's pairs through `_walk`."""
+    """The oracle's walk on the reduced game `red` with a record, one-sided
+    or not: the complete graph's pairs through `_walk` and the checks."""
     every = [(1 << red.game.n) - 1] * red.game.m
     return _walk(g, red, every, InfeasibleSides(red.game), method, budget)
 
@@ -1020,9 +1021,10 @@ def _refusal(run) -> tuple[int, int] | None:
 
 
 class TestOneSided:
-    """A game that elimination leaves one strategy on one side is answered in
-    closed form, by every exact route, exactly as the oracle's walk and
-    checks answer it on the same reduced game: entries, stats and refusals."""
+    """A game that elimination leaves one strategy on one side is walked with
+    no record by every exact route, and answered exactly as the oracle's
+    walk and checks answer it on the same reduced game with a record:
+    entries, stats and refusals."""
 
     GAMES = _one_sided_games()
 
@@ -1063,11 +1065,19 @@ class TestOneSided:
         def forbidden(*args, **kwargs):
             raise AssertionError("a one-sided game built a record, a graph or a check")
 
+        walk, records = equilibria_module._walk, []
+
+        def walking(original, red, mutual, record, *args):
+            records.append(record)
+            return walk(original, red, mutual, record, *args)
+
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("InfeasibleSides", "build_gr", "fp1_check", "_run_checks", "_walk"):
+            for name in ("InfeasibleSides", "build_gr", "fp1_check", "_run_checks"):
                 patch.setattr(equilibria_module, name, forbidden)
+            patch.setattr(equilibria_module, "_walk", walking)
             for g in self.GAMES:
                 _routes(g)
+        assert records == [None] * (3 * len(self.GAMES))
 
     def test_capped_gi_is_not_answered_in_closed_form(self):
         g = Game.from_rows([[0] * 3], [[0] * 3])
@@ -1208,3 +1218,73 @@ class TestOnePassWalk:
                 tracemalloc.stop()
         assert (err.value.candidates, err.value.budget) == (DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
         assert peak < 32_000_000
+
+
+def _size_sorted_checks(original, red, candidates, method, budget, infeasible):
+    """`_run_checks` checking its candidates smallest total support first (a
+    stable sort) rather than in the walk's order by mask pair."""
+    pending = []
+    for pair in candidates:
+        pending.append(pair)
+        if len(pending) > budget:
+            raise BudgetExceededError(len(pending), budget)
+    pending.sort(key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
+    publish = _Publisher(red, original).entry
+    entries = []
+    for rows, cols in pending:
+        feasible, witness = fp1_check(red.game, rows, cols, infeasible)
+        if feasible:
+            entries.append(publish(rows, cols, witness))
+    entries.sort(key=lambda e: (e.support.rows, e.support.cols))
+    stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
+    return equilibria_module.EquilibriumSet(original, method, tuple(entries), stats)
+
+
+class TestCappedOrder:
+    """Capped `gi` checks its candidates by mask pair, the walk's order: each
+    (R', C) with R' inside R and (R, C') with C' inside C still comes before
+    (R, C), so it answers as checking by total support size does: entries,
+    shared sides, stats, LPs per layer and refusals."""
+
+    @staticmethod
+    def _check(g: Game, k: int, l: int, budget: int = 2**14) -> bool:
+        """Check capped `gi` on `g`; returns whether it answered."""
+        runs = []
+        for checks in (equilibria_module._run_checks, _size_sorted_checks):
+            with pytest.MonkeyPatch.context() as patch, _layer_solves() as solves:
+                patch.setattr(equilibria_module, "_run_checks", checks)
+                try:
+                    result = enumerate_by_gi(g, k, l, budget)
+                except BudgetExceededError as exc:
+                    result = (exc.candidates, exc.budget)
+            runs.append((result, solves))
+        (by_mask, by_mask_solves), (by_size, by_size_solves) = runs
+        assert by_mask_solves == by_size_solves
+        assert by_mask == by_size
+        if isinstance(by_size, tuple):
+            return False
+        assert by_mask.stats == by_size.stats
+        assert _shared_sides(by_mask) == _shared_sides(by_size)
+        return True
+
+    def test_gi_capped_panel(self):
+        for seed in range(3):
+            assert self._check(generate_random_game(5, 5, seed), 2, 2), seed
+
+    def test_seeded_tied_games(self):
+        # Each capped run at budget 2^14, and at 16, where the cycle basis
+        # refuses 18 of the 29.
+        answered = refused = 0
+        for seed in range(36):
+            rng = random.Random(seed)
+            m, n = rng.randint(2, 4), rng.randint(2, 4)
+            g = duplicated_game(m, n, 4200 + seed, dup_row=seed % 2 == 0, dup_col=seed % 3 == 0)
+            rg = iterated_elimination(g).game
+            for k, l in ((2, 2), (2, 3)):
+                if k < rg.m or l < rg.n:
+                    for budget in (2**14, 16):
+                        if self._check(g, k, l, budget):
+                            answered += 1
+                        else:
+                            refused += 1
+        assert (answered, refused) == (40, 18)
