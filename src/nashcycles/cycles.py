@@ -9,8 +9,8 @@ explicit witness cycle through exactly its vertex set has been
 constructed.  The paper's support trees bundle a main cycle with 3-cycles
 hanging off it; they generate the unbalanced support candidates that
 single cycles cannot.  The capped `gi` route takes its candidates straight
-from the basis as bitmask pairs: each class, and the union of the classes
-through each vertex.
+from the basis as one list of distinct bitmask pairs, sorted by mask pair:
+each class, and the union of the classes through each vertex.
 """
 
 from __future__ import annotations
@@ -432,27 +432,21 @@ def gr_support_trees(
 
 def enumerate_support_trees(
     graph: BipartiteDigraph, basis: Sequence[CycleBasisEntry]
-) -> Iterator[tuple[int, int]]:
-    """The capped `gi` route's candidates as distinct (rows, cols) bitmask
-    pairs, in one pass over the basis: each class's strategy sets, then,
-    in vertex order, the union of the classes through each vertex where two
-    or more meet (a star, its classes pairwise intersecting).  A pair is
-    yielded only the first time it is seen."""
-    seen: set[tuple[int, int]] = set()
+) -> list[tuple[int, int]]:
+    """The capped `gi` route's candidates, from one pass over the basis: the
+    distinct (rows, cols) bitmask pairs of each class's strategy sets and of
+    each star, the union of the classes through a vertex where two or more
+    meet (pairwise intersecting), sorted by mask pair, the walk's order."""
+    pairs = set()
     star_rows = [0] * graph.order
     star_cols = [0] * graph.order
     classes = [0] * graph.order
     for entry in basis:
-        pair = rows, cols = entry.strategy_sets(graph)
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
+        rows, cols = entry.strategy_sets(graph)
+        pairs.add((rows, cols))
         for v in entry.left + entry.right:
             star_rows[v] |= rows
             star_cols[v] |= cols
             classes[v] += 1
-    for v in range(graph.order):
-        pair = star_rows[v], star_cols[v]
-        if classes[v] >= 2 and pair not in seen:
-            seen.add(pair)
-            yield pair
+    pairs.update(pair for pair, count in zip(zip(star_rows, star_cols), classes) if count >= 2)
+    return sorted(pairs)

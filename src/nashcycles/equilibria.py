@@ -26,8 +26,9 @@ column sets in increasing mask order: every (R', C) with R' inside R and
 (R, C') with C' inside C, the only pairs whose failed sides can rule (R, C)
 out, comes first.  So the record holds at each pair what the order by total
 size (Porter, Nudelman & Shoham 2004) gives it, and so do answers, stats
-and LPs, with no candidate held.  `_run_checks` checks capped `gi`'s in
-the same order, sorted by mask pair.
+and LPs, with no candidate held.  Capped `gi`'s candidates come from
+`enumerate_support_trees` already sorted by mask pair, and each faces
+`fp1_check` in that order.  Both build their result in `_result`.
 
 A candidate is two bitmasks (rows, cols) over the eliminated game from
 the walk to the check, and the check's witness is two integer weight
@@ -46,7 +47,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis, enumerate_support_trees
 # compute_domain_table is unused here, but bench/tracing.py wraps it in this namespace.
@@ -266,32 +266,12 @@ class _Publisher:
         return found
 
 
-def _run_checks(
-    original: Game,
-    red: ReducedGame,
-    candidates: Iterable[tuple[int, int]],
-    method: str,
-    budget: int,
-    infeasible: InfeasibleSides,
+def _result(
+    original: Game, method: str, entries: list[Equilibrium], candidates: int, pruned: int
 ) -> EquilibriumSet:
-    """Capped `gi`'s checks: `fp1_check` with the run's record on every
-    candidate (rows, cols) over `red.game`.  Its cycle basis draws them in
-    no subset order, so all are drawn, refused past `budget`, and checked
-    in the walk's order, by mask pair (see the module docstring)."""
-    pending: list[tuple[int, int]] = []
-    for pair in candidates:
-        pending.append(pair)
-        if len(pending) > budget:
-            raise BudgetExceededError(len(pending), budget)
-    pending.sort()
-    publish = _Publisher(red, original).entry
-    entries = []
-    for rows, cols in pending:
-        feasible, witness = fp1_check(red.game, rows, cols, infeasible)
-        if feasible:
-            entries.append(publish(rows, cols, witness))
+    """A run's `EquilibriumSet`: its entries sorted by support, and its stats."""
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
+    stats = PipelineStats(candidates, pruned, len(entries))
     return EquilibriumSet(original, method, tuple(entries), stats)
 
 
@@ -348,9 +328,7 @@ def _walk(
                     entries.append(publish(rows, cols, witness))
             elif drawn > budget:
                 raise BudgetExceededError(budget + 1, budget)
-    entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(drawn, 0 if record is None else record.pruned, len(entries))
-    return EquilibriumSet(original, method, tuple(entries), stats)
+    return _result(original, method, entries, drawn, 0 if record is None else record.pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +387,10 @@ def enumerate_by_gi(
     Below full caps the run is a heuristic whose candidates come from
     G_I's cycle basis (longer cycles and artificial arcs included): each
     class's strategy sets, and per vertex the union of the classes through
-    it.  The basis refuses past `budget` classes, the checks past `budget`
-    candidates.
+    it, sorted by mask pair by `enumerate_support_trees`.  The basis refuses
+    past `budget` classes; past `budget` candidates the run refuses before
+    it checks any, and otherwise `fp1_check`s each in that order with the
+    run's record.
     """
     if k < 1 or l < 1:
         raise ValueError("size caps must be at least 1")
@@ -423,8 +403,16 @@ def enumerate_by_gi(
         return _support_walk(game, red, method, budget)
     record = InfeasibleSides(rg)
     graph = build_gi(rg, k, l, record)
-    candidates = enumerate_support_trees(graph, cycle_basis(graph, budget))
-    return _run_checks(game, red, candidates, method, budget, record)
+    # list(): bench/tracing.py wraps enumerate_support_trees as a generator.
+    candidates = list(enumerate_support_trees(graph, cycle_basis(graph, budget)))
+    if len(candidates) > budget:
+        raise BudgetExceededError(budget + 1, budget)
+    publish, entries = _Publisher(red, game).entry, []
+    for rows, cols in candidates:
+        feasible, witness = fp1_check(rg, rows, cols, record)
+        if feasible:
+            entries.append(publish(rows, cols, witness))
+    return _result(game, method, entries, len(candidates), record.pruned)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import random
 import re
@@ -500,3 +501,74 @@ class TestDeterminismAcrossProcesses:
                 outputs.append(run.stdout)
             assert outputs[0] == outputs[1], argv
             assert outputs[0]
+
+
+class TestTracedPackage:
+    # bench/tracing.py replaces names in the package's namespaces with
+    # wrappers: the generator wrapper of `enumerate_support_trees` among
+    # them.  Run in a fresh process, so no wrapper outlives the test.
+    SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from nashcycles import cli, domgraph, equilibria, lp
+from nashcycles.games import Game, generate_random_game
+
+games = [
+    generate_random_game(4, 4, 7),
+    Game.from_rows([[2, 1, 1, 2], [0, 0, 2, 0], [2, 1, 2, 0]], [[2, 0, 0, 2], [0, 1, 0, 1], [1, 2, 2, 1]]),
+]
+routes = {
+    "supports": equilibria.enumerate_by_supports,
+    "gr": equilibria.enumerate_by_gr,
+    "gi": lambda g: equilibria.enumerate_by_gi(g, g.m, g.n),
+    "gi(1,1)": lambda g: equilibria.enumerate_by_gi(g, 1, 1),
+    "gi(2,2)": lambda g: equilibria.enumerate_by_gi(g, 2, 2),
+}
+
+# Spans of each run; none until `install` wraps the package.
+tracer = tracing.Tracer()
+
+def solve():
+    results, runs = [], []
+    for g in games:
+        for name, route in routes.items():
+            first = len(tracer.spans)
+            results.append(route(g))
+            spans = tracer.spans[first:]
+            trees = [s.info for s in spans if s.name == "cycles.enumerate_support_trees"]
+            fp1s = sum(s.name == "lp.fp1_check" for s in spans)
+            runs.append([name, results[-1].stats.candidates, trees, fp1s])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", sys.argv[2], "--method", "gi", "--k", "2", "--l", "2", "--output", "structured"])
+    return results, runs, code, out.getvalue()
+
+plain, _, plain_code, plain_out = solve()
+tracing.install(tracer, {"lp": lp, "domgraph": domgraph, "equilibria": equilibria, "cli": cli})
+traced, runs, code, out = solve()
+solves = [s.name for s in tracer.spans if s.name.startswith("equilibria.enumerate_by_")]
+print(json.dumps([traced == plain, [plain_code, code], out == plain_out, out, runs, solves]))
+"""
+
+    def test_traced_solves_match_untraced(self, tmp_path):
+        path = tmp_path / "g.game"
+        path.write_text(write_game(generate_random_game(4, 4, 7)))
+        root = Path(__file__).resolve().parent.parent
+        src = str(Path(nashcycles.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(root / "bench"), str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
+        )
+        same, codes, same_out, out, runs, solves = json.loads(run.stdout)
+        assert same and same_out and codes == [0, 0]
+        assert "stats method=gi(k=2,l=2) game=df26b250a560c87b candidates=9 pruned=4 feasible=3" in out
+        assert solves == ["equilibria.enumerate_by_gi"]
+        for name, candidates, trees, fp1s in runs:
+            if name.startswith("gi("):
+                # One span per capped run, counting every candidate; one
+                # fp1_check span per candidate.
+                assert trees == [candidates] and fp1s == candidates, name
+            else:
+                assert trees == [] and fp1s == 0, name

@@ -128,10 +128,11 @@ def _gi_reference(graph: BipartiteDigraph, basis) -> list[tuple[int, int]]:
 
 
 def _check_gi_candidates(graph: BipartiteDigraph, basis) -> list[tuple[int, int]]:
-    """Assert that the capped `gi` generator yields the reference with
-    repeated pairs dropped, in order; return what it yields."""
-    got = list(enumerate_support_trees(graph, basis))
-    assert got == list(dict.fromkeys(_gi_reference(graph, basis)))
+    """Assert that the capped `gi` candidates are the reference's distinct
+    pairs, sorted by mask pair with none repeated; return them."""
+    got = enumerate_support_trees(graph, basis)
+    assert got == sorted(set(_gi_reference(graph, basis)))
+    assert all(a < b for a, b in zip(got, got[1:]))
     return got
 
 
@@ -432,7 +433,7 @@ class TestSupportTrees:
         assert list(enumerate_support_trees(graph, [])) == []
 
     def test_gi_mode_star_families(self):
-        # Each class alone, then the stars that add a pair: on K_{1,2} the
+        # Each class alone and the stars that add a pair: on K_{1,2} the
         # two 3-cycles through x1 give the unbalanced support ({x1}, {y1, y2});
         # on K_{2,2} every star's union is the 4-vertex class's pair.
         for (m, n), expected in [

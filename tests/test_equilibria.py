@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis import example
 
 import nashcycles
-from nashcycles.cycles import cycle_basis, gr_support_trees
+from nashcycles.cycles import cycle_basis, enumerate_support_trees, gr_support_trees
 from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
 import nashcycles.equilibria as equilibria_module
 from nashcycles.equilibria import (
@@ -455,7 +455,12 @@ class TestGiPipeline:
         rg = iterated_elimination(g).game
         assert (rg.m, rg.n) == (3, 4)
         assert len(cycle_basis(build_gi(rg, 1, 1), budget=7)) == 7
-        with pytest.raises(BudgetExceededError) as err:
+
+        def forbidden(*args):
+            raise AssertionError("a candidate was checked before the refusal")
+
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(BudgetExceededError) as err:
+            patch.setattr(equilibria_module, "fp1_check", forbidden)
             enumerate_by_gi(g, 1, 1, budget=7)
         assert (err.value.candidates, err.value.budget) == (8, 7)
         assert enumerate_by_gi(g, 1, 1, budget=8).stats == PipelineStats(8, 3, 5)
@@ -1072,7 +1077,9 @@ class TestOneSided:
             return walk(original, red, mutual, record, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("InfeasibleSides", "build_gr", "fp1_check", "_run_checks"):
+            for name in (
+                "InfeasibleSides", "build_gr", "fp1_check", "cycle_basis", "enumerate_support_trees"
+            ):
                 patch.setattr(equilibria_module, name, forbidden)
             patch.setattr(equilibria_module, "_walk", walking)
             for g in self.GAMES:
@@ -1220,24 +1227,57 @@ class TestOnePassWalk:
         assert peak < 32_000_000
 
 
-def _size_sorted_checks(original, red, candidates, method, budget, infeasible):
-    """`_run_checks` checking its candidates smallest total support first (a
-    stable sort) rather than in the walk's order by mask pair."""
-    pending = []
-    for pair in candidates:
-        pending.append(pair)
-        if len(pending) > budget:
-            raise BudgetExceededError(len(pending), budget)
-    pending.sort(key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
-    publish = _Publisher(red, original).entry
-    entries = []
-    for rows, cols in pending:
-        feasible, witness = fp1_check(red.game, rows, cols, infeasible)
-        if feasible:
-            entries.append(publish(rows, cols, witness))
-    entries.sort(key=lambda e: (e.support.rows, e.support.cols))
-    stats = PipelineStats(len(pending), infeasible.pruned, len(entries))
-    return equilibria_module.EquilibriumSet(original, method, tuple(entries), stats)
+class TestTallGames:
+    """Tall games cost every exact route memory linear in the rows: each
+    peak stays below the m^2 / 8 bytes of an m x m bit matrix."""
+
+    M = 8000
+
+    @staticmethod
+    def _peak(route):
+        """`route()`'s result, or its refusal, and its tracemalloc peak."""
+        tracemalloc.start()
+        try:
+            try:
+                result = _supports(route())
+            except BudgetExceededError as exc:
+                result = (exc.candidates, exc.budget)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Per game: its payoffs A and B, budget, and answer or refusal.
+    GAMES = {
+        # All-zero m x 1, refused at budget 2000.
+        "zero": lambda m: ([[0]] * m, [[0]] * m, 2000, ((1 << m) - 1, 2000)),
+        # m - 1 zero rows, then a row earning 1, with B zero.
+        "dom": lambda m: ([[0]] * (m - 1) + [[1]], [[0]] * m, DEFAULT_BUDGET, [((m - 1,), (0,))]),
+        # Row (5, 0), then m - 2 zero rows, then (1, 1), with every B row (1, 0).
+        "pareto": lambda m: (
+            [[5, 0]] + [[0, 0]] * (m - 2) + [[1, 1]], [[1, 0]] * m, DEFAULT_BUDGET, [((0,), (0,))]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GAMES))
+    def test_tall_game_in_linear_memory(self, name):
+        m = self.M
+        a, b, budget, expected = self.GAMES[name](m)
+        g = Game.from_rows(a, b)
+        for route in (
+            lambda: enumerate_by_supports(g, budget),
+            lambda: enumerate_by_gr(g, budget),
+            lambda: enumerate_by_gi(g, g.m, g.n, budget),
+        ):
+            result, peak = self._peak(route)
+            assert result == expected
+            assert peak < m * m // 8
+
+
+def _size_sorted_candidates(graph, basis):
+    """The capped `gi` candidates smallest total support first (a stable
+    sort) rather than in the walk's order by mask pair."""
+    pairs = enumerate_support_trees(graph, basis)
+    return sorted(pairs, key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
 
 
 class TestCappedOrder:
@@ -1250,9 +1290,9 @@ class TestCappedOrder:
     def _check(g: Game, k: int, l: int, budget: int = 2**14) -> bool:
         """Check capped `gi` on `g`; returns whether it answered."""
         runs = []
-        for checks in (equilibria_module._run_checks, _size_sorted_checks):
+        for candidates in (equilibria_module.enumerate_support_trees, _size_sorted_candidates):
             with pytest.MonkeyPatch.context() as patch, _layer_solves() as solves:
-                patch.setattr(equilibria_module, "_run_checks", checks)
+                patch.setattr(equilibria_module, "enumerate_support_trees", candidates)
                 try:
                     result = enumerate_by_gi(g, k, l, budget)
                 except BudgetExceededError as exc:
