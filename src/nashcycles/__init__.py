@@ -24,6 +24,7 @@ from .domgraph import (
     compute_domain_table,
     compute_relevancy,
     format_graph,
+    iterated_elimination,
 )
 from .equilibria import (
     DEFAULT_BUDGET,
@@ -48,7 +49,6 @@ from .games import (
     expected_payoffs,
     generate_random_game,
     is_best_response,
-    iterated_elimination,
     parse_game,
     write_game,
 )

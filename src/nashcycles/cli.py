@@ -31,7 +31,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis
-from .domgraph import _bits, build_gd, build_gi, build_gr, format_graph
+from .domgraph import _bits, build_gd, build_gi, build_gr, format_graph, iterated_elimination
 from .equilibria import (
     EquilibriumSet,
     enumerate_by_gi,
@@ -44,7 +44,6 @@ from .games import (
     Game,
     MixedStrategy,
     generate_random_game,
-    iterated_elimination,
     parse_game,
     write_game,
 )

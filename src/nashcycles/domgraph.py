@@ -1,5 +1,11 @@
-"""Dominance graphs: domains, relevancy sets, and the three bipartite
-digraphs built from them.
+"""Dominance: iterated elimination, domains, relevancy sets, and the three
+bipartite digraphs built from them.
+
+Every route starts with `iterated_elimination`.  It tries a pure best
+response, a pure dominator, a two-column mixture (`_two_column_reply`) and
+a dominating mixture of two rows (`_two_row_dominator`) before its LP, and
+`build_gr` settles with no LP a row whose strategy is the unique best
+response to a two-column mixture.
 
 The strategy-level graph has one singleton vertex per pure strategy and an
 arc x -> y whenever y belongs to the relevancy set R(x).  The opponent
@@ -31,12 +37,21 @@ candidate checks solves each side at most once.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .games import Game, MixedStrategy
-from .lp import InfeasibleSides, _max_support, _record, _two_column_reply, lp3_relevancy
+from .games import Game, MixedStrategy, ReducedGame, _reduced
+from .lp import (
+    InfeasibleSides,
+    _best_response_region,
+    _max_support,
+    _mixture_interval,
+    _record,
+    lp3_relevancy,
+)
 
 # Unused here, but bench/tracing.py wraps these names in this namespace.
 from .lp import lp1_dominance, lp2_domain_check, lp2_joint_domain_check, mod_lp1_relevancy
@@ -52,6 +67,7 @@ __all__ = [
     "compute_domain_table",
     "compute_relevancy",
     "format_graph",
+    "iterated_elimination",
 ]
 
 
@@ -251,6 +267,190 @@ def compute_relevancy(game: Game, player: int, x: int) -> RelevancyRow:
 
 
 # ---------------------------------------------------------------------------
+# Iterated elimination of strictly dominated strategies
+# ---------------------------------------------------------------------------
+
+def iterated_elimination(game: Game) -> ReducedGame:
+    """Remove strictly dominated strategies (allowing domination by mixed
+    strategies) until a fixed point.
+
+    A test of a strategy x answers with the first of:
+
+    1. x earns its column maximum against some surviving opponent strategy
+       y (ties count): x is a best response to y, so not dominated, and its
+       witness support is {y} for the first such y;
+    2. some surviving rival earns strictly more than x against every
+       surviving opponent strategy: x is dominated.  The rival that earns
+       the maximum on the first surviving opponent strategy is tried
+       first, then the Pareto front of the survivors, since a member
+       f >= r dominates x whenever a rival r does;
+    3. x responds best, among the survivors, to a mixture of two surviving
+       opponent strategies: its least-deficit one and one other (see
+       `_two_column_reply`), found in closed form; its witness support
+       is that pair;
+    3b. a mixture of two surviving rivals earns strictly more than x
+       against every surviving opponent strategy: the anchor, whose
+       smallest lead over x is largest, and one other (see
+       `_two_row_dominator`), found in closed form; x is dominated;
+    4. the best-response-region program (as `lp1_dominance`) on its
+       player's rows of `int_payoffs` sliced to the survivors, which is the
+       subgame's view times a positive factor; its witness support is kept
+       when x survives.
+
+    Rule 2 costs O(|front| * n), and rules 3 and 3b O(m * n) each.  Rule
+    1's maxima are taken once, over all strategies: a removed strategy
+    earned less than the maximum on every opponent strategy that survived
+    its test, so the survivors' maxima there never change, and a strategy
+    that earns one of them survives while that opponent strategy does.
+    The front is made, in O(m * |front| * n), when rule 2 first needs it,
+    and again only when rule 3b or 4 removes a member: rule 2's removals
+    leave every survivor below a member.  Only rule 4 slices, so a game
+    whose strategies all pass rule 1 (an all-zero tall game) or rule 2
+    against a small front is reduced in linear time.  A survivor keeps its
+    witness support (a mask of original opponent indices) and is tested
+    again only when a strategy in it is removed; other removals only drop a
+    rival or an unused opponent strategy.
+    Strict domination is path-independent, so the survivors do not depend
+    on this schedule.
+    A player always keeps a strategy.  The reduced `Game` is made once
+    (`game` itself when nothing is removed), from sliced ints.
+    """
+    # Per side: the survivors, ascending (a dict deletes in O(1) and keeps order).
+    kept = (dict.fromkeys(range(game.m)), dict.fromkeys(range(game.n)))
+    # Per side: the column maxima over all own strategies and, per opponent
+    # strategy, the first own strategy that earns its maximum (see above).
+    tops, leaders = [], []
+    for _, rows in game.int_payoffs:
+        columns = list(zip(*rows))
+        top = list(map(max, columns))
+        tops.append(top)
+        leaders.append(list(map(tuple.index, columns, top)))
+    # Per side: survivor -> witness support mask, in the order found.
+    witness: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    # Per side: rule 2's front, or None until it is (re)made.
+    fronts: list[set[int] | None] = [None, None]
+    stale = [list(kept[0]), list(kept[1])]
+    while stale[0] or stale[1]:
+        for side in (0, 1):
+            scale, full = game.int_payoffs[side]
+            top = tops[side]
+            todo, stale[side] = stale[side], []
+            own, others = kept[side], kept[1 - side]
+            for s in todo:
+                mine = full[s]
+                reply = None
+                for y in others:
+                    if mine[y] == top[y]:
+                        reply = y
+                        break
+                if reply is not None:
+                    witness[side][s] = 1 << reply
+                    continue
+                lead = full[leaders[side][next(iter(others))]]
+                dominated = True
+                for y in others:
+                    if lead[y] <= mine[y]:
+                        dominated = False
+                        break
+                if not dominated:
+                    if fronts[side] is None:
+                        fronts[side] = _pareto_front(full, own, others)
+                    dominated = any(
+                        all(full[f][y] > mine[y] for y in others) for f in fronts[side]
+                    )
+                if not dominated:
+                    rows, cols = list(own), list(others)
+                    at = bisect.bisect_left(rows, s)
+                    vectors = [full[x] for x in rows]
+                    pair = _two_column_reply(vectors, at, cols, top)
+                    if pair:
+                        witness[side][s] = pair
+                        continue
+                    if not _two_row_dominator(vectors, at, cols):
+                        vectors = [[row[y] for y in cols] for row in vectors]
+                        weights = _best_response_region((scale, vectors), 1 << at, 0, 0)
+                        if weights is not None:
+                            witness[side][s] = sum(1 << y for y, w in zip(cols, weights) if w)
+                            continue
+                del own[s]
+                if fronts[side] is not None and s in fronts[side]:
+                    if dominated:
+                        fronts[side].discard(s)
+                    else:
+                        fronts[side] = None
+                for t, used in list(witness[1 - side].items()):
+                    if used >> s & 1:
+                        del witness[1 - side][t]
+                        stale[1 - side].append(t)
+    rows, cols = map(tuple, kept)
+    if len(rows) < game.m or len(cols) < game.n:
+        (a_scale, a_rows), (b_scale, b_cols) = game.int_payoffs
+        game = Game._of(
+            _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
+            _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
+        )
+    return ReducedGame(game, rows, cols)
+
+
+def _pareto_front(
+    full: Sequence[Sequence[int]], own: Iterable[int], others: Iterable[int]
+) -> set[int]:
+    """The x in `own` whose rows full[x] no other weakly exceeds on the
+    columns `others` (the first of equal rows); taken by falling sum, a row
+    comes after every row above it."""
+    cols = list(others)
+    ranked = []
+    for x in own:
+        row = [full[x][y] for y in cols]
+        ranked.append((-sum(row), x, row))
+    ranked.sort()
+    kept, front = [], set()
+    for _, x, row in ranked:
+        for above in kept:
+            if all(map(operator.ge, above, row)):
+                break
+        else:
+            kept.append(row)
+            front.add(x)
+    return front
+
+
+def _two_column_reply(vectors, x: int, cols, top, strict: bool = False) -> int:
+    """Two columns of `cols` with a mixture to which row x of `vectors`
+    responds best (with `strict`, uniquely), as a mask, or 0 when none of
+    the pairs tried has one.  The pairs join x's least-deficit column, where
+    the best row's lead `top[y] - vectors[x][y]` is smallest, to each other
+    column: O(len(vectors) * len(cols))."""
+    own = vectors[x]
+    near = min(cols, key=lambda y: top[y] - own[y])
+    for y in cols:
+        if y != near and _mixture_interval(vectors, 1 << x, near, y, strict) is not None:
+            return 1 << near | 1 << y
+    return 0
+
+
+def _two_row_dominator(vectors, x: int, cols) -> int:
+    """Two rows of `vectors` with a mixture that earns strictly more than
+    row x on every column of `cols`, as a mask, or 0 when none of the pairs
+    tried has one.  The pairs join the anchor, the rival whose smallest lead
+    over x is largest, to each other rival: O(len(vectors) * len(cols)).
+
+    This is `_mixture_interval` on the transposed game: a pair's mixtures
+    t * A_a + (1 - t) * A_b are the strategies, the columns the rows, and
+    each column's lead of x over the mixture must stay below the zero row.
+    The qualifying t are open in [0, 1], so they meet (0, 1) when any do.
+    `vectors` holds at least one row besides x."""
+    own = vectors[x]
+    gaps = {r: [own[y] - row[y] for y in cols] for r, row in enumerate(vectors) if r != x}
+    anchor = min(gaps, key=lambda r: max(gaps[r]))
+    lead = gaps.pop(anchor)
+    for r, gap in gaps.items():
+        if _mixture_interval([(0, 0), *zip(lead, gap)], 1, 0, 1, True) is not None:
+            return 1 << anchor | 1 << r
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # Graph constructions
 # ---------------------------------------------------------------------------
 
@@ -299,7 +499,7 @@ def build_gr(game: Game, infeasible: InfeasibleSides | None = None) -> Bipartite
     built once, and the certificate once per bound (`_lex_best_responses`).
     A row it misses and whose bound is every column is settled, with no
     LP, when `x` is the unique best response to a mixture of two columns
-    (`lp._two_column_reply`): its best-response region then has interior,
+    (`_two_column_reply`): its best-response region then has interior,
     so R(x) is every column.  Any other row asks the record the side
     ({x}, U(x)), and only a row that fails it costs `compute_relevancy`'s
     max-support program, read as integer weights (`lp._max_support`), so

@@ -50,13 +50,19 @@ from fractions import Fraction
 
 from .cycles import DEFAULT_BUDGET, BudgetExceededError, cycle_basis, enumerate_support_trees
 # compute_domain_table is unused here, but bench/tracing.py wraps it in this namespace.
-from .domgraph import BipartiteDigraph, _bits, build_gi, build_gr, compute_domain_table
+from .domgraph import (
+    BipartiteDigraph,
+    _bits,
+    build_gi,
+    build_gr,
+    compute_domain_table,
+    iterated_elimination,
+)
 from .games import (
     Game,
     MixedStrategy,
     ReducedGame,
     SupportPair,
-    iterated_elimination,
     pure_payoff_against,
     write_game,
 )

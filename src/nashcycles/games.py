@@ -2,13 +2,12 @@
 
 A game is a pair of m-by-n payoff matrices (player 1 rows, player 2
 columns), kept per player in one canonical integer form (see `Game`).
-Parsing, random games, elimination and writing work on the ints; the
-`Fraction` matrices are views.  No floating point appears in the model.
+Parsing, random games and writing work on the ints; the `Fraction`
+matrices are views.  No floating point appears in the model.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -27,7 +26,6 @@ __all__ = [
     "expected_payoffs",
     "generate_random_game",
     "is_best_response",
-    "iterated_elimination",
     "parse_game",
     "write_game",
 ]
@@ -440,157 +438,3 @@ def is_best_response(game: Game, player: int, strategy: int, opponent: MixedStra
         for other in range(count)
         if other != strategy
     )
-
-
-# ---------------------------------------------------------------------------
-# Iterated elimination of strictly dominated strategies
-# ---------------------------------------------------------------------------
-
-def iterated_elimination(game: Game) -> ReducedGame:
-    """Remove strictly dominated strategies (allowing domination by mixed
-    strategies) until a fixed point.
-
-    A test of a strategy x answers with the first of:
-
-    1. x earns its column maximum against some surviving opponent strategy
-       y (ties count): x is a best response to y, so not dominated, and its
-       witness support is {y} for the first such y;
-    2. some surviving rival earns strictly more than x against every
-       surviving opponent strategy: x is dominated.  The rival that earns
-       the maximum on the first surviving opponent strategy is tried
-       first, then the Pareto front of the survivors, since a member
-       f >= r dominates x whenever a rival r does;
-    3. x responds best, among the survivors, to a mixture of two surviving
-       opponent strategies: its least-deficit one and one other (see
-       `lp._two_column_reply`), found in closed form; its witness support
-       is that pair;
-    3b. a mixture of two surviving rivals earns strictly more than x
-       against every surviving opponent strategy: the anchor, whose
-       smallest lead over x is largest, and one other (see
-       `lp._two_row_dominator`), found in closed form; x is dominated;
-    4. the best-response-region program (as `lp1_dominance`) on its
-       player's rows of `int_payoffs` sliced to the survivors, which is the
-       subgame's view times a positive factor; its witness support is kept
-       when x survives.
-
-    Rule 2 costs O(|front| * n), and rules 3 and 3b O(m * n) each.  Rule
-    1's maxima are taken once, over all strategies: a removed strategy
-    earned less than the maximum on every opponent strategy that survived
-    its test, so the survivors' maxima there never change, and a strategy
-    that earns one of them survives while that opponent strategy does.
-    The front is made, in O(m * |front| * n), when rule 2 first needs it,
-    and again only when rule 3b or 4 removes a member: rule 2's removals
-    leave every survivor below a member.  Only rule 4 slices, so a game
-    whose strategies all pass rule 1 (an all-zero tall game) or rule 2
-    against a small front is reduced in linear time.  A survivor keeps its
-    witness support (a mask of original opponent indices) and is tested
-    again only when a strategy in it is removed; other removals only drop a
-    rival or an unused opponent strategy.
-    Strict domination is path-independent, so the survivors do not depend
-    on this schedule.
-    A player always keeps a strategy.  The reduced `Game` is made once
-    (`game` itself when nothing is removed), from sliced ints.
-    """
-    # Per side: the survivors, ascending (a dict deletes in O(1) and keeps order).
-    kept = (dict.fromkeys(range(game.m)), dict.fromkeys(range(game.n)))
-    # Per side: the column maxima over all own strategies and, per opponent
-    # strategy, the first own strategy that earns its maximum (see above).
-    tops, leaders = [], []
-    for _, rows in game.int_payoffs:
-        columns = list(zip(*rows))
-        top = list(map(max, columns))
-        tops.append(top)
-        leaders.append(list(map(tuple.index, columns, top)))
-    # Per side: survivor -> witness support mask, in the order found.
-    witness: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    # Per side: rule 2's front, or None until it is (re)made.
-    fronts: list[set[int] | None] = [None, None]
-    stale = [list(kept[0]), list(kept[1])]
-    while stale[0] or stale[1]:
-        for side in (0, 1):
-            scale, full = game.int_payoffs[side]
-            top = tops[side]
-            todo, stale[side] = stale[side], []
-            own, others = kept[side], kept[1 - side]
-            for s in todo:
-                mine = full[s]
-                reply = None
-                for y in others:
-                    if mine[y] == top[y]:
-                        reply = y
-                        break
-                if reply is not None:
-                    witness[side][s] = 1 << reply
-                    continue
-                lead = full[leaders[side][next(iter(others))]]
-                dominated = True
-                for y in others:
-                    if lead[y] <= mine[y]:
-                        dominated = False
-                        break
-                if not dominated:
-                    if fronts[side] is None:
-                        fronts[side] = _pareto_front(full, own, others)
-                    dominated = any(
-                        all(full[f][y] > mine[y] for y in others) for f in fronts[side]
-                    )
-                if not dominated:
-                    rows, cols = list(own), list(others)
-                    at = bisect.bisect_left(rows, s)
-                    vectors = [full[x] for x in rows]
-                    pair = lp._two_column_reply(vectors, at, cols, top)
-                    if pair:
-                        witness[side][s] = pair
-                        continue
-                    if not lp._two_row_dominator(vectors, at, cols):
-                        vectors = [[row[y] for y in cols] for row in vectors]
-                        weights = lp._best_response_region((scale, vectors), 1 << at, 0, 0)
-                        if weights is not None:
-                            witness[side][s] = sum(1 << y for y, w in zip(cols, weights) if w)
-                            continue
-                del own[s]
-                if fronts[side] is not None and s in fronts[side]:
-                    if dominated:
-                        fronts[side].discard(s)
-                    else:
-                        fronts[side] = None
-                for t, used in list(witness[1 - side].items()):
-                    if used >> s & 1:
-                        del witness[1 - side][t]
-                        stale[1 - side].append(t)
-    rows, cols = map(tuple, kept)
-    if len(rows) < game.m or len(cols) < game.n:
-        (a_scale, a_rows), (b_scale, b_cols) = game.int_payoffs
-        game = Game._of(
-            _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
-            _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
-        )
-    return ReducedGame(game, rows, cols)
-
-
-def _pareto_front(
-    full: Sequence[Sequence[int]], own: Iterable[int], others: Iterable[int]
-) -> set[int]:
-    """The x in `own` whose rows full[x] no other weakly exceeds on the
-    columns `others` (the first of equal rows); taken by falling sum, a row
-    comes after every row above it."""
-    cols = list(others)
-    ranked = []
-    for x in own:
-        row = [full[x][y] for y in cols]
-        ranked.append((-sum(row), x, row))
-    ranked.sort()
-    kept, front = [], set()
-    for _, x, row in ranked:
-        for above in kept:
-            if all(map(operator.ge, above, row)):
-                break
-        else:
-            kept.append(row)
-            front.add(x)
-    return front
-
-
-# Bound last: lp builds on the game types above.  Elimination calls through
-# the module, so an attribute set on it later is what elimination sees.
-from . import lp  # noqa: E402

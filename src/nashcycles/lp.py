@@ -56,11 +56,7 @@ whose uniform mixture already qualifies (the responders earn one payoff
 sum on C and no rival a larger one) holds at the program's own witness:
 phase 1 starts at its floor, the all-ones weight on C, where every row
 that starts on an artificial has rhs 0, so each pivot is degenerate and
-the program ends where it started (`_uniform_side`).  Iterated
-elimination tries a pure best response, a pure dominator, a two-column
-mixture and a dominating mixture of two rows before its LP, and
-`build_gr` settles with no LP a row whose strategy is the unique best
-response to a two-column mixture.
+the program ends where it started (`_uniform_side`).
 
 Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the
@@ -735,41 +731,6 @@ def _eliminated_ray(rows, ncols: int):
     ray = [-row[free] for row in rows[:rank]]
     ray.insert(free, det)
     return ray
-
-
-def _two_column_reply(vectors, x: int, cols, top, strict: bool = False) -> int:
-    """Two columns of `cols` with a mixture to which row x of `vectors`
-    responds best (with `strict`, uniquely), as a mask, or 0 when none of
-    the pairs tried has one.  The pairs join x's least-deficit column, where
-    the best row's lead `top[y] - vectors[x][y]` is smallest, to each other
-    column: O(len(vectors) * len(cols))."""
-    own = vectors[x]
-    near = min(cols, key=lambda y: top[y] - own[y])
-    for y in cols:
-        if y != near and _mixture_interval(vectors, 1 << x, near, y, strict) is not None:
-            return 1 << near | 1 << y
-    return 0
-
-
-def _two_row_dominator(vectors, x: int, cols) -> int:
-    """Two rows of `vectors` with a mixture that earns strictly more than
-    row x on every column of `cols`, as a mask, or 0 when none of the pairs
-    tried has one.  The pairs join the anchor, the rival whose smallest lead
-    over x is largest, to each other rival: O(len(vectors) * len(cols)).
-
-    This is `_mixture_interval` on the transposed game: a pair's mixtures
-    t * A_a + (1 - t) * A_b are the strategies, the columns the rows, and
-    each column's lead of x over the mixture must stay below the zero row.
-    The qualifying t are open in [0, 1], so they meet (0, 1) when any do.
-    `vectors` holds at least one row besides x."""
-    own = vectors[x]
-    gaps = {r: [own[y] - row[y] for y in cols] for r, row in enumerate(vectors) if r != x}
-    anchor = min(gaps, key=lambda r: max(gaps[r]))
-    lead = gaps.pop(anchor)
-    for r, gap in gaps.items():
-        if _mixture_interval([(0, 0), *zip(lead, gap)], 1, 0, 1, True) is not None:
-            return 1 << anchor | 1 << r
-    return 0
 
 
 def lp2_domain_check(

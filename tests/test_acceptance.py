@@ -18,10 +18,17 @@ from conftest import brute_force_cycles, rational_rank
 
 from nashcycles.cli import main as cli_main
 from nashcycles.cycles import cycle_basis, elementary_cycles, gr_support_trees, johnson_cycles
-from nashcycles.domgraph import BipartiteDigraph, build_gd, build_gr, compute_domain, compute_relevancy
+from nashcycles.domgraph import (
+    BipartiteDigraph,
+    build_gd,
+    build_gr,
+    compute_domain,
+    compute_relevancy,
+    iterated_elimination,
+)
 from nashcycles.equilibria import enumerate_by_gi, enumerate_by_gr, enumerate_by_supports
 from nashcycles import lp as lp_module
-from nashcycles.games import Game, SupportPair, generate_random_game, iterated_elimination, write_game
+from nashcycles.games import Game, SupportPair, generate_random_game, write_game
 from nashcycles.lp import fp1_check
 
 F = Fraction

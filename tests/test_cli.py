@@ -273,6 +273,12 @@ class TestCycles:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "k=2 left={{2}} right={{2}}"
         assert out[1].startswith("basis=1")
+        # G_I at k = l = 1 keeps the dominated row by artificial arcs.
+        assert main(["cycles", game_file(PD), "--method", "gi", "--k", "1", "--l", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "k=2 left={1} right={1} artificial"
+        assert out[3] == "k=2 left={2} right={2}"
+        assert out[5].startswith("basis=5 three_cycles=4 artificial=4 ")
 
     def test_caps_ignored_on_gr(self, game_file, capsys):
         path = game_file(MP)
@@ -314,10 +320,12 @@ class TestStats:
         assert out[1].startswith("size=3 trials=2 avg_basis=")
 
     def test_single_size_one(self, capsys):
-        assert main(["stats", "--sizes", "1..1", "--trials", "1"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert "avg_basis=1 " in out
-        assert "avg_ratio=1.000000" in out
+        for sizes in ("1..1", "1"):
+            assert main(["stats", "--sizes", sizes, "--trials", "1"]) == 0
+            out = capsys.readouterr().out.strip()
+            assert out.startswith("size=1 trials=1 ")
+            assert "avg_basis=1 " in out
+            assert "avg_ratio=1.000000" in out
 
     def test_structured_excludes_time(self, capsys):
         assert main(["stats", "--sizes", "2..2", "--trials", "1", "--output", "structured"]) == 0
@@ -334,6 +342,8 @@ class TestStats:
 
     def test_bad_range_exit_2(self, capsys):
         assert main(["stats", "--sizes", "x..y"]) == 2
+        assert main(["stats", "--sizes", "3..2"]) == 2
+        assert capsys.readouterr().err.endswith("error: invalid size range '3..2'\n")
 
     def test_non_positive_trials_exit_2(self, capsys):
         for trials in ("0", "-1"):

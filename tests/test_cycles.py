@@ -22,9 +22,9 @@ from nashcycles.cycles import (
     strongly_connected_components,
     tarjan_scc,
 )
-from nashcycles.domgraph import BipartiteDigraph, build_gd, build_gi, build_gr
+from nashcycles.domgraph import BipartiteDigraph, build_gd, build_gi, build_gr, iterated_elimination
 from nashcycles.equilibria import enumerate_by_gi
-from nashcycles.games import Game, generate_random_game, iterated_elimination
+from nashcycles.games import Game, generate_random_game
 
 from conftest import brute_force_cycles, tied_games
 
@@ -210,6 +210,11 @@ class TestJohnson:
             graph = _random_bipartite(rng, 3, 3, 0.5)
             for cycle in johnson_cycles(graph):
                 _validate_cycle(graph, cycle)
+        for vertices in ((0, 2), (0, 2, 1)):
+            with pytest.raises(ValueError, match="must repeat its initial vertex"):
+                Cycle(vertices)
+        with pytest.raises(ValueError, match="not elementary"):
+            Cycle((0, 2, 0, 2, 0))
 
     def test_matches_brute_force_on_random_digraphs(self):
         rng = random.Random(23)

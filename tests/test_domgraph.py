@@ -21,13 +21,13 @@ from nashcycles.domgraph import (
     compute_relevancy,
     _bits,
     format_graph,
+    iterated_elimination,
     size_lex_subsets,
 )
 from nashcycles.games import (
     Game,
     generate_random_game,
     is_best_response,
-    iterated_elimination,
 )
 import nashcycles.lp as lp_module
 from nashcycles import domgraph, equilibria
@@ -65,6 +65,12 @@ class TestComputeDomain:
     def test_bos_row0_cap_one(self, bos):
         row = compute_domain(bos, 1, 0, 1)
         assert [e.support for e in row] == [(0,)]
+        for x in (-1, 2):
+            with pytest.raises(ValueError, match=f"^strategy index {x} out of range$"):
+                compute_domain(bos, 1, x, 1)
+        for l in (0, 3):
+            with pytest.raises(ValueError, match=rf"^support cap must be in \[1, 2\], got {l}$"):
+                compute_domain(bos, 1, 0, l)
 
     def test_witness_replay(self):
         for seed in range(3):
@@ -195,12 +201,15 @@ class TestBipartiteDigraph:
             BipartiteDigraph(_PAIR, _PAIR, (0b10000, 0, 0, 0))
 
     def test_label_below_one_refused(self):
-        # A label is a non-empty strategy set: bitmask 0 or a negative int is none.
+        # A label is a non-empty strategy set: bitmask 0 or a negative int is
+        # none.  Nor may one side repeat a label.
         for label in (0, -1):
             with pytest.raises(ValueError):
                 BipartiteDigraph((label, 0b10), _PAIR, (0, 0, 0, 0))
             with pytest.raises(ValueError):
                 BipartiteDigraph(_PAIR, (0b01, label), (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="distinct"):
+            BipartiteDigraph(_PAIR, (0b01, 0b01), (0, 0, 0, 0))
 
     def test_flag_on_non_arc_refused(self):
         # A flag without its arc would count an artificial arc of no arc.
@@ -469,6 +478,9 @@ class TestBuildGd:
     def test_one_by_one_single_cycle(self, one_by_one):
         graph = build_gd(one_by_one, 1, 1)
         assert graph.arc_count() == 2
+        for k, l in ((0, 1), (1, 0), (2, 1), (1, 2)):
+            with pytest.raises(ValueError, match="size caps must satisfy"):
+                build_gd(one_by_one, k, l)
 
     def test_full_domains_give_complete_digraph(self):
         # With all payoffs equal every subset pair carries a common witness.

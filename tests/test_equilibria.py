@@ -23,7 +23,7 @@ from hypothesis import example
 
 import nashcycles
 from nashcycles.cycles import cycle_basis, enumerate_support_trees, gr_support_trees
-from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr
+from nashcycles.domgraph import BipartiteDigraph, _bits, build_gi, build_gr, iterated_elimination
 import nashcycles.equilibria as equilibria_module
 from nashcycles.equilibria import (
     DEFAULT_BUDGET,
@@ -44,7 +44,6 @@ from nashcycles.games import (
     ReducedGame,
     expected_payoffs,
     generate_random_game,
-    iterated_elimination,
     pure_payoff_against,
 )
 import nashcycles.lp as lp_module
@@ -590,6 +589,8 @@ class TestVerifyEquilibrium:
             verify_equilibrium(
                 pd, MixedStrategy.uniform(1, 3), MixedStrategy.uniform(2, 2)
             )
+        with pytest.raises(ValueError, match="^p must belong to player 1 and q to player 2$"):
+            verify_equilibrium(pd, MixedStrategy.uniform(2, 2), MixedStrategy.uniform(1, 2))
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(tied_games(), st.data())
@@ -833,6 +834,9 @@ class TestPublisher:
         assert made == [1, 2, 2, 2]
         first, *rest = result.entries
         assert all(e.p is first.p and e.u2 == first.u2 for e in rest)
+        side = first.sides[0]
+        assert repr(side) == "EquilibriumSide(owner=1, weights=(1, 0), payoff=(1, 1))"
+        assert side.__eq__(first.p) is NotImplemented and side != first.p
 
 
 def _walked(g: Game, red, method: str, budget: int = DEFAULT_BUDGET):

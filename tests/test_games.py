@@ -19,15 +19,17 @@ from nashcycles.games import (
     GameFormatError,
     MixedStrategy,
     ReducedGame,
+    SupportPair,
     expected_payoffs,
     generate_random_game,
     is_best_response,
-    iterated_elimination,
     parse_game,
+    pure_payoff_against,
     write_game,
 )
 import nashcycles
-from nashcycles import games, lp
+from nashcycles import domgraph, lp
+from nashcycles.domgraph import iterated_elimination
 from nashcycles.equilibria import game_hash
 from nashcycles.lp import lp1_dominance
 
@@ -185,14 +187,14 @@ def _lp_only_survivors(game: Game) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _recorded_fronts(monkeypatch) -> list[set[int]]:
     """A list that gets every front `iterated_elimination` makes, in order."""
     fronts = []
-    make = games._pareto_front
+    make = domgraph._pareto_front
 
     def recording(*args):
         front = make(*args)
         fronts.append(set(front))  # a copy: elimination discards from the front
         return front
 
-    monkeypatch.setattr(games, "_pareto_front", recording)
+    monkeypatch.setattr(domgraph, "_pareto_front", recording)
     return fronts
 
 
@@ -310,6 +312,7 @@ class TestParsing:
             ("1 1\nfoo\n1\n", 2),
             ("1 1\n1/0\n1\n", 2),
             ("0 2\n", 1),
+            ("2 x\n", 1),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line_no):
@@ -495,6 +498,8 @@ class TestGame:
             Game(((2, ((2.0, 1),)), (1, ((3,), (4,)))))
         with pytest.raises(ValueError, match="identical dimensions"):
             Game(((2, ((2, 1),)), (1, ((3, 4),))))
+        with pytest.raises(ValueError, match="at least one strategy"):
+            Game(((1, ()), (1, ())))
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(tied_games(), scaled_games()))
@@ -511,6 +516,8 @@ class TestGame:
 class TestRandomGames:
     def test_deterministic(self):
         assert generate_random_game(2, 2, 1) == generate_random_game(2, 2, 1)
+        with pytest.raises(ValueError, match="^dimensions must be at least 1$"):
+            generate_random_game(0, 2, 1)
 
     def test_distinct_across_seeds(self):
         games = [generate_random_game(7, 7, k) for k in range(1, 11)]
@@ -544,6 +551,8 @@ class TestPayoffs:
     def test_dimension_mismatch(self, pd):
         with pytest.raises(ValueError):
             expected_payoffs(pd, MixedStrategy.uniform(1, 3), MixedStrategy.uniform(2, 2))
+        with pytest.raises(ValueError, match="^p must belong to player 1 and q to player 2$"):
+            expected_payoffs(pd, MixedStrategy.uniform(2, 2), MixedStrategy.uniform(1, 2))
 
     def test_bilinearity(self):
         rng = random.Random(5)
@@ -607,6 +616,10 @@ class TestMixedStrategy:
             MixedStrategy(1, (F(1, 3), F(1, 3), F(1, 4)))
         with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
             MixedStrategy(2, (F(1, 2), F(-1, 6), F(2, 3)))
+        with pytest.raises(ValueError, match="^owner must be 1 or 2, got 3$"):
+            MixedStrategy(3, (F(1),))
+        with pytest.raises(ValueError, match="^probability vector is empty$"):
+            MixedStrategy(1, ())
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
@@ -631,10 +644,23 @@ class TestMixedStrategy:
         assert s.support == (0, 2)
 
 
+class TestSupportPair:
+    def test_sorts_and_refuses(self):
+        assert SupportPair((2, 0, 2), (1,)) == SupportPair((0, 2), (1,))
+        for rows, cols in (((), (0,)), ((0,), ())):
+            with pytest.raises(ValueError, match="^supports must be non-empty on both sides$"):
+                SupportPair(rows, cols)
+        with pytest.raises(ValueError, match="^strategy indices must be non-negative$"):
+            SupportPair((0,), (1, -1))
+
+
 class TestBestResponse:
     def test_mp_row1_vs_pure(self, mp):
         assert is_best_response(mp, 1, 0, MixedStrategy.pure(2, 0, 2))
         assert not is_best_response(mp, 1, 0, MixedStrategy.pure(2, 1, 2))
+        for player in (1, 2):
+            with pytest.raises(ValueError, match="^opponent strategy does not match"):
+                pure_payoff_against(mp, player, 0, MixedStrategy.uniform(3 - player, 3))
 
     def test_bos_indifference(self, bos):
         q = MixedStrategy(2, (F(1, 3), F(2, 3)))
@@ -779,14 +805,14 @@ class TestIteratedElimination:
         # against which it earns the most among the survivors it was tested
         # with, in `Fraction`s.
         replies = []
-        reply = lp._two_column_reply
+        reply = domgraph._two_column_reply
 
         def recording(vectors, x, cols, top, strict=False):
             pair = reply(vectors, x, cols, top, strict)
             replies.append((vectors, x, pair))
             return pair
 
-        monkeypatch.setattr(lp, "_two_column_reply", recording)
+        monkeypatch.setattr(domgraph, "_two_column_reply", recording)
         rng = random.Random(30)
         for seed in range(60):
             m, n = rng.randint(2, 6), rng.randint(2, 6)
@@ -818,7 +844,7 @@ class TestIteratedElimination:
             x = rng.randrange(m)
             cols = sorted(rng.sample(range(n), rng.randint(1, n)))
             sliced = [[row[y] for y in cols] for row in vectors]
-            pair = lp._two_row_dominator(vectors, x, cols)
+            pair = domgraph._two_row_dominator(vectors, x, cols)
             assert bool(pair) == _two_row_reference(sliced, x)
             if pair:
                 removed += 1

@@ -85,6 +85,17 @@ class TestSolveLp:
         out = solve_lp(lp)
         _check_assignment(lp, out)
         assert out.objective_value == 5
+        # The same program, malformed.
+        with pytest.raises(ValueError, match="^relation must be one of"):
+            Constraint((F(1),), "<", F(5))
+        with pytest.raises(ValueError, match="^objective length must equal num_vars$"):
+            LinearProgram(2, (F(1),), lp.constraints)
+        with pytest.raises(ValueError, match="^constraint coefficient length must equal num_vars$"):
+            LinearProgram(1, (F(1),), (Constraint((F(1), F(0)), "<=", F(5)),))
+        with pytest.raises(ValueError, match="^bounds length must equal num_vars$"):
+            LinearProgram(1, (F(1),), lp.constraints, ((F(0), None), (F(0), None)))
+        with pytest.raises(ValueError, match=r"^inconsistent bounds \(1, 0\)$"):
+            LinearProgram(1, (F(1),), lp.constraints, ((F(1), F(0)),))
 
     def test_infeasible(self):
         lp = LinearProgram(1, (F(1),), (Constraint((F(1),), "<=", F(-1)),))
@@ -705,6 +716,10 @@ class TestLp2:
             lp2_domain_check(mp, 1, 7, (0,), ())
         with pytest.raises(ValueError, match="strategy index -1"):
             lp2_joint_domain_check(mp, 2, (0, -1), (0,), ())
+        with pytest.raises(ValueError, match="^xs must be non-empty$"):
+            lp2_joint_domain_check(mp, 1, (), (0,), ())
+        with pytest.raises(ValueError, match="^s1 must be non-empty$"):
+            lp2_joint_domain_check(mp, 1, (0,), (), (0, 1))
 
 
 class TestJointLp2:
