@@ -21,8 +21,31 @@ uniform: the check's witness too, since a one-strategy side has only the
 unit weight, and with no rival left the other side's uniform mixture
 qualifies.
 
+A two-sided reduced game with payoff-equivalent strategies is walked on
+its quotient, the reduced normal form (Dalkey 1953; Kohlberg & Mertens
+1986): two rows are equivalent when their A rows and their B rows are
+equal, two columns when their A columns and B columns are, and the
+quotient keeps one member per class (`_Quotient`).  The members of a
+class earn the same payoffs, and the opponent's payoffs depend only on
+the class's total weight.  So (R, C) is an equilibrium support pair of
+the reduced game exactly when its quotient pair, the classes R and C
+meet, is one of the quotient game, and R and C meet each of those classes
+in a non-empty part: class totals map an equilibrium to the quotient, and
+a part of each class carrying its class's weight maps one back.
+Elimination removes a class whole, since its members are dominated
+alike, so the quotient is taken after it.  A quotient pair counts as the
+product of 2^k - 1 over its classes' sizes k, the pairs it stands for,
+in candidates, refusals and `pruned`, so the first two are the unmerged
+walk's.  A feasible one publishes every choice of one non-empty part per
+class, the class's witness weight split evenly over its part and scaled
+to integers by the lcm of the part sizes: the members tie, and the
+opponent sees only the class total, so the split is a witness.  A
+one-sided game is not merged: its walk has no record, and its uniform
+sides are already witnesses.
+
 The exact routes walk and check in one pass (`_walk`), row sets and then
-column sets in increasing mask order: every (R', C) with R' inside R and
+column sets in increasing mask order, the quotient's masks on a merged
+game: every (R', C) with R' inside R and
 (R, C') with C' inside C, the only pairs whose failed sides can rule (R, C)
 out, comes first.  So the record holds at each pair what the order by total
 size (Porter, Nudelman & Shoham 2004) gives it, and so do answers, stats
@@ -63,10 +86,11 @@ from .games import (
     MixedStrategy,
     ReducedGame,
     SupportPair,
+    _reduced,
     pure_payoff_against,
     write_game,
 )
-from .lp import InfeasibleSides, fp1_check
+from .lp import InfeasibleSides, _stand_ins, _width, fp1_check
 
 __all__ = [
     "BudgetExceededError",
@@ -163,7 +187,11 @@ class Equilibrium:
 @dataclass(frozen=True)
 class PipelineStats:
     """Candidates, candidates rejected without an LP (by pure dominance or
-    by a recorded infeasible side), and equilibria found."""
+    by a recorded infeasible side), and equilibria found.  The exact
+    routes count support pairs of the eliminated game even when they walk
+    its quotient: a quotient pair counts as the pairs it stands for, so
+    `candidates` and `feasible` are the unmerged walk's, and `pruned`, which
+    rejects a quotient pair whole, is at most the unmerged walk's."""
 
     candidates: int
     pruned: int
@@ -272,6 +300,102 @@ class _Publisher:
         return found
 
 
+class _Quotient:
+    """A two-sided reduced game with its payoff-equivalent strategies merged
+    (see the module docstring).  `game` keeps each class's first member, in
+    order; per player, `members` holds each class as a mask over the reduced
+    game and `sizes` its size."""
+
+    __slots__ = ("game", "members", "sizes")
+
+    def __init__(self, game: Game, classes: tuple[list, list]):
+        self.game = game
+        self.members = tuple(
+            [1 << cls[0] if len(cls) == 1 else sum(1 << i for i in cls) for cls in side]
+            for side in classes
+        )
+        self.sizes = tuple(tuple(map(len, side)) for side in classes)
+
+    def expand(self, rows: int, cols: int, witness):
+        """Yield each pair (R, C, witness) over the reduced game that the
+        quotient's feasible pair (rows, cols) and its witness stand for:
+        one non-empty part of each class per choice, the class's weight
+        split evenly over its part.  Lazy, so a large class lists only the
+        parts it publishes."""
+        p_weights, q_weights = witness
+        col_parts = list(self._parts(1, cols, q_weights))
+        for r, p in self._parts(0, rows, p_weights):
+            for c, q in col_parts:
+                yield r, c, (p, q)
+
+    def _parts(self, side: int, mask: int, weights):
+        """Each choice of one non-empty part per class in `mask`, as its mask
+        over the reduced game and its weights there: a class's weight over
+        its part's size, all scaled to integers by the lcm of those sizes.
+        A side with no class is the reduced game's own."""
+        members, count = self.members[side], sum(self.sizes[side])
+        if len(members) == count:
+            yield mask, weights
+            return
+        chosen, lifted, split = 0, [0] * count, []
+        for c in _bits(mask):
+            whole = members[c]
+            if whole & whole - 1:
+                split.append((whole, weights[c]))
+            else:
+                chosen |= whole
+                lifted[whole.bit_length() - 1] = weights[c]
+        parts = [whole for whole, _ in split]
+        while True:
+            sizes = [part.bit_count() for part in parts]
+            scale = math.lcm(*sizes)
+            spread = [w * scale for w in lifted]
+            for part, size, (_, weight) in zip(parts, sizes, split):
+                share = weight * scale // size
+                for i in _bits(part):
+                    spread[i] = share
+            yield chosen | sum(parts), tuple(spread)
+            for i, (whole, _) in enumerate(split):  # the next choice: count down a part
+                parts[i] = parts[i] - 1 & whole
+                if parts[i]:
+                    break
+                parts[i] = whole
+            else:
+                return
+
+
+def _quotient(rg: Game) -> _Quotient | None:
+    """`rg`'s quotient by payoff-equivalent strategies: rows whose A rows and
+    B rows are equal, and columns whose A columns and B columns are equal.
+    None when no player has two such strategies."""
+    (a_scale, a_rows), (b_scale, b_cols) = rg.int_payoffs
+    if len(set(a_rows)) == rg.m and len(set(b_cols)) == rg.n:
+        return None  # own payoffs alone tell every strategy apart
+    classes = []
+    for own, other in ((a_rows, b_cols), (b_cols, a_rows)):
+        found: dict[tuple, list[int]] = {}
+        for i, key in enumerate(zip(own, zip(*other))):
+            found.setdefault(key, []).append(i)
+        classes.append(list(found.values()))
+    if len(classes[0]) == rg.m and len(classes[1]) == rg.n:
+        return None
+    rows, cols = ([cls[0] for cls in side] for side in classes)
+    game = Game._of(
+        _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
+        _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
+    )
+    return _Quotient(game, tuple(classes))
+
+
+def _merge(rg: Game) -> tuple[_Quotient | None, InfeasibleSides]:
+    """The exact routes' quotient of the two-sided reduced game `rg` (None
+    when it has no class) and the record of the game they walk."""
+    quotient = _quotient(rg)
+    if quotient is None:
+        return None, InfeasibleSides(rg)
+    return quotient, InfeasibleSides(quotient.game, quotient.sizes)
+
+
 def _result(
     original: Game, method: str, entries: list[Equilibrium], candidates: int, pruned: int
 ) -> EquilibriumSet:
@@ -294,7 +418,7 @@ def _mutual(graph: BipartiteDigraph) -> list[int]:
 
 def _walk(
     original: Game, red: ReducedGame, mutual: list[int], record: InfeasibleSides | None,
-    method: str, budget: int
+    method: str, budget: int, quotient: _Quotient | None = None
 ) -> EquilibriumSet:
     """The exact routes' one pass over `_mutual` masks: row sets R depth-first
     in increasing mask order, a child adding an index below its parent's,
@@ -304,9 +428,17 @@ def _walk(
     on its count, any other by a first pass counting 2^|J| - 1 per R.  With
     no record `red` is one-sided and `mutual` complete: every pair is an
     equilibrium with the all-ones weights on its supports (see the module
-    docstring), and none is pruned."""
-    m, n = red.game.m, red.game.n
-    total = ((1 << m) - 1) * ((1 << n) - 1)
+    docstring), and none is pruned.  With a `quotient`, `mutual` and the
+    record are over `quotient.game`: each pair counts as the pairs of `red`
+    it stands for, R as its product of 2^k - 1 and J as its classes' total
+    size, the refusal's count is `red`'s, and each feasible pair publishes
+    its expansion."""
+    rg = red.game
+    total = ((1 << rg.m) - 1) * ((1 << rg.n) - 1)
+    sizes = None
+    if quotient is not None:
+        rg, sizes = quotient.game, quotient.sizes
+    m, n = rg.m, rg.n
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
     if record is None:
@@ -328,10 +460,16 @@ def _walk(
             stack.append((rows, joined, x + 1, end))
             rows, joined = rows | 1 << x, joined & mutual[x]
             stack.append((rows, joined, 0, x))
-            drawn += (1 << joined.bit_count()) - 1
+            if sizes is None:
+                drawn += (1 << joined.bit_count()) - 1
+            else:
+                drawn += _stand_ins(rows, sizes[0]) * ((1 << _width(joined, sizes[1])) - 1)
             if deciding:
                 for cols, witness in columns(rows, joined):
-                    entries.append(publish(rows, cols, witness))
+                    if quotient is None:
+                        entries.append(publish(rows, cols, witness))
+                    else:
+                        entries += [publish(*pair) for pair in quotient.expand(rows, cols, witness)]
             elif drawn > budget:
                 raise BudgetExceededError(budget + 1, budget)
     return _result(original, method, entries, drawn, 0 if record is None else record.pruned)
@@ -343,10 +481,14 @@ def _walk(
 
 def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
     """`enumerate_by_supports` on the eliminated game `red`, labelled `method`:
-    the complete graph's walk, with no record on a one-sided `red`."""
+    the complete graph's walk, with no record on a one-sided `red` and on
+    its quotient when it has a class."""
     rg = red.game
-    record = InfeasibleSides(rg) if rg.m > 1 and rg.n > 1 else None
-    return _walk(game, red, [(1 << rg.n) - 1] * rg.m, record, method, budget)
+    if rg.m == 1 or rg.n == 1:
+        return _walk(game, red, [(1 << rg.n) - 1] * rg.m, None, method, budget)
+    quotient, record = _merge(rg)
+    walked = record.game
+    return _walk(game, red, [(1 << walked.n) - 1] * walked.m, record, method, budget, quotient)
 
 
 def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -356,7 +498,9 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`, in the walk, before any pair is built.
-    A one-sided game is walked with no record.
+    A one-sided game is walked with no record; any other game with
+    payoff-equivalent strategies on its quotient, with the same counts
+    (see the module docstring).
     """
     return _support_walk(game, iterated_elimination(game), "supports", budget)
 
@@ -371,13 +515,16 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     complete G_R every support pair is one.  G_R's build and the checks
     share one record, so a full row's side is solved once.  Refuses games
     with more than `budget` bicliques.  A one-sided game, whose G_R is
-    complete, is the oracle's walk with no record and no G_R.
+    complete, is the oracle's walk with no record and no G_R.  Any other
+    game with payoff-equivalent strategies builds G_R on its quotient, whose
+    relevancy sets are unions of classes, and walks that.
     """
     red = iterated_elimination(game)
     if red.game.m == 1 or red.game.n == 1:
         return _support_walk(game, red, "gr", budget)
-    record = InfeasibleSides(red.game)
-    return _walk(game, red, _mutual(build_gr(red.game, record)), record, "gr", budget)
+    quotient, record = _merge(red.game)
+    mutual = _mutual(build_gr(record.game, record))
+    return _walk(game, red, mutual, record, "gr", budget, quotient)
 
 
 def enumerate_by_gi(

@@ -814,6 +814,27 @@ def _rival_masks(vectors) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(found.__getitem__, vectors))
 
 
+def _stand_ins(mask: int, sizes: tuple[int, ...]) -> int:
+    """The number of strategy sets of a merged game that meet each class in
+    `mask` and no other, given each class's size: the product of 2^k - 1."""
+    count = 1
+    while mask:
+        low = mask & -mask
+        count *= (1 << sizes[low.bit_length() - 1]) - 1
+        mask ^= low
+    return count
+
+
+def _width(mask: int, sizes: tuple[int, ...]) -> int:
+    """The total size of the classes in `mask`."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += sizes[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 class InfeasibleSides:
     """One game's record of side questions: is there an opponent strategy
     with support exactly S to which every strategy of a responder set is a
@@ -831,12 +852,16 @@ class InfeasibleSides:
     feasible responder set is feasible too, but its own LP may find another
     witness.  `pruned` counts the pairs it rejects without an LP, in
     `fp1_check` and `feasible_columns`; no other code rejects or counts one.
+    A record made with `sizes`, per player the class size of each strategy
+    of a quotient game (see `equilibria`), counts each such pair as the
+    pairs of the merged game it stands for (`_stand_ins`).
     """
 
-    __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "pruned")
+    __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "_sizes", "pruned")
 
-    def __init__(self, game: Game):
+    def __init__(self, game: Game, sizes: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
         self.game = game
+        self._sizes = sizes
         self._ends = ((1 << game.m, 1 << game.n), (1 << game.n, 1 << game.m))
         self._masks = tuple(_rival_masks(vectors) for _, vectors in game.int_payoffs)
         self._dominated: tuple[dict[int, int], dict[int, int]] = ({}, {})
@@ -863,12 +888,23 @@ class InfeasibleSides:
             cache[fixed] = bits
         return bits
 
+    def _pairs(self, rows: int, cols: int) -> int:
+        """The pairs of the merged game that the pair (rows, cols) of a
+        record made with `sizes` stands for."""
+        row_sizes, col_sizes = self._sizes
+        return _stand_ins(rows, row_sizes) * _stand_ins(cols, col_sizes)
+
     def feasible_columns(self, rows: int, cols: int) -> list[tuple[int, tuple]]:
         """Decide (rows, C) for every non-empty C in `cols`, in increasing mask
         order: pure dominance here, once, its rejections counted in `pruned`,
         then `_decide`.  Returns [(C, witness)] of the feasible pairs."""
         free = cols & ~self._responders_dominated(1, rows)
-        self.pruned += (1 << cols.bit_count()) - (1 << free.bit_count())
+        sizes = self._sizes
+        if sizes is None:
+            self.pruned += (1 << cols.bit_count()) - (1 << free.bit_count())
+        else:  # the merged column sets that meet a dropped class
+            dropped = (1 << _width(cols, sizes[1])) - (1 << _width(free, sizes[1]))
+            self.pruned += _stand_ins(rows, sizes[0]) * dropped
         dominated, known, found = self._responders_dominated, self._dominated[0], []
         sub = -free & free
         while sub:
@@ -876,7 +912,7 @@ class InfeasibleSides:
             if blocked is None:
                 blocked = dominated(0, sub)
             if rows & blocked:
-                self.pruned += 1
+                self.pruned += 1 if sizes is None else self._pairs(rows, sub)
             else:
                 witness = self._decide(rows, sub)
                 if witness is not None:
@@ -890,11 +926,11 @@ class InfeasibleSides:
         q-side's then its p-side's `_region`, and (p, q) if both hold."""
         for bad in self._failed[0].get(cols, ()):
             if bad & rows == bad:
-                self.pruned += 1
+                self.pruned += 1 if self._sizes is None else self._pairs(rows, cols)
                 return None
         for bad in self._failed[1].get(rows, ()):
             if bad & cols == bad:
-                self.pruned += 1
+                self.pruned += 1 if self._sizes is None else self._pairs(rows, cols)
                 return None
         q = self._region(1, rows, cols)
         p = None if q is None else self._region(2, cols, rows)
@@ -1012,7 +1048,7 @@ def fp1_check(
         raise ValueError("supports must be non-empty masks within the game")
     record = _record(game, infeasible)
     if rows & record._responders_dominated(0, cols) or cols & record._responders_dominated(1, rows):
-        record.pruned += 1
+        record.pruned += 1 if record._sizes is None else record._pairs(rows, cols)
         return False, None
     witness = record._decide(rows, cols)
     return witness is not None, witness

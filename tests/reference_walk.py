@@ -7,6 +7,12 @@ budget, and keeps the column sets pure dominance leaves.  It then sorts the
 list by total support size (Porter, Nudelman & Shoham 2004) and runs
 `fp1_check` on each pair with the run's one record.  The tests hold the
 walk to its entries, stats, LP counts and refusals.
+
+By default it draws over the program's quotient of a two-sided reduced
+game by payoff-equivalent strategies, as the routes do: each pair counts
+as the pairs of the reduced game it stands for, and a feasible pair
+publishes the quotient's expansion.  With `merge=False` it draws and checks
+every pair of the reduced game itself.
 """
 
 from __future__ import annotations
@@ -20,31 +26,40 @@ from nashcycles.equilibria import (
     _Publisher,
 )
 from nashcycles.games import Game
-from nashcycles.lp import InfeasibleSides, fp1_check
+from nashcycles.lp import InfeasibleSides, _stand_ins, fp1_check
 
 
-def column_sets(record: InfeasibleSides, rows: int, cols: int):
+def weight(quotient, rows: int, cols: int) -> int:
+    """The number of pairs of the reduced game that the pair (rows, cols)
+    of the walked game stands for: 1 with no `quotient`."""
+    if quotient is None:
+        return 1
+    return _stand_ins(rows, quotient.sizes[0]) * _stand_ins(cols, quotient.sizes[1])
+
+
+def column_sets(record: InfeasibleSides, rows: int, cols: int, quotient=None):
     """Yield, in decreasing mask order, the non-empty column sets C in
     `cols` for which pure dominance rules out neither side of (rows, C),
-    and add the others to `record.pruned` after the last."""
+    and add each other one's `weight` to `record.pruned`."""
     free = cols & ~record._responders_dominated(1, rows)
-    kept = 0
-    sub = free
+    sub = cols
     while sub:
-        if not rows & record._responders_dominated(0, sub):
-            kept += 1
+        if sub & ~free or rows & record._responders_dominated(0, sub):
+            record.pruned += weight(quotient, rows, sub)
+        else:
             yield sub
-        sub = sub - 1 & free
-    record.pruned += (1 << cols.bit_count()) - 1 - kept
+        sub = sub - 1 & cols
 
 
-def bicliques(mutual: list[int], n: int, record: InfeasibleSides, budget: int):
+def bicliques(mutual: list[int], n: int, record: InfeasibleSides, budget: int, quotient=None):
     """Lazily yield every pair (R, C) with C inside the columns joined both
     ways to every row of R, as `_mutual` gives them over `n` columns, that
     `column_sets` leaves.  Refuses a fully joined graph on its count before
-    the walk, and any other once its closed-form count passes `budget`."""
+    the walk, and any other once its count passes `budget`, each pair
+    counted as the pairs of the reduced game it stands for."""
     m = len(mutual)
-    total = ((1 << m) - 1) * ((1 << n) - 1)
+    sizes = ((1,) * m, (1,) * n) if quotient is None else quotient.sizes
+    total = ((1 << sum(sizes[0])) - 1) * ((1 << sum(sizes[1])) - 1)
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
     count = 0
@@ -57,49 +72,65 @@ def bicliques(mutual: list[int], n: int, record: InfeasibleSides, budget: int):
             continue
         stack.append((rows, allowed, x + 1))
         grown, narrowed = rows | 1 << x, allowed & mutual[x]
-        count += (1 << narrowed.bit_count()) - 1
+        width = sum(sizes[1][y] for y in range(n) if narrowed >> y & 1)
+        count += _stand_ins(grown, sizes[0]) * ((1 << width) - 1)
         if count > budget:
             raise BudgetExceededError(budget + 1, budget)
-        for cols in column_sets(record, grown, narrowed):
+        for cols in column_sets(record, grown, narrowed, quotient):
             yield grown, cols
         stack.append((grown, narrowed, x + 1))
 
 
-def candidates(rg: Game, route: str, budget: int = equilibria.DEFAULT_BUDGET):
-    """A fresh record for the reduced game `rg` and every candidate `route`
-    draws with it, in the order drawn.  Full-caps `gi` and `supports` walk
-    the complete graph; `gr` walks G_R, built with the same record."""
-    record = InfeasibleSides(rg)
-    if route == "gr":
-        mutual = _mutual(equilibria.build_gr(rg, record))
+def candidates(rg: Game, route: str, budget: int = equilibria.DEFAULT_BUDGET, merge: bool = True):
+    """A fresh record for the game `route` walks, the program's quotient of
+    the reduced game `rg` (None when `merge` is off, or when `rg` is
+    one-sided or has no class), and every candidate drawn with the record,
+    in the order drawn.  Full-caps `gi` and `supports` walk the complete
+    graph; `gr` walks G_R, built with the same record."""
+    quotient = equilibria._quotient(rg) if merge and rg.m > 1 and rg.n > 1 else None
+    if quotient is None:
+        record = InfeasibleSides(rg)
     else:
-        mutual = [(1 << rg.n) - 1] * rg.m
-    return record, list(bicliques(mutual, rg.n, record, budget))
+        record = InfeasibleSides(quotient.game, quotient.sizes)
+    walked = record.game
+    if route == "gr":
+        mutual = _mutual(equilibria.build_gr(walked, record))
+    else:
+        mutual = [(1 << walked.n) - 1] * walked.m
+    return record, quotient, list(bicliques(mutual, walked.n, record, budget, quotient))
 
 
-def checked(original: Game, red, pending, method: str, record: InfeasibleSides) -> EquilibriumSet:
-    """`fp1_check` on the candidates `pending` over `red.game`, smallest
-    total support first (a stable sort), each feasible pair published."""
-    drawn = len(pending) + record.pruned
+def checked(
+    original: Game, red, pending, method: str, record: InfeasibleSides, quotient=None
+) -> EquilibriumSet:
+    """`fp1_check` on the candidates `pending` over `record.game`, smallest
+    total support first (a stable sort), each feasible pair published, or
+    with a `quotient` its expansion over `red.game`."""
+    drawn = sum(weight(quotient, *pair) for pair in pending) + record.pruned
     pending = sorted(pending, key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
     publish = _Publisher(red, original).entry
     entries = []
     for rows, cols in pending:
-        feasible, witness = fp1_check(red.game, rows, cols, record)
+        feasible, witness = fp1_check(record.game, rows, cols, record)
         if feasible:
-            entries.append(publish(rows, cols, witness))
+            if quotient is None:
+                entries.append(publish(rows, cols, witness))
+            else:
+                entries.extend(publish(*pair) for pair in quotient.expand(rows, cols, witness))
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
     stats = PipelineStats(drawn, record.pruned, len(entries))
     return EquilibriumSet(original, method, tuple(entries), stats)
 
 
-def reference_route(g: Game, route: str, budget: int = equilibria.DEFAULT_BUDGET) -> EquilibriumSet:
+def reference_route(
+    g: Game, route: str, budget: int = equilibria.DEFAULT_BUDGET, merge: bool = True
+) -> EquilibriumSet:
     """What `enumerate_by_<route>` returned before the one-pass walk, `gi`
-    at full caps; raises its BudgetExceededError.  Elimination and G_R are
-    the program's own; a one-sided game, too, is drawn and checked with a
-    record."""
+    at full caps; raises its BudgetExceededError.  Elimination, G_R and the
+    quotient are the program's own; a one-sided game, too, is drawn and
+    checked with a record."""
     red = equilibria.iterated_elimination(g)
     rg = red.game
     method = f"gi(k={rg.m},l={rg.n})" if route == "gi" else route
-    record, pending = candidates(rg, route, budget)
-    return checked(g, red, pending, method, record)
+    record, quotient, pending = candidates(rg, route, budget, merge)
+    return checked(g, red, pending, method, record, quotient)

@@ -767,7 +767,8 @@ class TestLiftedEntries:
 class TestPublisher:
     """A run publishes each side witness once and every entry from those:
     each entry equals the entry a fresh publisher makes of its own pair and
-    witness, and its payoffs are those of its own strategies."""
+    witness (on a merged game, of the quotient's expansion of the pair the
+    walk decided), and its payoffs are those of its own strategies."""
 
     @staticmethod
     def _check_runs(g: Game) -> int:
@@ -799,7 +800,7 @@ class TestPublisher:
         checked = 0
         for red, found, result in runs:
             alone = sorted(
-                (_Publisher(red, g).entry(rows, cols, witness) for rows, cols, witness in found),
+                (_Publisher(red, g).entry(*pair) for pair in _expanded(red, found)),
                 key=lambda e: (e.support.rows, e.support.cols),
             )
             assert list(result.entries) == alone, result.method
@@ -837,6 +838,17 @@ class TestPublisher:
         side = first.sides[0]
         assert repr(side) == "EquilibriumSide(owner=1, weights=(1, 0), payoff=(1, 1))"
         assert side.__eq__(first.p) is NotImplemented and side != first.p
+
+
+def _expanded(red, found):
+    """The feasible pairs `found` of a walk on `red`, each (rows, cols,
+    witness), as the pairs over `red.game` they stand for: themselves on a
+    one-sided game or one with no class, else the quotient's expansion."""
+    rg = red.game
+    quotient = equilibria_module._quotient(rg) if rg.m > 1 and rg.n > 1 else None
+    if quotient is None:
+        return found
+    return [pair for rows, cols, witness in found for pair in quotient.expand(rows, cols, witness)]
 
 
 def _walked(g: Game, red, method: str, budget: int = DEFAULT_BUDGET):
@@ -918,14 +930,18 @@ class TestPruningSoundness:
         for route, public in routes:
             results = []
             for arrange in (list, lambda c: c[::-1], lambda c: rng.sample(c, len(c))):
-                record, candidates = reference_walk.candidates(red.game, route)
+                record, quotient, candidates = reference_walk.candidates(red.game, route)
                 arranged = arrange(candidates)
-                results.append(reference_walk.checked(g, red, arranged, public.method, record))
+                results.append(reference_walk.checked(g, red, arranged, public.method, record, quotient))
             assert results[0] == results[1] == results[2] == public, route
-            record, candidates = reference_walk.candidates(red.game, route)
-            drawn = len(candidates) + record.pruned
+            record, quotient, candidates = reference_walk.candidates(red.game, route)
+            drawn = sum(reference_walk.weight(quotient, *pair) for pair in candidates) + record.pruned
             ordered = sorted(candidates, key=lambda c: (c[0].bit_count() + c[1].bit_count(), c))
-            feasible = sum(fp1_check(red.game, *pair, record)[0] for pair in ordered)
+            feasible = sum(
+                reference_walk.weight(quotient, *pair)
+                for pair in ordered
+                if fp1_check(record.game, *pair, record)[0]
+            )
             assert public.stats == PipelineStats(drawn, record.pruned, feasible), route
 
     def test_twins_never_rule_each_other_out(self):
@@ -1207,28 +1223,89 @@ class TestOnePassWalk:
             for spec in workloads.panel(workload, 20):
                 assert self._check(workloads.build_game(nashcycles, spec), spec.route), (workload, spec)
 
-    def test_gr_refuses_the_twins_game_in_little_memory(self):
-        # 3996 rows of (0, 0), then (1, -1) and (1, 0), with B zero: nothing
-        # is eliminated and G_R is not fully joined, so a first pass counts
-        # the pairs and refuses before the walk decides any.
-        a = [[0, 0]] * 3996 + [[1, -1], [1, 0]]
-        g = Game.from_rows(a, [[0, 0]] * 3998)
 
-        def forbidden(*args):
-            raise AssertionError("a pair reached a side decision before the refusal")
+def _quotient_games() -> list[Game]:
+    """Seeded games with a duplicated row, a duplicated column, and both."""
+    games = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        for dup_row, dup_col in ((True, False), (False, True), (True, True)):
+            games.append(duplicated_game(m, n, 4600 + seed, dup_row, dup_col))
+    return games
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(InfeasibleSides, "_decide", forbidden)
-            patch.setattr(InfeasibleSides, "feasible_columns", forbidden)
-            tracemalloc.start()
+
+class TestQuotient:
+    """The exact routes walk a two-sided reduced game on its quotient by
+    payoff-equivalent strategies: their support sets are the vertex
+    oracle's, each class spreads its weight evenly over the members an
+    entry chooses, and candidates, feasible pairs and refusals are those of
+    the two-pass reference over every pair of the reduced game."""
+
+    GAMES = _quotient_games()
+
+    def test_panel_has_classes(self):
+        reduced = [iterated_elimination(g).game for g in self.GAMES]
+        merged = [q for q in map(equilibria_module._quotient, reduced) if q is not None]
+        assert len(merged) > len(self.GAMES) // 2
+        assert any(1 < size for q in merged for size in q.sizes[0])
+        assert any(1 < size for q in merged for size in q.sizes[1])
+
+    def test_routes_match_the_vertex_oracle(self):
+        for g in self.GAMES:
+            expected = equilibrium_supports(g.a, g.b)
+            for result in _routes(g):
+                got = {(_mask(e.support.rows), _mask(e.support.cols)) for e in result.entries}
+                assert got == expected, result.method
+
+    def test_a_class_weighs_its_chosen_members_alike(self):
+        split = 0
+        for g in self.GAMES:
+            red = iterated_elimination(g)
+            # Equivalent in the reduced game: equal payoffs on the surviving
+            # opponent strategies, for both players.
+            rows = [tuple((g.a[x][y], g.b[x][y]) for y in red.col_map) for x in range(g.m)]
+            cols = [tuple((g.a[x][y], g.b[x][y]) for x in red.row_map) for y in range(g.n)]
+            for result in _routes(g):
+                for e in result.entries:
+                    for keys, support, weights in (
+                        (rows, e.support.rows, e.sides[0].weights),
+                        (cols, e.support.cols, e.sides[1].weights),
+                    ):
+                        for i, j in itertools.combinations(support, 2):
+                            if keys[i] == keys[j]:
+                                assert weights[i] == weights[j], (result.method, e)
+                                split += 1
+        assert split > 1000
+
+    def test_counts_match_the_unmerged_reference(self):
+        # The quotient rejects a pair of classes whole, so `pruned` can only
+        # fall; everything else is the reference's.
+        def outcome(run):
             try:
-                with pytest.raises(BudgetExceededError) as err:
-                    enumerate_by_gr(g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert (err.value.candidates, err.value.budget) == (DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
-        assert peak < 32_000_000
+                return run()
+            except BudgetExceededError as exc:
+                return exc.candidates, exc.budget
+
+        answered = refused = 0
+        for g in self.GAMES:
+            for route, run in TestOnePassWalk.ROUTES.items():
+                for budget in (50, 300, DEFAULT_BUDGET):
+                    result = outcome(lambda: run(g, budget))
+                    unmerged = outcome(
+                        lambda: reference_walk.reference_route(g, route, budget, merge=False)
+                    )
+                    if isinstance(unmerged, tuple):
+                        assert result == unmerged, (route, budget)
+                        refused += 1
+                        continue
+                    answered += 1
+                    assert result.method == unmerged.method
+                    assert _supports(result) == _supports(unmerged), route
+                    got, want = result.stats, unmerged.stats
+                    assert (got.candidates, got.feasible) == (want.candidates, want.feasible), route
+                    assert got.pruned <= want.pruned, route
+        assert answered > 0 and refused > 0
 
 
 class TestTallGames:
@@ -1260,21 +1337,45 @@ class TestTallGames:
         "pareto": lambda m: (
             [[5, 0]] + [[0, 0]] * (m - 2) + [[1, 1]], [[1, 0]] * m, DEFAULT_BUDGET, [((0,), (0,))]
         ),
+        # m - 2 rows (0, 0), then (1, -1) and (1, 0), with B zero: nothing is
+        # eliminated and the m - 2 twins form one class.  `supports` and `gi`
+        # refuse the complete graph on its count; G_R of the 3 x 2 quotient is
+        # not fully joined, so `gr` refuses by a first pass that counts pairs.
+        "twins": lambda m: (
+            [[0, 0]] * (m - 2) + [[1, -1], [1, 0]],
+            [[0, 0]] * m,
+            DEFAULT_BUDGET,
+            {
+                "supports": (((1 << m) - 1) * 3, DEFAULT_BUDGET),
+                "gr": (DEFAULT_BUDGET + 1, DEFAULT_BUDGET),
+                "gi": (((1 << m) - 1) * 3, DEFAULT_BUDGET),
+            },
+        ),
     }
 
     @pytest.mark.parametrize("name", list(GAMES))
     def test_tall_game_in_linear_memory(self, name):
+        # A refusal comes before any pair reaches a side decision.
         m = self.M
         a, b, budget, expected = self.GAMES[name](m)
         g = Game.from_rows(a, b)
-        for route in (
-            lambda: enumerate_by_supports(g, budget),
-            lambda: enumerate_by_gr(g, budget),
-            lambda: enumerate_by_gi(g, g.m, g.n, budget),
+
+        def forbidden(*args):
+            raise AssertionError("a pair reached a side decision before the refusal")
+
+        for route, run in (
+            ("supports", lambda: enumerate_by_supports(g, budget)),
+            ("gr", lambda: enumerate_by_gr(g, budget)),
+            ("gi", lambda: enumerate_by_gi(g, g.m, g.n, budget)),
         ):
-            result, peak = self._peak(route)
-            assert result == expected
-            assert peak < m * m // 8
+            want = expected[route] if isinstance(expected, dict) else expected
+            with pytest.MonkeyPatch.context() as patch:
+                if isinstance(want, tuple):
+                    patch.setattr(InfeasibleSides, "_decide", forbidden)
+                    patch.setattr(InfeasibleSides, "feasible_columns", forbidden)
+                result, peak = self._peak(run)
+            assert result == want, route
+            assert peak < m * m // 8, route
 
 
 def _size_sorted_candidates(graph, basis):
