@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .games import Game, MixedStrategy, ReducedGame, _reduced
+from .games import Game, MixedStrategy, ReducedGame
 from .lp import (
     InfeasibleSides,
     _best_response_region,
@@ -384,11 +384,7 @@ def iterated_elimination(game: Game) -> ReducedGame:
                         stale[1 - side].append(t)
     rows, cols = map(tuple, kept)
     if len(rows) < game.m or len(cols) < game.n:
-        (a_scale, a_rows), (b_scale, b_cols) = game.int_payoffs
-        game = Game._of(
-            _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
-            _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
-        )
+        game = game._sub(rows, cols)
     return ReducedGame(game, rows, cols)
 
 

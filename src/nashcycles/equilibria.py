@@ -12,56 +12,61 @@ response to q, whose support is C, so C is a subset of R(x); likewise R is a
 subset of R(y) for every column y in C.  So the arcs of an equilibrium
 support pair run both ways between R and C, and no other pair needs a check.
 
-A game that elimination leaves one strategy on one side is one-sided: the
-other player's survivors all tie against that strategy, or elimination
-would have removed them, so every support pair of the reduced game is an
-equilibrium.  The walk takes it with no record, graph or check, and
-publishes each pair with the lone strategy pure and the other side
-uniform: the check's witness too, since a one-strategy side has only the
-unit weight, and with no rival left the other side's uniform mixture
-qualifies.
+The exact routes walk one game, which their run (`_Publisher`) holds with
+the lift of a walked pair back to entries: the reduced game, or, when it is
+two-sided and has payoff-equivalent strategies, its quotient, the reduced
+normal form (Dalkey 1953; Kohlberg & Mertens 1986).  Two rows are
+equivalent when their A rows and their B rows are equal, two columns when
+their A columns and B columns are, and the quotient keeps one member per
+class.  The members of a class earn the same payoffs, and the opponent's
+payoffs depend only on the class's total weight.  So (R, C) is an
+equilibrium support pair of the reduced game exactly when its quotient
+pair, the classes R and C meet, is one of the quotient game, and R and C
+meet each of those classes in a non-empty part: class totals map an
+equilibrium to the quotient, and a part of each class carrying its class's
+weight maps one back.  Elimination removes a class whole, since its members
+are dominated alike, so the quotient is taken after it.  A quotient pair
+counts as the product of 2^k - 1 over its classes' sizes k, the pairs it
+stands for, in candidates, refusals and `pruned`, so the first two are the
+unmerged walk's.  A feasible one publishes every choice of one non-empty
+part per class, the class's witness weight split evenly over its part and
+scaled to integers by the lcm of the part sizes: the members tie, and the
+opponent sees only the class total, so the split is a witness.
 
-A two-sided reduced game with payoff-equivalent strategies is walked on
-its quotient, the reduced normal form (Dalkey 1953; Kohlberg & Mertens
-1986): two rows are equivalent when their A rows and their B rows are
-equal, two columns when their A columns and B columns are, and the
-quotient keeps one member per class (`_Quotient`).  The members of a
-class earn the same payoffs, and the opponent's payoffs depend only on
-the class's total weight.  So (R, C) is an equilibrium support pair of
-the reduced game exactly when its quotient pair, the classes R and C
-meet, is one of the quotient game, and R and C meet each of those classes
-in a non-empty part: class totals map an equilibrium to the quotient, and
-a part of each class carrying its class's weight maps one back.
-Elimination removes a class whole, since its members are dominated
-alike, so the quotient is taken after it.  A quotient pair counts as the
-product of 2^k - 1 over its classes' sizes k, the pairs it stands for,
-in candidates, refusals and `pruned`, so the first two are the unmerged
-walk's.  A feasible one publishes every choice of one non-empty part per
-class, the class's witness weight split evenly over its part and scaled
-to integers by the lcm of the part sizes: the members tie, and the
-opponent sees only the class total, so the split is a witness.  A
-one-sided game is not merged: its walk has no record, and its uniform
-sides are already witnesses.
+A walked game with one strategy on one side is one-sided: the other
+player's survivors all tie against that strategy, or elimination would
+have removed them, so every support pair is an equilibrium.  The walk
+takes it with no record, graph or check, and publishes each pair with the
+lone strategy pure and the other side uniform: the check's witness too,
+since a one-strategy side has only the unit weight, and with no rival left
+the other side's uniform mixture qualifies.  This is decided on the walked
+game.  A two-sided reduced game whose quotient is 1 x k or k x 1 has one
+class on that side, whose members are equal, so its opponent's survivors
+tie against them alike; a record would answer each of its pairs in closed
+form with those all-ones weights and prune none, so the walk with no
+record publishes the same entries and stats.  A one-sided reduced game is
+not merged: the even split per class would change the uniform sides it
+publishes.
 
 The exact routes walk and check in one pass (`_walk`), row sets and then
-column sets in increasing mask order, the quotient's masks on a merged
-game: every (R', C) with R' inside R and
-(R, C') with C' inside C, the only pairs whose failed sides can rule (R, C)
-out, comes first.  So the record holds at each pair what the order by total
-size (Porter, Nudelman & Shoham 2004) gives it, and so do answers, stats
-and LPs, with no candidate held.  Capped `gi`'s candidates come from
-`enumerate_support_trees` already sorted by mask pair, and each faces
-`fp1_check` in that order.  Both build their result in `_result`.
+column sets in increasing mask order over the walked game: every (R', C)
+with R' inside R and (R, C') with C' inside C, the only pairs whose failed
+sides can rule (R, C) out, comes first.  So the record holds at each pair
+what the order by total size (Porter, Nudelman & Shoham 2004) gives it, and
+so do answers, stats and LPs, with no candidate held.  Capped `gi`'s
+candidates come from `enumerate_support_trees` already sorted by mask pair,
+and each faces `fp1_check` in that order, on a run that is never merged.
+Both publish each feasible pair through `_Publisher.publish` and build
+their result in `_result`.
 
-A candidate is two bitmasks (rows, cols) over the eliminated game from
-the walk to the check, and the check's witness is two integer weight
-vectors.  All results are reported in the coordinates of the game as
-given: pipelines run iterated elimination internally and map the supports
-of each equilibrium found, as a `SupportPair`, and its witnesses back
-through the index maps.  An entry keeps each side in integers
-(`EquilibriumSide`), one per distinct side witness of the run, shared by
-the entries using it; its strategy and payoff `Fraction`s are made only
-when first read.
+A candidate is two bitmasks (rows, cols) over the walked game from the walk
+to the check, and the check's witness is two integer weight vectors.  All
+results are reported in the coordinates of the game as given: pipelines run
+iterated elimination internally and map the supports of each equilibrium
+found, as a `SupportPair`, and its witnesses back through the index maps.
+An entry keeps each side in integers (`EquilibriumSide`), one per distinct
+side witness of the run, shared by the entries using it; its strategy and
+payoff `Fraction`s are made only when first read.
 """
 
 from __future__ import annotations
@@ -86,7 +91,6 @@ from .games import (
     MixedStrategy,
     ReducedGame,
     SupportPair,
-    _reduced,
     pure_payoff_against,
     write_game,
 )
@@ -243,31 +247,64 @@ def _sha256():
 # ---------------------------------------------------------------------------
 
 class _Publisher:
-    """One run's lift of `fp1_check`'s witnesses over `red.game` into
-    entries in the coordinates of `original`.
+    """One exact or capped run: the game it walks and the lift of a walked
+    pair and `fp1_check`'s witness into entries in the coordinates of
+    `original`.
 
-    Per player, a side witness (the integer weights `fp1_check` returns,
-    divided by their gcd) maps to its `EquilibriumSide`, made once, so the
-    entries of a continuum share it.  The weights alone are the key: every
-    responder of a witness earns the top payoff against it, so the lowest
-    responder of any pair using those weights gives the same value, read off
-    `red.game.int_payoffs` over the matrix's scale (u1 against q's weights,
-    u2 against p's).  The index maps ascend, so a lifted support needs no
-    sort."""
+    `game` is `red.game`, or with `merge`, when that is two-sided and has
+    payoff-equivalent strategies, its quotient (see the module docstring),
+    keeping each class's first member in order; `sizes` then holds per
+    player each class's size, and is None with no class.  Per player, a
+    side witness over `red.game` (the weights `fp1_check` returns, or their
+    split over a class's part, divided by their gcd) maps to its
+    `EquilibriumSide`, made once, so the entries of a continuum share it.
+    The weights alone are the key: every responder of a witness earns the
+    top payoff against it, so the lowest responder of any pair using those
+    weights gives the same value, read off `red.game.int_payoffs` over the
+    matrix's scale (u1 against q's weights, u2 against p's).  The index
+    maps ascend, so a lifted support needs no sort."""
 
-    __slots__ = ("_views", "_maps", "_sizes", "_published")
+    __slots__ = ("game", "sizes", "_members", "_views", "_maps", "_dims", "_published")
 
-    def __init__(self, red: ReducedGame, original: Game):
-        self._views = red.game.int_payoffs
+    def __init__(self, red: ReducedGame, original: Game, merge: bool = False):
+        rg = self.game = red.game
+        self.sizes = None
+        self._views = rg.int_payoffs
         self._maps = (red.row_map, red.col_map)
-        self._sizes = (original.m, original.n)
+        self._dims = (original.m, original.n)
         # Per player: reduced side weights -> its EquilibriumSide.
         self._published: tuple[dict, dict] = ({}, {})
+        if not merge or rg.m == 1 or rg.n == 1:
+            return
+        (_, a_rows), (_, b_cols) = self._views
+        if len(set(a_rows)) == rg.m and len(set(b_cols)) == rg.n:
+            return  # own payoffs alone tell every strategy apart
+        classes = []
+        for own, other in ((a_rows, b_cols), (b_cols, a_rows)):
+            found: dict[tuple, list[int]] = {}
+            for i, key in enumerate(zip(own, zip(*other))):
+                found.setdefault(key, []).append(i)
+            classes.append(list(found.values()))
+        if len(classes[0]) < rg.m or len(classes[1]) < rg.n:
+            self.game = rg._sub(*([cls[0] for cls in side] for side in classes))
+            self.sizes = tuple(tuple(map(len, side)) for side in classes)
+            self._members = tuple([sum(1 << i for i in cls) for cls in side] for side in classes)
 
-    def entry(self, rows: int, cols: int, witness) -> Equilibrium:
-        """The equilibrium of the masks (rows, cols) over the reduced game
-        and `fp1_check`'s witness (p_weights, q_weights) for them."""
+    def publish(self, entries: list[Equilibrium], rows: int, cols: int, witness) -> None:
+        """Append to `entries` what the walked pair (rows, cols) and its
+        witness (p_weights, q_weights) stand for: the pair's equilibrium, or
+        with `sizes` one per choice of a non-empty part of each class.
+        Lazy in the parts, so a large class lists only those it publishes."""
         p_weights, q_weights = witness
+        if self.sizes is None:
+            entries.append(self._entry(rows, cols, p_weights, q_weights))
+            return
+        col_parts = list(self._parts(1, cols, q_weights))
+        for r, p in self._parts(0, rows, p_weights):
+            for c, q in col_parts:
+                entries.append(self._entry(r, c, p, q))
+
+    def _entry(self, rows: int, cols: int, p_weights, q_weights) -> Equilibrium:
         sides = (self._side(0, p_weights, cols), self._side(1, q_weights, rows))
         row_map, col_map = self._maps
         support = SupportPair._ascending(
@@ -287,7 +324,7 @@ class _Publisher:
             base = vectors[(responders & -responders).bit_length() - 1]
             num, den = sum(a * w for a, w in zip(base, weights)), scale * total
             common = math.gcd(num, den)
-            index_map, size = self._maps[side], self._sizes[side]
+            index_map, size = self._maps[side], self._dims[side]
             lifted = weights
             if len(index_map) < size:
                 lifted = [0] * size
@@ -299,41 +336,12 @@ class _Publisher:
             )
         return found
 
-
-class _Quotient:
-    """A two-sided reduced game with its payoff-equivalent strategies merged
-    (see the module docstring).  `game` keeps each class's first member, in
-    order; per player, `members` holds each class as a mask over the reduced
-    game and `sizes` its size."""
-
-    __slots__ = ("game", "members", "sizes")
-
-    def __init__(self, game: Game, classes: tuple[list, list]):
-        self.game = game
-        self.members = tuple(
-            [1 << cls[0] if len(cls) == 1 else sum(1 << i for i in cls) for cls in side]
-            for side in classes
-        )
-        self.sizes = tuple(tuple(map(len, side)) for side in classes)
-
-    def expand(self, rows: int, cols: int, witness):
-        """Yield each pair (R, C, witness) over the reduced game that the
-        quotient's feasible pair (rows, cols) and its witness stand for:
-        one non-empty part of each class per choice, the class's weight
-        split evenly over its part.  Lazy, so a large class lists only the
-        parts it publishes."""
-        p_weights, q_weights = witness
-        col_parts = list(self._parts(1, cols, q_weights))
-        for r, p in self._parts(0, rows, p_weights):
-            for c, q in col_parts:
-                yield r, c, (p, q)
-
     def _parts(self, side: int, mask: int, weights):
-        """Each choice of one non-empty part per class in `mask`, as its mask
-        over the reduced game and its weights there: a class's weight over
-        its part's size, all scaled to integers by the lcm of those sizes.
-        A side with no class is the reduced game's own."""
-        members, count = self.members[side], sum(self.sizes[side])
+        """Each choice of one non-empty part per class in the walked `mask`,
+        as its mask over `red.game` and its weights there: a class's weight
+        over its part's size, all scaled to integers by the lcm of those
+        sizes.  A side with no class is `red.game`'s own."""
+        members, count = self._members[side], sum(self.sizes[side])
         if len(members) == count:
             yield mask, weights
             return
@@ -364,38 +372,6 @@ class _Quotient:
                 return
 
 
-def _quotient(rg: Game) -> _Quotient | None:
-    """`rg`'s quotient by payoff-equivalent strategies: rows whose A rows and
-    B rows are equal, and columns whose A columns and B columns are equal.
-    None when no player has two such strategies."""
-    (a_scale, a_rows), (b_scale, b_cols) = rg.int_payoffs
-    if len(set(a_rows)) == rg.m and len(set(b_cols)) == rg.n:
-        return None  # own payoffs alone tell every strategy apart
-    classes = []
-    for own, other in ((a_rows, b_cols), (b_cols, a_rows)):
-        found: dict[tuple, list[int]] = {}
-        for i, key in enumerate(zip(own, zip(*other))):
-            found.setdefault(key, []).append(i)
-        classes.append(list(found.values()))
-    if len(classes[0]) == rg.m and len(classes[1]) == rg.n:
-        return None
-    rows, cols = ([cls[0] for cls in side] for side in classes)
-    game = Game._of(
-        _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
-        _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
-    )
-    return _Quotient(game, tuple(classes))
-
-
-def _merge(rg: Game) -> tuple[_Quotient | None, InfeasibleSides]:
-    """The exact routes' quotient of the two-sided reduced game `rg` (None
-    when it has no class) and the record of the game they walk."""
-    quotient = _quotient(rg)
-    if quotient is None:
-        return None, InfeasibleSides(rg)
-    return quotient, InfeasibleSides(quotient.game, quotient.sizes)
-
-
 def _result(
     original: Game, method: str, entries: list[Equilibrium], candidates: int, pruned: int
 ) -> EquilibriumSet:
@@ -417,28 +393,25 @@ def _mutual(graph: BipartiteDigraph) -> list[int]:
 
 
 def _walk(
-    original: Game, red: ReducedGame, mutual: list[int], record: InfeasibleSides | None,
-    method: str, budget: int, quotient: _Quotient | None = None
+    original: Game, run: _Publisher, mutual: list[int], record: InfeasibleSides | None,
+    method: str, budget: int
 ) -> EquilibriumSet:
-    """The exact routes' one pass over `_mutual` masks: row sets R depth-first
-    in increasing mask order, a child adding an index below its parent's,
-    while their joined columns J are not empty; each (R, C), C inside J, is
-    a candidate, decided as drawn by `record.feasible_columns`.  Past
-    `budget` candidates it refuses before deciding any: a fully joined graph
-    on its count, any other by a first pass counting 2^|J| - 1 per R.  With
-    no record `red` is one-sided and `mutual` complete: every pair is an
-    equilibrium with the all-ones weights on its supports (see the module
-    docstring), and none is pruned.  With a `quotient`, `mutual` and the
-    record are over `quotient.game`: each pair counts as the pairs of `red`
-    it stands for, R as its product of 2^k - 1 and J as its classes' total
-    size, the refusal's count is `red`'s, and each feasible pair publishes
-    its expansion."""
-    rg = red.game
-    total = ((1 << rg.m) - 1) * ((1 << rg.n) - 1)
-    sizes = None
-    if quotient is not None:
-        rg, sizes = quotient.game, quotient.sizes
-    m, n = rg.m, rg.n
+    """The exact routes' one pass over `_mutual` masks of `run.game`: row
+    sets R depth-first in increasing mask order, a child adding an index
+    below its parent's, while their joined columns J are not empty; each
+    (R, C), C inside J, is a candidate, decided as drawn by
+    `record.feasible_columns` and published by `run.publish`.  Past
+    `budget` candidates it refuses before deciding any: a fully joined
+    graph on the reduced game's count, any other by a first pass counting
+    2^|J| - 1 per R.  With no record `run.game` is one-sided and `mutual`
+    complete: every pair is an equilibrium with the all-ones weights on its
+    supports (see the module docstring), and none is pruned.  With class
+    `run.sizes`, each pair counts as the pairs of the reduced game it
+    stands for: R as its product of 2^k - 1 and J as its classes' total
+    size."""
+    m, n, sizes = run.game.m, run.game.n, run.sizes
+    high, wide = (m, n) if sizes is None else map(sum, sizes)
+    total = ((1 << high) - 1) * ((1 << wide) - 1)
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
     if record is None:
@@ -447,7 +420,7 @@ def _walk(
             return [(c, (p, tuple([c >> j & 1 for j in range(n)]))) for c in range(1, cols + 1)]
     else:
         columns = record.feasible_columns
-    publish, entries = _Publisher(red, original).entry, []
+    publish, entries = run.publish, []
     for deciding in (False, True) if total > budget else (True,):
         drawn = 0
         stack = [(0, (1 << n) - 1, 0, m)]  # (rows, joined, next index, end) per level
@@ -466,10 +439,7 @@ def _walk(
                 drawn += _stand_ins(rows, sizes[0]) * ((1 << _width(joined, sizes[1])) - 1)
             if deciding:
                 for cols, witness in columns(rows, joined):
-                    if quotient is None:
-                        entries.append(publish(rows, cols, witness))
-                    else:
-                        entries += [publish(*pair) for pair in quotient.expand(rows, cols, witness)]
+                    publish(entries, rows, cols, witness)
             elif drawn > budget:
                 raise BudgetExceededError(budget + 1, budget)
     return _result(original, method, entries, drawn, 0 if record is None else record.pruned)
@@ -479,16 +449,19 @@ def _walk(
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _support_walk(game: Game, red: ReducedGame, method: str, budget: int) -> EquilibriumSet:
-    """`enumerate_by_supports` on the eliminated game `red`, labelled `method`:
-    the complete graph's walk, with no record on a one-sided `red` and on
-    its quotient when it has a class."""
-    rg = red.game
-    if rg.m == 1 or rg.n == 1:
-        return _walk(game, red, [(1 << rg.n) - 1] * rg.m, None, method, budget)
-    quotient, record = _merge(rg)
-    walked = record.game
-    return _walk(game, red, [(1 << walked.n) - 1] * walked.m, record, method, budget, quotient)
+def _exact(game: Game, red: ReducedGame, method: str, budget: int, graph: bool) -> EquilibriumSet:
+    """The exact routes on the eliminated game `red`, labelled `method`: one
+    run, merged, whose walked game has no record when it is one-sided, and
+    otherwise one record shared by G_R's build, with `graph`, and the walk
+    over its bicliques, or over every pair without."""
+    run = _Publisher(red, game, merge=True)
+    walked, record = run.game, None
+    mutual = [(1 << walked.n) - 1] * walked.m
+    if walked.m > 1 and walked.n > 1:
+        record = InfeasibleSides(walked, run.sizes)
+        if graph:
+            mutual = _mutual(build_gr(walked, record))
+    return _walk(game, run, mutual, record, method, budget)
 
 
 def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -498,11 +471,11 @@ def enumerate_by_supports(game: Game, budget: int = DEFAULT_BUDGET) -> Equilibri
 
     Refuses games whose (2^m - 1)(2^n - 1) candidate count (after
     elimination) exceeds `budget`, in the walk, before any pair is built.
-    A one-sided game is walked with no record; any other game with
-    payoff-equivalent strategies on its quotient, with the same counts
-    (see the module docstring).
+    A game with payoff-equivalent strategies is walked on its quotient,
+    with the same counts, and a one-sided walked game with no record (see
+    the module docstring).
     """
-    return _support_walk(game, iterated_elimination(game), "supports", budget)
+    return _exact(game, iterated_elimination(game), "supports", budget, False)
 
 
 def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
@@ -514,17 +487,12 @@ def enumerate_by_gr(game: Game, budget: int = DEFAULT_BUDGET) -> EquilibriumSet:
     equilibrium support pair is one (see the module docstring), and on a
     complete G_R every support pair is one.  G_R's build and the checks
     share one record, so a full row's side is solved once.  Refuses games
-    with more than `budget` bicliques.  A one-sided game, whose G_R is
-    complete, is the oracle's walk with no record and no G_R.  Any other
-    game with payoff-equivalent strategies builds G_R on its quotient, whose
-    relevancy sets are unions of classes, and walks that.
+    with more than `budget` bicliques.  G_R is built on the walked game, the
+    quotient of a game with payoff-equivalent strategies, whose relevancy
+    sets are unions of classes.  A one-sided walked game, whose G_R is
+    complete, is the oracle's walk with no record and no G_R.
     """
-    red = iterated_elimination(game)
-    if red.game.m == 1 or red.game.n == 1:
-        return _support_walk(game, red, "gr", budget)
-    quotient, record = _merge(red.game)
-    mutual = _mutual(build_gr(record.game, record))
-    return _walk(game, red, mutual, record, "gr", budget, quotient)
+    return _exact(game, iterated_elimination(game), "gr", budget, True)
 
 
 def enumerate_by_gi(
@@ -553,18 +521,18 @@ def enumerate_by_gi(
     l = min(l, rg.n)
     method = f"gi(k={k},l={l})"
     if k == rg.m and l == rg.n:
-        return _support_walk(game, red, method, budget)
+        return _exact(game, red, method, budget, False)
     record = InfeasibleSides(rg)
     graph = build_gi(rg, k, l, record)
     # list(): bench/tracing.py wraps enumerate_support_trees as a generator.
     candidates = list(enumerate_support_trees(graph, cycle_basis(graph, budget)))
     if len(candidates) > budget:
         raise BudgetExceededError(budget + 1, budget)
-    publish, entries = _Publisher(red, game).entry, []
+    run, entries = _Publisher(red, game), []
     for rows, cols in candidates:
         feasible, witness = fp1_check(rg, rows, cols, record)
         if feasible:
-            entries.append(publish(rows, cols, witness))
+            run.publish(entries, rows, cols, witness)
     return _result(game, method, entries, len(candidates), record.pruned)
 
 

@@ -135,6 +135,14 @@ class Game:
         object.__setattr__(game, "int_payoffs", (a, (scale, tuple(zip(*rows)))))
         return game
 
+    def _sub(self, rows: Sequence[int], cols: Sequence[int]) -> "Game":
+        """The game of the strategies `rows` and `cols`, in that order."""
+        (a_scale, a_rows), (b_scale, b_cols) = self.int_payoffs
+        return Game._of(
+            _reduced(a_scale, [a_rows[x][y] for x in rows for y in cols], len(cols)),
+            _reduced(b_scale, [b_cols[y][x] for x in rows for y in cols], len(cols)),
+        )
+
     @property
     def m(self) -> int:
         return len(self.int_payoffs[0][1])

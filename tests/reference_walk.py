@@ -8,11 +8,11 @@ list by total support size (Porter, Nudelman & Shoham 2004) and runs
 `fp1_check` on each pair with the run's one record.  The tests hold the
 walk to its entries, stats, LP counts and refusals.
 
-By default it draws over the program's quotient of a two-sided reduced
-game by payoff-equivalent strategies, as the routes do: each pair counts
-as the pairs of the reduced game it stands for, and a feasible pair
-publishes the quotient's expansion.  With `merge=False` it draws and checks
-every pair of the reduced game itself.
+By default it draws over the game of the program's merged run, as the
+routes do: the quotient of a two-sided reduced game by payoff-equivalent
+strategies, each pair counting as the pairs of the reduced game it stands
+for, and a feasible pair published as the run publishes it.  With
+`merge=False` it draws and checks every pair of the reduced game itself.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ from nashcycles.games import Game
 from nashcycles.lp import InfeasibleSides, _stand_ins, fp1_check
 
 
-def weight(quotient, rows: int, cols: int) -> int:
+def weight(run: _Publisher, rows: int, cols: int) -> int:
     """The number of pairs of the reduced game that the pair (rows, cols)
-    of the walked game stands for: 1 with no `quotient`."""
-    if quotient is None:
+    of `run.game` stands for: 1 with no class."""
+    if run.sizes is None:
         return 1
-    return _stand_ins(rows, quotient.sizes[0]) * _stand_ins(cols, quotient.sizes[1])
+    return _stand_ins(rows, run.sizes[0]) * _stand_ins(cols, run.sizes[1])
 
 
-def column_sets(record: InfeasibleSides, rows: int, cols: int, quotient=None):
+def column_sets(record: InfeasibleSides, rows: int, cols: int, run: _Publisher):
     """Yield, in decreasing mask order, the non-empty column sets C in
     `cols` for which pure dominance rules out neither side of (rows, C),
     and add each other one's `weight` to `record.pruned`."""
@@ -45,20 +45,20 @@ def column_sets(record: InfeasibleSides, rows: int, cols: int, quotient=None):
     sub = cols
     while sub:
         if sub & ~free or rows & record._responders_dominated(0, sub):
-            record.pruned += weight(quotient, rows, sub)
+            record.pruned += weight(run, rows, sub)
         else:
             yield sub
         sub = sub - 1 & cols
 
 
-def bicliques(mutual: list[int], n: int, record: InfeasibleSides, budget: int, quotient=None):
-    """Lazily yield every pair (R, C) with C inside the columns joined both
-    ways to every row of R, as `_mutual` gives them over `n` columns, that
+def bicliques(mutual: list[int], record: InfeasibleSides, budget: int, run: _Publisher):
+    """Lazily yield every pair (R, C) of `run.game` with C inside the columns
+    joined both ways to every row of R, as `_mutual` gives them, that
     `column_sets` leaves.  Refuses a fully joined graph on its count before
     the walk, and any other once its count passes `budget`, each pair
     counted as the pairs of the reduced game it stands for."""
-    m = len(mutual)
-    sizes = ((1,) * m, (1,) * n) if quotient is None else quotient.sizes
+    m, n = run.game.m, run.game.n
+    sizes = ((1,) * m, (1,) * n) if run.sizes is None else run.sizes
     total = ((1 << sum(sizes[0])) - 1) * ((1 << sum(sizes[1])) - 1)
     if total > budget and mutual.count((1 << n) - 1) == m:
         raise BudgetExceededError(total, budget)
@@ -76,47 +76,42 @@ def bicliques(mutual: list[int], n: int, record: InfeasibleSides, budget: int, q
         count += _stand_ins(grown, sizes[0]) * ((1 << width) - 1)
         if count > budget:
             raise BudgetExceededError(budget + 1, budget)
-        for cols in column_sets(record, grown, narrowed, quotient):
+        for cols in column_sets(record, grown, narrowed, run):
             yield grown, cols
         stack.append((grown, narrowed, x + 1))
 
 
-def candidates(rg: Game, route: str, budget: int = equilibria.DEFAULT_BUDGET, merge: bool = True):
-    """A fresh record for the game `route` walks, the program's quotient of
-    the reduced game `rg` (None when `merge` is off, or when `rg` is
-    one-sided or has no class), and every candidate drawn with the record,
-    in the order drawn.  Full-caps `gi` and `supports` walk the complete
-    graph; `gr` walks G_R, built with the same record."""
-    quotient = equilibria._quotient(rg) if merge and rg.m > 1 and rg.n > 1 else None
-    if quotient is None:
-        record = InfeasibleSides(rg)
-    else:
-        record = InfeasibleSides(quotient.game, quotient.sizes)
-    walked = record.game
+def candidates(
+    original: Game, red, route: str, budget: int = equilibria.DEFAULT_BUDGET, merge: bool = True
+):
+    """The program's run on the reduced game `red` of `original`, merged
+    unless `merge` is off, a fresh record for the game it walks, and every
+    candidate drawn with the record, in the order drawn.  Full-caps `gi` and
+    `supports` walk the complete graph; `gr` walks G_R, built with the same
+    record."""
+    run = _Publisher(red, original, merge)
+    walked = run.game
+    record = InfeasibleSides(walked, run.sizes)
     if route == "gr":
         mutual = _mutual(equilibria.build_gr(walked, record))
     else:
         mutual = [(1 << walked.n) - 1] * walked.m
-    return record, quotient, list(bicliques(mutual, walked.n, record, budget, quotient))
+    return run, record, list(bicliques(mutual, record, budget, run))
 
 
 def checked(
-    original: Game, red, pending, method: str, record: InfeasibleSides, quotient=None
+    original: Game, run: _Publisher, pending, method: str, record: InfeasibleSides
 ) -> EquilibriumSet:
-    """`fp1_check` on the candidates `pending` over `record.game`, smallest
-    total support first (a stable sort), each feasible pair published, or
-    with a `quotient` its expansion over `red.game`."""
-    drawn = sum(weight(quotient, *pair) for pair in pending) + record.pruned
+    """`fp1_check` on the candidates `pending` over `run.game`, smallest
+    total support first (a stable sort), each feasible pair published by
+    `run`."""
+    drawn = sum(weight(run, *pair) for pair in pending) + record.pruned
     pending = sorted(pending, key=lambda pair: pair[0].bit_count() + pair[1].bit_count())
-    publish = _Publisher(red, original).entry
     entries = []
     for rows, cols in pending:
         feasible, witness = fp1_check(record.game, rows, cols, record)
         if feasible:
-            if quotient is None:
-                entries.append(publish(rows, cols, witness))
-            else:
-                entries.extend(publish(*pair) for pair in quotient.expand(rows, cols, witness))
+            run.publish(entries, rows, cols, witness)
     entries.sort(key=lambda e: (e.support.rows, e.support.cols))
     stats = PipelineStats(drawn, record.pruned, len(entries))
     return EquilibriumSet(original, method, tuple(entries), stats)
@@ -127,10 +122,9 @@ def reference_route(
 ) -> EquilibriumSet:
     """What `enumerate_by_<route>` returned before the one-pass walk, `gi`
     at full caps; raises its BudgetExceededError.  Elimination, G_R and the
-    quotient are the program's own; a one-sided game, too, is drawn and
+    run are the program's own; a one-sided walked game, too, is drawn and
     checked with a record."""
     red = equilibria.iterated_elimination(g)
-    rg = red.game
-    method = f"gi(k={rg.m},l={rg.n})" if route == "gi" else route
-    record, quotient, pending = candidates(rg, route, budget, merge)
-    return checked(g, red, pending, method, record, quotient)
+    method = f"gi(k={red.game.m},l={red.game.n})" if route == "gi" else route
+    run, record, pending = candidates(g, red, route, budget, merge)
+    return checked(g, run, pending, method, record)

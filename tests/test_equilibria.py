@@ -92,9 +92,9 @@ def _walked_pairs(mutual, n, record):
     game of `record` decides, in its order, past `record`'s pure dominance."""
     g = record.game
     assert (g.m, g.n) == (len(mutual), n)
-    red = ReducedGame(g, tuple(range(g.m)), tuple(range(g.n)))
+    run = _Publisher(ReducedGame(g, tuple(range(g.m)), tuple(range(g.n))), g)
     with _pairs_decided() as decided:
-        assert _walk(g, red, mutual, record, "walk", DEFAULT_BUDGET).entries == ()
+        assert _walk(g, run, mutual, record, "walk", DEFAULT_BUDGET).entries == ()
     return decided
 
 
@@ -309,7 +309,8 @@ class TestGrPipeline:
             g = Game.from_rows(zero, zero)
             red = iterated_elimination(g)
             mutual = _mutual(BipartiteDigraph.complete(size, size))
-            return _walk(g, red, mutual, record or InfeasibleSides(red.game), "supports", budget)
+            run = _Publisher(red, g)
+            return _walk(g, run, mutual, record or InfeasibleSides(red.game), "supports", budget)
 
         with pytest.raises(BudgetExceededError) as err:
             zero_walk(20, None, DEFAULT_BUDGET)
@@ -766,43 +767,44 @@ class TestLiftedEntries:
 
 class TestPublisher:
     """A run publishes each side witness once and every entry from those:
-    each entry equals the entry a fresh publisher makes of its own pair and
-    witness (on a merged game, of the quotient's expansion of the pair the
-    walk decided), and its payoffs are those of its own strategies."""
+    each entry equals what a fresh run publishes of the walked pair and
+    witness it comes from (on a merged game, one of the pair's expansion),
+    and its payoffs are those of its own strategies."""
 
     @staticmethod
     def _check_runs(g: Game) -> int:
         """Check every route's run on `g`; returns the entries checked.  A
-        one-sided game's walk has no record and decides no pair: each
+        one-sided walked game's walk has no record and decides no pair: each
         route's result must be what the oracle's walk with a record
-        publishes on the same reduced game."""
+        publishes on the same walked game."""
         runs = []
         walk = equilibria_module._walk
 
-        def walking(original, red, *args):
+        def walking(*args):
             with _witnesses_found() as found:
-                result = walk(original, red, *args)
-            runs.append((red, found, result))
+                result = walk(*args)
+            runs.append((found, result))
             return result
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibria_module, "_walk", walking)
             results = _routes(g)
-        assert [result for _, _, result in runs] == list(results)
+        assert [result for _, result in runs] == list(results)
         red = iterated_elimination(g)
-        if red.game.m == 1 or red.game.n == 1:
-            assert all(found == [] for _, found, _ in runs)
+        walked = _Publisher(red, g, merge=True).game
+        if walked.m == 1 or walked.n == 1:
+            assert all(found == [] for found, _ in runs)
             for index, result in enumerate(results):
                 with _witnesses_found() as found:
-                    walked = _walked(g, red, result.method)
-                assert (result.entries, result.stats) == (walked.entries, walked.stats)
-                runs[index] = (red, found, result)
+                    with_record = _walked(g, result.method)
+                assert (result.entries, result.stats) == (with_record.entries, with_record.stats)
+                runs[index] = (found, result)
         checked = 0
-        for red, found, result in runs:
-            alone = sorted(
-                (_Publisher(red, g).entry(*pair) for pair in _expanded(red, found)),
-                key=lambda e: (e.support.rows, e.support.cols),
-            )
+        for found, result in runs:
+            alone = []
+            for pair in found:
+                _Publisher(red, g, merge=True).publish(alone, *pair)
+            alone.sort(key=lambda e: (e.support.rows, e.support.cols))
             assert list(result.entries) == alone, result.method
             for e in result.entries:
                 assert (e.u1, e.u2) == expected_payoffs(g, e.p, e.q), result.method
@@ -840,22 +842,13 @@ class TestPublisher:
         assert side.__eq__(first.p) is NotImplemented and side != first.p
 
 
-def _expanded(red, found):
-    """The feasible pairs `found` of a walk on `red`, each (rows, cols,
-    witness), as the pairs over `red.game` they stand for: themselves on a
-    one-sided game or one with no class, else the quotient's expansion."""
-    rg = red.game
-    quotient = equilibria_module._quotient(rg) if rg.m > 1 and rg.n > 1 else None
-    if quotient is None:
-        return found
-    return [pair for rows, cols, witness in found for pair in quotient.expand(rows, cols, witness)]
-
-
-def _walked(g: Game, red, method: str, budget: int = DEFAULT_BUDGET):
-    """The oracle's walk on the reduced game `red` with a record, one-sided
-    or not: the complete graph's pairs through `_walk` and the checks."""
-    every = [(1 << red.game.n) - 1] * red.game.m
-    return _walk(g, red, every, InfeasibleSides(red.game), method, budget)
+def _walked(g: Game, method: str, budget: int = DEFAULT_BUDGET):
+    """The oracle's walk with a record on the game that `g`'s exact run
+    walks, one-sided or not: the complete graph's pairs through `_walk`
+    and the checks."""
+    run = _Publisher(iterated_elimination(g), g, merge=True)
+    every = [(1 << run.game.n) - 1] * run.game.m
+    return _walk(g, run, every, InfeasibleSides(run.game, run.sizes), method, budget)
 
 
 @contextlib.contextmanager
@@ -930,15 +923,15 @@ class TestPruningSoundness:
         for route, public in routes:
             results = []
             for arrange in (list, lambda c: c[::-1], lambda c: rng.sample(c, len(c))):
-                record, quotient, candidates = reference_walk.candidates(red.game, route)
+                run, record, candidates = reference_walk.candidates(g, red, route)
                 arranged = arrange(candidates)
-                results.append(reference_walk.checked(g, red, arranged, public.method, record, quotient))
+                results.append(reference_walk.checked(g, run, arranged, public.method, record))
             assert results[0] == results[1] == results[2] == public, route
-            record, quotient, candidates = reference_walk.candidates(red.game, route)
-            drawn = sum(reference_walk.weight(quotient, *pair) for pair in candidates) + record.pruned
+            run, record, candidates = reference_walk.candidates(g, red, route)
+            drawn = sum(reference_walk.weight(run, *pair) for pair in candidates) + record.pruned
             ordered = sorted(candidates, key=lambda c: (c[0].bit_count() + c[1].bit_count(), c))
             feasible = sum(
-                reference_walk.weight(quotient, *pair)
+                reference_walk.weight(run, *pair)
                 for pair in ordered
                 if fp1_check(record.game, *pair, record)[0]
             )
@@ -1071,7 +1064,7 @@ class TestOneSided:
                     (f"gi(k={rg.m},l={rg.n})", lambda: enumerate_by_gi(g, g.m, g.n, budget)),
                 )
                 for method, route in routes:
-                    walk = lambda: _walked(g, red, method, budget)
+                    walk = lambda: _walked(g, method, budget)
                     expected = _refusal(walk)
                     assert _refusal(route) == expected, (method, budget)
                     if expected is None:
@@ -1092,19 +1085,22 @@ class TestOneSided:
 
         walk, records = equilibria_module._walk, []
 
-        def walking(original, red, mutual, record, *args):
+        def walking(original, run, mutual, record, *args):
             records.append(record)
-            return walk(original, red, mutual, record, *args)
+            return walk(original, run, mutual, record, *args)
 
+        # One-sidedness is decided on the walked game: a two-sided reduced
+        # game whose quotient is one-sided takes the same walk.
+        games = self.GAMES + _one_sided_quotients()
         with pytest.MonkeyPatch.context() as patch:
             for name in (
                 "InfeasibleSides", "build_gr", "fp1_check", "cycle_basis", "enumerate_support_trees"
             ):
                 patch.setattr(equilibria_module, name, forbidden)
             patch.setattr(equilibria_module, "_walk", walking)
-            for g in self.GAMES:
+            for g in games:
                 _routes(g)
-        assert records == [None] * (3 * len(self.GAMES))
+        assert records == [None] * (3 * len(games))
 
     def test_capped_gi_is_not_answered_in_closed_form(self):
         g = Game.from_rows([[0] * 3], [[0] * 3])
@@ -1224,15 +1220,33 @@ class TestOnePassWalk:
                 assert self._check(workloads.build_game(nashcycles, spec), spec.route), (workload, spec)
 
 
+def _one_sided_quotients() -> list[Game]:
+    """Two-sided games whose quotient is one-sided, m and n in 2-5: all-zero
+    games, games whose rows are all equal (A's a seeded row, B zero) and
+    games whose columns are all equal (B's a seeded column, A zero)."""
+    games = []
+    for m in range(2, 6):
+        for n in range(2, 6):
+            rng = random.Random(4700 + 10 * m + n)
+            row = [rng.randint(0, 2) for _ in range(n)]
+            col = [rng.randint(0, 2) for _ in range(m)]
+            zero = [[0] * n for _ in range(m)]
+            games.append(Game.from_rows(zero, zero))
+            games.append(Game.from_rows([row] * m, zero))
+            games.append(Game.from_rows(zero, [[v] * n for v in col]))
+    return games
+
+
 def _quotient_games() -> list[Game]:
-    """Seeded games with a duplicated row, a duplicated column, and both."""
+    """Seeded games with a duplicated row, a duplicated column, and both,
+    and the two-sided games whose quotient is one-sided."""
     games = []
     for seed in range(120):
         rng = random.Random(seed)
         m, n = rng.randint(2, 5), rng.randint(2, 5)
         for dup_row, dup_col in ((True, False), (False, True), (True, True)):
             games.append(duplicated_game(m, n, 4600 + seed, dup_row, dup_col))
-    return games
+    return games + _one_sided_quotients()
 
 
 class TestQuotient:
@@ -1245,11 +1259,37 @@ class TestQuotient:
     GAMES = _quotient_games()
 
     def test_panel_has_classes(self):
-        reduced = [iterated_elimination(g).game for g in self.GAMES]
-        merged = [q for q in map(equilibria_module._quotient, reduced) if q is not None]
+        runs = [_Publisher(iterated_elimination(g), g, merge=True) for g in self.GAMES]
+        merged = [run for run in runs if run.sizes is not None]
         assert len(merged) > len(self.GAMES) // 2
-        assert any(1 < size for q in merged for size in q.sizes[0])
-        assert any(1 < size for q in merged for size in q.sizes[1])
+        assert any(1 < size for run in merged for size in run.sizes[0])
+        assert any(1 < size for run in merged for size in run.sizes[1])
+        assert sum(1 in (run.game.m, run.game.n) for run in merged) > 48
+        for g in _one_sided_quotients():
+            rg = iterated_elimination(g).game
+            walked = _Publisher(iterated_elimination(g), g, merge=True).game
+            assert rg.m > 1 and rg.n > 1 and 1 in (walked.m, walked.n), g
+
+    def test_class_free_panels_weigh_and_expand_nothing(self):
+        # Every corpus and generic game is class-free: its walk and record
+        # keep the unweighted count, and it publishes each walked pair as
+        # it is.  No pair is weighed and no part is expanded.
+        def forbidden(*args):
+            raise AssertionError("a class-free game weighed a pair or expanded a part")
+
+        workloads = bench_workloads()
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (equilibria_module, lp_module):
+                patch.setattr(module, "_stand_ins", forbidden)
+                patch.setattr(module, "_width", forbidden)
+            patch.setattr(InfeasibleSides, "_pairs", forbidden)
+            patch.setattr(_Publisher, "_parts", forbidden)
+            solved = 0
+            for workload in ("corpus", "generic"):
+                for spec in workloads.panel(workload, 20):
+                    TestOnePassWalk.ROUTES[spec.route](workloads.build_game(nashcycles, spec), DEFAULT_BUDGET)
+                    solved += 1
+        assert solved == 220
 
     def test_routes_match_the_vertex_oracle(self):
         for g in self.GAMES:

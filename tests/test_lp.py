@@ -68,7 +68,10 @@ def _lifted(game: Game, rows: int, cols: int, witness):
     """`fp1_check`'s integer witness for (rows, cols) made into an
     `Equilibrium` as the pipelines make it, over the identity reduction."""
     identity = ReducedGame(game, tuple(range(game.m)), tuple(range(game.n)))
-    return _Publisher(identity, game).entry(rows, cols, witness)
+    entries = []
+    _Publisher(identity, game).publish(entries, rows, cols, witness)
+    (entry,) = entries
+    return entry
 
 
 def _check_assignment(lp: LinearProgram, outcome):
