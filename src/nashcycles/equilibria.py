@@ -94,7 +94,7 @@ from .games import (
     pure_payoff_against,
     write_game,
 )
-from .lp import InfeasibleSides, _stand_ins, _width, fp1_check
+from .lp import InfeasibleSides, fp1_check
 
 __all__ = [
     "BudgetExceededError",
@@ -194,8 +194,10 @@ class PipelineStats:
     by a recorded infeasible side), and equilibria found.  The exact
     routes count support pairs of the eliminated game even when they walk
     its quotient: a quotient pair counts as the pairs it stands for, so
-    `candidates` and `feasible` are the unmerged walk's, and `pruned`, which
-    rejects a quotient pair whole, is at most the unmerged walk's."""
+    `candidates` and `feasible` are the unmerged walk's, and `pruned`, the
+    candidates drawn minus those decided, rejects a quotient pair whole and
+    is at most the unmerged walk's.  Capped `gi` counts in `pruned` the
+    candidates `fp1_check` rejected so."""
 
     candidates: int
     pruned: int
@@ -245,6 +247,28 @@ def _sha256():
 # ---------------------------------------------------------------------------
 # Shared pipeline plumbing
 # ---------------------------------------------------------------------------
+
+def _stand_ins(mask: int, sizes: tuple[int, ...]) -> int:
+    """The number of strategy sets of a reduced game that meet each class in
+    the walked `mask` and no other, given each class's size: the product of
+    2^k - 1."""
+    count = 1
+    while mask:
+        low = mask & -mask
+        count *= (1 << sizes[low.bit_length() - 1]) - 1
+        mask ^= low
+    return count
+
+
+def _width(mask: int, sizes: tuple[int, ...]) -> int:
+    """The total size of the classes in the walked `mask`."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += sizes[low.bit_length() - 1]
+        mask ^= low
+    return total
+
 
 class _Publisher:
     """One exact or capped run: the game it walks and the lift of a walked
@@ -399,16 +423,17 @@ def _walk(
     """The exact routes' one pass over `_mutual` masks of `run.game`: row
     sets R depth-first in increasing mask order, a child adding an index
     below its parent's, while their joined columns J are not empty; each
-    (R, C), C inside J, is a candidate, decided as drawn by
-    `record.feasible_columns` and published by `run.publish`.  Past
-    `budget` candidates it refuses before deciding any: a fully joined
-    graph on the reduced game's count, any other by a first pass counting
-    2^|J| - 1 per R.  With no record `run.game` is one-sided and `mutual`
-    complete: every pair is an equilibrium with the all-ones weights on its
-    supports (see the module docstring), and none is pruned.  With class
-    `run.sizes`, each pair counts as the pairs of the reduced game it
-    stands for: R as its product of 2^k - 1 and J as its classes' total
-    size."""
+    (R, C), C inside J, is a candidate, drawn, and decided or ruled out by
+    `record.feasible_columns`, each feasible pair published by
+    `run.publish`.  `pruned` is drawn minus decided: the pairs the record
+    test ruled out.  Past `budget` candidates it refuses before deciding
+    any: a fully joined graph on the reduced game's count, any other by a
+    first pass counting 2^|J| - 1 per R.  With no record `run.game` is
+    one-sided and `mutual` complete: every pair is decided, an equilibrium
+    with the all-ones weights on its supports (see the module docstring).
+    With class `run.sizes`, each pair counts, drawn or decided, as the pairs
+    of the reduced game it stands for: R as its product of 2^k - 1
+    (`_stand_ins`) and J as its classes' total size (`_width`)."""
     m, n, sizes = run.game.m, run.game.n, run.sizes
     high, wide = (m, n) if sizes is None else map(sum, sizes)
     total = ((1 << high) - 1) * ((1 << wide) - 1)
@@ -422,7 +447,7 @@ def _walk(
         columns = record.feasible_columns
     publish, entries = run.publish, []
     for deciding in (False, True) if total > budget else (True,):
-        drawn = 0
+        drawn = decided = 0
         stack = [(0, (1 << n) - 1, 0, m)]  # (rows, joined, next index, end) per level
         while stack:
             rows, joined, x, end = stack.pop()
@@ -436,13 +461,20 @@ def _walk(
             if sizes is None:
                 drawn += (1 << joined.bit_count()) - 1
             else:
-                drawn += _stand_ins(rows, sizes[0]) * ((1 << _width(joined, sizes[1])) - 1)
+                weight = _stand_ins(rows, sizes[0])
+                drawn += weight * ((1 << _width(joined, sizes[1])) - 1)
             if deciding:
-                for cols, witness in columns(rows, joined):
-                    publish(entries, rows, cols, witness)
+                pairs = columns(rows, joined)
+                if sizes is None:
+                    decided += len(pairs)
+                else:
+                    decided += weight * sum([_stand_ins(cols, sizes[1]) for cols, _ in pairs])
+                for cols, witness in pairs:
+                    if witness is not None:
+                        publish(entries, rows, cols, witness)
             elif drawn > budget:
                 raise BudgetExceededError(budget + 1, budget)
-    return _result(original, method, entries, drawn, 0 if record is None else record.pruned)
+    return _result(original, method, entries, drawn, drawn - decided)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +490,7 @@ def _exact(game: Game, red: ReducedGame, method: str, budget: int, graph: bool) 
     walked, record = run.game, None
     mutual = [(1 << walked.n) - 1] * walked.m
     if walked.m > 1 and walked.n > 1:
-        record = InfeasibleSides(walked, run.sizes)
+        record = InfeasibleSides(walked)
         if graph:
             mutual = _mutual(build_gr(walked, record))
     return _walk(game, run, mutual, record, method, budget)

@@ -152,7 +152,12 @@ class Game:
         return len(self.int_payoffs[1][1])
 
     def strategy_count(self, player: int) -> int:
-        return self.m if player == 1 else self.n
+        """The number of pure strategies of `player`, 1 or 2."""
+        if player == 1:
+            return self.m
+        if player == 2:
+            return self.n
+        raise ValueError(f"player must be 1 or 2, got {player}")
 
     @functools.cached_property
     def a(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -420,7 +425,10 @@ def expected_payoffs(game: Game, p: MixedStrategy, q: MixedStrategy) -> tuple[Fr
 
 
 def pure_payoff_against(game: Game, player: int, strategy: int, opponent: MixedStrategy) -> Fraction:
-    """Expected payoff of one pure strategy against an opponent mixed strategy."""
+    """Expected payoff of one pure strategy of `player`, 1 or 2, against an
+    opponent mixed strategy."""
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player}")
     if player == 1:
         if opponent.owner != 2 or len(opponent.probs) != game.n:
             raise ValueError("opponent strategy does not match game dimensions")

@@ -62,15 +62,19 @@ Strategy sets are bitmasks, bit i for strategy i, below the programs
 that take index tuples.  A witness is the integer weight vector the
 simplex ends with, zero-padded, returned as it is up to `fp1_check`.
 One game's `InfeasibleSides` record is where a side question is asked,
-and the only code that rejects a support pair without an LP and counts
-it: in `fp1_check` (a fresh record when none is given) and in the exact
-routes' walk, which has it decide each row set's column sets.
-It applies pure dominance, then the sides already found infeasible: if
-no q with support exactly C makes every row of R a best response, none
-does for any R' containing R, as each extra responder turns a `<=` row
-into an `=` row.  It then answers from memory or in closed form where
-that fixes the witness (`InfeasibleSides._region`), and solves an LP only
-for a side it has not seen whose closed forms leave the witness open.
+and its one record test is the only code that rejects a support pair
+without an LP: in `fp1_check` (a fresh record when none is given), which
+counts its rejections in the record's `pruned`, and in the exact routes'
+walk, which has it decide each row set's column sets and counts as
+pruned every pair it drew and the record did not decide.  The record
+knows nothing of the classes of a merged game; the walk weighs the pairs.
+The test applies pure dominance, then the sides already found
+infeasible: if no q with support exactly C makes every row of R a best
+response, none does for any R' containing R, as each extra responder
+turns a `<=` row into an `=` row.  A side it leaves is answered from
+memory or in closed form where that fixes the witness
+(`InfeasibleSides._region`), and by an LP only when the record has not
+seen it and its closed forms leave the witness open.
 
 The tableau is fraction-free (Bareiss 1968; Edmonds 1967; the integer
 pivoting of Avis's ``lrs``): integer rows T over one denominator det > 0.
@@ -814,27 +818,6 @@ def _rival_masks(vectors) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(found.__getitem__, vectors))
 
 
-def _stand_ins(mask: int, sizes: tuple[int, ...]) -> int:
-    """The number of strategy sets of a merged game that meet each class in
-    `mask` and no other, given each class's size: the product of 2^k - 1."""
-    count = 1
-    while mask:
-        low = mask & -mask
-        count *= (1 << sizes[low.bit_length() - 1]) - 1
-        mask ^= low
-    return count
-
-
-def _width(mask: int, sizes: tuple[int, ...]) -> int:
-    """The total size of the classes in `mask`."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += sizes[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
 class InfeasibleSides:
     """One game's record of side questions: is there an opponent strategy
     with support exactly S to which every strategy of a responder set is a
@@ -850,18 +833,17 @@ class InfeasibleSides:
     mixture qualifies (`_uniform_side`), and kept as an LP's answer is.  A
     feasible answer is reused for the same question only: a subset of a
     feasible responder set is feasible too, but its own LP may find another
-    witness.  `pruned` counts the pairs it rejects without an LP, in
-    `fp1_check` and `feasible_columns`; no other code rejects or counts one.
-    A record made with `sizes`, per player the class size of each strategy
-    of a quotient game (see `equilibria`), counts each such pair as the
-    pairs of the merged game it stands for (`_stand_ins`).
+    witness.  One record test (`_ruled_out`), pure dominance or a recorded
+    failed side, is the only code that rules a side out without an LP, for
+    `check_side`, `fp1_check` and `feasible_columns`.  `pruned` counts the
+    pairs `fp1_check` rejects by it; the exact routes' walk counts its own
+    (see `equilibria`).
     """
 
-    __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "_sizes", "pruned")
+    __slots__ = ("game", "_ends", "_masks", "_dominated", "_failed", "_feasible", "pruned")
 
-    def __init__(self, game: Game, sizes: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
+    def __init__(self, game: Game):
         self.game = game
-        self._sizes = sizes
         self._ends = ((1 << game.m, 1 << game.n), (1 << game.n, 1 << game.m))
         self._masks = tuple(_rival_masks(vectors) for _, vectors in game.int_payoffs)
         self._dominated: tuple[dict[int, int], dict[int, int]] = ({}, {})
@@ -888,50 +870,41 @@ class InfeasibleSides:
             cache[fixed] = bits
         return bits
 
-    def _pairs(self, rows: int, cols: int) -> int:
-        """The pairs of the merged game that the pair (rows, cols) of a
-        record made with `sizes` stands for."""
-        row_sizes, col_sizes = self._sizes
-        return _stand_ins(rows, row_sizes) * _stand_ins(cols, col_sizes)
+    def _ruled_out(self, side: int, responders: int, support: int, dominated: int) -> bool:
+        """The record test: is the side of `responders` (a mask of player
+        side + 1's strategies) on the opponent `support` ruled out with no
+        LP?  Either pure dominance does it, `dominated` being the responders
+        a pure rival beats on `support`, or a recorded failed responder set
+        on `support` lies inside `responders`."""
+        if responders & dominated:
+            return True
+        for bad in self._failed[side].get(support, ()):
+            if bad & responders == bad:
+                return True
+        return False
 
-    def feasible_columns(self, rows: int, cols: int) -> list[tuple[int, tuple]]:
-        """Decide (rows, C) for every non-empty C in `cols`, in increasing mask
-        order: pure dominance here, once, its rejections counted in `pruned`,
-        then `_decide`.  Returns [(C, witness)] of the feasible pairs."""
+    def feasible_columns(self, rows: int, cols: int) -> list[tuple[int, tuple | None]]:
+        """Decide (rows, C) for every non-empty C in `cols` that the record
+        test leaves, in increasing mask order, pure dominance of the column
+        side filtering `cols` once.  Counts nothing: returns [(C, witness or
+        None)] of the pairs it decides, so the others are the rejections."""
         free = cols & ~self._responders_dominated(1, rows)
-        sizes = self._sizes
-        if sizes is None:
-            self.pruned += (1 << cols.bit_count()) - (1 << free.bit_count())
-        else:  # the merged column sets that meet a dropped class
-            dropped = (1 << _width(cols, sizes[1])) - (1 << _width(free, sizes[1]))
-            self.pruned += _stand_ins(rows, sizes[0]) * dropped
-        dominated, known, found = self._responders_dominated, self._dominated[0], []
+        dominated, known, ruled_out = self._responders_dominated, self._dominated[0], self._ruled_out
+        found = []
         sub = -free & free
         while sub:
             blocked = known.get(sub)
             if blocked is None:
                 blocked = dominated(0, sub)
-            if rows & blocked:
-                self.pruned += 1 if sizes is None else self._pairs(rows, sub)
-            else:
-                witness = self._decide(rows, sub)
-                if witness is not None:
-                    found.append((sub, witness))
+            # The column side's pure dominance is already out of `free`.
+            if not (ruled_out(0, rows, sub, blocked) or ruled_out(1, sub, rows, 0)):
+                found.append((sub, self._decide(rows, sub)))
             sub = sub - free & free
         return found
 
     def _decide(self, rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """The pair (rows, cols) past pure dominance: None, counted in
-        `pruned`, when a recorded failed side lies inside it, else its
-        q-side's then its p-side's `_region`, and (p, q) if both hold."""
-        for bad in self._failed[0].get(cols, ()):
-            if bad & rows == bad:
-                self.pruned += 1 if self._sizes is None else self._pairs(rows, cols)
-                return None
-        for bad in self._failed[1].get(rows, ()):
-            if bad & cols == bad:
-                self.pruned += 1 if self._sizes is None else self._pairs(rows, cols)
-                return None
+        """The pair (rows, cols) past the record test: its q-side's then its
+        p-side's `_region`, and (p, q) if both hold, else None."""
         q = self._region(1, rows, cols)
         p = None if q is None else self._region(2, cols, rows)
         return None if p is None else (p, q)
@@ -1004,14 +977,15 @@ class InfeasibleSides:
         |C| - 1 (`_tie_ray`): no point, or one ray and so the LP's normalized
         witness.  Nor does any support whose uniform mixture qualifies
         (`_uniform_side`): the LP ends at that point.  Raises ValueError
-        unless both masks are non-empty and within the game."""
-        end_r, end_s = self._ends[player - 1]  # one past the largest valid mask
+        unless `player` is 1 or 2 and both masks are non-empty and within the
+        game."""
+        if player not in (1, 2):
+            raise ValueError(f"player must be 1 or 2, got {player}")
+        side = player - 1
+        end_r, end_s = self._ends[side]  # one past the largest valid mask
         if not (0 < responders < end_r and 0 < support < end_s):
             raise ValueError("masks must be non-empty and within the game")
-        side = player - 1  # ruled out by a pure rival or a recorded failed responder set
-        if responders & self._responders_dominated(side, support) or any(
-            bad & responders == bad for bad in self._failed[side].get(support, ())
-        ):
+        if self._ruled_out(side, responders, support, self._responders_dominated(side, support)):
             return None
         return self._region(player, responders, support)
 
@@ -1035,9 +1009,9 @@ def fp1_check(
 
     Both sides are asked of the record `infeasible` (made for this game; a
     fresh one when None): the pair is rejected without an LP, and counted
-    in `pruned`, when pure dominance rules out either side, and is otherwise
-    `InfeasibleSides._decide`d, as the exact routes' walk decides it.  The
-    verdict and witness are the same whatever the record holds.
+    in its `pruned`, when the record test rules out either side, and is
+    otherwise `InfeasibleSides._decide`d, as the exact routes' walk decides
+    it.  The verdict and witness are the same whatever the record holds.
 
     Raises ValueError unless both masks are non-empty and within the game.
     Returns (False, None), or (True, (p_weights, q_weights)), each witness
@@ -1047,8 +1021,9 @@ def fp1_check(
     if rows <= 0 or cols <= 0 or rows >> game.m or cols >> game.n:
         raise ValueError("supports must be non-empty masks within the game")
     record = _record(game, infeasible)
-    if rows & record._responders_dominated(0, cols) or cols & record._responders_dominated(1, rows):
-        record.pruned += 1 if record._sizes is None else record._pairs(rows, cols)
+    dominated, ruled_out = record._responders_dominated, record._ruled_out
+    if ruled_out(0, rows, cols, dominated(0, cols)) or ruled_out(1, cols, rows, dominated(1, rows)):
+        record.pruned += 1
         return False, None
     witness = record._decide(rows, cols)
     return witness is not None, witness

@@ -28,6 +28,9 @@ from counting import strategies_made
 PD = "2 2\n3 0\n5 1\n3 5\n0 1\n"
 MP = "2 2\n1 -1\n-1 1\n-1 1\n1 -1\n"
 BOS = "2 2\n2 0\n0 1\n1 0\n0 2\n"
+TIED = "4 4\n0 1 2 1\n2 0 0 1\n0 2 2 0\n0 1 2 1\n1 0 0 2\n1 2 0 0\n1 1 1 2\n1 0 0 2\n"
+TWINS = "3 3\n2 2 0\n1 1 2\n1 1 2\n0 0 1\n1 1 0\n1 1 0\n"
+ZERO34 = "3 4\n" + "0 0 0 0\n" * 6
 
 
 @pytest.fixture
@@ -66,16 +69,39 @@ class TestSolve:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    # Per game and options, the trailer's method, game hash and
+    # candidates/pruned/feasible.  After BOS come the merged games the CI
+    # smoke step solves: tied.game's rows 1 and 4 are one class (capped gi
+    # is not merged), twins.game walks a 2 x 2 quotient and zero34.game a
+    # 1 x 1 one.
+    TRAILERS = [
+        (BOS, ["--method", "supports"], "supports f11994b3dfc82fac 9/6/3"),
+        (TIED, ["--method", "supports"], "supports f15476c947ad8c44 105/93/9"),
+        (TIED, ["--method", "gr"], "gr f15476c947ad8c44 73/64/9"),
+        (TIED, ["--method", "gi"], "gi(k=4,l=3) f15476c947ad8c44 105/93/9"),
+        (TIED, ["--method", "gi", "--k", "3", "--l", "3"], "gi(k=3,l=3) f15476c947ad8c44 18/8/9"),
+        (TWINS, ["--method", "supports"], "supports 745105bec71da748 49/40/9"),
+        (TWINS, ["--method", "gr"], "gr 745105bec71da748 49/40/9"),
+        (TWINS, ["--method", "gi"], "gi(k=3,l=3) 745105bec71da748 49/40/9"),
+        (ZERO34, ["--method", "supports"], "supports 062782ec259866b0 105/0/105"),
+        (ZERO34, ["--method", "gr"], "gr 062782ec259866b0 105/0/105"),
+        (ZERO34, ["--method", "gi"], "gi(k=3,l=4) 062782ec259866b0 105/0/105"),
+    ]
+
     def test_structured_mode_byte_identical(self, game_file, capsys):
-        path = game_file(BOS)
-        argv = ["solve", path, "--method", "supports", "--output", "structured"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert "stats method=supports" in first
-        assert "candidates=9 pruned=6 feasible=3" in first
+        for text, options, trailer in self.TRAILERS:
+            argv = ["solve", game_file(text), *options, "--output", "structured"]
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            assert main(argv) == 0
+            second = capsys.readouterr().out
+            assert first == second
+            method, game, counts = trailer.split()
+            candidates, pruned, feasible = counts.split("/")
+            assert first.splitlines()[-1] == (
+                f"stats method={method} game={game} "
+                f"candidates={candidates} pruned={pruned} feasible={feasible}"
+            ), options
 
     def test_wall_time_on_stderr_only(self, game_file, capsys):
         assert main(["solve", game_file(PD)]) == 0

@@ -81,21 +81,32 @@ def _pairs_decided():
 
 def _columns_decided(record, rows, cols):
     """The column sets of `cols` the walk decides for the row set `rows`,
-    in its order, past `record`'s pure dominance."""
+    in its order, past `record`'s pure dominance: those `feasible_columns`
+    returns, each the pair it sent to `_decide`.  It counts none."""
+    pruned = record.pruned
     with _pairs_decided() as decided:
-        assert record.feasible_columns(rows, cols) == []
-    return [c for _, c in decided]
+        found = record.feasible_columns(rows, cols)
+    assert found == [(c, None) for _, c in decided]
+    assert record.pruned == pruned
+    return [c for c, _ in found]
 
 
-def _walked_pairs(mutual, n, record):
+def _walk_decided(mutual, n, record):
     """The pairs the one-pass walk over the `_mutual` masks `mutual` of the
-    game of `record` decides, in its order, past `record`'s pure dominance."""
+    game of `record` decides, in its order, past `record`'s pure dominance,
+    and the walk's stats."""
     g = record.game
     assert (g.m, g.n) == (len(mutual), n)
     run = _Publisher(ReducedGame(g, tuple(range(g.m)), tuple(range(g.n))), g)
     with _pairs_decided() as decided:
-        assert _walk(g, run, mutual, record, "walk", DEFAULT_BUDGET).entries == ()
-    return decided
+        result = _walk(g, run, mutual, record, "walk", DEFAULT_BUDGET)
+    assert result.entries == ()
+    return decided, result.stats
+
+
+def _walked_pairs(mutual, n, record):
+    """The pairs of `_walk_decided`, in the walk's order."""
+    return _walk_decided(mutual, n, record)[0]
 
 
 def _every_biclique(graph):
@@ -279,10 +290,10 @@ class TestGrPipeline:
         pure = InfeasibleSides(rg)
         dominated = pure._responders_dominated
         expected = [(r, c) for r, c in every if not (r & dominated(0, c) or c & dominated(1, r))]
-        record = InfeasibleSides(rg)
-        walked = sorted(_walked_pairs(_mutual(graph), rg.n, record))
+        walked, stats = _walk_decided(_mutual(graph), rg.n, InfeasibleSides(rg))
+        walked = sorted(walked)
         assert walked == expected
-        assert len(walked) + record.pruned == len(every)
+        assert stats == PipelineStats(len(every), len(every) - len(walked), 0)
         assert _oracle_masks(rg) <= set(walked)
 
     def test_biclique_walk_is_pruned(self):
@@ -368,9 +379,9 @@ class TestGrPipeline:
         # on the closed-form count of the fully joined graph.
         g = generate_random_game(5, 5, 0)
         rg = iterated_elimination(g).game
-        record = InfeasibleSides(rg)
-        assert len(_walked_pairs(_mutual(build_gr(rg)), rg.n, record)) == 52
-        assert record.pruned == 465 - 52
+        walked, stats = _walk_decided(_mutual(build_gr(rg)), rg.n, InfeasibleSides(rg))
+        assert len(walked) == 52
+        assert stats == PipelineStats(465, 465 - 52, 0)
         with pytest.raises(BudgetExceededError) as err:
             enumerate_by_gr(g, budget=100)
         assert (err.value.candidates, err.value.budget) == (465, 100)
@@ -848,7 +859,7 @@ def _walked(g: Game, method: str, budget: int = DEFAULT_BUDGET):
     and the checks."""
     run = _Publisher(iterated_elimination(g), g, merge=True)
     every = [(1 << run.game.n) - 1] * run.game.m
-    return _walk(g, run, every, InfeasibleSides(run.game, run.sizes), method, budget)
+    return _walk(g, run, every, InfeasibleSides(run.game), method, budget)
 
 
 @contextlib.contextmanager
@@ -923,19 +934,20 @@ class TestPruningSoundness:
         for route, public in routes:
             results = []
             for arrange in (list, lambda c: c[::-1], lambda c: rng.sample(c, len(c))):
-                run, record, candidates = reference_walk.candidates(g, red, route)
+                run, record, candidates, dropped = reference_walk.candidates(g, red, route)
                 arranged = arrange(candidates)
-                results.append(reference_walk.checked(g, run, arranged, public.method, record))
+                results.append(reference_walk.checked(g, run, arranged, dropped, public.method, record))
             assert results[0] == results[1] == results[2] == public, route
-            run, record, candidates = reference_walk.candidates(g, red, route)
-            drawn = sum(reference_walk.weight(run, *pair) for pair in candidates) + record.pruned
+            run, record, candidates, dropped = reference_walk.candidates(g, red, route)
+            drawn = sum(reference_walk.weight(run, *pair) for pair in candidates) + dropped
             ordered = sorted(candidates, key=lambda c: (c[0].bit_count() + c[1].bit_count(), c))
-            feasible = sum(
-                reference_walk.weight(run, *pair)
-                for pair in ordered
-                if fp1_check(record.game, *pair, record)[0]
-            )
-            assert public.stats == PipelineStats(drawn, record.pruned, feasible), route
+            feasible = rejected = 0
+            for pair in ordered:
+                pruned = record.pruned
+                if fp1_check(record.game, *pair, record)[0]:
+                    feasible += reference_walk.weight(run, *pair)
+                rejected += reference_walk.weight(run, *pair) * (record.pruned - pruned)
+            assert public.stats == PipelineStats(drawn, dropped + rejected, feasible), route
 
     def test_twins_never_rule_each_other_out(self):
         # Rows 0 and 1 are twins, and so are the columns of the mirror game:
@@ -948,14 +960,15 @@ class TestPruningSoundness:
         mirrored = sorted((cols, rows) for rows, cols in expected)
         for result in (enumerate_by_supports(mirror), enumerate_by_gr(mirror), enumerate_by_gi(mirror, 2, 2)):
             assert _supports(result) == mirrored, result.method
-        # Twin rows keep every column set.  Twin columns both stay; a pure
-        # rival row drops each singleton column set of the mirror.
-        record = InfeasibleSides(g)
-        assert _columns_decided(record, 0b11, 0b11) == [0b01, 0b10, 0b11]
-        assert record.pruned == 0
-        record = InfeasibleSides(mirror)
-        assert _columns_decided(record, 0b11, 0b11) == [0b11]
-        assert record.pruned == 2
+        # Twin rows keep every column set of the row set {0, 1}, so none of
+        # the 3 is pruned.  Twin columns both stay; a pure rival row drops
+        # each singleton column set of the mirror, so 2 of its 3 are.  The
+        # walk over all 9 pairs of either game prunes 4.
+        for game, decided in ((g, [0b01, 0b10, 0b11]), (mirror, [0b11])):
+            assert _columns_decided(InfeasibleSides(game), 0b11, 0b11) == decided
+            walked, stats = _walk_decided([0b11, 0b11], 2, InfeasibleSides(game))
+            assert [cols for rows, cols in walked if rows == 0b11] == decided
+            assert stats == PipelineStats(9, 4, 0)
 
     def test_walked_pairs_lie_inside_the_pure_bounds(self):
         # Every pair (R, C) the walk decides for R and all columns has C
@@ -1271,18 +1284,19 @@ class TestQuotient:
             assert rg.m > 1 and rg.n > 1 and 1 in (walked.m, walked.n), g
 
     def test_class_free_panels_weigh_and_expand_nothing(self):
-        # Every corpus and generic game is class-free: its walk and record
-        # keep the unweighted count, and it publishes each walked pair as
-        # it is.  No pair is weighed and no part is expanded.
+        # Every corpus and generic game is class-free: its walk keeps the
+        # unweighted count, and it publishes each walked pair as it is.  No
+        # pair is weighed and no part is expanded, and the record knows no
+        # class sizes to weigh one by.
         def forbidden(*args):
             raise AssertionError("a class-free game weighed a pair or expanded a part")
 
+        assert not {"_stand_ins", "_width"} & set(vars(lp_module))
+        assert not hasattr(InfeasibleSides, "_pairs")
         workloads = bench_workloads()
         with pytest.MonkeyPatch.context() as patch:
-            for module in (equilibria_module, lp_module):
-                patch.setattr(module, "_stand_ins", forbidden)
-                patch.setattr(module, "_width", forbidden)
-            patch.setattr(InfeasibleSides, "_pairs", forbidden)
+            patch.setattr(equilibria_module, "_stand_ins", forbidden)
+            patch.setattr(equilibria_module, "_width", forbidden)
             patch.setattr(_Publisher, "_parts", forbidden)
             solved = 0
             for workload in ("corpus", "generic"):

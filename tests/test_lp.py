@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashcycles.lp as lp_module
+from nashcycles.domgraph import compute_domain, compute_domain_table, compute_relevancy
 from nashcycles.equilibria import _Publisher
 from nashcycles.games import (
     Game,
@@ -20,6 +21,7 @@ from nashcycles.games import (
     expected_payoffs,
     generate_random_game,
     is_best_response,
+    pure_payoff_against,
 )
 from nashcycles.lp import (
     RELATIONS,
@@ -385,6 +387,32 @@ class TestTableauShape:
                             assert all(seen == {width + 1} for seen in widths)
                             pivots[kind] += len(widths)
         assert all(pivots)
+
+
+# Each public function that takes a player, asked of a 2 x 3 game with the
+# player's own strategy 0 and, where one is needed, an opponent strategy
+# that fits player 2, as which an unchecked player was read.
+_PLAYER_TAKERS = {
+    "lp1_dominance": lambda g, player: lp1_dominance(g, player, 0),
+    "mod_lp1_relevancy": lambda g, player: mod_lp1_relevancy(g, player, 0, 0),
+    "lp2_domain_check": lambda g, player: lp2_domain_check(g, player, 0, (0,), ()),
+    "lp2_joint_domain_check": lambda g, player: lp2_joint_domain_check(g, player, (0,), (0,), ()),
+    "lp3_relevancy": lambda g, player: lp3_relevancy(g, player, 0),
+    "compute_relevancy": lambda g, player: compute_relevancy(g, player, 0),
+    "compute_domain": lambda g, player: compute_domain(g, player, 0, 1),
+    "compute_domain_table": lambda g, player: compute_domain_table(g, player, 1),
+    "pure_payoff_against": lambda g, player: pure_payoff_against(g, player, 0, MixedStrategy(1, (1, 0))),
+    "is_best_response": lambda g, player: is_best_response(g, player, 0, MixedStrategy(1, (1, 0))),
+    "check_side": lambda g, player: InfeasibleSides(g).check_side(player, 1, 1),
+}
+
+
+@pytest.mark.parametrize("player", [0, -1, 3])
+@pytest.mark.parametrize("name", list(_PLAYER_TAKERS))
+def test_a_player_other_than_1_or_2_is_refused(name, player):
+    g = Game.from_rows([[1, 0, 2], [0, 1, 0]], [[0, 2, 1], [1, 0, 0]])
+    with pytest.raises(ValueError, match="player must be 1 or 2"):
+        _PLAYER_TAKERS[name](g, player)
 
 
 class TestLp1Dominance:
